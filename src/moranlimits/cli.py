@@ -113,13 +113,7 @@ def cmd_simulate(config: ExperimentConfig, out_dir: Path) -> int:
     reference = solve_deterministic(settings.z0, params)
     grid = _time_grid(settings.t_end, settings.grid_step)
     summary = run_ensemble(
-        k0,
-        grid,
-        settings.n_paths,
-        config.seed,
-        params,
-        reference=reference,
-        threads=config.threads,
+        k0, grid, settings.n_paths, config.seed, params, reference=reference
     )
     sup = summary.sup_deviation
     frac_above = {repr(level): float((sup > level).mean()) for level in _SUP_LEVELS}
@@ -167,12 +161,7 @@ def cmd_clt(config: ExperimentConfig, out_dir: Path) -> int:
     settings = config.sections["clt"]
     params = config.model
     stats = clt_statistics(
-        settings.z0,
-        settings.times,
-        settings.n_paths,
-        config.seed,
-        params,
-        threads=config.threads,
+        settings.z0, settings.times, settings.n_paths, config.seed, params
     )
     write_csv(
         out_dir / "clt_table.csv",
@@ -254,7 +243,7 @@ def cmd_stationary(config: ExperimentConfig, out_dir: Path) -> int:
 def cmd_selfcheck(config: ExperimentConfig, out_dir: Path) -> int:
     from . import selfcheck  # deferred: selfcheck drives this CLI for its replay check
 
-    results = selfcheck.run_all(threads=config.threads)
+    results = selfcheck.run_all()
     for result in results:
         print(("PASS" if result.passed else "FAIL") + f" {result.name}: {result.detail}")
     record = {
@@ -309,21 +298,13 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument(
             "--out", default="out", help="artifact directory, created if missing"
         )
-        sp.add_argument(
-            "--threads",
-            type=int,
-            default=None,
-            help="worker threads for path ensembles (default: config value or 1)",
-        )
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = load_config(
-            args.config, seed_override=args.seed, threads_override=args.threads
-        )
+        config = load_config(args.config, seed_override=args.seed)
         validate_for_command(config, args.command)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)

@@ -215,7 +215,7 @@ _SECTION_TYPES = {
     "stationary": StationarySettings,
 }
 
-_TOP_LEVEL_KEYS = {"schema_version", "model", "seed", "threads"} | set(_SECTION_TYPES)
+_TOP_LEVEL_KEYS = {"schema_version", "model", "seed"} | set(_SECTION_TYPES)
 
 
 @dataclass(frozen=True)
@@ -225,7 +225,6 @@ class ExperimentConfig:
     schema_version: str
     model: ModelParams
     seed: int
-    threads: int
     sections: dict = field(default_factory=dict)
 
     def require(self, name: str):
@@ -238,18 +237,13 @@ class ExperimentConfig:
             "schema_version": self.schema_version,
             "model": self.model.to_dict(),
             "seed": self.seed,
-            "threads": self.threads,
         }
         for name, section in self.sections.items():
             record[name] = section.to_record()
         return record
 
 
-def parse_config(
-    raw: dict,
-    seed_override: Optional[int] = None,
-    threads_override: Optional[int] = None,
-) -> ExperimentConfig:
+def parse_config(raw: dict, seed_override: Optional[int] = None) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError("top level of the config must be a JSON object")
     _reject_unknown(raw, _TOP_LEVEL_KEYS, "")
@@ -275,11 +269,6 @@ def parse_config(
     else:
         seed = _as_int(_require(raw, "seed", ""), "seed", minimum=0, maximum=_MAX_SEED)
 
-    if threads_override is not None:
-        threads = _as_int(threads_override, "--threads", minimum=1)
-    else:
-        threads = _as_int(raw.get("threads", 1), "threads", minimum=1)
-
     sections = {}
     for name, section_type in _SECTION_TYPES.items():
         if name in raw:
@@ -289,15 +278,11 @@ def parse_config(
             sections[name] = section_type.from_block(block, name)
 
     return ExperimentConfig(
-        schema_version=schema, model=model, seed=seed, threads=threads, sections=sections
+        schema_version=schema, model=model, seed=seed, sections=sections
     )
 
 
-def load_config(
-    path,
-    seed_override: Optional[int] = None,
-    threads_override: Optional[int] = None,
-) -> ExperimentConfig:
+def load_config(path, seed_override: Optional[int] = None) -> ExperimentConfig:
     file_path = Path(path)
     if not file_path.is_file():
         raise ConfigError(f"config file not found: {file_path}")
@@ -305,7 +290,7 @@ def load_config(
         raw = json.loads(file_path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as err:
         raise ConfigError(f"config is not valid JSON: {err}") from err
-    return parse_config(raw, seed_override=seed_override, threads_override=threads_override)
+    return parse_config(raw, seed_override=seed_override)
 
 
 def validate_for_command(config: ExperimentConfig, command: str) -> None:

@@ -216,7 +216,7 @@ def check_variance_agreement() -> CheckResult:
     )
 
 
-def check_lln(threads: int = 1) -> CheckResult:
+def check_lln() -> CheckResult:
     """Criterion 5: at N = 10^4 nearly every path hugs the deterministic curve."""
     params = reference_params(N=10_000)
     z0 = 0.1
@@ -228,7 +228,6 @@ def check_lln(threads: int = 1) -> CheckResult:
         LLN_SEED,
         params,
         reference=solve_deterministic(z0, params),
-        threads=threads,
     )
     sup = summary.sup_deviation
     fraction = float((sup > LLN_DEVIATION).mean())
@@ -245,10 +244,10 @@ def check_lln(threads: int = 1) -> CheckResult:
     )
 
 
-def check_clt(threads: int = 1) -> CheckResult:
+def check_clt() -> CheckResult:
     """Criterion 6: scaled deviations match the Gaussian law at t = 1, 2, 4."""
     params = reference_params(N=10_000)
-    stats = clt_statistics(0.1, (1.0, 2.0, 4.0), 1000, CLT_SEED, params, threads=threads)
+    stats = clt_statistics(0.1, (1.0, 2.0, 4.0), 1000, CLT_SEED, params)
     worst_var = 0.0
     worst_ks = 0.0
     for row in stats["rows"][1:]:
@@ -380,13 +379,12 @@ _CHECKS = (
 )
 
 
-def run_all(threads: int = 1) -> list[CheckResult]:
+def run_all() -> list[CheckResult]:
     """Run every criterion; exceptions become failed results, not crashes."""
     results = []
     for check in _CHECKS:
-        kwargs = {"threads": threads} if check in (check_lln, check_clt) else {}
         try:
-            results.append(check(**kwargs))
+            results.append(check())
         except Exception as err:  # noqa: BLE001 - selfcheck must report, not crash
             results.append(
                 CheckResult(

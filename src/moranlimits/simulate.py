@@ -6,16 +6,25 @@ lambda_k / (lambda_k + mu_k). No time discretisation enters anywhere;
 grid values are read off the right-continuous step path. With u = 0 the
 boundary states absorb and simulation stops early.
 
+Two kernels run the chain. The per-path event loop (_run_chain) serves
+single paths and ensembles of fewer than _LOCKSTEP_MIN_PATHS paths. The
+lockstep kernel (_run_lockstep) serves larger ensembles: it advances
+every live path by one event per numpy step, Gillespie's direct method
+run across trajectories, and below the threshold its fixed cost per
+step outweighs the saving.
+
 Reproducibility contract: a path is a pure function of
 (seed, params, k0, horizon). Ensembles give path p the dedicated stream
-seeded by (master_seed, p), so results do not depend on scheduling and
-any prefix of paths can be regenerated in isolation.
+seeded by (master_seed, p) and both kernels draw from it in the same
+order, so results do not depend on the kernel and any prefix of paths
+can be regenerated in isolation.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+from bisect import bisect_left
+from itertools import compress
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -32,6 +41,12 @@ ArrayLike = Union[float, np.ndarray]
 # for 64 draws, long paths amortise refills at the cap.
 _BATCH_START = 64
 _BATCH_MAX = 8192
+
+# Ensembles of at least this many paths run on the lockstep kernel, whose
+# fixed cost per numpy step loses to the per-path loop on fewer paths.
+_LOCKSTEP_MIN_PATHS = 64
+# Draws per path buffered by the lockstep kernel between refills.
+_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -71,6 +86,14 @@ def _validate_seed(seed) -> None:
             raise DomainError(f"rng_seed must be an integer, got {value!r}")
         if value < 0:
             raise DomainError(f"rng_seed entries must be >= 0, got {value}")
+
+
+def _validate_master_seed(seed) -> int:
+    """An ensemble seed is one integer: path p runs on the stream [seed, p]."""
+    if isinstance(seed, (list, tuple)):
+        raise DomainError(f"rng_seed must be an integer, got {seed!r}")
+    _validate_seed(seed)
+    return int(seed)
 
 
 def _chain_tables(params: ModelParams) -> tuple[list, list]:
@@ -145,6 +168,119 @@ def _run_chain(
             grid_states[gi] = k
             gi += 1
     return events_t, events_k, k, absorbed, grid_states
+
+
+def _run_lockstep(
+    k0: int,
+    grid: np.ndarray,
+    rng_seed: int,
+    n_paths: int,
+    total_rates: list,
+    p_up: list,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Drive n_paths chains to grid[-1] together, one event per numpy step.
+
+    Returns the grid states (n_paths, grid.size) and the absorbed flags,
+    equal to what _run_chain gives path p on the stream [rng_seed, p].
+    Every live path sits at the same event index, so all of them reach a
+    boundary of _run_chain's batch schedule at the same step. Each path
+    reads its stream through two generators: one draws the batch's
+    exponential waits; the other skips them, then draws the batch's
+    uniform coins. Both deliver in chunks of _CHUNK, which match one
+    batched draw bit for bit, so the buffers hold (paths, _CHUNK) draws
+    however long the batch is.
+    """
+    n_grid = grid.size
+    grid_list = grid.tolist()
+    states = np.empty((n_paths, n_grid), dtype=np.int64)
+    absorbed = np.zeros(n_paths, dtype=bool)
+    p_up = np.asarray(p_up)
+    absorbing = np.asarray(total_rates) <= 0.0
+    can_absorb = bool(absorbing.any())
+    # absorbing states never divide: their paths skip to the horizon
+    safe_rates = np.where(absorbing, 1.0, total_rates)
+
+    # Live paths in path order, compacted whenever some finish.
+    ids = np.arange(n_paths)
+    k = np.full(n_paths, k0, dtype=np.int64)
+    t = np.zeros(n_paths)
+    gi = [0] * n_paths  # first grid point each live path has not filled
+    g_t = np.full(n_paths, grid[0])  # its time
+    # Each is the generator default_rng([rng_seed, p]) builds, twice over.
+    seeds = [np.random.SeedSequence([rng_seed, p]) for p in range(n_paths)]
+    wait_rngs = [np.random.Generator(np.random.PCG64(seq)) for seq in seeds]
+    coin_rngs = [np.random.Generator(np.random.PCG64(seq)) for seq in seeds]
+    out_rows = list(states)  # row views, written as grid points are passed
+    waits = np.empty((n_paths, _CHUNK))
+    coins = np.empty((n_paths, _CHUNK))
+    skipped = np.empty(_BATCH_MAX)
+    chunk_rows = None  # chunk row of each live path; None while it is its position
+
+    batch = batch_left = 0
+    col = width = 0
+    while ids.size:
+        if col == width:
+            if batch_left == 0:
+                if batch:
+                    # The waits stopped where this batch's coins began;
+                    # the coins, one 64-bit word each, end where the
+                    # next batch begins.
+                    for rng in wait_rngs:
+                        rng.bit_generator.advance(batch)
+                batch = min(batch * 4, _BATCH_MAX) if batch else _BATCH_START
+                for rng in coin_rngs:
+                    rng.standard_exponential(out=skipped[:batch])
+                batch_left = batch
+            width = min(_CHUNK, batch_left)
+            batch_left -= width
+            for wait_rng, coin_rng, wait_row, coin_row in zip(
+                wait_rngs, coin_rngs, waits[:, :width], coins[:, :width]
+            ):
+                wait_rng.standard_exponential(out=wait_row)
+                coin_rng.random(out=coin_row)
+            col = 0
+            chunk_rows = None
+        if chunk_rows is None:
+            wait = waits[: ids.size, col]
+            coin = coins[: ids.size, col]
+        else:
+            wait = waits[chunk_rows, col]
+            coin = coins[chunk_rows, col]
+        col += 1
+
+        t_next = wait / safe_rates[k]
+        t_next += t
+        if can_absorb:
+            stuck = absorbing[k]
+            if stuck.any():
+                absorbed[ids[stuck]] = True
+                t_next[stuck] = np.inf
+        done = []
+        cross = t_next > g_t
+        if cross.any():
+            # state k holds on [t, t_next); grid points there read k
+            hit = np.flatnonzero(cross)
+            for r, t_hit, k_hit in zip(hit.tolist(), t_next[hit].tolist(), k[hit].tolist()):
+                hi = bisect_left(grid_list, t_hit)
+                out_rows[r][gi[r] : hi] = k_hit
+                gi[r] = hi
+                if hi == n_grid:
+                    done.append(r)
+                else:
+                    g_t[r] = grid_list[hi]
+        up = (coin < p_up[k]).view(np.int8)
+        k += up * 2 - 1
+        t = t_next
+        if done:
+            keep = np.ones(ids.size, dtype=bool)
+            keep[done] = False
+            chunk_rows = (np.arange(ids.size) if chunk_rows is None else chunk_rows)[keep]
+            ids, k, t, g_t = ids[keep], k[keep], t[keep], g_t[keep]
+            gi = list(compress(gi, keep))
+            out_rows = list(compress(out_rows, keep))
+            wait_rngs = list(compress(wait_rngs, keep))
+            coin_rngs = list(compress(coin_rngs, keep))
+    return states, absorbed
 
 
 def simulate_path(
@@ -302,13 +438,16 @@ def run_ensemble(
     rng_seed: int,
     params: ModelParams,
     reference: Optional[DeterministicSolution] = None,
-    threads: int = 1,
 ) -> EnsembleSummary:
     """Simulate n_paths independent paths and collect grid statistics.
 
-    Reductions run over the preallocated path matrix in fixed path
-    order, so the summary is identical for any thread count; threads
-    only distribute the per-path event loops.
+    Path p is simulated on the stream [rng_seed, p], exactly as
+    simulate_on_grid(k0, t_grid, [rng_seed, p], params) would simulate
+    it, so z_values[p] * N equals that call's result bit for bit. Two
+    kernels produce the same paths: from _LOCKSTEP_MIN_PATHS paths on,
+    the lockstep kernel advances all live paths one event per numpy
+    step; smaller ensembles, where its fixed cost per step dominates,
+    run the per-path event loop.
     """
     k0 = _validate_state(k0, params)
     grid = _validate_grid(t_grid)
@@ -316,31 +455,21 @@ def run_ensemble(
         raise DomainError(f"n_paths must be an integer, got {n_paths!r}")
     if n_paths < 1:
         raise DomainError(f"n_paths must be >= 1, got {n_paths}")
-    _validate_seed(rng_seed)
-    if isinstance(threads, bool) or not isinstance(threads, (int, np.integer)):
-        raise DomainError(f"threads must be an integer, got {threads!r}")
-    if threads < 1:
-        raise DomainError(f"threads must be >= 1, got {threads}")
+    rng_seed = _validate_master_seed(rng_seed)
+    n_paths = int(n_paths)
 
     total_rates, p_up = _chain_tables(params)
-    t_end = float(grid[-1])
-    states = np.empty((n_paths, grid.size), dtype=np.int64)
-    absorbed_flags = np.zeros(n_paths, dtype=bool)
-
-    def one_path(p: int) -> None:
-        rng = np.random.default_rng([rng_seed, p])
-        _, _, _, absorbed, grid_states = _run_chain(
-            k0, t_end, rng, total_rates, p_up, grid=grid, record=False
-        )
-        states[p] = grid_states
-        absorbed_flags[p] = absorbed
-
-    if threads == 1:
-        for p in range(n_paths):
-            one_path(p)
+    if n_paths >= _LOCKSTEP_MIN_PATHS:
+        states, absorbed = _run_lockstep(k0, grid, rng_seed, n_paths, total_rates, p_up)
     else:
-        with ThreadPoolExecutor(max_workers=int(threads)) as pool:
-            list(pool.map(one_path, range(n_paths)))
+        t_end = float(grid[-1])
+        states = np.empty((n_paths, grid.size), dtype=np.int64)
+        absorbed = np.zeros(n_paths, dtype=bool)
+        for p in range(n_paths):
+            rng = np.random.default_rng([rng_seed, p])
+            _, _, _, absorbed[p], states[p] = _run_chain(
+                k0, t_end, rng, total_rates, p_up, grid=grid, record=False
+            )
 
     z_ref = None
     if reference is not None:
@@ -348,12 +477,12 @@ def run_ensemble(
     return EnsembleSummary(
         params=params,
         k0=k0,
-        rng_seed=int(rng_seed),
-        n_paths=int(n_paths),
+        rng_seed=rng_seed,
+        n_paths=n_paths,
         t_grid=grid,
         z_values=states / params.N,
         z_ref=z_ref,
-        absorbed_count=int(absorbed_flags.sum()),
+        absorbed_count=int(absorbed.sum()),
     )
 
 
@@ -363,7 +492,6 @@ def clt_statistics(
     n_paths: int,
     rng_seed: int,
     params: ModelParams,
-    threads: int = 1,
 ) -> dict:
     """Scaled-deviation marginals at fixed times against the Gaussian law.
 
@@ -376,6 +504,7 @@ def clt_statistics(
 
     Requires u > 0 (the Gaussian law needs a positive noise floor).
     """
+    _validate_master_seed(rng_seed)
     ts = np.asarray(times, dtype=float)
     if ts.ndim != 1 or ts.size == 0:
         raise DomainError("times must be a non-empty 1-d sequence")
@@ -388,9 +517,7 @@ def clt_statistics(
     reference = law.solution
     k0 = int(round(reference.z0 * params.N))
     grid = np.concatenate(([0.0], ts))
-    summary = run_ensemble(
-        k0, grid, n_paths, rng_seed, params, reference=reference, threads=threads
-    )
+    summary = run_ensemble(k0, grid, n_paths, rng_seed, params, reference=reference)
     sigma2 = law.variance_on_grid(grid)
     scaled = summary.scaled_deviations
 

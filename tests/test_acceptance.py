@@ -6,6 +6,7 @@ criterion so a regression shows up as exactly one red line. Run with
 `pytest tests/test_acceptance.py -v -s` to see the verdicts live.
 """
 
+import hashlib
 import io
 import json
 from contextlib import redirect_stdout
@@ -25,6 +26,11 @@ CRITERIA = (
     "8-stationary-gaussian-limit",
     "9-artifact-reproducibility",
 )
+
+# SHA-256 of the canonical JSON (sorted keys) of the report's `results`:
+# every verdict, detail line and metric, as first computed. See
+# test_golden.py for what may legitimately move it.
+RESULTS_DIGEST = "959689846cddb5a7900ab18eba529a4f0e469bb76b9cdae43f84fa49af1c2d8b"
 
 _CONFIG = {
     "schema_version": "1",
@@ -64,3 +70,9 @@ def test_all_criteria_present_and_exit_code_zero(selfcheck_run):
     assert set(checks) == set(CRITERIA)
     assert report["results"]["all_passed"] is True
     assert exit_code == 0
+
+
+def test_results_match_golden_digest(selfcheck_run):
+    _, report, _ = selfcheck_run
+    canonical = json.dumps(report["results"], sort_keys=True)
+    assert hashlib.sha256(canonical.encode("utf-8")).hexdigest() == RESULTS_DIGEST

@@ -53,7 +53,6 @@ class TestConfigParsing:
     def test_defaults_materialised(self, tmp_path):
         config = load_config(make_config(tmp_path))
         assert config.seed == 12345
-        assert config.threads == 1
         ode = config.sections["ode"]
         assert ode.grid_step == 0.01
         assert ode.oracle_step == 1e-3
@@ -131,9 +130,8 @@ class TestConfigParsing:
         assert config.seed == 7
 
     def test_overrides_win(self, tmp_path):
-        config = load_config(make_config(tmp_path), seed_override=99, threads_override=3)
+        config = load_config(make_config(tmp_path), seed_override=99)
         assert config.seed == 99
-        assert config.threads == 3
 
     def test_config_file_not_found(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
@@ -172,10 +170,19 @@ class TestMainExitCodes:
         assert code == 2
         assert "ode.weird" in capsys.readouterr().err
 
+    def test_removed_threads_setting_exits_2(self, tmp_path, capsys):
+        path = make_config(tmp_path, {"threads": 1})
+        code = cli.main(["ode", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "unknown key 'threads'" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["ode", "--config", str(path), "--threads", "2"])
+        assert exit_info.value.code == 2
+
     def test_selfcheck_failure_maps_to_3(self, tmp_path, monkeypatch, capsys):
         from moranlimits import selfcheck
 
-        def fake_run_all(threads=1):
+        def fake_run_all():
             return [
                 selfcheck.CheckResult(
                     name="flow_vs_oracle", passed=False, detail="forced", metrics={}

@@ -1,0 +1,77 @@
+"""Golden artifacts: refactors and kernel changes must not move any output.
+
+Criterion 9 shows that two runs of one build agree. These digests show
+that a change to the code did not change what it writes: SHA-256 of
+every CSV artifact, and of the canonical JSON (sorted keys) of each
+report's `results` object. The `config` record is left out, since it
+restates the config file rather than computing anything.
+
+The digests were taken with numpy 2.4 and scipy 1.17 on x86-64. Another
+build of numpy, scipy or libm may round the last bit of a float
+differently; regenerate the digests then, after checking with the
+per-path reference tests that only rounding moved.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from moranlimits import cli
+
+REFERENCE_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "reference.json"
+
+# u = 0 with k0 = 5 of N = 500: the boundary absorbs 22 of the 96 paths.
+ABSORBING_CONFIG = {
+    "schema_version": "1",
+    "model": {"N": 500, "s": 0.2, "u": 0.0, "nu0": 0.5},
+    "seed": 4242,
+    "simulate": {"z0": 0.01, "t_end": 4.0, "n_paths": 96, "grid_step": 0.1},
+}
+
+GOLDEN = {
+    ("simulate", "reference"): {
+        "ensemble_table.csv": "4268445bbd75cc4e230994563a4ebf4379c1580669ec7a4a14b264764cc85a38",
+        "ensemble_report.json": "6347e6c95e019502892b91c4140a6978fef19cfecaf850463476ab35c8251078",
+    },
+    ("clt", "reference"): {
+        "clt_table.csv": "69a9d059bd06cb8878a134951da4332f2061ae2a7646771b85d3fe8374ae31e5",
+        "clt_report.json": "3361810b7f98d891ce98d85c380bea6c7aeb48c2f3277a0d7e59795803d02975",
+    },
+    ("simulate", "absorbing"): {
+        "ensemble_table.csv": "5c08c44a295deb0e88c51399b16cc0d659718f782462dac5d31568f2ba92fbb5",
+        "ensemble_report.json": "e3cac5276bc8eaa4a120f7def2712e4b9d675917b3cc74dbaedfd3dc8564d7cb",
+    },
+}
+
+
+def results_digest(report: dict) -> str:
+    canonical = json.dumps(report["results"], sort_keys=True)
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def artifact_digests(out_dir: Path) -> dict:
+    digests = {}
+    for path in sorted(out_dir.iterdir()):
+        if path.suffix == ".csv":
+            digests[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
+        else:
+            digests[path.name] = results_digest(json.loads(path.read_text(encoding="utf-8")))
+    return digests
+
+
+@pytest.mark.parametrize("command, config", sorted(GOLDEN))
+def test_artifacts_match_golden_digests(tmp_path, command, config):
+    if config == "reference":
+        config_path = REFERENCE_CONFIG
+    else:
+        config_path = tmp_path / "absorbing.json"
+        config_path.write_text(json.dumps(ABSORBING_CONFIG), encoding="utf-8")
+    out_dir = tmp_path / "out"
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main([command, "--config", str(config_path), "--out", str(out_dir)])
+    assert code == 0
+    assert artifact_digests(out_dir) == GOLDEN[(command, config)]

@@ -20,6 +20,7 @@ from moranlimits import (
     simulate_path,
     solve_deterministic,
 )
+from moranlimits import simulate
 from moranlimits.io import jsonable
 from moranlimits.selfcheck import reference_params
 
@@ -177,13 +178,25 @@ class TestChainStatistics:
 
 
 class TestEnsemble:
-    def test_determinism_and_threads(self):
+    def test_determinism(self):
         grid = np.linspace(0.0, 1.0, 11)
         a = run_ensemble(50, grid, 8, 99, REF)
         b = run_ensemble(50, grid, 8, 99, REF)
-        c = run_ensemble(50, grid, 8, 99, REF, threads=2)
         assert np.array_equal(a.z_values, b.z_values)
-        assert np.array_equal(a.z_values, c.z_values)
+
+    def test_master_seed_rejected_before_any_work(self, monkeypatch):
+        # Path p runs on [rng_seed, p], so the master seed is one integer.
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated before validating the seed")
+
+        monkeypatch.setattr(simulate, "_run_chain", no_simulation)
+        monkeypatch.setattr(simulate, "_run_lockstep", no_simulation)
+        grid = np.linspace(0.0, 1.0, 6)
+        for bad in ([1, 2], (3,), -1, 1.5, "7", True, None):
+            with pytest.raises(DomainError, match="rng_seed"):
+                run_ensemble(50, grid, 4, bad, REF)
+            with pytest.raises(DomainError, match="rng_seed"):
+                clt_statistics(0.1, (0.5,), 4, bad, REF)
 
     def test_summary_shapes_and_reference(self):
         grid = np.linspace(0.0, 1.0, 11)
@@ -267,3 +280,66 @@ class TestCltStatistics:
         row = result["rows"][-1]
         assert abs(row["var_ratio"] - 1.0) < 0.10
         assert row["ks_statistic"] < 0.05
+
+
+class TestLockstepKernel:
+    """Ensembles equal the per-path reference, whichever kernel runs them."""
+
+    THRESHOLD = simulate._LOCKSTEP_MIN_PATHS
+
+    @staticmethod
+    def run_and_compare(monkeypatch, k0, grid, n_paths, seed, params):
+        calls = []
+        lockstep = simulate._run_lockstep
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return lockstep(*args, **kwargs)
+
+        monkeypatch.setattr(simulate, "_run_lockstep", spy)
+        summary = run_ensemble(k0, grid, n_paths, seed, params)
+        assert len(calls) == (n_paths >= simulate._LOCKSTEP_MIN_PATHS)
+        absorbed = 0
+        events = []
+        for p in range(n_paths):
+            expected = simulate_on_grid(k0, grid, [seed, p], params)
+            assert np.array_equal(summary.z_values[p], expected / params.N), p
+            path = simulate_path(k0, float(grid[-1]), [seed, p], params)
+            absorbed += path.absorbed
+            events.append(path.n_events)
+        assert summary.absorbed_count == absorbed
+        return summary, events
+
+    @pytest.mark.parametrize("extra", [-1, 0, 37])
+    def test_reference_shape_non_uniform_grid(self, monkeypatch, extra):
+        params = ModelParams(N=1000, s=1.0, u=0.5, nu0=0.5)
+        grid = np.array([0.0, 1e-4, 0.013, 0.3, 0.31, 1.0, 2.5, 2.5 + 1e-9, 3.0])
+        self.run_and_compare(monkeypatch, 100, grid, self.THRESHOLD + extra, 5, params)
+
+    @pytest.mark.parametrize("k0", [0, 60, 2, 57])
+    def test_absorbing_boundaries(self, monkeypatch, k0):
+        params = ModelParams(N=60, s=0.3, u=0.0, nu0=0.5)
+        grid = np.linspace(0.0, 10.0, 23)
+        summary, _ = self.run_and_compare(
+            monkeypatch, k0, grid, self.THRESHOLD, 11, params
+        )
+        assert summary.absorbed_count > 0
+        if k0 in (0, params.N):
+            assert summary.absorbed_count == self.THRESHOLD
+            assert np.all(summary.z_values == k0 / params.N)
+
+    def test_long_paths_cross_batch_and_chunk_refills(self, monkeypatch):
+        # Batches of 64, 256, 1024, 4096 and then 8192 draws: more than
+        # 13632 events per path reach the capped batches.
+        params = ModelParams(N=1000, s=1.0, u=0.5, nu0=0.5)
+        grid = np.linspace(0.0, 25.0, 11)
+        _, events = self.run_and_compare(
+            monkeypatch, 100, grid, self.THRESHOLD, 8, params
+        )
+        assert min(events) > 64 + 256 + 1024 + 4096 + 8192
+
+    def test_single_point_grid(self, monkeypatch):
+        summary, _ = self.run_and_compare(
+            monkeypatch, 30, [0.0], self.THRESHOLD, 3, REF
+        )
+        assert np.all(summary.z_values == 30 / REF.N)
