@@ -46,6 +46,7 @@ from .simulate import (
     sample_Z_at,
     simulate_on_grid,
     simulate_path,
+    summarize_paths,
 )
 from .stationary import (
     GaussianLimitReport,
@@ -95,6 +96,7 @@ __all__ = [
     "sample_Z_at",
     "simulate_on_grid",
     "simulate_path",
+    "summarize_paths",
     "GaussianLimitReport",
     "StationaryDistribution",
     "brute_force_stationary",

@@ -25,7 +25,7 @@ from .config import ConfigError, ExperimentConfig, load_config, validate_for_com
 from .deterministic import classify_regime, equilibria, ode_oracle_at, solve_deterministic
 from .io import dump_json, write_csv
 from .model import ModelParams, UnsupportedModelError
-from .simulate import clt_statistics, run_ensemble, simulate_path
+from .simulate import clt_statistics, run_ensemble, simulate_path, summarize_paths
 from .stationary import gaussian_limit_check, stationary_distribution
 
 EXIT_OK = 0
@@ -89,7 +89,7 @@ def cmd_ode(config: ExperimentConfig, out_dir: Path) -> int:
     write_csv(
         out_dir / "ode_table.csv",
         ["t", "z_closed", "z_oracle", "abs_diff"],
-        zip(times, z_closed, z_oracle, diff),
+        [times, z_closed, z_oracle, diff],
     )
     results = {
         "regime": classify_regime(params).value,
@@ -106,15 +106,35 @@ def cmd_ode(config: ExperimentConfig, out_dir: Path) -> int:
     return EXIT_OK
 
 
+def _path_columns(paths: list) -> list:
+    """Columns path, t, k: a t = 0 row at k0, then one row per jump, per path."""
+    return [
+        np.repeat(np.arange(len(paths)), [path.n_events + 1 for path in paths]),
+        np.concatenate([part for path in paths for part in ([0.0], path.times)]),
+        np.concatenate([part for path in paths for part in ([path.k0], path.states)]),
+    ]
+
+
 def cmd_simulate(config: ExperimentConfig, out_dir: Path) -> int:
     settings = config.sections["simulate"]
     params = config.model
     k0 = int(round(settings.z0 * params.N))
     reference = solve_deterministic(settings.z0, params)
     grid = _time_grid(settings.t_end, settings.grid_step)
-    summary = run_ensemble(
-        k0, grid, settings.n_paths, config.seed, params, reference=reference
-    )
+    artifacts = {"table": "ensemble_table.csv"}
+    if settings.store_paths:
+        # One pass: the kept paths also give the grid values.
+        paths = [
+            simulate_path(k0, settings.t_end, [config.seed, p], params)
+            for p in range(settings.n_paths)
+        ]
+        summary = summarize_paths(paths, grid, config.seed, reference=reference)
+        write_csv(out_dir / "ensemble_paths.csv", ["path", "t", "k"], _path_columns(paths))
+        artifacts["paths"] = "ensemble_paths.csv"
+    else:
+        summary = run_ensemble(
+            k0, grid, settings.n_paths, config.seed, params, reference=reference
+        )
     sup = summary.sup_deviation
     frac_above = {repr(level): float((sup > level).mean()) for level in _SUP_LEVELS}
 
@@ -126,19 +146,8 @@ def cmd_simulate(config: ExperimentConfig, out_dir: Path) -> int:
     write_csv(
         out_dir / "ensemble_table.csv",
         ["t", "z_ref", "mean_z", "var_z", "scaled_dev_mean", "scaled_dev_var"],
-        zip(grid, summary.z_ref, summary.mean_z, summary.var_z, scaled_mean, scaled_var),
+        [grid, summary.z_ref, summary.mean_z, summary.var_z, scaled_mean, scaled_var],
     )
-    artifacts = {"table": "ensemble_table.csv"}
-
-    if settings.store_paths:
-        rows = []
-        for p in range(settings.n_paths):
-            path = simulate_path(k0, settings.t_end, [config.seed, p], params)
-            rows.append((p, 0.0, k0))
-            rows.extend(zip([p] * path.n_events, path.times, path.states))
-        write_csv(out_dir / "ensemble_paths.csv", ["path", "t", "k"], rows)
-        artifacts["paths"] = "ensemble_paths.csv"
-
     results = summary.to_record()
     results.update(
         {
@@ -163,20 +172,11 @@ def cmd_clt(config: ExperimentConfig, out_dir: Path) -> int:
     stats = clt_statistics(
         settings.z0, settings.times, settings.n_paths, config.seed, params
     )
+    header = ["t", "scaled_mean", "scaled_var", "sigma2", "var_ratio", "ks_statistic"]
     write_csv(
         out_dir / "clt_table.csv",
-        ["t", "scaled_mean", "scaled_var", "sigma2", "var_ratio", "ks_statistic"],
-        [
-            (
-                row["t"],
-                row["scaled_mean"],
-                row["scaled_var"],
-                row["sigma2"],
-                row["var_ratio"],
-                row["ks_statistic"],
-            )
-            for row in stats["rows"]
-        ],
+        header,
+        [[row[key] for row in stats["rows"]] for key in header],
     )
     results = {
         "k0": stats["k0"],
@@ -207,22 +207,19 @@ def cmd_stationary(config: ExperimentConfig, out_dir: Path) -> int:
     write_csv(
         out_dir / "stationary_pmf.csv",
         ["k", "probability"],
-        zip(range(params.N + 1), dist.probabilities),
+        [np.arange(params.N + 1), dist.probabilities],
     )
     write_csv(
         out_dir / "stationary_sweep.csv",
         ["N", "empirical_var_scaled", "target", "var_ratio", "ks_statistic", "mass_outside", "mean_z"],
         [
-            (
-                rep.N,
-                rep.empirical_var_scaled,
-                rep.target,
-                rep.empirical_var_scaled / rep.target,
-                rep.ks_statistic,
-                rep.mass_outside,
-                rep.mean_z,
-            )
-            for rep in reports
+            [rep.N for rep in reports],
+            [rep.empirical_var_scaled for rep in reports],
+            [rep.target for rep in reports],
+            [rep.empirical_var_scaled / rep.target for rep in reports],
+            [rep.ks_statistic for rep in reports],
+            [rep.mass_outside for rep in reports],
+            [rep.mean_z for rep in reports],
         ],
     )
     results = {

@@ -17,7 +17,8 @@ Reproducibility contract: a path is a pure function of
 (seed, params, k0, horizon). Ensembles give path p the dedicated stream
 seeded by (master_seed, p) and both kernels draw from it in the same
 order, so results do not depend on the kernel and any prefix of paths
-can be regenerated in isolation.
+can be regenerated in isolation. The same holds for summarize_paths,
+which summarises paths already kept event by event by simulate_path.
 """
 
 from __future__ import annotations
@@ -471,6 +472,49 @@ def run_ensemble(
                 k0, t_end, rng, total_rates, p_up, grid=grid, record=False
             )
 
+    return _summary(
+        k0, grid, rng_seed, params, reference, states / params.N, int(absorbed.sum())
+    )
+
+
+def summarize_paths(
+    paths: Sequence[TrajectoryPath],
+    t_grid: Sequence[float],
+    rng_seed: int,
+    reference: Optional[DeterministicSolution] = None,
+) -> EnsembleSummary:
+    """Grid statistics of an ensemble whose paths were kept event by event.
+
+    paths[p] is simulate_path(k0, t_grid[-1], [rng_seed, p], params).
+    Its grid values are read with sample_Z_at, which divides the same
+    integer states by N, so the summary equals run_ensemble(k0, t_grid,
+    len(paths), rng_seed, params, reference) bit for bit without
+    simulating any path again.
+    """
+    grid = _validate_grid(t_grid)
+    rng_seed = _validate_master_seed(rng_seed)
+    if not paths:
+        raise DomainError("paths must hold at least one path")
+    first = paths[0]
+    for path in paths:
+        if (path.k0, path.params, path.final_time) != (first.k0, first.params, grid[-1]):
+            raise DomainError("paths must share k0 and params and end at t_grid[-1]")
+    z_values = np.array([sample_Z_at(grid, path) for path in paths])
+    absorbed_count = sum(path.absorbed for path in paths)
+    return _summary(
+        first.k0, grid, rng_seed, first.params, reference, z_values, absorbed_count
+    )
+
+
+def _summary(
+    k0: int,
+    grid: np.ndarray,
+    rng_seed: int,
+    params: ModelParams,
+    reference: Optional[DeterministicSolution],
+    z_values: np.ndarray,
+    absorbed_count: int,
+) -> EnsembleSummary:
     z_ref = None
     if reference is not None:
         z_ref = np.asarray(reference(grid), dtype=float)
@@ -478,11 +522,11 @@ def run_ensemble(
         params=params,
         k0=k0,
         rng_seed=rng_seed,
-        n_paths=n_paths,
+        n_paths=len(z_values),
         t_grid=grid,
-        z_values=states / params.N,
+        z_values=z_values,
         z_ref=z_ref,
-        absorbed_count=int(absorbed.sum()),
+        absorbed_count=absorbed_count,
     )
 
 

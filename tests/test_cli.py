@@ -265,6 +265,26 @@ class TestSimulateCommand:
         assert len(starts) == 5  # one t = 0 anchor row per path
         assert all(row[2] == "10" for row in starts)
 
+    def test_store_paths_simulates_each_path_once(self, tmp_path, monkeypatch):
+        path_seeds, ensembles = [], []
+        simulate_path, run_ensemble = cli.simulate_path, cli.run_ensemble
+
+        def path_spy(k0, t_end, rng_seed, params):
+            path_seeds.append(rng_seed)
+            return simulate_path(k0, t_end, rng_seed, params)
+
+        def ensemble_spy(*args, **kwargs):
+            ensembles.append(args)
+            return run_ensemble(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "simulate_path", path_spy)
+        monkeypatch.setattr(cli, "run_ensemble", ensemble_spy)
+        path = make_config(tmp_path, {"simulate.store_paths": True})
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+        assert path_seeds == [[12345, p] for p in range(5)]
+        assert ensembles == []
+
     def test_seed_override_changes_draws(self, tmp_path):
         path = make_config(tmp_path)
         out_a, out_b = tmp_path / "a", tmp_path / "b"

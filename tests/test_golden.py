@@ -45,6 +45,25 @@ GOLDEN = {
         "ensemble_table.csv": "5c08c44a295deb0e88c51399b16cc0d659718f782462dac5d31568f2ba92fbb5",
         "ensemble_report.json": "e3cac5276bc8eaa4a120f7def2712e4b9d675917b3cc74dbaedfd3dc8564d7cb",
     },
+    ("ode", "reference"): {
+        "ode_report.json": "9d6da5cc8a4755d77cfaffe729607dcfaa11ff7e00a1eb42ec7bfbbc0ce81f1c",
+        "ode_table.csv": "aa01db90554af84df7830f2fae9c4a29f0d3006903fcf04e6979354ca133280a",
+    },
+    ("stationary", "reference"): {
+        "stationary_pmf.csv": "28f8c27f83de9c61832af63dc5d69d5c3f87f84a11becf6a9d7e26b6bdd80e9e",
+        "stationary_report.json": "dc584e79a712b31dddf79d1c0f5b37b171e104c2b0ef978ad6da9e76096fb4a8",
+        "stationary_sweep.csv": "727c51d1a54bfb3d5729f4920c97f0a30a6d267cc8b562366c27823b1591fe28",
+    },
+    ("simulate", "reference+store_paths"): {
+        "ensemble_paths.csv": "de62e11e19450097bf8e5b8964e1150b5e4193b32274aecef50e2ee0cb43584a",
+        "ensemble_report.json": "7998334baaee5f99d9d5c99cfae0fb1913dc86539fdcadd41db16c6767a321af",
+        "ensemble_table.csv": "4268445bbd75cc4e230994563a4ebf4379c1580669ec7a4a14b264764cc85a38",
+    },
+    ("simulate", "absorbing+store_paths"): {
+        "ensemble_paths.csv": "5c60824aa1c5ac57d26436855382ff89f31f11895756d920ffd3e5169eed2221",
+        "ensemble_report.json": "d1cb6babbe26004ed3e24436d0fae8678b5f6655cd0403a8a2bb691d1909fa58",
+        "ensemble_table.csv": "5c08c44a295deb0e88c51399b16cc0d659718f782462dac5d31568f2ba92fbb5",
+    },
 }
 
 
@@ -63,13 +82,25 @@ def artifact_digests(out_dir: Path) -> dict:
     return digests
 
 
+def write_config(tmp_path: Path, config: str) -> Path:
+    """The named config as a file; a "+store_paths" suffix turns store_paths on."""
+    base, _, variant = config.partition("+")
+    if base == "reference" and not variant:
+        return REFERENCE_CONFIG
+    if base == "reference":
+        raw = json.loads(REFERENCE_CONFIG.read_text(encoding="utf-8"))
+    else:
+        raw = json.loads(json.dumps(ABSORBING_CONFIG))
+    if variant == "store_paths":
+        raw["simulate"]["store_paths"] = True
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(raw), encoding="utf-8")
+    return config_path
+
+
 @pytest.mark.parametrize("command, config", sorted(GOLDEN))
 def test_artifacts_match_golden_digests(tmp_path, command, config):
-    if config == "reference":
-        config_path = REFERENCE_CONFIG
-    else:
-        config_path = tmp_path / "absorbing.json"
-        config_path.write_text(json.dumps(ABSORBING_CONFIG), encoding="utf-8")
+    config_path = write_config(tmp_path, config)
     out_dir = tmp_path / "out"
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main([command, "--config", str(config_path), "--out", str(out_dir)])

@@ -19,6 +19,7 @@ from moranlimits import (
     simulate_on_grid,
     simulate_path,
     solve_deterministic,
+    summarize_paths,
 )
 from moranlimits import simulate
 from moranlimits.io import jsonable
@@ -343,3 +344,47 @@ class TestLockstepKernel:
             monkeypatch, 30, [0.0], self.THRESHOLD, 3, REF
         )
         assert np.all(summary.z_values == 30 / REF.N)
+
+
+class TestSummarizePaths:
+    """Summaries of kept paths equal run_ensemble's, bit for bit."""
+
+    @staticmethod
+    def compare(k0, grid, n_paths, seed, params, reference=None):
+        t_end = float(np.asarray(grid)[-1])
+        paths = [simulate_path(k0, t_end, [seed, p], params) for p in range(n_paths)]
+        kept = summarize_paths(paths, grid, seed, reference=reference)
+        direct = run_ensemble(k0, grid, n_paths, seed, params, reference=reference)
+        assert np.array_equal(kept.z_values, direct.z_values)
+        assert kept.absorbed_count == direct.absorbed_count
+        assert kept.to_record() == direct.to_record()
+        return kept
+
+    # 4 paths run on the per-path loop in run_ensemble, 64 and 100 in lockstep.
+    @pytest.mark.parametrize("n_paths", [4, 64, 100])
+    def test_matches_run_ensemble(self, n_paths):
+        grid = np.linspace(0.0, 3.0, 61)
+        reference = solve_deterministic(0.1, REF)
+        self.compare(100, grid, n_paths, 20260817, REF, reference=reference)
+
+    @pytest.mark.parametrize("n_paths", [4, 64])
+    def test_absorbing_paths(self, n_paths):
+        params = ModelParams(N=60, s=0.3, u=0.0, nu0=0.5)
+        summary = self.compare(2, np.linspace(0.0, 10.0, 23), n_paths, 11, params)
+        assert summary.absorbed_count > 0
+
+    def test_single_point_grid(self):
+        summary = self.compare(30, [0.0], 4, 3, REF)
+        assert np.all(summary.z_values == 30 / REF.N)
+
+    def test_rejects_paths_of_another_shape(self):
+        grid = np.linspace(0.0, 1.0, 5)
+        paths = [simulate_path(50, 1.0, [7, p], REF) for p in range(2)]
+        with pytest.raises(DomainError, match="at least one path"):
+            summarize_paths([], grid, 7)
+        with pytest.raises(DomainError, match="end at t_grid"):
+            summarize_paths(paths, grid[:-1], 7)
+        with pytest.raises(DomainError, match="share k0"):
+            summarize_paths(paths + [simulate_path(51, 1.0, [7, 2], REF)], grid, 7)
+        with pytest.raises(DomainError, match="rng_seed"):
+            summarize_paths(paths, grid, [7, 0])
