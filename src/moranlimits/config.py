@@ -20,6 +20,16 @@ CURRENT_SCHEMA = "1"
 
 _MAX_SEED = 2**64 - 1
 
+# Largest accepted model.s and model.u. The drift discriminant
+# (s - u)^2 + 4 s u nu0 overflows a float from about 6e153; this cap
+# keeps it, and every rate built from s and u, finite.
+MAX_RATE = 1e150
+
+# RK4's stability interval on the negative real axis ends near -2.785.
+# On [0, 1] the drift slope obeys |F'| <= s + u, so an oracle step h
+# with h (s + u) <= 2.785 keeps the oracle from diverging.
+_RK4_STABILITY_LIMIT = 2.785
+
 
 class ConfigError(ValueError):
     """The configuration is malformed or violates a precondition."""
@@ -263,6 +273,9 @@ def parse_config(raw: dict, seed_override: Optional[int] = None) -> ExperimentCo
         model = ModelParams.from_dict(model_block)
     except DomainError as err:
         raise ConfigError(f"model: {err}") from err
+    for name, rate in (("s", model.s), ("u", model.u)):
+        if rate > MAX_RATE:
+            raise ConfigError(f"'model.{name}' must be <= {MAX_RATE:g}, got {rate!r}")
 
     if seed_override is not None:
         seed = _as_int(seed_override, "--seed", minimum=0, maximum=_MAX_SEED)
@@ -302,3 +315,12 @@ def validate_for_command(config: ExperimentConfig, command: str) -> None:
             f"the {command} command requires u > 0; the configured model has u = 0"
             " and its boundary states absorb"
         )
+    if command == "ode":
+        stiffness = config.model.s + config.model.u
+        oracle_step = config.sections["ode"].oracle_step
+        if stiffness > 0.0 and oracle_step > _RK4_STABILITY_LIMIT / stiffness:
+            raise ConfigError(
+                f"'ode.oracle_step' = {oracle_step!r} makes the RK4 oracle unstable"
+                f" for s + u = {stiffness!r}; the largest admissible step is"
+                f" {_RK4_STABILITY_LIMIT} / (s + u) = {_RK4_STABILITY_LIMIT / stiffness!r}"
+            )

@@ -24,7 +24,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -62,11 +62,21 @@ class DriftFunctions:
     rate at proportion p equals N * diffusion(p), and the same function
     is the noise coefficient of the Gaussian fluctuation law. For u > 0
     it is bounded below on [0, 1] by u * min(nu0, nu1) > 0.
+
+    Built from a sequence of models, it holds one coefficient row per
+    model, and the polynomials take an array x with one entry per row.
+    Each entry equals the single-model value bit for bit, since the
+    same elementwise operations run in the same order. `discriminant`
+    is defined for a single model only.
     """
 
-    def __init__(self, params: ModelParams):
+    def __init__(self, params: Union[ModelParams, Sequence[ModelParams]]):
         self.params = params
-        s, u, nu0, nu1 = params.s, params.u, params.nu0, params.nu1
+        if isinstance(params, ModelParams):
+            s, u, nu0 = params.s, params.u, params.nu0
+        else:
+            s, u, nu0 = np.array([(p.s, p.u, p.nu0) for p in params]).T
+        nu1 = 1.0 - nu0
         # drift(x) = -s x^2 + (s - u) x + u nu0
         self._a = -s
         self._b = s - u
@@ -278,14 +288,33 @@ def ode_oracle(
 
 
 def ode_oracle_at(
-    z0: float, times: ArrayLike, step: float, params: ModelParams
+    z0: ArrayLike,
+    times: ArrayLike,
+    step: float,
+    params: Union[ModelParams, Sequence[ModelParams]],
 ) -> np.ndarray:
-    """RK4 state at the requested times, sub-stepping at most `step`."""
-    z0 = _validate_z0(z0)
+    """RK4 state at the requested times, sub-stepping at most `step`.
+
+    A float z0 takes one ModelParams and gives shape (len(times),). A
+    1-d array of m starts takes a sequence of m ModelParams, one per
+    start, and gives shape (len(times), m): all rows advance in one
+    lockstep sweep, and column j equals
+    ode_oracle_at(float(z0[j]), times, step, params[j]) bit for bit.
+    """
+    if np.ndim(z0) == 0:
+        if not isinstance(params, ModelParams):
+            raise DomainError("a single start z0 takes a single ModelParams")
+        z0 = _validate_z0(z0)
+        post = _snap_unit_scalar
+    else:
+        if np.ndim(z0) != 1 or len(z0) == 0:
+            raise DomainError(f"z0 must be a float or a non-empty 1-d array, got {z0!r}")
+        if isinstance(params, ModelParams) or len(params) != len(z0):
+            raise DomainError("an array of starts takes one ModelParams per start")
+        z0 = np.array([_validate_z0(z) for z in z0])
+        post = _snap_unit
     drift = DriftFunctions(params).drift
-    return rk4.integrate_at(
-        lambda _t, z: drift(z), z0, times, step, post=_snap_unit_scalar
-    )
+    return rk4.integrate_at(lambda _t, z: drift(z), z0, times, step, post=post)
 
 
 class LinearModelSolution:

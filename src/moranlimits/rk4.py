@@ -1,4 +1,13 @@
-"""Classical fixed-step fourth-order Runge-Kutta for scalar ODEs y' = f(t, y)."""
+"""Classical fixed-step fourth-order Runge-Kutta for ODEs y' = f(t, y).
+
+The state is a float, or for `integrate_at` also a 1-d float array of
+independent rows advanced in lockstep on one shared time grid. `f` and
+`post` then take and return arrays of that shape, and each row of the
+result equals the scalar integration of that row bit for bit, provided
+`f` and `post` act elementwise with the same operations in the same
+order as their scalar forms: numpy's elementwise + - * / round exactly
+as Python floats do.
+"""
 
 from __future__ import annotations
 
@@ -77,7 +86,8 @@ def integrate_at(
     """State at each requested time, sub-stepping so no step exceeds max_step.
 
     `times` must be non-negative and strictly increasing; integration
-    starts at t = 0 with state y0.
+    starts at t = 0 with state y0, a float or a 1-d array of rows. The
+    result has shape (len(times),) + shape(y0).
     """
     ts = np.asarray(times, dtype=float)
     if ts.ndim != 1 or ts.size == 0:
@@ -89,7 +99,7 @@ def integrate_at(
     if not (max_step > 0.0):
         raise DomainError(f"max_step must be positive, got {max_step!r}")
 
-    out = np.empty_like(ts)
+    out = np.empty(ts.shape + np.shape(y0))
     y = y0
     t_prev = 0.0
     for j, t_next in enumerate(ts):

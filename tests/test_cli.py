@@ -7,6 +7,7 @@ import pytest
 
 from moranlimits import cli
 from moranlimits.config import (
+    MAX_RATE,
     ConfigError,
     load_config,
     parse_config,
@@ -157,6 +158,23 @@ class TestCommandValidation:
                 validate_for_command(config, command)
         validate_for_command(config, "ode")  # flow itself is fine without noise
 
+    def test_oracle_step_bounded_by_rk4_stability(self, tmp_path):
+        largest = 2.785 / (1e3 + 0.5)
+        config = load_config(
+            make_config(tmp_path, {"model.s": 1e3, "ode.oracle_step": largest})
+        )
+        validate_for_command(config, "ode")
+        config = load_config(
+            make_config(tmp_path, {"model.s": 1e3, "ode.oracle_step": largest * 1.001})
+        )
+        with pytest.raises(ConfigError, match=repr(largest)):
+            validate_for_command(config, "ode")
+
+    def test_rate_cap_is_accepted(self, tmp_path):
+        overrides = {"model.s": MAX_RATE, "model.u": MAX_RATE}
+        config = load_config(make_config(tmp_path, overrides))
+        assert config.model.s == config.model.u == MAX_RATE
+
 
 class TestMainExitCodes:
     def test_missing_config_file(self, tmp_path, capsys):
@@ -178,6 +196,29 @@ class TestMainExitCodes:
         with pytest.raises(SystemExit) as exit_info:
             cli.main(["ode", "--config", str(path), "--threads", "2"])
         assert exit_info.value.code == 2
+
+    @pytest.mark.parametrize("s", [1e4, 3e3])
+    def test_stiff_oracle_exits_2(self, tmp_path, capsys, s):
+        path = make_config(tmp_path, {"model.s": s})
+        code = cli.main(["ode", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "'ode.oracle_step'" in err and "largest admissible step" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["ode", "simulate", "clt", "stationary"])
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"model.s": 1e300}, {"model.s": 1e200, "model.u": 1e200}],
+        ids=["s=1e300", "s=u=1e200"],
+    )
+    def test_overflowing_rates_exit_2(self, tmp_path, capsys, command, overrides):
+        path = make_config(tmp_path, overrides)
+        code = cli.main([command, "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "'model.s'" in err or "'model.u'" in err
+        assert "Traceback" not in err
 
     def test_selfcheck_failure_maps_to_3(self, tmp_path, monkeypatch, capsys):
         from moranlimits import selfcheck

@@ -7,6 +7,7 @@ import pytest
 
 from moranlimits import (
     DomainError,
+    rk4,
     DriftFunctions,
     ModelParams,
     Regime,
@@ -19,6 +20,8 @@ from moranlimits import (
     ode_oracle_at,
     solve_deterministic,
 )
+from moranlimits import selfcheck
+from moranlimits.deterministic import _snap_unit, _snap_unit_scalar
 from moranlimits.selfcheck import parameter_panel, reference_params
 
 REF = reference_params()
@@ -236,6 +239,113 @@ class TestOdeOracle:
         _, values = ode_oracle(1.0, 5.0, 1e-3, params)
         assert np.all(values <= 1.0)
         assert np.all(values >= 0.0)
+
+
+def assert_bitwise_equal(actual, expected):
+    assert np.array_equal(actual, expected, equal_nan=True)
+    assert np.array_equal(np.signbit(actual), np.signbit(expected))
+
+
+class TestBatchedOracle:
+    """An array of starts, one model per row, equals the per-row scalar calls."""
+
+    @staticmethod
+    def assert_rows_match(rows, times, step=1e-3):
+        z0s = np.array([z0 for _, z0 in rows])
+        batch = ode_oracle_at(z0s, times, step, [params for params, _ in rows])
+        assert batch.shape == (len(times), len(rows))
+        for j, (params, z0) in enumerate(rows):
+            assert_bitwise_equal(batch[:, j], ode_oracle_at(z0, times, step, params))
+
+    def test_criterion_one_panel(self):
+        rows = [
+            (params, z0)
+            for params, z0_drawn in [(REF, 0.1)] + parameter_panel()
+            for z0 in (0.0, z0_drawn, 1.0)
+        ]
+        self.assert_rows_match(rows, np.linspace(0.0, 2.0, 201))
+
+    def test_degenerate_regimes_and_unit_boundary(self):
+        absorbing = ModelParams(N=5, s=1.0, u=0.0, nu0=0.5)
+        rows = [
+            (ModelParams(N=5, s=0.0, u=0.7, nu0=0.4), 0.3),  # mutation only
+            (absorbing, 0.0),
+            (absorbing, 1.0),
+            (absorbing, 0.999999),  # approaches the fixed point 1 from below
+            (ModelParams(N=5, s=0.0, u=0.0, nu0=0.5), 0.4),  # frozen
+            (REF, 0.999999),
+        ]
+        self.assert_rows_match(rows, np.linspace(0.0, 3.0, 31))
+
+    def test_non_uniform_grid(self):
+        rows = [(params, z0) for params, z0 in parameter_panel(4)]
+        self.assert_rows_match(rows, [0.0, 0.0035, 0.01, 0.5, 0.73, 2.0], step=1e-2)
+
+    def test_single_row(self):
+        self.assert_rows_match([(REF, 0.1)], np.linspace(0.0, 1.0, 11))
+
+    def test_snap_matches_scalar_snap(self):
+        edges = np.array(
+            [-1e-13, -5e-14, -5e-324, -0.0, 0.0, 0.5, 1.0, 1.0 + 5e-14,
+             1.0 + 1e-13, -1e-12, 1.5, np.nan, np.inf, -np.inf]
+        )
+        expected = np.array([_snap_unit_scalar(float(z)) for z in edges])
+        assert_bitwise_equal(_snap_unit(edges), expected)
+
+    def test_rejects_mismatched_rows(self):
+        times = [0.5, 1.0]
+        with pytest.raises(DomainError):
+            ode_oracle_at(np.array([0.1, 0.2]), times, 1e-3, [REF])
+        with pytest.raises(DomainError):
+            ode_oracle_at(np.array([0.1, 0.2]), times, 1e-3, REF)
+        with pytest.raises(DomainError):
+            ode_oracle_at(0.1, times, 1e-3, [REF])
+        with pytest.raises(DomainError):
+            ode_oracle_at(np.array([]), times, 1e-3, [])
+        with pytest.raises(DomainError):
+            ode_oracle_at(np.array([0.1, 1.5]), times, 1e-3, [REF, REF])
+
+
+def test_integrate_at_array_state_matches_scalar_calls():
+    # y' = rate (target - y) + slope t; targets inside the snap bands make
+    # the post-step snap fire once the state settles there.
+    rates = np.array([0.0, 0.5, 3.0, 40.0, 3.0, 3.0])
+    targets = np.array([0.2, 0.7, 1.0 + 5e-14, 0.1, -5e-14, 1.0 + 1e-12])
+    slopes = np.array([1.0, 0.1, 0.0, 0.25, 0.0, 0.0])
+    y0 = np.array([0.3, 0.0, 1.0, 0.9, 0.0, 0.5])
+    times = [0.0, 0.01, 0.25, 0.3, 1.0, 20.0]
+    batch = rk4.integrate_at(
+        lambda t, y: rates * (targets - y) + slopes * t,
+        y0,
+        times,
+        1e-2,
+        post=_snap_unit,
+    )
+    assert batch.shape == (len(times), y0.size)
+    for j in range(y0.size):
+        rate, target, slope = float(rates[j]), float(targets[j]), float(slopes[j])
+        scalar = rk4.integrate_at(
+            lambda t, y: rate * (target - y) + slope * t,
+            float(y0[j]),
+            times,
+            1e-2,
+            post=_snap_unit_scalar,
+        )
+        assert_bitwise_equal(batch[:, j], scalar)
+    assert batch[-1, 2] == 1.0 and batch[-1, 4] == 0.0  # snapped onto the boundary
+
+
+def test_criterion_one_sweeps_the_oracle_once(monkeypatch):
+    calls = []
+
+    def oracle_spy(z0, times, step, params):
+        calls.append(np.shape(z0))
+        return ode_oracle_at(z0, times, step, params)
+
+    monkeypatch.setattr(selfcheck, "ode_oracle_at", oracle_spy)
+    result = selfcheck.check_flow_vs_oracle()
+    assert calls == [(3 * (selfcheck.PANEL_SIZE + 1),)]
+    assert result.passed
 
 
 class TestLinearModel:
