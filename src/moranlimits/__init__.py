@@ -8,12 +8,9 @@ concentration diagnostics.
 
 from .model import (
     DomainError,
-    KernelValue,
     ModelParams,
     UnsupportedModelError,
-    chain_rates,
     kernel_q,
-    kernel_values,
     rate_tables,
 )
 from .deterministic import (
@@ -64,12 +61,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DomainError",
-    "KernelValue",
     "ModelParams",
     "UnsupportedModelError",
-    "chain_rates",
     "kernel_q",
-    "kernel_values",
     "rate_tables",
     "DeterministicSolution",
     "DriftFunctions",

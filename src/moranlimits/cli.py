@@ -15,6 +15,7 @@ command with the same config and seed reproduces every byte.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 from typing import Optional
@@ -65,15 +66,9 @@ def _equilibria_record(params: ModelParams) -> Optional[dict]:
         eq = equilibria(params)
     except UnsupportedModelError:
         return None
-    return {
-        "regime": eq.regime.value,
-        "x_stable": eq.x_stable,
-        "x_unstable": eq.x_unstable,
-        "slope_stable": eq.slope_stable,
-        "slope_unstable": eq.slope_unstable,
-        "discriminant": eq.discriminant,
-        "relaxation_rate": eq.relaxation_rate,
-    }
+    record = dataclasses.asdict(eq)
+    record.update(regime=eq.regime.value, relaxation_rate=eq.relaxation_rate)
+    return record
 
 
 def cmd_ode(config: ExperimentConfig, out_dir: Path) -> int:
@@ -138,15 +133,17 @@ def cmd_simulate(config: ExperimentConfig, out_dir: Path) -> int:
     sup = summary.sup_deviation
     frac_above = {repr(level): float((sup > level).mean()) for level in _SUP_LEVELS}
 
-    scaled = summary.scaled_deviations
-    scaled_mean = scaled.mean(axis=0)
-    scaled_var = (
-        scaled.var(axis=0, ddof=1) if summary.n_paths > 1 else np.zeros(grid.size)
-    )
     write_csv(
         out_dir / "ensemble_table.csv",
         ["t", "z_ref", "mean_z", "var_z", "scaled_dev_mean", "scaled_dev_var"],
-        [grid, summary.z_ref, summary.mean_z, summary.var_z, scaled_mean, scaled_var],
+        [
+            grid,
+            summary.z_ref,
+            summary.mean_z,
+            summary.var_z,
+            summary.scaled_dev_mean,
+            summary.scaled_dev_var,
+        ],
     )
     results = summary.to_record()
     results.update(
@@ -244,15 +241,7 @@ def cmd_selfcheck(config: ExperimentConfig, out_dir: Path) -> int:
     for result in results:
         print(("PASS" if result.passed else "FAIL") + f" {result.name}: {result.detail}")
     record = {
-        "checks": [
-            {
-                "name": r.name,
-                "passed": r.passed,
-                "detail": r.detail,
-                "metrics": r.metrics,
-            }
-            for r in results
-        ],
+        "checks": [dataclasses.asdict(r) for r in results],
         "all_passed": all(r.passed for r in results),
     }
     dump_json(out_dir / "selfcheck_report.json", _payload("selfcheck", config, record))

@@ -9,12 +9,13 @@ that will consume it before any computation starts.
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
+from functools import partial
 from pathlib import Path
 from typing import Optional
 
-from .model import DomainError, ModelParams
+from .fluctuations import DEFAULT_ODE_STEP
+from .model import DomainError, ModelParams, check_int, check_real
 
 CURRENT_SCHEMA = "1"
 
@@ -29,6 +30,15 @@ MAX_RATE = 1e150
 # On [0, 1] the drift slope obeys |F'| <= s + u, so an oracle step h
 # with h (s + u) <= 2.785 keeps the oracle from diverging.
 _RK4_STABILITY_LIMIT = 2.785
+
+# The clt command's variance equation Sigma' = 2 F' Sigma + g has
+# stiffness 2 |F'| <= 2 (s + u) and is stepped at the fixed
+# DEFAULT_ODE_STEP. Against a step-1e-5 reference (z0 = 0.1, u = 0.5,
+# 200 times from 1e-3 to 1) its largest relative error is 9.7e-6 at
+# s + u = 100.5, 5.5e-5 at 150.5, 1.2e-3 at 300.5 and 0.33 at 900.5; it
+# overflows to NaN above about 1392. A step with h 2 (s + u) <= 0.2
+# keeps Sigma inside criterion 4's 1e-5.
+_RK4_ACCURACY_LIMIT = 0.2
 
 
 class ConfigError(ValueError):
@@ -51,23 +61,19 @@ def _reject_unknown(block: dict, allowed: set, path: str) -> None:
         )
 
 
-def _as_int(value, path: str, minimum: Optional[int] = None, maximum: Optional[int] = None) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"'{path}' must be an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"'{path}' must be >= {minimum}, got {value}")
-    if maximum is not None and value > maximum:
-        raise ConfigError(f"'{path}' must be <= {maximum}, got {value}")
-    return value
+def _checked(check, value, path: str, **bounds):
+    """Run a model.py checker on a config value; its DomainError becomes a ConfigError."""
+    try:
+        return check(value, f"'{path}'", **bounds)
+    except DomainError as err:
+        raise ConfigError(str(err)) from None
 
 
-def _as_float(value, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"'{path}' must be a number, got {value!r}")
-    value = float(value)
-    if not math.isfinite(value):
-        raise ConfigError(f"'{path}' must be finite, got {value!r}")
-    return value
+_as_int = partial(_checked, check_int)
+_as_count = partial(_checked, check_int, minimum=1)
+_as_unit_interval = partial(_checked, check_real, minimum=0.0, maximum=1.0)
+_as_positive = partial(_checked, check_real, minimum=0.0, exclusive=True)
+_as_epsilon = partial(_checked, check_real, minimum=0.0, maximum=1.0, exclusive=True)
 
 
 def _as_bool(value, path: str) -> bool:
@@ -76,146 +82,80 @@ def _as_bool(value, path: str) -> bool:
     return value
 
 
-def _as_unit_interval(value, path: str) -> float:
-    value = _as_float(value, path)
-    if not 0.0 <= value <= 1.0:
-        raise ConfigError(f"'{path}' must lie in [0, 1], got {value}")
-    return value
+def _as_times(value, path: str) -> tuple:
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"'{path}' must be a non-empty list of times")
+    times = tuple(_as_positive(item, f"{path}[{i}]") for i, item in enumerate(value))
+    if any(b <= a for a, b in zip(times, times[1:])):
+        raise ConfigError(f"'{path}' must be strictly increasing")
+    return times
 
 
-def _as_positive(value, path: str) -> float:
-    value = _as_float(value, path)
-    if value <= 0.0:
-        raise ConfigError(f"'{path}' must be > 0, got {value}")
-    return value
+def _as_sizes(value, path: str) -> tuple:
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"'{path}' must be a non-empty list")
+    return tuple(_as_count(item, f"{path}[{i}]") for i, item in enumerate(value))
+
+
+def _setting(parse, **default):
+    """A settings field read from the config by parse(value, dotted_path)."""
+    return field(metadata={"parse": parse}, **default)
 
 
 @dataclass(frozen=True)
 class OdeSettings:
     """Closed form vs RK4 oracle table over [0, t_end]."""
 
-    z0: float
-    t_end: float
-    grid_step: float = 0.01
-    oracle_step: float = 1e-3
-
-    @classmethod
-    def from_block(cls, block: dict, path: str) -> "OdeSettings":
-        _reject_unknown(block, {"z0", "t_end", "grid_step", "oracle_step"}, path)
-        z0 = _as_unit_interval(_require(block, "z0", path), f"{path}.z0")
-        t_end = _as_positive(_require(block, "t_end", path), f"{path}.t_end")
-        grid_step = _as_positive(block.get("grid_step", cls.grid_step), f"{path}.grid_step")
-        oracle_step = _as_positive(
-            block.get("oracle_step", cls.oracle_step), f"{path}.oracle_step"
-        )
-        if grid_step > t_end:
-            raise ConfigError(f"'{path}.grid_step' must not exceed t_end")
-        return cls(z0=z0, t_end=t_end, grid_step=grid_step, oracle_step=oracle_step)
-
-    def to_record(self) -> dict:
-        return {
-            "z0": self.z0,
-            "t_end": self.t_end,
-            "grid_step": self.grid_step,
-            "oracle_step": self.oracle_step,
-        }
+    z0: float = _setting(_as_unit_interval)
+    t_end: float = _setting(_as_positive)
+    grid_step: float = _setting(_as_positive, default=0.01)
+    oracle_step: float = _setting(_as_positive, default=1e-3)
 
 
 @dataclass(frozen=True)
 class SimulateSettings:
     """Path ensemble against the deterministic reference curve."""
 
-    z0: float
-    t_end: float
-    n_paths: int
-    grid_step: float = 0.025
-    store_paths: bool = False
-
-    @classmethod
-    def from_block(cls, block: dict, path: str) -> "SimulateSettings":
-        _reject_unknown(
-            block, {"z0", "t_end", "n_paths", "grid_step", "store_paths"}, path
-        )
-        z0 = _as_unit_interval(_require(block, "z0", path), f"{path}.z0")
-        t_end = _as_positive(_require(block, "t_end", path), f"{path}.t_end")
-        n_paths = _as_int(_require(block, "n_paths", path), f"{path}.n_paths", minimum=1)
-        grid_step = _as_positive(block.get("grid_step", cls.grid_step), f"{path}.grid_step")
-        store_paths = _as_bool(
-            block.get("store_paths", cls.store_paths), f"{path}.store_paths"
-        )
-        if grid_step > t_end:
-            raise ConfigError(f"'{path}.grid_step' must not exceed t_end")
-        return cls(
-            z0=z0,
-            t_end=t_end,
-            n_paths=n_paths,
-            grid_step=grid_step,
-            store_paths=store_paths,
-        )
-
-    def to_record(self) -> dict:
-        return {
-            "z0": self.z0,
-            "t_end": self.t_end,
-            "n_paths": self.n_paths,
-            "grid_step": self.grid_step,
-            "store_paths": self.store_paths,
-        }
+    z0: float = _setting(_as_unit_interval)
+    t_end: float = _setting(_as_positive)
+    n_paths: int = _setting(_as_count)
+    grid_step: float = _setting(_as_positive, default=0.025)
+    store_paths: bool = _setting(_as_bool, default=False)
 
 
 @dataclass(frozen=True)
 class CltSettings:
     """Scaled-deviation marginals at fixed positive times."""
 
-    z0: float
-    times: tuple
-    n_paths: int
-
-    @classmethod
-    def from_block(cls, block: dict, path: str) -> "CltSettings":
-        _reject_unknown(block, {"z0", "times", "n_paths"}, path)
-        z0 = _as_unit_interval(_require(block, "z0", path), f"{path}.z0")
-        raw_times = _require(block, "times", path)
-        if not isinstance(raw_times, list) or not raw_times:
-            raise ConfigError(f"'{path}.times' must be a non-empty list of times")
-        times = tuple(
-            _as_positive(item, f"{path}.times[{i}]") for i, item in enumerate(raw_times)
-        )
-        if any(b <= a for a, b in zip(times, times[1:])):
-            raise ConfigError(f"'{path}.times' must be strictly increasing")
-        n_paths = _as_int(_require(block, "n_paths", path), f"{path}.n_paths", minimum=1)
-        return cls(z0=z0, times=times, n_paths=n_paths)
-
-    def to_record(self) -> dict:
-        return {"z0": self.z0, "times": list(self.times), "n_paths": self.n_paths}
+    z0: float = _setting(_as_unit_interval)
+    times: tuple = _setting(_as_times)
+    n_paths: int = _setting(_as_count)
 
 
 @dataclass(frozen=True)
 class StationarySettings:
     """Stationary law + Gaussian concentration over a sweep of N values."""
 
-    n_values: tuple = ()
-    epsilon: float = 0.05
+    n_values: tuple = _setting(_as_sizes, default=())
+    epsilon: float = _setting(_as_epsilon, default=0.05)
 
-    @classmethod
-    def from_block(cls, block: dict, path: str) -> "StationarySettings":
-        _reject_unknown(block, {"n_values", "epsilon"}, path)
-        n_values: tuple = ()
-        if "n_values" in block:
-            raw = block["n_values"]
-            if not isinstance(raw, list) or not raw:
-                raise ConfigError(f"'{path}.n_values' must be a non-empty list")
-            n_values = tuple(
-                _as_int(item, f"{path}.n_values[{i}]", minimum=1)
-                for i, item in enumerate(raw)
-            )
-        epsilon = _as_float(block.get("epsilon", cls.epsilon), f"{path}.epsilon")
-        if not 0.0 < epsilon < 1.0:
-            raise ConfigError(f"'{path}.epsilon' must lie in (0, 1), got {epsilon}")
-        return cls(n_values=n_values, epsilon=epsilon)
 
-    def to_record(self) -> dict:
-        return {"n_values": list(self.n_values), "epsilon": self.epsilon}
+def _parse_section(section_type, block: dict, path: str):
+    """One settings section: each field parsed by its own parser, defaults kept.
+
+    A section holding both grid_step and t_end needs grid_step <= t_end.
+    """
+    specs = fields(section_type)
+    _reject_unknown(block, {f.name for f in specs}, path)
+    values = {
+        f.name: f.metadata["parse"](_require(block, f.name, path), f"{path}.{f.name}")
+        for f in specs
+        if f.name in block or f.default is MISSING
+    }
+    section = section_type(**values)
+    if hasattr(section, "grid_step") and section.grid_step > section.t_end:
+        raise ConfigError(f"'{path}.grid_step' must not exceed t_end")
+    return section
 
 
 _SECTION_TYPES = {
@@ -249,7 +189,7 @@ class ExperimentConfig:
             "seed": self.seed,
         }
         for name, section in self.sections.items():
-            record[name] = section.to_record()
+            record[name] = asdict(section)
         return record
 
 
@@ -288,7 +228,7 @@ def parse_config(raw: dict, seed_override: Optional[int] = None) -> ExperimentCo
             block = raw[name]
             if not isinstance(block, dict):
                 raise ConfigError(f"'{name}' must be an object")
-            sections[name] = section_type.from_block(block, name)
+            sections[name] = _parse_section(section_type, block, name)
 
     return ExperimentConfig(
         schema_version=schema, model=model, seed=seed, sections=sections
@@ -316,11 +256,29 @@ def validate_for_command(config: ExperimentConfig, command: str) -> None:
             " and its boundary states absorb"
         )
     if command == "ode":
-        stiffness = config.model.s + config.model.u
         oracle_step = config.sections["ode"].oracle_step
-        if stiffness > 0.0 and oracle_step > _RK4_STABILITY_LIMIT / stiffness:
-            raise ConfigError(
-                f"'ode.oracle_step' = {oracle_step!r} makes the RK4 oracle unstable"
-                f" for s + u = {stiffness!r}; the largest admissible step is"
-                f" {_RK4_STABILITY_LIMIT} / (s + u) = {_RK4_STABILITY_LIMIT / stiffness!r}"
-            )
+        _require_small_step(config, "'ode.oracle_step'", oracle_step, 1.0, _RK4_STABILITY_LIMIT)
+    if command == "clt":
+        _require_small_step(
+            config, "the clt variance step DEFAULT_ODE_STEP", DEFAULT_ODE_STEP, 2.0,
+            _RK4_ACCURACY_LIMIT,
+        )
+
+
+def _require_small_step(
+    config: ExperimentConfig, what: str, step: float, factor: float, limit: float
+) -> None:
+    """Raise ConfigError unless RK4's fixed step h meets h * factor * (s + u) <= limit.
+
+    factor * (s + u) bounds the stiffness of the equation stepped.
+    """
+    rate = config.model.s + config.model.u
+    stiffness = factor * rate
+    if stiffness > 0.0 and step > limit / stiffness:
+        term = "(s + u)" if factor == 1.0 else f"{factor:g} (s + u)"
+        raise ConfigError(
+            f"{what} = {step!r} is too large for s + u = {rate!r}: RK4 needs"
+            f" step * {term} <= {limit}, so the largest admissible step is"
+            f" {limit} / {term} = {limit / stiffness!r}, and at this step s + u"
+            f" must be <= {limit / (factor * step)!r}"
+        )

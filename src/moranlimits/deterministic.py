@@ -24,12 +24,12 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
 from . import rk4
-from .model import DomainError, ModelParams, UnsupportedModelError
+from .model import DomainError, ModelParams, UnsupportedModelError, check_real
 
 ArrayLike = Union[float, np.ndarray]
 
@@ -57,11 +57,12 @@ def classify_regime(params: ModelParams) -> Regime:
 class DriftFunctions:
     """Drift, drift slope, and jump-activity polynomials of one model.
 
-    diffusion(x) is the total per-capita jump activity
-    kernel_q(x, +1) + kernel_q(x, -1): the finite chain's total event
-    rate at proportion p equals N * diffusion(p), and the same function
-    is the noise coefficient of the Gaussian fluctuation law. For u > 0
-    it is bounded below on [0, 1] by u * min(nu0, nu1) > 0.
+    diffusion(x) is the total per-capita jump activity q(x, +1) +
+    q(x, -1), the sum of the pair kernel_q(x, params): the finite
+    chain's total event rate at proportion p equals N * diffusion(p),
+    and the same function is the noise coefficient of the Gaussian
+    fluctuation law. For u > 0 it is bounded below on [0, 1] by
+    u * min(nu0, nu1) > 0.
 
     Built from a sequence of models, it holds one coefficient row per
     model, and the polynomials take an array x with one entry per row.
@@ -134,17 +135,16 @@ class Equilibria:
         return -self.slope_stable
 
 
-def _drift_roots(params: ModelParams) -> tuple[float, float]:
+def _drift_roots(params: ModelParams, root: float) -> tuple[float, float]:
     """Roots (x_minus, x_plus) of the drift for s > 0, cancellation-free.
 
-    The drift vanishes where s x^2 - (s - u) x - u nu0 = 0. The root on
-    the same side as the sign of (s - u) is computed from the quadratic
-    formula (no cancellation there) and the other from the root product
-    -u nu0 / s, which stays accurate when the subtraction would cancel.
+    The drift vanishes where s x^2 - (s - u) x - u nu0 = 0, and `root`
+    is the square root of its discriminant. The root on the same side
+    as the sign of (s - u) is computed from the quadratic formula (no
+    cancellation there) and the other from the root product -u nu0 / s,
+    which stays accurate when the subtraction would cancel.
     """
     s, u, nu0 = params.s, params.u, params.nu0
-    disc = (s - u) ** 2 + 4.0 * s * u * nu0
-    root = math.sqrt(disc)
     if s - u >= 0.0:
         x_plus = (s - u + root) / (2.0 * s)
         x_minus = -(u * nu0) / (s * x_plus) if x_plus != 0.0 else 0.0
@@ -175,9 +175,9 @@ def equilibria(params: ModelParams) -> Equilibria:
             slope_unstable=None,
             discriminant=params.u,
         )
-    x_minus, x_plus = _drift_roots(params)
-    disc = (params.s - params.u) ** 2 + 4.0 * params.s * params.u * params.nu0
+    disc = DriftFunctions(params).discriminant
     root = math.sqrt(disc)
+    x_minus, x_plus = _drift_roots(params, root)
     return Equilibria(
         regime=regime,
         x_stable=x_plus,
@@ -202,22 +202,18 @@ def _snap_unit(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def _validate_times(t: ArrayLike) -> np.ndarray:
+def _validate_times(t: ArrayLike) -> tuple[np.ndarray, bool]:
+    """Finite times >= 0 as a 1-d array, and whether t was a scalar."""
     arr = np.asarray(t, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise DomainError("t must be finite")
     if np.any(arr < 0.0):
         raise DomainError("t must be >= 0")
-    return arr
+    return np.atleast_1d(arr), arr.ndim == 0
 
 
 def _validate_z0(z0: float) -> float:
-    if isinstance(z0, bool) or not isinstance(z0, (int, float, np.floating, np.integer)):
-        raise DomainError(f"z0 must be a real number, got {z0!r}")
-    z0 = float(z0)
-    if not 0.0 <= z0 <= 1.0:
-        raise DomainError(f"z0 must lie in [0, 1], got {z0}")
-    return z0
+    return check_real(z0, "z0", 0.0, 1.0)
 
 
 class DeterministicSolution:
@@ -240,30 +236,36 @@ class DeterministicSolution:
         return None if self.equilibria is None else self.equilibria.x_stable
 
     def __call__(self, t: ArrayLike) -> ArrayLike:
-        arr = _validate_times(t)
-        scalar = arr.ndim == 0
-        arr = np.atleast_1d(arr)
-        values = self._evaluate(arr)
-        values = _snap_unit(values)
+        arr, scalar = _validate_times(t)
+        # broadcast: where the flow is constant the closure returns z0 itself
+        values = _snap_unit(np.broadcast_to(self.flow(np.exp)(arr), arr.shape))
         return float(values[0]) if scalar else values
 
-    def _evaluate(self, t: np.ndarray) -> np.ndarray:
+    def flow(self, exp: Callable) -> Callable[[ArrayLike], ArrayLike]:
+        """The closed-form flow t -> z(z0, t), unchecked and unsnapped.
+
+        Scalar callers pass math.exp and array callers np.exp, which
+        differs from it in the last bit on some inputs. Where the flow
+        is constant the closure returns z0 itself.
+        """
         z0 = self.z0
         if self.regime is Regime.NEUTRAL:
-            return np.full_like(t, z0)
+            return lambda t: z0
         if self.regime is Regime.MUTATION_ONLY:
-            nu0 = self.params.nu0
-            return nu0 + (z0 - nu0) * np.exp(-self.params.u * t)
+            nu0, u = self.params.nu0, self.params.u
+            return lambda t: nu0 + (z0 - nu0) * exp(-u * t)
         eq = self.equilibria
-        x_plus, x_minus = eq.x_stable, eq.x_unstable
+        x_plus, x_minus, rate = eq.x_stable, eq.x_unstable, eq.relaxation_rate
         if z0 == x_plus or z0 == x_minus:
-            return np.full_like(t, z0)
+            return lambda t: z0
         d_minus = z0 - x_minus
         d_plus = z0 - x_plus
-        decay = np.exp(-eq.relaxation_rate * t)
-        numerator = x_plus * d_minus - x_minus * d_plus * decay
-        denominator = d_minus - d_plus * decay
-        return numerator / denominator
+
+        def selection_flow(t: ArrayLike) -> ArrayLike:
+            decay = exp(-rate * t)
+            return (x_plus * d_minus - x_minus * d_plus * decay) / (d_minus - d_plus * decay)
+
+        return selection_flow
 
 
 def solve_deterministic(z0: float, params: ModelParams) -> DeterministicSolution:
@@ -332,9 +334,10 @@ class LinearModelSolution:
             raise UnsupportedModelError(
                 "the linear two-type reduction requires s > 0"
             )
-        self.z0 = _validate_z0(z0)
+        solution = DeterministicSolution(z0, params)
+        self.z0 = solution.z0
         self.params = params
-        eq = equilibria(params)
+        eq = solution.equilibria
         self._x_plus = eq.x_stable
         self._x_minus = eq.x_unstable
         self._gap = eq.relaxation_rate  # = s * (x_plus - x_minus)
@@ -344,9 +347,7 @@ class LinearModelSolution:
         )
 
     def __call__(self, t: ArrayLike) -> tuple[ArrayLike, ArrayLike]:
-        arr = _validate_times(t)
-        scalar = arr.ndim == 0
-        arr = np.atleast_1d(arr)
+        arr, scalar = _validate_times(t)
         x_plus, x_minus = self._x_plus, self._x_minus
         d_minus = self.z0 - x_minus
         d_plus = self.z0 - x_plus

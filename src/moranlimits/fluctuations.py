@@ -37,11 +37,18 @@ from . import rk4
 from .deterministic import (
     DeterministicSolution,
     DriftFunctions,
-    Regime,
     equilibria,
     solve_deterministic,
 )
-from .model import DomainError, ModelParams, UnsupportedModelError
+from .model import (
+    DomainError,
+    ModelParams,
+    UnsupportedModelError,
+    check_grid,
+    check_int,
+    check_real,
+    check_seed,
+)
 
 ArrayLike = Union[float, np.ndarray]
 
@@ -67,41 +74,13 @@ def _require_noise(params: ModelParams) -> None:
         )
 
 
-def _scalar_flow(sol: DeterministicSolution) -> Callable[[float], float]:
-    """Scalar-only fast path of the closed-form flow (no array wrapping)."""
-    z0 = sol.z0
-    if sol.regime is Regime.NEUTRAL:
-        return lambda t: z0
-    if sol.regime is Regime.MUTATION_ONLY:
-        nu0, u = sol.params.nu0, sol.params.u
-
-        def flow(t: float) -> float:
-            return nu0 + (z0 - nu0) * math.exp(-u * t)
-
-        return flow
-    eq = sol.equilibria
-    x_plus, x_minus, rate = eq.x_stable, eq.x_unstable, eq.relaxation_rate
-    if z0 == x_plus or z0 == x_minus:
-        return lambda t: z0
-    d_minus = z0 - x_minus
-    d_plus = z0 - x_plus
-
-    def flow(t: float) -> float:
-        decay = math.exp(-rate * t)
-        return (x_plus * d_minus - x_minus * d_plus * decay) / (
-            d_minus - d_plus * decay
-        )
-
-    return flow
-
-
 def _snap_nonneg(value: float) -> float:
     return 0.0 if -1e-15 < value < 0.0 else value
 
 
 def _variance_rhs(sol: DeterministicSolution) -> Callable[[float, float], float]:
     funcs = DriftFunctions(sol.params)
-    flow = _scalar_flow(sol)
+    flow = sol.flow(math.exp)
 
     def rhs(t: float, sigma2: float) -> float:
         z = flow(t)
@@ -133,15 +112,12 @@ def variance_closed_form(z0: float, t: float, params: ModelParams) -> VarianceRe
     """
     _require_noise(params)
     sol = solve_deterministic(z0, params)
-    if not np.isfinite(t) or t < 0.0:
-        raise DomainError(f"t must be finite and >= 0, got {t!r}")
-    t = float(t)
+    t = check_real(t, "t", minimum=0.0)
     eq = sol.equilibria
     x_stable, rate = eq.x_stable, eq.relaxation_rate
     funcs = DriftFunctions(params)
     if z0 == x_stable:
-        sigma_inf2 = funcs.diffusion(x_stable) / (2.0 * rate)
-        return VarianceResult(sigma_inf2 * (1.0 - math.exp(-2.0 * rate * t)), False)
+        return VarianceResult(limit_variance(params) * (1.0 - math.exp(-2.0 * rate * t)), False)
     z_t = sol(t)
     if abs(z_t - x_stable) <= FALLBACK_BAND:
         if t == 0.0:
@@ -179,13 +155,7 @@ def characteristic_fn(
     The law is centred Gaussian, so the value is the real number
     exp(-theta^2 Sigma(t) / 2) embedded in the complex plane.
     """
-    if isinstance(theta, bool) or not isinstance(
-        theta, (int, float, np.floating, np.integer)
-    ):
-        raise DomainError(f"theta must be a real number, got {theta!r}")
-    theta = float(theta)
-    if not math.isfinite(theta):
-        raise DomainError("theta must be finite")
+    theta = check_real(theta, "theta")
     sigma2 = variance_closed_form(z0, t, params).value
     return complex(math.exp(-0.5 * theta * theta * sigma2), 0.0)
 
@@ -200,15 +170,14 @@ def limit_variance(params: ModelParams) -> float:
 class FluctuationLaw:
     """Time-indexed Gaussian law of the scaled deviation started at z0.
 
-    Bundles the deterministic flow, the variance evaluators, and the
-    characteristic function behind one object so repeated queries share
-    the precomputed equilibrium data.
+    Bundles the deterministic flow and the variance evaluators behind
+    one object so repeated queries share the precomputed equilibrium
+    data.
     """
 
     def __init__(self, z0: float, params: ModelParams, ode_step: float = DEFAULT_ODE_STEP):
         _require_noise(params)
-        if not (ode_step > 0.0):
-            raise DomainError(f"ode_step must be positive, got {ode_step!r}")
+        ode_step = check_real(ode_step, "ode_step", 0.0, exclusive=True)
         self.params = params
         self.solution = solve_deterministic(z0, params)
         self.z0 = self.solution.z0
@@ -216,33 +185,23 @@ class FluctuationLaw:
         eq = self.solution.equilibria
         self.x_stable = eq.x_stable
         self.relaxation_rate = eq.relaxation_rate
-        self._funcs = DriftFunctions(params)
         self._at_stable = self.z0 == self.x_stable
-        self.limit_variance = self._funcs.diffusion(self.x_stable) / (
-            2.0 * self.relaxation_rate
-        )
+        self.limit_variance = limit_variance(params)
 
     def variance(self, t: float) -> float:
-        if not np.isfinite(t) or t < 0.0:
-            raise DomainError(f"t must be finite and >= 0, got {t!r}")
-        return float(self.variance_on_grid([float(t)])[0]) if t > 0.0 else 0.0
+        t = check_real(t, "t", minimum=0.0)
+        return float(self.variance_on_grid([t])[0]) if t > 0.0 else 0.0
 
     def variance_on_grid(self, times: Sequence[float]) -> np.ndarray:
         """Sigma at the given strictly increasing times (t >= 0)."""
-        ts = np.asarray(times, dtype=float)
+        ts = check_grid(times, "times")
         if self._at_stable:
-            if ts.size and (np.any(ts < 0.0) or not np.all(np.isfinite(ts))):
-                raise DomainError("times must be finite and >= 0")
             return self.limit_variance * (
                 1.0 - np.exp(-2.0 * self.relaxation_rate * ts)
             )
         return rk4.integrate_at(
             _variance_rhs(self.solution), 0.0, ts, self._ode_step, post=_snap_nonneg
         )
-
-    def char_fn(self, t: float, theta: float) -> complex:
-        sigma2 = self.variance(t)
-        return complex(math.exp(-0.5 * float(theta) ** 2 * sigma2), 0.0)
 
 
 def sample_fluctuation_paths(
@@ -267,23 +226,15 @@ def sample_fluctuation_paths(
 
     Returns an (n_paths, len(t_grid)) matrix; column 0 is identically 0.
     """
-    if isinstance(n_paths, bool) or not isinstance(n_paths, (int, np.integer)):
-        raise DomainError(f"n_paths must be an integer, got {n_paths!r}")
-    if n_paths < 1:
-        raise DomainError(f"n_paths must be >= 1, got {n_paths}")
-    ts = np.asarray(t_grid, dtype=float)
-    if ts.ndim != 1 or ts.size == 0:
-        raise DomainError("t_grid must be a non-empty 1-d sequence")
-    if not np.all(np.isfinite(ts)):
-        raise DomainError("t_grid must be finite")
+    n_paths = check_int(n_paths, "n_paths", minimum=1)
+    rng_seed = check_seed(rng_seed)
+    ts = check_grid(t_grid)
     if ts[0] != 0.0:
         raise DomainError(f"t_grid must start at 0, got {ts[0]}")
-    if np.any(np.diff(ts) <= 0.0):
-        raise DomainError("t_grid must be strictly increasing")
 
     law = FluctuationLaw(z0, params)
     sigma2 = law.variance_on_grid(ts)
-    flow = _scalar_flow(law.solution)
+    flow = law.solution.flow(math.exp)
     slope = DriftFunctions(params).drift_slope
 
     n_steps = ts.size - 1

@@ -17,8 +17,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 import math
+from typing import Optional, Union
 
 import numpy as np
+
+ArrayLike = Union[float, np.ndarray]
 
 
 class DomainError(ValueError):
@@ -27,6 +30,69 @@ class DomainError(ValueError):
 
 class UnsupportedModelError(ValueError):
     """The parameter regime does not define the requested quantity."""
+
+
+def check_int(value, name: str, minimum: Optional[int] = None, maximum: Optional[int] = None) -> int:
+    """An integer (not a bool) within [minimum, maximum], returned as int."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise DomainError(f"{name} must be >= {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise DomainError(f"{name} must be <= {maximum}, got {value}")
+    return int(value)
+
+
+def check_real(
+    value, name: str, minimum: float = -math.inf, maximum: float = math.inf, exclusive: bool = False
+) -> float:
+    """A finite real number (not a bool) within [minimum, maximum], returned as float.
+
+    With exclusive=True both ends are left out, so minimum=0,
+    exclusive=True asks for a positive number.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise DomainError(f"{name} must be a real number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:  # an int beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise DomainError(f"{name} must be finite, got {value!r}")
+    if not (minimum < number < maximum if exclusive else minimum <= number <= maximum):
+        ends = "()" if exclusive else "[]"
+        raise DomainError(
+            f"{name} must lie in {ends[0]}{minimum:g}, {maximum:g}{ends[1]}, got {number!r}"
+        )
+    return number
+
+
+def check_seed(seed, sequence: bool = False):
+    """An rng seed: an integer >= 0; with sequence=True also a list or tuple of them.
+
+    Ensembles take one integer, since path p runs on the stream
+    [seed, p]; a single path may take any numpy seed entropy.
+    """
+    if sequence and isinstance(seed, (list, tuple)):
+        for value in seed:
+            check_int(value, "rng_seed entries", minimum=0)
+        return seed
+    return check_int(seed, "rng_seed", minimum=0)
+
+
+def check_grid(times, name: str = "t_grid") -> np.ndarray:
+    """A non-empty, finite, non-negative, strictly increasing 1-d time grid."""
+    try:
+        grid = np.asarray(times, dtype=float)
+    except (TypeError, ValueError):  # ragged nesting, strings
+        raise DomainError(f"{name} must be a 1-d sequence of times, got {times!r}") from None
+    if grid.ndim != 1 or grid.size == 0:
+        raise DomainError(f"{name} must be a non-empty 1-d sequence, got {times!r}")
+    if not np.all(np.isfinite(grid)) or grid[0] < 0.0:
+        raise DomainError(f"{name} must be finite and >= 0")
+    if np.any(np.diff(grid) <= 0.0):
+        raise DomainError(f"{name} must be strictly increasing")
+    return grid
 
 
 @dataclass(frozen=True)
@@ -48,24 +114,10 @@ class ModelParams:
     nu0: float
 
     def __post_init__(self) -> None:
-        if isinstance(self.N, bool) or not isinstance(self.N, (int, np.integer)):
-            raise DomainError(f"N must be an integer, got {self.N!r}")
-        if self.N < 1:
-            raise DomainError(f"N must be >= 1, got {self.N}")
-        for name in ("s", "u", "nu0"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise DomainError(f"{name} must be a real number, got {value!r}")
-            if not math.isfinite(value):
-                raise DomainError(f"{name} must be finite, got {value!r}")
-            object.__setattr__(self, name, float(value))
-        if self.s < 0.0:
-            raise DomainError(f"s must be >= 0, got {self.s}")
-        if self.u < 0.0:
-            raise DomainError(f"u must be >= 0, got {self.u}")
-        if not 0.0 < self.nu0 < 1.0:
-            raise DomainError(f"nu0 must lie strictly inside (0, 1), got {self.nu0}")
-        object.__setattr__(self, "N", int(self.N))
+        object.__setattr__(self, "N", check_int(self.N, "N", minimum=1))
+        object.__setattr__(self, "s", check_real(self.s, "s", minimum=0.0))
+        object.__setattr__(self, "u", check_real(self.u, "u", minimum=0.0))
+        object.__setattr__(self, "nu0", check_real(self.nu0, "nu0", 0.0, 1.0, exclusive=True))
 
     @property
     def nu1(self) -> float:
@@ -87,79 +139,36 @@ class ModelParams:
         return {"N": self.N, "s": self.s, "u": self.u, "nu0": self.nu0}
 
 
-@dataclass(frozen=True)
-class KernelValue:
-    """One non-trivial entry of the rescaled jump kernel at a fixed p."""
+def kernel_q(p: ArrayLike, params: ModelParams) -> tuple[ArrayLike, ArrayLike]:
+    """Rescaled jump kernel (q(p, +1), q(p, -1)) of the density-dependent chain.
 
-    jump: int
-    rate: float
-
-    def __post_init__(self) -> None:
-        if self.jump not in (-1, 1):
-            raise DomainError(f"jump must be +1 or -1, got {self.jump}")
-        if not (self.rate >= 0.0):
-            raise DomainError(f"rate must be >= 0, got {self.rate}")
-
-
-def kernel_q(p: float, jump: int, params: ModelParams) -> float:
-    """Rescaled jump kernel q(p, jump) of the density-dependent chain.
+    Only the jumps +1 and -1 carry rate; q(p, jump) = 0 for any other.
 
     Args:
-        p: type-0 proportion, must lie in [0, 1].
-        jump: change in the type-0 count; only +1 and -1 carry rate.
+        p: type-0 proportion, a float or an array, every entry in [0, 1].
         params: model parameters (N is not used here).
 
     Returns:
-        The per-capita rate density; 0.0 for |jump| != 1.
+        The per-capita up and down rate densities, each shaped like p.
     """
-    if not 0.0 <= p <= 1.0:
+    arr = np.asarray(p, dtype=float)
+    if not (arr.min() >= 0.0 and arr.max() <= 1.0):  # NaN fails too
         raise DomainError(f"p must lie in [0, 1], got {p!r}")
-    if jump == 1:
-        return (1.0 + params.s) * p * (1.0 - p) + params.u * params.nu0 * (1.0 - p)
-    if jump == -1:
-        return p * (1.0 - p) + params.u * params.nu1 * p
-    return 0.0
-
-
-def kernel_values(p: float, params: ModelParams) -> tuple[KernelValue, KernelValue]:
-    """Both non-trivial kernel entries at proportion p."""
-    return (
-        KernelValue(jump=1, rate=kernel_q(p, 1, params)),
-        KernelValue(jump=-1, rate=kernel_q(p, -1, params)),
-    )
-
-
-def chain_rates(k: int, params: ModelParams) -> tuple[float, float]:
-    """Birth and death rates (lambda_k, mu_k) of the finite chain at state k.
-
-    Computed as N * kernel_q(k / N, +/-1) so the density-dependence
-    identity holds exactly, not merely up to rounding.
-
-    Args:
-        k: type-0 count, integer in {0, ..., N}.
-        params: model parameters.
-
-    Returns:
-        Pair (lambda_k, mu_k). lambda_N = 0 and mu_0 = 0 always; for
-        u = 0 the boundary states 0 and N are absorbing.
-    """
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
-        raise DomainError(f"k must be an integer, got {k!r}")
-    if not 0 <= k <= params.N:
-        raise DomainError(f"k must lie in 0..{params.N}, got {k}")
-    p = k / params.N
-    return params.N * kernel_q(p, 1, params), params.N * kernel_q(p, -1, params)
+    up = (1.0 + params.s) * p * (1.0 - p) + params.u * params.nu0 * (1.0 - p)
+    down = p * (1.0 - p) + params.u * params.nu1 * p
+    return up, down
 
 
 def rate_tables(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorised chain rates for every state 0..N.
+    """Birth and death rates (lambda_k, mu_k) of the finite chain at every state 0..N.
 
-    Returns arrays (lam, mu) with lam[k] = lambda_k and mu[k] = mu_k.
-    The arithmetic mirrors kernel_q term for term, so entries agree
-    bit-for-bit with chain_rates.
+    Returns arrays (lam, mu) = N * kernel_q(k / N, params) over k = 0..N,
+    so the density-dependence identity holds exactly, not merely up to
+    rounding. lam[N] = 0 and mu[0] = 0 always; for u = 0 the boundary
+    states 0 and N are absorbing.
     """
     n = params.N
-    p = np.arange(n + 1) / n
-    lam = n * ((1.0 + params.s) * p * (1.0 - p) + params.u * params.nu0 * (1.0 - p))
-    mu = n * (p * (1.0 - p) + params.u * params.nu1 * p)
+    lam, mu = kernel_q(np.arange(n + 1) / n, params)
+    lam *= n  # in place: the same products as n * lam, without a second table
+    mu *= n
     return lam, mu

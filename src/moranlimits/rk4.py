@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .model import DomainError
+from .model import DomainError, check_grid, check_real
 
 # Remainder intervals shorter than this fraction of the step are rounding
 # debris from the grid construction, not a real final step.
@@ -44,10 +44,8 @@ def integrate(
     t_end. `post` is applied to the state after each step (used by
     callers to pin rounding excursions back onto an invariant set).
     """
-    if not (step > 0.0) or not math.isfinite(step):
-        raise DomainError(f"step must be positive and finite, got {step!r}")
-    if not (t_end >= 0.0) or not math.isfinite(t_end):
-        raise DomainError(f"t_end must be >= 0 and finite, got {t_end!r}")
+    step = check_real(step, "step", 0.0, exclusive=True)
+    t_end = check_real(t_end, "t_end", minimum=0.0)
     if t_end > 0.0 and step > t_end:
         raise DomainError(f"step {step} exceeds integration horizon {t_end}")
 
@@ -89,15 +87,8 @@ def integrate_at(
     starts at t = 0 with state y0, a float or a 1-d array of rows. The
     result has shape (len(times),) + shape(y0).
     """
-    ts = np.asarray(times, dtype=float)
-    if ts.ndim != 1 or ts.size == 0:
-        raise DomainError("times must be a non-empty 1-d sequence")
-    if ts[0] < 0.0 or not np.all(np.isfinite(ts)):
-        raise DomainError("times must be finite and >= 0")
-    if np.any(np.diff(ts) <= 0.0):
-        raise DomainError("times must be strictly increasing")
-    if not (max_step > 0.0):
-        raise DomainError(f"max_step must be positive, got {max_step!r}")
+    ts = check_grid(times, "times")
+    check_real(max_step, "max_step", 0.0, exclusive=True)
 
     out = np.empty(ts.shape + np.shape(y0))
     y = y0

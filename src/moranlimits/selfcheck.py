@@ -27,13 +27,12 @@ import numpy as np
 from scipy.integrate import quad
 
 from .deterministic import (
-    DriftFunctions,
     equilibria,
     linear_model_solution,
     ode_oracle_at,
     solve_deterministic,
 )
-from .fluctuations import variance_closed_form, variance_ode
+from .fluctuations import limit_variance, variance_closed_form, variance_ode
 from .model import ModelParams
 from .simulate import clt_statistics, run_ensemble
 from .stationary import (
@@ -205,7 +204,7 @@ def check_variance_agreement() -> CheckResult:
             )
             compared += 1
         # stable start: compare the ODE against the exponential form directly
-        sigma_inf2 = DriftFunctions(params).diffusion(x_stable) / (2.0 * rate)
+        sigma_inf2 = limit_variance(params)
         stable_times, stable_values = variance_ode(x_stable, horizon, step, params)
         for idx in range(1000, stable_times.size, 1000):
             t = float(stable_times[idx])

@@ -34,7 +34,15 @@ from scipy.stats import kstest
 
 from .deterministic import DeterministicSolution
 from .fluctuations import FluctuationLaw
-from .model import DomainError, ModelParams, rate_tables
+from .model import (
+    DomainError,
+    ModelParams,
+    check_grid,
+    check_int,
+    check_real,
+    check_seed,
+    rate_tables,
+)
 
 ArrayLike = Union[float, np.ndarray]
 
@@ -70,31 +78,6 @@ class TrajectoryPath:
     @property
     def n_events(self) -> int:
         return int(self.times.size)
-
-
-def _validate_state(k0: int, params: ModelParams) -> int:
-    if isinstance(k0, bool) or not isinstance(k0, (int, np.integer)):
-        raise DomainError(f"k0 must be an integer, got {k0!r}")
-    if not 0 <= k0 <= params.N:
-        raise DomainError(f"k0 must lie in 0..{params.N}, got {k0}")
-    return int(k0)
-
-
-def _validate_seed(seed) -> None:
-    values = seed if isinstance(seed, (list, tuple)) else (seed,)
-    for value in values:
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise DomainError(f"rng_seed must be an integer, got {value!r}")
-        if value < 0:
-            raise DomainError(f"rng_seed entries must be >= 0, got {value}")
-
-
-def _validate_master_seed(seed) -> int:
-    """An ensemble seed is one integer: path p runs on the stream [seed, p]."""
-    if isinstance(seed, (list, tuple)):
-        raise DomainError(f"rng_seed must be an integer, got {seed!r}")
-    _validate_seed(seed)
-    return int(seed)
 
 
 def _chain_tables(params: ModelParams) -> tuple[list, list]:
@@ -297,34 +280,22 @@ def simulate_path(
             path.
         params: model parameters.
     """
-    k0 = _validate_state(k0, params)
-    if not (t_end >= 0.0) or not math.isfinite(t_end):
-        raise DomainError(f"t_end must be finite and >= 0, got {t_end!r}")
-    _validate_seed(rng_seed)
+    k0 = check_int(k0, "k0", 0, params.N)
+    t_end = check_real(t_end, "t_end", minimum=0.0)
+    check_seed(rng_seed, sequence=True)
     total_rates, p_up = _chain_tables(params)
     rng = np.random.default_rng(rng_seed)
     events_t, events_k, _, absorbed, _ = _run_chain(
-        k0, float(t_end), rng, total_rates, p_up, record=True
+        k0, t_end, rng, total_rates, p_up, record=True
     )
     return TrajectoryPath(
         params=params,
         k0=k0,
         times=np.asarray(events_t, dtype=float),
         states=np.asarray(events_k, dtype=np.int64),
-        final_time=float(t_end),
+        final_time=t_end,
         absorbed=absorbed,
     )
-
-
-def _validate_grid(t_grid) -> np.ndarray:
-    grid = np.asarray(t_grid, dtype=float)
-    if grid.ndim != 1 or grid.size == 0:
-        raise DomainError("t_grid must be a non-empty 1-d sequence")
-    if not np.all(np.isfinite(grid)) or grid[0] < 0.0:
-        raise DomainError("t_grid must be finite and >= 0")
-    if np.any(np.diff(grid) <= 0.0):
-        raise DomainError("t_grid must be strictly increasing")
-    return grid
 
 
 def simulate_on_grid(
@@ -335,9 +306,9 @@ def simulate_on_grid(
     Consumes randomness identically to simulate_path with
     t_end = t_grid[-1], so both views of one seed agree.
     """
-    k0 = _validate_state(k0, params)
-    grid = _validate_grid(t_grid)
-    _validate_seed(rng_seed)
+    k0 = check_int(k0, "k0", 0, params.N)
+    grid = check_grid(t_grid)
+    check_seed(rng_seed, sequence=True)
     total_rates, p_up = _chain_tables(params)
     rng = np.random.default_rng(rng_seed)
     _, _, _, _, grid_states = _run_chain(
@@ -367,6 +338,13 @@ def sample_Z_at(times: ArrayLike, path: TrajectoryPath) -> ArrayLike:
     return float(values[0]) if scalar else values
 
 
+def _grid_variance(values: np.ndarray) -> np.ndarray:
+    """Sample variance over paths (rows) per grid time; zeros for one path."""
+    if len(values) < 2:
+        return np.zeros(values.shape[1])
+    return values.var(axis=0, ddof=1)
+
+
 @dataclass(frozen=True)
 class EnsembleSummary:
     """Grid values of an i.i.d. path ensemble plus deviation statistics.
@@ -391,9 +369,7 @@ class EnsembleSummary:
 
     @property
     def var_z(self) -> np.ndarray:
-        if self.n_paths < 2:
-            return np.zeros(self.t_grid.size)
-        return self.z_values.var(axis=0, ddof=1)
+        return _grid_variance(self.z_values)
 
     @property
     def sup_deviation(self) -> np.ndarray:
@@ -409,6 +385,16 @@ class EnsembleSummary:
             raise DomainError("ensemble was run without a reference curve")
         return math.sqrt(self.params.N) * (self.z_values - self.z_ref)
 
+    @property
+    def scaled_dev_mean(self) -> np.ndarray:
+        """Per-time mean over paths of the scaled deviation."""
+        return self.scaled_deviations.mean(axis=0)
+
+    @property
+    def scaled_dev_var(self) -> np.ndarray:
+        """Per-time sample variance over paths of the scaled deviation."""
+        return _grid_variance(self.scaled_deviations)
+
     def to_record(self) -> dict:
         record = {
             "n_paths": self.n_paths,
@@ -420,15 +406,10 @@ class EnsembleSummary:
             "var_z": self.var_z.tolist(),
         }
         if self.z_ref is not None:
-            scaled = self.scaled_deviations
             record["z_ref"] = self.z_ref.tolist()
             record["sup_deviation"] = self.sup_deviation.tolist()
-            record["scaled_dev_mean"] = scaled.mean(axis=0).tolist()
-            record["scaled_dev_var"] = (
-                scaled.var(axis=0, ddof=1).tolist()
-                if self.n_paths > 1
-                else np.zeros(self.t_grid.size).tolist()
-            )
+            record["scaled_dev_mean"] = self.scaled_dev_mean.tolist()
+            record["scaled_dev_var"] = self.scaled_dev_var.tolist()
         return record
 
 
@@ -450,14 +431,10 @@ def run_ensemble(
     step; smaller ensembles, where its fixed cost per step dominates,
     run the per-path event loop.
     """
-    k0 = _validate_state(k0, params)
-    grid = _validate_grid(t_grid)
-    if isinstance(n_paths, bool) or not isinstance(n_paths, (int, np.integer)):
-        raise DomainError(f"n_paths must be an integer, got {n_paths!r}")
-    if n_paths < 1:
-        raise DomainError(f"n_paths must be >= 1, got {n_paths}")
-    rng_seed = _validate_master_seed(rng_seed)
-    n_paths = int(n_paths)
+    k0 = check_int(k0, "k0", 0, params.N)
+    grid = check_grid(t_grid)
+    n_paths = check_int(n_paths, "n_paths", minimum=1)
+    rng_seed = check_seed(rng_seed)
 
     total_rates, p_up = _chain_tables(params)
     if n_paths >= _LOCKSTEP_MIN_PATHS:
@@ -491,8 +468,8 @@ def summarize_paths(
     len(paths), rng_seed, params, reference) bit for bit without
     simulating any path again.
     """
-    grid = _validate_grid(t_grid)
-    rng_seed = _validate_master_seed(rng_seed)
+    grid = check_grid(t_grid)
+    rng_seed = check_seed(rng_seed)
     if not paths:
         raise DomainError("paths must hold at least one path")
     first = paths[0]
@@ -548,14 +525,10 @@ def clt_statistics(
 
     Requires u > 0 (the Gaussian law needs a positive noise floor).
     """
-    _validate_master_seed(rng_seed)
-    ts = np.asarray(times, dtype=float)
-    if ts.ndim != 1 or ts.size == 0:
-        raise DomainError("times must be a non-empty 1-d sequence")
-    if not np.all(np.isfinite(ts)) or np.any(ts <= 0.0):
-        raise DomainError("times must be finite and > 0")
-    if np.any(np.diff(ts) <= 0.0):
-        raise DomainError("times must be strictly increasing")
+    check_seed(rng_seed)
+    ts = check_grid(times, "times")
+    if ts[0] <= 0.0:
+        raise DomainError(f"times must be > 0, got {ts[0]}")
 
     law = FluctuationLaw(z0, params)
     reference = law.solution

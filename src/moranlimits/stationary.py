@@ -15,7 +15,7 @@ diffusion(x_stable) / (2 relaxation_rate).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.linalg import null_space
@@ -23,7 +23,14 @@ from scipy.special import ndtr
 
 from .deterministic import equilibria
 from .fluctuations import limit_variance
-from .model import DomainError, ModelParams, UnsupportedModelError, rate_tables
+from .model import (
+    ModelParams,
+    UnsupportedModelError,
+    check_int,
+    check_real,
+    check_seed,
+    rate_tables,
+)
 
 
 def _require_mutation(params: ModelParams) -> None:
@@ -139,8 +146,7 @@ def ks_distance_to_gaussian(
     attained either just after a jump (F - G there) or just before one
     (G minus the previous F level).
     """
-    if not (sigma > 0.0):
-        raise DomainError(f"sigma must be positive, got {sigma!r}")
+    check_real(sigma, "sigma", 0.0, exclusive=True)
     n = dist.params.N
     support = math.sqrt(n) * (np.arange(n + 1) / n - center)
     cum = np.cumsum(dist.probabilities)
@@ -163,16 +169,7 @@ class GaussianLimitReport:
     mass_outside: float
 
     def to_record(self) -> dict:
-        return {
-            "N": self.N,
-            "empirical_var_scaled": self.empirical_var_scaled,
-            "target": self.target,
-            "ks_statistic": self.ks_statistic,
-            "mean_z": self.mean_z,
-            "x_stable": self.x_stable,
-            "eps": self.eps,
-            "mass_outside": self.mass_outside,
-        }
+        return asdict(self)
 
 
 def gaussian_limit_check(params: ModelParams, eps: float = 0.05) -> GaussianLimitReport:
@@ -182,8 +179,7 @@ def gaussian_limit_check(params: ModelParams, eps: float = 0.05) -> GaussianLimi
     distance of sqrt(N)(Z - x_stable) from that Gaussian, and the mass
     outside the eps-neighbourhood of x_stable.
     """
-    if not (0.0 < eps < 1.0):
-        raise DomainError(f"eps must lie in (0, 1), got {eps!r}")
+    eps = check_real(eps, "eps", 0.0, 1.0, exclusive=True)
     _require_mutation(params)
     dist = stationary_distribution(params)
     eq = equilibria(params)
@@ -211,15 +207,9 @@ def stationary_sampler(
     dist: StationaryDistribution, n: int, rng_seed
 ) -> np.ndarray:
     """n i.i.d. draws of the state k under pi, by inverse-CDF lookup."""
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-        raise DomainError(f"n must be an integer, got {n!r}")
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
-    if isinstance(rng_seed, bool) or not isinstance(rng_seed, (int, np.integer)):
-        raise DomainError(f"rng_seed must be an integer, got {rng_seed!r}")
-    if rng_seed < 0:
-        raise DomainError(f"rng_seed must be >= 0, got {rng_seed}")
+    n = check_int(n, "n", minimum=1)
+    rng_seed = check_seed(rng_seed)
     cdf = dist.cdf()
-    uniforms = np.random.default_rng(int(rng_seed)).random(int(n))
+    uniforms = np.random.default_rng(rng_seed).random(n)
     states = np.searchsorted(cdf, uniforms, side="right")
     return np.minimum(states, dist.params.N).astype(np.int64)

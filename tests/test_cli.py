@@ -220,6 +220,28 @@ class TestMainExitCodes:
         assert "'model.s'" in err or "'model.u'" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("s", [3000.0, 150.0])
+    def test_inaccurate_clt_variance_step_exits_2(self, tmp_path, capsys, s):
+        # the variance equation's fixed step 1e-3 needs 2 (s + u) h <= 0.2
+        path = make_config(tmp_path, {"model.s": s})
+        code = cli.main(["clt", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "s + u must be <= 100.0" in err
+        assert "Traceback" not in err
+
+    def test_clt_inside_variance_step_bound_runs(self, tmp_path, capsys):
+        path = make_config(tmp_path, {"model.s": 99.0})
+        code = cli.main(["clt", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == 0
+
+    @pytest.mark.parametrize("key", ["model.s", "ode.t_end"])
+    def test_integer_beyond_float_range_exits_2(self, tmp_path, capsys, key):
+        path = make_config(tmp_path, {key: 10**400})
+        code = cli.main(["ode", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "must be finite" in capsys.readouterr().err
+
     def test_selfcheck_failure_maps_to_3(self, tmp_path, monkeypatch, capsys):
         from moranlimits import selfcheck
 

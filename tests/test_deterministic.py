@@ -56,7 +56,7 @@ class TestRegimeAndDrift:
         for params, _ in [(REF, None)] + parameter_panel(5):
             funcs = DriftFunctions(params)
             for p in np.linspace(0.0, 1.0, 41):
-                total = kernel_q(float(p), 1, params) + kernel_q(float(p), -1, params)
+                total = sum(kernel_q(float(p), params))
                 assert funcs.diffusion(float(p)) == pytest.approx(total, abs=1e-15)
 
     def test_diffusion_noise_floor(self):

@@ -18,6 +18,7 @@ from moranlimits import (
     variance_closed_form,
     variance_ode,
 )
+from moranlimits import fluctuations
 from moranlimits.selfcheck import parameter_panel, reference_params
 
 REF = reference_params()
@@ -162,12 +163,6 @@ class TestFluctuationLaw:
         expected = sigma2 * (1.0 - np.exp(-2.0 * rate * times))
         assert np.max(np.abs(grid - expected)) < 1e-14
 
-    def test_char_fn_consistent_with_free_function(self):
-        law = FluctuationLaw(0.1, REF)
-        assert law.char_fn(1.0, 0.7).real == pytest.approx(
-            characteristic_fn(0.1, 1.0, 0.7, REF).real, rel=1e-10
-        )
-
 
 class TestSampler:
     def test_grid_validation(self):
@@ -177,6 +172,17 @@ class TestSampler:
             sample_fluctuation_paths(0.1, np.array([0.0, 1.0, 1.0]), 4, 1, REF)
         with pytest.raises(DomainError):
             sample_fluctuation_paths(0.1, np.array([0.0, 1.0]), 0, 1, REF)
+
+    def test_seed_rejected_before_any_quadrature(self, monkeypatch):
+        # Path p draws from [rng_seed, p], so the seed is one integer >= 0.
+        def no_quadrature(*args, **kwargs):
+            raise AssertionError("integrated before validating the seed")
+
+        monkeypatch.setattr(fluctuations, "quad", no_quadrature)
+        monkeypatch.setattr(fluctuations.rk4, "integrate_at", no_quadrature)
+        for bad in ([1, 2], (3,), True, -1, 1.5, "7", None):
+            with pytest.raises(DomainError, match="rng_seed"):
+                sample_fluctuation_paths(0.1, np.array([0.0, 1.0]), 4, bad, REF)
 
     def test_requires_mutation(self):
         params = ModelParams(N=5, s=1.0, u=0.0, nu0=0.5)

@@ -3,8 +3,9 @@
 Criterion 9 shows that two runs of one build agree. These digests show
 that a change to the code did not change what it writes: SHA-256 of
 every CSV artifact, and of the canonical JSON (sorted keys) of each
-report's `results` object. The `config` record is left out, since it
-restates the config file rather than computing anything.
+report's `results` object. The `config` record is left out of those,
+since it restates the config file rather than computing anything; it is
+pinned on its own, because the parser writes it.
 
 The digests were taken with numpy 2.4 and scipy 1.17 on x86-64. Another
 build of numpy, scipy or libm may round the last bit of a float
@@ -106,3 +107,47 @@ def test_artifacts_match_golden_digests(tmp_path, command, config):
         code = cli.main([command, "--config", str(config_path), "--out", str(out_dir)])
     assert code == 0
     assert artifact_digests(out_dir) == GOLDEN[(command, config)]
+
+
+# Integers where floats are expected, and an empty stationary section
+# whose defaults must be written out in full.
+INTEGER_CONFIG = {
+    "schema_version": "1",
+    "model": {"N": 200, "s": 1.0, "u": 1, "nu0": 0.5},
+    "seed": 11,
+    "ode": {"z0": 1, "t_end": 2},
+    "stationary": {},
+}
+
+# SHA-256 of the canonical JSON of each report's `config` record.
+GOLDEN_CONFIG_RECORDS = {
+    "reference": "79d32ad6f8467aed61f95655817c6b295b885a6b446470405148704527d9e8e9",
+    "integer": "23a6ca76f24d4c9f9751a93cbb46510737979f89ae0e07cc3217a3969c478232",
+}
+
+REPORTS = {
+    "ode": "ode_report.json",
+    "simulate": "ensemble_report.json",
+    "clt": "clt_report.json",
+    "stationary": "stationary_report.json",
+}
+
+
+@pytest.mark.parametrize(
+    "command, config",
+    [(command, "reference") for command in REPORTS]
+    + [("ode", "integer"), ("stationary", "integer")],
+)
+def test_config_record_matches_golden_digest(tmp_path, command, config):
+    if config == "reference":
+        config_path = REFERENCE_CONFIG
+    else:
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(INTEGER_CONFIG), encoding="utf-8")
+    out_dir = tmp_path / "out"
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main([command, "--config", str(config_path), "--out", str(out_dir)])
+    assert code == 0
+    report = json.loads((out_dir / REPORTS[command]).read_text(encoding="utf-8"))
+    canonical = json.dumps(report["config"], sort_keys=True)
+    assert hashlib.sha256(canonical.encode("utf-8")).hexdigest() == GOLDEN_CONFIG_RECORDS[config]

@@ -6,15 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from moranlimits import (
-    DomainError,
-    KernelValue,
-    ModelParams,
-    chain_rates,
-    kernel_q,
-    kernel_values,
-    rate_tables,
-)
+from moranlimits import DomainError, ModelParams, kernel_q, rate_tables
+from moranlimits.model import check_int, check_real
 from moranlimits.selfcheck import parameter_panel, reference_params
 
 
@@ -82,85 +75,187 @@ class TestModelParams:
 class TestKernel:
     def test_reference_values_at_half(self):
         # (1+s) p (1-p) + u nu0 (1-p) = 2*0.25 + 0.5*0.5*0.5 = 0.625
-        assert kernel_q(0.5, 1, REF) == 0.625
         # p (1-p) + u nu1 p = 0.25 + 0.5*0.5*0.5 = 0.375
-        assert kernel_q(0.5, -1, REF) == 0.375
-
-    def test_other_jump_sizes_carry_no_rate(self):
-        for jump in (0, 2, -2, 5):
-            assert kernel_q(0.3, jump, REF) == 0.0
+        assert kernel_q(0.5, REF) == (0.625, 0.375)
 
     def test_boundaries(self):
-        assert kernel_q(0.0, -1, REF) == 0.0
-        assert kernel_q(1.0, 1, REF) == 0.0
-        assert kernel_q(0.0, 1, REF) == REF.u * REF.nu0
-        assert kernel_q(1.0, -1, REF) == REF.u * REF.nu1
+        assert kernel_q(0.0, REF)[1] == 0.0
+        assert kernel_q(1.0, REF)[0] == 0.0
+        assert kernel_q(0.0, REF)[0] == REF.u * REF.nu0
+        assert kernel_q(1.0, REF)[1] == REF.u * REF.nu1
 
     def test_boundaries_absorb_without_mutation(self):
         params = ModelParams(N=50, s=1.0, u=0.0, nu0=0.5)
-        assert kernel_q(0.0, 1, params) == 0.0
-        assert kernel_q(1.0, -1, params) == 0.0
+        assert kernel_q(0.0, params)[0] == 0.0
+        assert kernel_q(1.0, params)[1] == 0.0
 
     @pytest.mark.parametrize("p", [-0.01, 1.01, math.nan, 2.0])
     def test_p_outside_unit_interval_rejected(self, p):
         with pytest.raises(DomainError):
-            kernel_q(p, 1, REF)
+            kernel_q(p, REF)
+        with pytest.raises(DomainError):
+            kernel_q(np.array([0.0, 0.5, p]), REF)
 
     def test_nonnegative_across_panel(self):
         grid = np.linspace(0.0, 1.0, 101)
         for params, _ in parameter_panel(5):
-            for p in grid:
-                assert kernel_q(float(p), 1, params) >= 0.0
-                assert kernel_q(float(p), -1, params) >= 0.0
+            up, down = kernel_q(grid, params)
+            assert np.all(up >= 0.0) and np.all(down >= 0.0)
 
     def test_kernel_values_pairs(self):
-        up, down = kernel_values(0.5, REF)
-        assert up == KernelValue(jump=1, rate=0.625)
-        assert down == KernelValue(jump=-1, rate=0.375)
-
-    def test_kernel_value_validation(self):
-        with pytest.raises(DomainError):
-            KernelValue(jump=2, rate=1.0)
-        with pytest.raises(DomainError):
-            KernelValue(jump=1, rate=-0.5)
+        # the array form holds the scalar pair of every entry, bit for bit
+        grid = np.linspace(0.0, 1.0, 37)
+        up, down = kernel_q(grid, REF)
+        for j, p in enumerate(grid):
+            assert (up[j], down[j]) == kernel_q(float(p), REF)
 
 
 class TestChainRates:
     def test_reference_values(self):
         # lambda_50 = 50*50*2/100 + 50*0.25 = 62.5; mu_50 = 25 + 50*0.25 = 37.5
-        assert chain_rates(50, REF) == (62.5, 37.5)
+        lam, mu = rate_tables(REF)
+        assert (lam[50], mu[50]) == (62.5, 37.5)
 
     def test_boundary_rates(self):
-        lam_n, _ = chain_rates(REF.N, REF)
-        _, mu_0 = chain_rates(0, REF)
-        assert lam_n == 0.0
-        assert mu_0 == 0.0
+        lam, mu = rate_tables(REF)
+        assert lam[REF.N] == 0.0
+        assert mu[0] == 0.0
 
     @pytest.mark.parametrize("k", [-1, 101, 0.5, None])
     def test_state_validation(self, k):
+        # the state check the simulator applies to k0
         with pytest.raises(DomainError):
-            chain_rates(k, REF)
+            check_int(k, "k0", 0, REF.N)
 
     def test_density_dependence_identity_exact(self):
-        # the rates are N * kernel_q(k/N, .) bit for bit, not just approximately
+        # the rates are N * kernel_q(k/N) bit for bit, not just approximately
         for params, _ in [(REF, None)] + parameter_panel(5):
             n = params.N
+            lam, mu = rate_tables(params)
             for k in range(n + 1):
-                lam, mu = chain_rates(k, params)
-                assert lam == n * kernel_q(k / n, 1, params)
-                assert mu == n * kernel_q(k / n, -1, params)
+                up, down = kernel_q(k / n, params)
+                assert lam[k] == n * up
+                assert mu[k] == n * down
 
     @pytest.mark.parametrize("n", [1, 2, 137])
     def test_rate_tables_match_scalar_rates(self, n):
         params = ModelParams(N=n, s=0.7, u=0.9, nu0=0.31)
         lam, mu = rate_tables(params)
         assert lam.shape == (n + 1,)
+        up, down = kernel_q(np.arange(n + 1) / n, params)
+        assert np.array_equal(lam, n * up) and np.array_equal(mu, n * down)
         for k in range(n + 1):
-            expected = chain_rates(k, params)
-            assert lam[k] == expected[0]
-            assert mu[k] == expected[1]
+            assert (lam[k], mu[k]) == tuple(n * q for q in kernel_q(k / n, params))
 
     def test_absorbing_states_without_mutation(self):
         params = ModelParams(N=20, s=0.5, u=0.0, nu0=0.5)
-        assert chain_rates(0, params) == (0.0, 0.0)
-        assert chain_rates(20, params) == (0.0, 0.0)
+        lam, mu = rate_tables(params)
+        assert (lam[0], mu[0]) == (0.0, 0.0)
+        assert (lam[20], mu[20]) == (0.0, 0.0)
+
+
+
+SMALL = ModelParams(N=20, s=1.0, u=0.5, nu0=0.5)
+GRID = [0.0, 0.25, 0.5]
+
+
+def _call(name, **override):
+    """Call one entry point behind a shared checker on valid arguments but one."""
+    from moranlimits import (
+        FluctuationLaw,
+        clt_statistics,
+        rk4,
+        run_ensemble,
+        sample_fluctuation_paths,
+        simulate_on_grid,
+        simulate_path,
+        stationary_distribution,
+        stationary_sampler,
+        summarize_paths,
+    )
+
+    args = {"k0": 2, "n_paths": 2, "rng_seed": 1, "t_grid": GRID, "times": GRID, "n": 3, "N": 20}
+    args.update(override)
+    calls = {
+        "run_ensemble": lambda: run_ensemble(
+            args["k0"], args["t_grid"], args["n_paths"], args["rng_seed"], SMALL
+        ),
+        "clt_statistics": lambda: clt_statistics(
+            0.1, override.get("times", GRID[1:]), args["n_paths"], args["rng_seed"], SMALL  # t > 0
+        ),
+        "sample_fluctuation_paths": lambda: sample_fluctuation_paths(
+            0.1, args["t_grid"], args["n_paths"], args["rng_seed"], SMALL
+        ),
+        "simulate_path": lambda: simulate_path(args["k0"], 0.5, args["rng_seed"], SMALL),
+        "simulate_on_grid": lambda: simulate_on_grid(
+            args["k0"], args["t_grid"], args["rng_seed"], SMALL
+        ),
+        "summarize_paths": lambda: summarize_paths(
+            [simulate_path(2, 0.5, [1, 0], SMALL)], args["t_grid"], args["rng_seed"]
+        ),
+        "stationary_sampler": lambda: stationary_sampler(
+            stationary_distribution(SMALL), args["n"], args["rng_seed"]
+        ),
+        "rk4.integrate_at": lambda: rk4.integrate_at(lambda t, y: -y, 1.0, args["times"], 0.1),
+        "FluctuationLaw.variance_on_grid": lambda: FluctuationLaw(0.1, SMALL).variance_on_grid(
+            args["times"]
+        ),
+        "ModelParams": lambda: ModelParams(N=args["N"], s=1.0, u=0.5, nu0=0.5),
+    }
+    return calls[name]()
+
+
+# The arguments of each entry point that go through check_int, check_seed
+# and check_grid.
+CHECKED_ARGUMENTS = {
+    "run_ensemble": {"count": ("k0", "n_paths"), "seed": ("rng_seed",), "grid": ("t_grid",)},
+    "clt_statistics": {"count": ("n_paths",), "seed": ("rng_seed",), "grid": ("times",)},
+    "sample_fluctuation_paths": {
+        "count": ("n_paths",),
+        "seed": ("rng_seed",),
+        "grid": ("t_grid",),
+    },
+    "simulate_path": {"count": ("k0",), "seed": ("rng_seed",)},
+    "simulate_on_grid": {"count": ("k0",), "seed": ("rng_seed",), "grid": ("t_grid",)},
+    "summarize_paths": {"seed": ("rng_seed",), "grid": ("t_grid",)},
+    "stationary_sampler": {"count": ("n",), "seed": ("rng_seed",)},
+    "rk4.integrate_at": {"grid": ("times",)},
+    "FluctuationLaw.variance_on_grid": {"grid": ("times",)},
+    "ModelParams": {"count": ("N",)},
+}
+
+# bool, float, negative and nested values of each kind of argument; grids
+# also ragged and non-numeric
+BAD_VALUES = {
+    "count": (True, 3.0, -1, [3]),
+    "seed": (True, 1.5, -1, [[1, 2]]),
+    "grid": (True, 1.0, [-1.0, 0.5], [[0.0, 0.5]], [[0.0], [0.5, 1.0]], ["a"]),
+}
+
+
+class TestSharedCheckers:
+    @pytest.mark.parametrize("name", sorted(CHECKED_ARGUMENTS))
+    def test_valid_arguments_accepted(self, name):
+        _call(name)
+
+    @pytest.mark.parametrize(
+        "name, argument, bad",
+        [
+            pytest.param(name, argument, bad, id=f"{name}-{argument}-{bad!r}")
+            for name, kinds in sorted(CHECKED_ARGUMENTS.items())
+            for kind, arguments in kinds.items()
+            for argument in arguments
+            for bad in BAD_VALUES[kind]
+        ],
+    )
+    def test_bad_argument_rejected(self, name, argument, bad):
+        with pytest.raises(DomainError, match=argument):
+            _call(name, **{argument: bad})
+
+    @pytest.mark.parametrize("value", [10**400, -(10**400)])
+    def test_integer_beyond_float_range_rejected(self, value):
+        # float() of such an int raises OverflowError; the checker reports it
+        with pytest.raises(DomainError, match="finite"):
+            check_real(value, "s")
+        with pytest.raises(DomainError):
+            ModelParams(N=10, s=value, u=0.5, nu0=0.5)
