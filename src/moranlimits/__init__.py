@@ -51,10 +51,8 @@ from .stationary import (
     brute_force_stationary,
     detailed_balance_residual,
     gaussian_limit_check,
-    generator_residual,
     ks_distance_to_gaussian,
     stationary_distribution,
-    stationary_sampler,
 )
 
 __version__ = "0.1.0"
@@ -96,8 +94,6 @@ __all__ = [
     "brute_force_stationary",
     "detailed_balance_residual",
     "gaussian_limit_check",
-    "generator_residual",
     "ks_distance_to_gaussian",
     "stationary_distribution",
-    "stationary_sampler",
 ]

@@ -204,7 +204,7 @@ def cmd_stationary(config: ExperimentConfig, out_dir: Path) -> int:
     write_csv(
         out_dir / "stationary_pmf.csv",
         ["k", "probability"],
-        [np.arange(params.N + 1), dist.probabilities],
+        [np.arange(params.N + 1), dist.full_probabilities()],
     )
     write_csv(
         out_dir / "stationary_sweep.csv",

@@ -145,14 +145,15 @@ def kernel_q(p: ArrayLike, params: ModelParams) -> tuple[ArrayLike, ArrayLike]:
     Only the jumps +1 and -1 carry rate; q(p, jump) = 0 for any other.
 
     Args:
-        p: type-0 proportion, a float or an array, every entry in [0, 1].
+        p: type-0 proportion, a float or an array (possibly empty), every
+            entry in [0, 1].
         params: model parameters (N is not used here).
 
     Returns:
         The per-capita up and down rate densities, each shaped like p.
     """
     arr = np.asarray(p, dtype=float)
-    if not (arr.min() >= 0.0 and arr.max() <= 1.0):  # NaN fails too
+    if arr.size and not (arr.min() >= 0.0 and arr.max() <= 1.0):  # NaN fails too
         raise DomainError(f"p must lie in [0, 1], got {p!r}")
     up = (1.0 + params.s) * p * (1.0 - p) + params.u * params.nu0 * (1.0 - p)
     down = p * (1.0 - p) + params.u * params.nu1 * p

@@ -279,7 +279,7 @@ def check_stationary_exactness() -> CheckResult:
     for shape in shapes:
         for n in (2, 3, 5, 10, 25, 50):
             params = ModelParams(N=n, s=shape.s, u=shape.u, nu0=shape.nu0)
-            product = stationary_distribution(params).probabilities
+            product = stationary_distribution(params).full_probabilities()
             oracle = brute_force_stationary(params)
             worst_nullspace = max(worst_nullspace, float(np.max(np.abs(product - oracle))))
     worst_balance = 0.0

@@ -400,3 +400,14 @@ class TestStationaryCommand:
         assert [row[0] for row in rows] == ["50", "100"]
         report = json.loads((out / "stationary_report.json").read_text(encoding="utf-8"))
         assert [entry["N"] for entry in report["results"]["sweep"]] == [50, 100]
+        assert [entry["window_states"] for entry in report["results"]["sweep"]] == [51, 101]
+
+    def test_billion_states_sums_a_window(self, tmp_path, capsys):
+        path = make_config(tmp_path, {"stationary.n_values": [10**9]})
+        out = tmp_path / "out"
+        assert cli.main(["stationary", "--config", str(path), "--out", str(out)]) == 0
+        report = json.loads((out / "stationary_report.json").read_text(encoding="utf-8"))
+        (entry,) = report["results"]["sweep"]
+        assert entry["N"] == 10**9
+        assert entry["window_states"] < 2 * 10**6
+        assert abs(entry["empirical_var_scaled"] / entry["target"] - 1.0) < 1e-6

@@ -51,9 +51,9 @@ GOLDEN = {
         "ode_table.csv": "aa01db90554af84df7830f2fae9c4a29f0d3006903fcf04e6979354ca133280a",
     },
     ("stationary", "reference"): {
-        "stationary_pmf.csv": "28f8c27f83de9c61832af63dc5d69d5c3f87f84a11becf6a9d7e26b6bdd80e9e",
-        "stationary_report.json": "dc584e79a712b31dddf79d1c0f5b37b171e104c2b0ef978ad6da9e76096fb4a8",
-        "stationary_sweep.csv": "727c51d1a54bfb3d5729f4920c97f0a30a6d267cc8b562366c27823b1591fe28",
+        "stationary_pmf.csv": "13db5375875f46bf4361e3d75a25de9b9f131ae5d4a7d529f40ea49a8c870cd9",
+        "stationary_report.json": "ce0638bdcc96bc5f3047fa5df259a7fb62b6ccd251afff949568c2c0d41a7f8d",
+        "stationary_sweep.csv": "e142cec2277c4c04c3e79b906576d3e59894e4977ebdd9af5da6c63b417935ce",
     },
     ("simulate", "reference+store_paths"): {
         "ensemble_paths.csv": "de62e11e19450097bf8e5b8964e1150b5e4193b32274aecef50e2ee0cb43584a",

@@ -14,13 +14,12 @@ from moranlimits import (
     detailed_balance_residual,
     equilibria,
     gaussian_limit_check,
-    generator_residual,
     ks_distance_to_gaussian,
     limit_variance,
     stationary_distribution,
-    stationary_sampler,
 )
-from moranlimits.selfcheck import reference_params
+from moranlimits.model import rate_tables
+from moranlimits.selfcheck import parameter_panel, reference_params
 
 REF = reference_params()
 
@@ -37,7 +36,7 @@ class TestStationaryDistribution:
         for n in (1, 2, 10, 500):
             params = ModelParams(N=n, s=1.0, u=0.5, nu0=0.5)
             dist = stationary_distribution(params)
-            assert dist.probabilities.shape == (n + 1,)
+            assert dist.full_probabilities().shape == (n + 1,)
             assert np.all(dist.probabilities > 0.0)
             assert dist.probabilities.sum() == pytest.approx(1.0, abs=1e-14)
 
@@ -51,7 +50,7 @@ class TestStationaryDistribution:
     def test_matches_null_space_oracle(self):
         for n in (2, 5, 17):
             params = ModelParams(N=n, s=0.9, u=0.35, nu0=0.3)
-            product = stationary_distribution(params).probabilities
+            product = stationary_distribution(params).full_probabilities()
             oracle = brute_force_stationary(params)
             assert np.max(np.abs(product - oracle)) < 1e-12
 
@@ -59,11 +58,6 @@ class TestStationaryDistribution:
         params = ModelParams(N=500, s=1.0, u=0.5, nu0=0.5)
         dist = stationary_distribution(params)
         assert detailed_balance_residual(dist) < 1e-9
-
-    def test_generator_residual(self):
-        params = ModelParams(N=200, s=1.0, u=0.5, nu0=0.5)
-        dist = stationary_distribution(params)
-        assert generator_residual(dist) < 1e-9
 
     def test_mean_concentrates_at_stable_point(self):
         params = ModelParams(N=5000, s=1.0, u=0.5, nu0=0.5)
@@ -93,7 +87,7 @@ class TestKsDistance:
         )
         ys = np.linspace(support[0] - 1.0, support[-1] + 1.0, 200_001)
         idx = np.searchsorted(support, ys, side="right")
-        cum = np.concatenate(([0.0], np.cumsum(dist.probabilities)))
+        cum = np.concatenate(([0.0], np.cumsum(dist.full_probabilities())))
         scanned = np.max(np.abs(cum[idx] - ndtr(ys / sigma)))
         assert scanned <= exact + 1e-12
         assert exact - scanned < 1e-4
@@ -111,6 +105,7 @@ class TestGaussianLimitCheck:
         params = ModelParams(N=500, s=1.0, u=0.5, nu0=0.5)
         report = gaussian_limit_check(params)
         assert report.N == 500
+        assert report.window_states == stationary_distribution(params).probabilities.size
         assert report.target == pytest.approx(limit_variance(params), rel=1e-13)
         assert report.empirical_var_scaled > 0.0
         assert 0.0 <= report.ks_statistic <= 1.0
@@ -126,6 +121,7 @@ class TestGaussianLimitCheck:
             "x_stable",
             "eps",
             "mass_outside",
+            "window_states",
         }
 
     def test_variance_and_mass_converge(self):
@@ -146,27 +142,85 @@ class TestGaussianLimitCheck:
             gaussian_limit_check(params)
 
 
-class TestSampler:
-    def test_determinism_and_range(self):
-        dist = stationary_distribution(REF)
-        a = stationary_sampler(dist, 1000, 5)
-        b = stationary_sampler(dist, 1000, 5)
-        assert np.array_equal(a, b)
-        assert a.dtype.kind == "i"
-        assert a.min() >= 0
-        assert a.max() <= REF.N
+def full_support_law(params):
+    """The law by one log-space cumsum from k = 0 over all N + 1 states."""
+    lam, mu = rate_tables(params)
+    log_weights = np.concatenate(([0.0], np.cumsum(np.log(lam[:-1]) - np.log(mu[1:]))))
+    weights = np.exp(log_weights - log_weights.max())
+    return weights / weights.sum()
 
-    def test_validation(self):
-        dist = stationary_distribution(REF)
-        with pytest.raises(DomainError):
-            stationary_sampler(dist, 0, 5)
-        with pytest.raises(DomainError):
-            stationary_sampler(dist, -3, 5)
 
-    def test_sample_mean_matches_distribution(self):
-        dist = stationary_distribution(REF)
-        draws = stationary_sampler(dist, 200_000, 555006)
-        target = dist.mean_z() * REF.N
-        sd = math.sqrt(dist.var_z()) * REF.N
-        se = sd / math.sqrt(draws.size)
-        assert abs(float(draws.mean()) - target) < 4.0 * se
+def longdouble_law(params):
+    """The product form in np.longdouble, summed outward from its mode."""
+    n = params.N
+    p = np.arange(n + 1, dtype=np.longdouble) / n
+    s, u, nu0, nu1 = (np.longdouble(v) for v in (params.s, params.u, params.nu0, params.nu1))
+    up = (1 + s) * p * (1 - p) + u * nu0 * (1 - p)
+    down = p * (1 - p) + u * nu1 * p
+    steps = np.log(up[:-1]) - np.log(down[1:])
+    mode = int(np.argmax(np.concatenate(([0.0], np.cumsum(steps)))))
+    log_weights = np.zeros(n + 1, dtype=np.longdouble)
+    log_weights[mode + 1 :] = np.cumsum(steps[mode:])
+    log_weights[:mode] = -np.cumsum(steps[:mode][::-1])[::-1]
+    weights = np.exp(log_weights - log_weights.max())
+    return weights / weights.sum()
+
+
+# N u nu0 < 1 here, so state 0 is a second local maximum of the law:
+# U-shaped without selection, a boundary peak beside the bulk with it.
+# At u = 1e-5 that peak underflows to 0 at N = 5000. At u = 1e-200 and
+# N = 500 it holds 6e-151, cut off from the bulk by states that underflow.
+TWO_PEAK_SHAPES = [
+    ModelParams(N=2, s=0.0, u=1e-3, nu0=0.3),
+    ModelParams(N=2, s=1.0, u=1e-3, nu0=0.5),
+    ModelParams(N=2, s=1e-3, u=2e-3, nu0=0.1),
+    ModelParams(N=2, s=1.0, u=1e-5, nu0=0.5),
+    ModelParams(N=2, s=1.0, u=1e-200, nu0=0.5),
+]
+
+
+class TestWindow:
+    def test_pmf_matches_longdouble_product_form(self):
+        params = reference_params(N=10**5)
+        pmf = stationary_distribution(params).full_probabilities()
+        exact = longdouble_law(params)
+        kept = pmf > 1e-12
+        assert float(np.max(np.abs(pmf[kept] - exact[kept]) / exact[kept])) <= 1e-12
+
+    def test_mean_offset_matches_next_order_limit(self):
+        # N (E Z - x_stable) -> mu_inf = -s sigma_inf^2 / r, with an O(1/N) remainder
+        params = reference_params(N=10**7)
+        dist = stationary_distribution(params)
+        eq = equilibria(params)
+        mu_inf = -params.s * limit_variance(params) / eq.relaxation_rate
+        assert abs(params.N * (dist.mean_z() - eq.x_stable) - mu_inf) <= 1e-6
+
+    @pytest.mark.parametrize("n", [500, 5000])
+    def test_window_covers_full_support_law(self, n):
+        shapes = [reference_params(N=2)] + [p for p, _ in parameter_panel(2)] + TWO_PEAK_SHAPES
+        for shape in shapes:
+            params = ModelParams(N=n, s=shape.s, u=shape.u, nu0=shape.nu0)
+            dist = stationary_distribution(params)
+            reference = full_support_law(params)
+            nonzero = np.flatnonzero(reference)
+            assert dist.offset <= nonzero[0]
+            assert nonzero[-1] < dist.offset + dist.probabilities.size
+            normal = reference > 1e-290
+            full = dist.full_probabilities()
+            gap = np.abs(full[normal] - reference[normal]) / reference[normal]
+            assert float(np.max(gap)) < 1e-9
+
+    def test_negligible_second_peak_stays_outside_the_window(self):
+        # N u nu0 = 0.05: state 0 is a local maximum, far below the mode
+        params = ModelParams(N=10**7, s=1.0, u=1e-8, nu0=0.5)
+        dist = stationary_distribution(params)
+        assert dist.offset > 0
+        assert dist.probabilities.size < 5000
+
+    def test_window_is_a_small_part_of_a_large_chain(self):
+        params = reference_params(N=10**6)
+        dist = stationary_distribution(params)
+        assert dist.probabilities.size < 60_000
+        mode = dist.offset + int(np.argmax(dist.log_weights))
+        assert dist.log_weights[mode - dist.offset] == 0.0
+        assert abs(mode / params.N - equilibria(params).x_stable) < 1e-5
