@@ -53,6 +53,7 @@ from .stationary import (
     gaussian_limit_check,
     ks_distance_to_gaussian,
     stationary_distribution,
+    stationary_sampler,
 )
 
 __version__ = "0.1.0"
@@ -96,4 +97,5 @@ __all__ = [
     "gaussian_limit_check",
     "ks_distance_to_gaussian",
     "stationary_distribution",
+    "stationary_sampler",
 ]

@@ -41,7 +41,9 @@ from .fluctuations import limit_variance
 from .model import (
     ModelParams,
     UnsupportedModelError,
+    check_int,
     check_real,
+    check_seed,
     kernel_q,
     rate_tables,
 )
@@ -311,3 +313,14 @@ def gaussian_limit_check(params: ModelParams, eps: float = 0.05) -> GaussianLimi
         mass_outside=mass_outside,
         window_states=dist.probabilities.size,
     )
+
+
+def stationary_sampler(
+    dist: StationaryDistribution, n: int, rng_seed
+) -> np.ndarray:
+    """n i.i.d. draws of the state k under pi, by inverse-CDF lookup on the window."""
+    n = check_int(n, "n", minimum=1)
+    rng_seed = check_seed(rng_seed)
+    uniforms = np.random.default_rng(rng_seed).random(n)
+    index = np.searchsorted(dist.cdf(), uniforms, side="right")
+    return dist.offset + np.minimum(index, dist.probabilities.size - 1).astype(np.int64)

@@ -173,10 +173,12 @@ def _call(name, **override):
         sample_fluctuation_paths,
         simulate_on_grid,
         simulate_path,
+        stationary_distribution,
+        stationary_sampler,
         summarize_paths,
     )
 
-    args = {"k0": 2, "n_paths": 2, "rng_seed": 1, "t_grid": GRID, "times": GRID, "N": 20}
+    args = {"k0": 2, "n_paths": 2, "rng_seed": 1, "t_grid": GRID, "times": GRID, "n": 3, "N": 20}
     args.update(override)
     calls = {
         "run_ensemble": lambda: run_ensemble(
@@ -194,6 +196,9 @@ def _call(name, **override):
         ),
         "summarize_paths": lambda: summarize_paths(
             [simulate_path(2, 0.5, [1, 0], SMALL)], args["t_grid"], args["rng_seed"]
+        ),
+        "stationary_sampler": lambda: stationary_sampler(
+            stationary_distribution(SMALL), args["n"], args["rng_seed"]
         ),
         "rk4.integrate_at": lambda: rk4.integrate_at(lambda t, y: -y, 1.0, args["times"], 0.1),
         "FluctuationLaw.variance_on_grid": lambda: FluctuationLaw(0.1, SMALL).variance_on_grid(
@@ -217,6 +222,7 @@ CHECKED_ARGUMENTS = {
     "simulate_path": {"count": ("k0",), "seed": ("rng_seed",)},
     "simulate_on_grid": {"count": ("k0",), "seed": ("rng_seed",), "grid": ("t_grid",)},
     "summarize_paths": {"seed": ("rng_seed",), "grid": ("t_grid",)},
+    "stationary_sampler": {"count": ("n",), "seed": ("rng_seed",)},
     "rk4.integrate_at": {"grid": ("times",)},
     "FluctuationLaw.variance_on_grid": {"grid": ("times",)},
     "ModelParams": {"count": ("N",)},

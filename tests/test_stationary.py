@@ -17,6 +17,7 @@ from moranlimits import (
     ks_distance_to_gaussian,
     limit_variance,
     stationary_distribution,
+    stationary_sampler,
 )
 from moranlimits.model import rate_tables
 from moranlimits.selfcheck import parameter_panel, reference_params
@@ -140,6 +141,39 @@ class TestGaussianLimitCheck:
         params = ModelParams(N=100, s=1.0, u=0.0, nu0=0.5)
         with pytest.raises(UnsupportedModelError):
             gaussian_limit_check(params)
+
+
+class TestSampler:
+    def test_determinism_and_range(self):
+        dist = stationary_distribution(REF)
+        a = stationary_sampler(dist, 1000, 5)
+        b = stationary_sampler(dist, 1000, 5)
+        assert np.array_equal(a, b)
+        assert a.dtype.kind == "i"
+        assert a.min() >= 0
+        assert a.max() <= REF.N
+
+    def test_validation(self):
+        dist = stationary_distribution(REF)
+        with pytest.raises(DomainError):
+            stationary_sampler(dist, 0, 5)
+        with pytest.raises(DomainError):
+            stationary_sampler(dist, -3, 5)
+
+    def test_sample_mean_matches_distribution(self):
+        dist = stationary_distribution(REF)
+        draws = stationary_sampler(dist, 200_000, 555006)
+        target = dist.mean_z() * REF.N
+        sd = math.sqrt(dist.var_z()) * REF.N
+        se = sd / math.sqrt(draws.size)
+        assert abs(float(draws.mean()) - target) < 4.0 * se
+
+    def test_draws_lie_in_the_window(self):
+        dist = stationary_distribution(reference_params(N=10**6))
+        draws = stationary_sampler(dist, 10_000, 3)
+        assert dist.offset > 0
+        assert draws.min() >= dist.offset
+        assert draws.max() < dist.offset + dist.probabilities.size
 
 
 def full_support_law(params):
