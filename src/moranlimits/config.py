@@ -14,8 +14,8 @@ from functools import partial
 from pathlib import Path
 from typing import Optional
 
-from .fluctuations import DEFAULT_ODE_STEP
-from .model import DomainError, ModelParams, check_int, check_real
+from .fluctuations import FluctuationLaw
+from .model import DomainError, ModelParams, UnsupportedModelError, check_int, check_real
 
 CURRENT_SCHEMA = "1"
 
@@ -30,15 +30,6 @@ MAX_RATE = 1e150
 # On [0, 1] the drift slope obeys |F'| <= s + u, so an oracle step h
 # with h (s + u) <= 2.785 keeps the oracle from diverging.
 _RK4_STABILITY_LIMIT = 2.785
-
-# The clt command's variance equation Sigma' = 2 F' Sigma + g has
-# stiffness 2 |F'| <= 2 (s + u) and is stepped at the fixed
-# DEFAULT_ODE_STEP. Against a step-1e-5 reference (z0 = 0.1, u = 0.5,
-# 200 times from 1e-3 to 1) its largest relative error is 9.7e-6 at
-# s + u = 100.5, 5.5e-5 at 150.5, 1.2e-3 at 300.5 and 0.33 at 900.5; it
-# overflows to NaN above about 1392. A step with h 2 (s + u) <= 0.2
-# keeps Sigma inside criterion 4's 1e-5.
-_RK4_ACCURACY_LIMIT = 0.2
 
 
 class ConfigError(ValueError):
@@ -256,29 +247,23 @@ def validate_for_command(config: ExperimentConfig, command: str) -> None:
             " and its boundary states absorb"
         )
     if command == "ode":
-        oracle_step = config.sections["ode"].oracle_step
-        _require_small_step(config, "'ode.oracle_step'", oracle_step, 1.0, _RK4_STABILITY_LIMIT)
+        _require_stable_oracle_step(config)
     if command == "clt":
-        _require_small_step(
-            config, "the clt variance step DEFAULT_ODE_STEP", DEFAULT_ODE_STEP, 2.0,
-            _RK4_ACCURACY_LIMIT,
-        )
+        try:
+            FluctuationLaw(config.sections["clt"].z0, config.model)
+        except UnsupportedModelError as err:
+            raise ConfigError(f"clt: {err}") from None
 
 
-def _require_small_step(
-    config: ExperimentConfig, what: str, step: float, factor: float, limit: float
-) -> None:
-    """Raise ConfigError unless RK4's fixed step h meets h * factor * (s + u) <= limit.
-
-    factor * (s + u) bounds the stiffness of the equation stepped.
-    """
+def _require_stable_oracle_step(config: ExperimentConfig) -> None:
+    """Raise ConfigError unless the oracle step h meets h * (s + u) <= 2.785."""
+    step = config.sections["ode"].oracle_step
+    limit = _RK4_STABILITY_LIMIT
     rate = config.model.s + config.model.u
-    stiffness = factor * rate
-    if stiffness > 0.0 and step > limit / stiffness:
-        term = "(s + u)" if factor == 1.0 else f"{factor:g} (s + u)"
+    if rate > 0.0 and step > limit / rate:
         raise ConfigError(
-            f"{what} = {step!r} is too large for s + u = {rate!r}: RK4 needs"
-            f" step * {term} <= {limit}, so the largest admissible step is"
-            f" {limit} / {term} = {limit / stiffness!r}, and at this step s + u"
-            f" must be <= {limit / (factor * step)!r}"
+            f"'ode.oracle_step' = {step!r} is too large for s + u = {rate!r}: RK4 needs"
+            f" step * (s + u) <= {limit}, so the largest admissible step is"
+            f" {limit} / (s + u) = {limit / rate!r}, and at this step s + u"
+            f" must be <= {limit / step!r}"
         )

@@ -3,40 +3,57 @@
 Around the deterministic flow z the rescaled deviation converges to the
 centred Gaussian diffusion V with V_0 = 0 and
 
-    dV_t = drift_slope(z(t)) V_t dt + sqrt(diffusion(z(t))) dB_t,
+    dV_t = drift_slope(z(t)) V_t dt + sqrt(diffusion(z(t))) dB_t
 
-so its variance solves the linear equation
+(Kurtz 1971, 1978; van Kampen's linear-noise approximation), so its
+variance solves Sigma' = 2 drift_slope(z) Sigma + diffusion(z) from
+Sigma(0) = 0, and Sigma(t) = drift(z_t)^2 int_0^t diffusion(z_v) /
+drift(z_v)^2 dv wherever the drift does not vanish. The flow is
+explicit, and so is Sigma. Under selection (s > 0) let
+w(t) = C exp(-sqrt(D) t), C = (z0 - x_plus) / (z0 - x_minus). Then
+z = (x_plus - x_minus w) / (1 - w), drift(z) = -s Delta^2 w / (1 - w)^2
+with Delta = x_plus - x_minus, diffusion(z) (1 - w)^2 is a quadratic
+P(w), and with r_0..r_4 the coefficients of P(w) (1 - w)^2, x = sqrt(D) t,
 
-    Sigma'(t) = 2 drift_slope(z(t)) Sigma(t) + diffusion(z(t)),  Sigma(0) = 0.
+    Sigma(t) = sum_k r_k w(t)^k I_k(x) / (sqrt(D) (1 - w(t))^4),
+    I_k(x) = int_1^{e^x} y^(k - 3) dy,
 
-Away from the stable point the solution also has the path-integral form
+so I_0..I_4 are -expm1(-2x)/2, -expm1(-x), x, expm1(x), expm1(2x)/2.
+At w = 0 (a stable start) this is the Ornstein-Uhlenbeck law
+sigma_inf^2 (1 - exp(-2 r t)), and every start tends to sigma_inf^2.
+Without selection the same sum holds with w(t) = z(t) - nu0, r_k the
+Taylor coefficients of diffusion at nu0, no (1 - w)^4 and sqrt(D) = u.
 
-    Sigma(t) = drift(z(t))^2 * int_{z0}^{z(t)} diffusion(y) / drift(y)^3 dy,
+The sum neither overflows nor cancels: r_k is paired with C^k when
+|C| <= 1, and w / (1 - w) and 1 / (1 - w), both bounded, are kept when
+|C| > 1. Where 1 - w(t) < 0.05 (a start above x_plus in a nearly
+critical model) the monomials cancel to about eps / (1 - w)^3 relative,
+and a power series in 1 - w is summed instead.
 
-which degenerates as z(t) approaches the stable point (the integrand
-blows up while the prefactor vanishes); evaluation falls back to the
-variance equation inside a small band around it. Started at the stable
-point the law is an Ornstein-Uhlenbeck bridge from zero variance,
+Between grid times V_{t+h} = a V_t + eps, with Var(eps) =
+Sigma(t+h) - a^2 Sigma(t) and the exact propagator
 
-    Sigma(t) = sigma_inf^2 (1 - exp(-2 r t)),
-    sigma_inf^2 = diffusion(x_stable) / (2 r),
+    a = exp(int_t^{t+h} drift_slope(z_v) dv) = drift(z_{t+h}) / drift(z_t)
+      = exp(-sqrt(D) h) ((1 - w(t)) / (1 - w(t+h)))^2.
 
-with r the relaxation rate of the flow. All operations here require
-u > 0 so the noise coefficient is bounded away from zero on [0, 1].
+Everything here requires u > 0, so the noise is bounded away from zero
+on [0, 1]. variance_ode, RK4 on the variance equation, is the
+independent oracle of the closed form.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple, Sequence, Union
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import rk4
 from .deterministic import (
     DeterministicSolution,
     DriftFunctions,
+    Equilibria,
+    Regime,
     equilibria,
     solve_deterministic,
 )
@@ -50,19 +67,22 @@ from .model import (
     check_seed,
 )
 
-ArrayLike = Union[float, np.ndarray]
-
-# |z(t) - x_stable| at or below this switches the closed form over to the
-# variance equation; the path-integral form is ill-conditioned there.
-FALLBACK_BAND = 1e-4
-# Default RK4 step for the variance equation.
-DEFAULT_ODE_STEP = 1e-3
-# Quadrature tolerances shared by every quad call in this module.
-QUAD_EPSABS = 1e-10
-QUAD_EPSREL = 1e-8
+# Past sqrt(D) t = 2000, C exp(-sqrt(D) t) underflows for every finite C;
+# capping sqrt(D) t there keeps it finite for every t.
+_X_CAP = 2000.0
+# Below this 1 - w(t), Sigma is summed as a power series in 1 - w, whose
+# n-th term is at most 0.05^(n - 3) n^2 of the first: below 1e-27 past 24.
+_ETA_SERIES = 0.05
+_SERIES_TERMS = 24
 
 
 class VarianceResult(NamedTuple):
+    """Sigma(t) by the closed form.
+
+    used_fallback is always False: the closed form holds at every start
+    and time. The field stays for callers that read it.
+    """
+
     value: float
     used_fallback: bool
 
@@ -95,8 +115,7 @@ def variance_ode(
     """Fixed-step RK4 solution of the variance equation from Sigma(0) = 0.
 
     Returns (times, variances) at every node from 0 to t_end. This is
-    the uniformly stable evaluator and the oracle the closed form is
-    checked against.
+    the independent oracle the closed form is checked against.
     """
     _require_noise(params)
     sol = solve_deterministic(z0, params)
@@ -104,47 +123,9 @@ def variance_ode(
 
 
 def variance_closed_form(z0: float, t: float, params: ModelParams) -> VarianceResult:
-    """Sigma(t) by the path-integral closed form, with automatic fallback.
-
-    Inside the band |z(t) - x_stable| <= 1e-4 the closed form loses all
-    precision, so the variance equation is integrated instead and the
-    returned flag records that the fallback engaged.
-    """
-    _require_noise(params)
-    sol = solve_deterministic(z0, params)
-    t = check_real(t, "t", minimum=0.0)
-    eq = sol.equilibria
-    x_stable, rate = eq.x_stable, eq.relaxation_rate
-    funcs = DriftFunctions(params)
-    if z0 == x_stable:
-        return VarianceResult(limit_variance(params) * (1.0 - math.exp(-2.0 * rate * t)), False)
-    z_t = sol(t)
-    if abs(z_t - x_stable) <= FALLBACK_BAND:
-        if t == 0.0:
-            return VarianceResult(0.0, True)
-        step = min(DEFAULT_ODE_STEP, t)
-        _, values = rk4.integrate(
-            _variance_rhs(sol), 0.0, t, step, post=_snap_nonneg
-        )
-        return VarianceResult(float(values[-1]), True)
-    if t == 0.0:
-        return VarianceResult(0.0, False)
-
-    def integrand(y: float) -> float:
-        drift = funcs.drift(y)
-        return funcs.diffusion(y) / (drift * drift * drift)
-
-    integral = quad(
-        integrand,
-        sol.z0,
-        z_t,
-        epsabs=QUAD_EPSABS,
-        epsrel=QUAD_EPSREL,
-        limit=200,
-        full_output=1,
-    )[0]
-    prefactor = funcs.drift(z_t)
-    return VarianceResult(prefactor * prefactor * integral, False)
+    """Sigma(t) from the start z0, by the elementary closed form."""
+    law = FluctuationLaw(z0, params)
+    return VarianceResult(law.variance(t), False)
 
 
 def characteristic_fn(
@@ -167,26 +148,101 @@ def limit_variance(params: ModelParams) -> float:
     return DriftFunctions(params).diffusion(eq.x_stable) / (2.0 * eq.relaxation_rate)
 
 
+def _times_coefficients(p0: float, p1: float, p2: float, c: float) -> tuple:
+    """Coefficients of (p0 + p1 y + p2 y^2) (1 - c y)^2 in y."""
+    return (
+        p0,
+        p1 - 2.0 * c * p0,
+        p2 - 2.0 * c * p1 + c * c * p0,
+        c * c * p1 - 2.0 * c * p2,
+        c * c * p2,
+    )
+
+
 class FluctuationLaw:
     """Time-indexed Gaussian law of the scaled deviation started at z0.
 
-    Bundles the deterministic flow and the variance evaluators behind
-    one object so repeated queries share the precomputed equilibrium
-    data.
+    The constructor reduces the model and start to the few numbers the
+    closed form needs, so every query on a grid costs a fixed number of
+    array operations.
     """
 
-    def __init__(self, z0: float, params: ModelParams, ode_step: float = DEFAULT_ODE_STEP):
+    def __init__(self, z0: float, params: ModelParams):
         _require_noise(params)
-        ode_step = check_real(ode_step, "ode_step", 0.0, exclusive=True)
         self.params = params
         self.solution = solve_deterministic(z0, params)
         self.z0 = self.solution.z0
-        self._ode_step = ode_step
         eq = self.solution.equilibria
         self.x_stable = eq.x_stable
         self.relaxation_rate = eq.relaxation_rate
-        self._at_stable = self.z0 == self.x_stable
         self.limit_variance = limit_variance(params)
+        # A start at the unstable point stays there. In [0, 1] that takes
+        # x_minus = -u nu0 / (s x_plus) rounding to 0, so the noise u nu0
+        # at 0 is negligible beside s, and Sigma (all rho_k = 0) and V are
+        # taken as 0.
+        self._frozen = self.z0 == eq.x_unstable
+        # w(0); 1 - w(0); rho_k = r_k scale^k; omega = w(0) / scale, so
+        # w(t) / scale = omega exp(-x); power-series weights in 1 - w.
+        self._w0, self._eta0, self._rho, self._omega, self._series = 0.0, 1.0, (0.0,) * 5, 1.0, None
+        if eq.regime is Regime.MUTATION_ONLY:
+            # diffusion(nu0 + w) = 2 nu0 nu1 (1 + u) + (1 - 2 nu0) (2 + u) w - 2 w^2
+            nu0, u, offset = params.nu0, params.u, self.z0 - params.nu0
+            self._rho = _times_coefficients(
+                2.0 * nu0 * params.nu1 * (1.0 + u),
+                (1.0 - 2.0 * nu0) * (2.0 + u) * offset,
+                -2.0 * offset * offset,
+                0.0,
+            )
+        elif not self._frozen:
+            self._selection(params, eq)
+
+    def _selection(self, params: ModelParams, eq: Equilibria) -> None:
+        s, u = params.s, params.u
+        x_plus, x_minus, rate = eq.x_stable, eq.x_unstable, eq.relaxation_rate
+        delta = x_plus - x_minus
+        d_minus = self.z0 - x_minus
+        w0 = (self.z0 - x_plus) / d_minus
+        if not math.isfinite(w0):
+            raise UnsupportedModelError(
+                f"z0 = {self.z0!r} lies within float rounding of the unstable point"
+                f" {x_minus!r}: w(0) = (z0 - x_plus) / (z0 - x_minus) overflows"
+            )
+        self._w0, self._eta0 = w0, delta / d_minus
+        # diffusion = 2 q(., -1) + drift, so with q(z, -1) = z (k - z):
+        # P(w) = 2 (x_plus - x_minus w) (k (1 - w) - x_plus + x_minus w) - s Delta^2 w.
+        # Its coefficients, times scale^k, are formed without cancellation
+        # or overflow: 1 - x_plus comes from drift(1) = -u nu1, and scale
+        # is w(0) when |w(0)| <= 1, which keeps them finite as s -> 0.
+        down = u * params.nu1
+        k = 1.0 + down
+        scale, self._omega = (w0, 1.0) if abs(w0) <= 1.0 else (1.0, w0)
+        minus = x_minus * scale
+        p0 = 2.0 * x_plus * (down / (s * (1.0 - x_minus)) + down)
+        p1 = -2.0 * k * (x_plus * scale + minus) + 4.0 * x_plus * minus - rate * (delta * scale)
+        p2 = 2.0 * minus * ((k - x_minus) * scale)
+        self._rho = _times_coefficients(p0, p1, p2, scale)
+        if 0.0 < w0 and self._eta0 < _ETA_SERIES:
+            # P(1 - eta) = c0 + c1 eta + c2 eta^2, and
+            # int eta^(j+2) / (1 - eta)^3 = sum_m binom(m+2, 2) eta^n / n
+            # over n = j + m + 3.
+            c = (
+                -(2.0 + s) * delta * delta,
+                delta * (2.0 * k - 4.0 * x_minus + s * delta),
+                2.0 * x_minus * (k - x_minus),
+            )
+            n = np.arange(3, _SERIES_TERMS + 3)
+            self._series = sum(cj * (n - j - 1) * (n - j - 2) / 2 for j, cj in enumerate(c)) / n
+
+    def _coordinates(self, ts: np.ndarray) -> tuple:
+        """x = sqrt(D) t (capped), exp(-x), -expm1(-x) and 1 - w(t) on a grid."""
+        rate = self.relaxation_rate
+        x = np.minimum(ts, _X_CAP / rate) * rate
+        decay = np.exp(-x)
+        rise = -np.expm1(-x)
+        w0 = self._w0
+        # for w0 > 0, 1 - w0 + w0 (1 - exp(-x)) adds two positive terms
+        eta = self._eta0 + w0 * rise if w0 > 0.0 else 1.0 - w0 * decay
+        return x, decay, rise, eta
 
     def variance(self, t: float) -> float:
         t = check_real(t, "t", minimum=0.0)
@@ -195,13 +251,54 @@ class FluctuationLaw:
     def variance_on_grid(self, times: Sequence[float]) -> np.ndarray:
         """Sigma at the given strictly increasing times (t >= 0)."""
         ts = check_grid(times, "times")
-        if self._at_stable:
-            return self.limit_variance * (
-                1.0 - np.exp(-2.0 * self.relaxation_rate * ts)
-            )
-        return rk4.integrate_at(
-            _variance_rhs(self.solution), 0.0, ts, self._ode_step, post=_snap_nonneg
+        x, decay, rise, eta = self._coordinates(ts)
+        half_rise2 = -0.5 * np.expm1(-2.0 * x)
+        near = eta < _ETA_SERIES
+        rho0, rho1, rho2, rho3, rho4 = self._rho
+        b = 1.0 / np.where(near, 1.0, eta)
+        a = self._omega * decay * b  # w(t) / (scale (1 - w(t)))
+        ab = a * b
+        abw = ab * self._omega
+        total = (
+            rho0 * b**4 * half_rise2
+            + rho1 * a * b**3 * rise
+            + rho2 * ab * ab * x
+            + rho3 * ab * abw * rise
+            + rho4 * abw * abw * half_rise2
         )
+        if near.any():
+            total[near] = self._series_sum(decay[near], rise[near], eta[near])
+        return np.maximum(total, 0.0) / self.relaxation_rate
+
+    def _series_sum(self, decay: np.ndarray, rise: np.ndarray, eta: np.ndarray) -> np.ndarray:
+        """sqrt(D) Sigma as w^2 / eta^4 times int_{eta0}^{eta} e^2 P(1 - e) / (1 - e)^3 de.
+
+        Each eta^n - eta0^n is (eta - eta0) eta^(n-1) h, with the
+        bounded h = sum_{i<n} (eta0 / eta)^i, so nothing cancels.
+        """
+        w0 = self._w0
+        ratio = self._eta0 / eta
+        h = 1.0 + ratio * (1.0 + ratio)
+        term = w0 * rise / eta / eta  # (eta - eta0) eta^(n-5) at n = 3
+        inner = np.zeros_like(eta)
+        for weight in self._series:
+            inner += weight * term * h
+            term = term * eta
+            h = 1.0 + ratio * h
+        w = w0 * decay
+        return w * w * inner
+
+    def propagators(self, times: Sequence[float]) -> np.ndarray:
+        """exp(int drift_slope(z_v) dv) = drift(z_{t+h}) / drift(z_t) over each grid step."""
+        ts = check_grid(times, "times")
+        rate = self.relaxation_rate
+        x_steps = np.minimum(np.diff(ts), _X_CAP / rate) * rate
+        if self._frozen:  # drift_slope(x_minus) = +sqrt(D)
+            with np.errstate(over="ignore"):
+                return np.exp(x_steps)
+        _, _, _, eta = self._coordinates(ts)
+        ratio = eta[:-1] / eta[1:]
+        return np.exp(-x_steps) * ratio * ratio
 
 
 def sample_fluctuation_paths(
@@ -214,15 +311,12 @@ def sample_fluctuation_paths(
     """Exact draws of the Gaussian fluctuation process on a time grid.
 
     The process is Gaussian and Markov, so between consecutive grid
-    times it propagates as V_{t+h} = a V_t + eps with
-
-        a = exp( int_t^{t+h} drift_slope(z(v)) dv ),
-        Var(eps) = Sigma(t+h) - a^2 Sigma(t),
-
-    both evaluated by quadrature and the variance equation. Marginals
-    on the grid are exact in distribution, not Euler approximations.
-    Path p draws from the stream seeded by (rng_seed, p), so any prefix
-    of paths is reproducible independently of n_paths.
+    times it propagates as V_{t+h} = a V_t + eps with the exact
+    propagator a = drift(z_{t+h}) / drift(z_t) and Var(eps) =
+    Sigma(t+h) - a^2 Sigma(t), both in closed form. Marginals on the
+    grid are exact in distribution, not Euler approximations. Path p
+    draws from the stream seeded by (rng_seed, p), so any prefix of
+    paths is reproducible independently of n_paths.
 
     Returns an (n_paths, len(t_grid)) matrix; column 0 is identically 0.
     """
@@ -233,32 +327,14 @@ def sample_fluctuation_paths(
         raise DomainError(f"t_grid must start at 0, got {ts[0]}")
 
     law = FluctuationLaw(z0, params)
-    sigma2 = law.variance_on_grid(ts)
-    flow = law.solution.flow(math.exp)
-    slope = DriftFunctions(params).drift_slope
-
-    n_steps = ts.size - 1
-    propagate = np.empty(n_steps)
-    shock_sd = np.empty(n_steps)
-    for i in range(n_steps):
-        exponent = quad(
-            lambda v: slope(flow(v)),
-            ts[i],
-            ts[i + 1],
-            epsabs=QUAD_EPSABS,
-            epsrel=QUAD_EPSREL,
-            limit=200,
-            full_output=1,
-        )[0]
-        propagate[i] = math.exp(exponent)
-        # roundoff can push the shock variance a hair below zero
-        shock_sd[i] = math.sqrt(
-            max(sigma2[i + 1] - propagate[i] ** 2 * sigma2[i], 0.0)
-        )
-
     paths = np.zeros((n_paths, ts.size))
-    if n_steps == 0:
+    n_steps = ts.size - 1
+    if n_steps == 0 or law._frozen:
         return paths
+    sigma2 = law.variance_on_grid(ts)
+    propagate = law.propagators(ts)
+    # roundoff can push the shock variance a hair below zero
+    shock_sd = np.sqrt(np.maximum(sigma2[1:] - propagate * (propagate * sigma2[:-1]), 0.0))
     shocks = np.empty((n_paths, n_steps))
     for p in range(n_paths):
         shocks[p] = np.random.default_rng([rng_seed, p]).standard_normal(n_steps)

@@ -537,21 +537,22 @@ def clt_statistics(
     summary = run_ensemble(k0, grid, n_paths, rng_seed, params, reference=reference)
     sigma2 = law.variance_on_grid(grid)
     scaled = summary.scaled_deviations
+    means = summary.scaled_dev_mean
+    variances = summary.scaled_dev_var
 
     rows = []
     for j, t in enumerate(grid):
-        column = scaled[:, j]
-        variance = float(column.var(ddof=1)) if n_paths > 1 else 0.0
+        variance = float(variances[j])
         row = {
             "t": float(t),
-            "scaled_mean": float(column.mean()),
+            "scaled_mean": float(means[j]),
             "scaled_var": variance,
             "sigma2": float(sigma2[j]),
         }
         if sigma2[j] > 0.0:
             row["var_ratio"] = variance / float(sigma2[j])
             row["ks_statistic"] = float(
-                kstest(column, "norm", args=(0.0, math.sqrt(float(sigma2[j])))).statistic
+                kstest(scaled[:, j], "norm", args=(0.0, math.sqrt(float(sigma2[j])))).statistic
             )
         else:
             row["var_ratio"] = None

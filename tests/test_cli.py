@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 
 import pytest
 
@@ -221,19 +222,29 @@ class TestMainExitCodes:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("s", [3000.0, 150.0])
-    def test_inaccurate_clt_variance_step_exits_2(self, tmp_path, capsys, s):
-        # the variance equation's fixed step 1e-3 needs 2 (s + u) h <= 0.2
-        path = make_config(tmp_path, {"model.s": s})
+    def test_stiff_clt_runs_with_finite_variance(self, tmp_path, capsys, s):
+        # Sigma is in closed form, so a stiff variance equation needs no step bound
+        path = make_config(tmp_path, {"model.s": s, "model.N": 50, "clt.n_paths": 8})
         code = cli.main(["clt", "--config", str(path), "--out", str(tmp_path / "o")])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "s + u must be <= 100.0" in err
-        assert "Traceback" not in err
+        assert code == 0
+        assert "Traceback" not in capsys.readouterr().err
+        report = json.loads((tmp_path / "o" / "clt_report.json").read_text(encoding="utf-8"))
+        sigma2 = [row["sigma2"] for row in report["results"]["rows"]]
+        assert sigma2[0] == 0.0
+        assert all(math.isfinite(value) and value > 0.0 for value in sigma2[1:])
 
     def test_clt_inside_variance_step_bound_runs(self, tmp_path, capsys):
         path = make_config(tmp_path, {"model.s": 99.0})
         code = cli.main(["clt", "--config", str(path), "--out", str(tmp_path / "o")])
         assert code == 0
+
+    def test_clt_start_at_rounded_unstable_point_exits_2(self, tmp_path, capsys):
+        # x_minus = -u nu0 / (s x_plus) is about -1e-310, so w(0) overflows at z0 = 0
+        path = make_config(tmp_path, {"model.u": 1e-10, "model.nu0": 1e-300, "clt.z0": 0.0})
+        code = cli.main(["clt", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "unstable point" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("key", ["model.s", "ode.t_end"])
     def test_integer_beyond_float_range_exits_2(self, tmp_path, capsys, key):

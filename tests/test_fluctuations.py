@@ -4,9 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from moranlimits import (
     DomainError,
+    DriftFunctions,
     FluctuationLaw,
     ModelParams,
     UnsupportedModelError,
@@ -19,6 +23,7 @@ from moranlimits import (
     variance_ode,
 )
 from moranlimits import fluctuations
+from moranlimits.config import MAX_RATE
 from moranlimits.selfcheck import parameter_panel, reference_params
 
 REF = reference_params()
@@ -65,12 +70,12 @@ class TestVariance:
             result = variance_closed_form(REF_EQ.x_stable, t, REF)
             assert result.value == pytest.approx(expected, rel=1e-14)
 
-    def test_fallback_inside_equilibrium_band(self):
+    def test_start_next_to_stable_point_matches_ode(self):
+        # within 1e-4 of x_stable, where a path-integral form would be ill-conditioned
         z0 = REF_EQ.x_stable + 5e-5
+        times, values = variance_ode(z0, 1.0, 1e-3, REF)
         result = variance_closed_form(z0, 1.0, REF)
-        assert result.used_fallback
-        direct = variance_closed_form(REF_EQ.x_stable, 1.0, REF)
-        assert result.value == pytest.approx(direct.value, rel=1e-4)
+        assert result.value == pytest.approx(values[-1], rel=1e-9)
 
     def test_decreasing_flow_side(self):
         result = variance_closed_form(0.95, 1.0, REF)
@@ -88,8 +93,6 @@ class TestVariance:
             times, values = variance_ode(z0, horizon, horizon / 2000.0, params)
             for idx in (500, 1000, 2000):
                 closed = variance_closed_form(z0, float(times[idx]), params)
-                if closed.used_fallback:
-                    continue
                 assert closed.value == pytest.approx(values[idx], rel=1e-5)
 
     def test_limit_variance_frozen(self):
@@ -104,6 +107,122 @@ class TestVariance:
             variance_closed_form(0.1, -1.0, REF)
         with pytest.raises(DomainError):
             variance_ode(0.1, 1.0, 0.0, REF)
+
+
+def log_uniform(low: float, high: float):
+    """Powers of ten with exponents drawn from [low, high]."""
+    return st.floats(low, high).map(lambda exponent: 10.0**exponent)
+
+
+class TestClosedForm:
+    # The oracle is RK4 at step (s + u) = 0.05 and at half that step,
+    # Richardson-extrapolated: alone its error reaches 2e-5 of Sigma, and
+    # combined about 1e-7. Its Horner polynomials also lose digits where
+    # diffusion is far below its terms, near x = 1 when s >> u nu1; the
+    # domain keeps s / (u nu1) below 1e10, where that stays under 1e-6.
+    @settings(max_examples=150, deadline=None)
+    @given(
+        s=st.one_of(st.just(0.0), log_uniform(-9.0, 4.0)),
+        u=log_uniform(-3.0, 3.0),
+        nu0=st.one_of(log_uniform(-12.0, -1.0), st.floats(0.1, 0.999)),
+        z0=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+        n_steps=st.integers(1, 1000),
+    )
+    def test_matches_variance_ode(self, s, u, nu0, z0, n_steps):
+        params = ModelParams(N=100, s=s, u=u, nu0=nu0)
+        step = 0.05 / (s + u)
+        times, coarse = variance_ode(z0, n_steps * step, step, params)
+        _, fine = variance_ode(z0, n_steps * step, step / 2.0, params)
+        assert fine.size == 2 * coarse.size - 1
+        oracle = fine[::2] + (fine[::2] - coarse) / 15.0
+        closed = FluctuationLaw(z0, params).variance_on_grid(times[1:])
+        np.testing.assert_allclose(closed, oracle[1:], rtol=1e-6, atol=0.0)
+
+    @pytest.mark.parametrize(
+        "s, u, nu0, z0",
+        [
+            (1.0, 1.0, 1e-12, 1.0),  # nearly critical: the power series in 1 - w
+            (1.0, 1.0, 1e-8, 0.5),
+            (2.0, 2.0, 1e-4, 1.0),
+            (1.0, 0.1, 1e-8, 0.0),  # |C| = 8.1e8: the start sits next to x_minus
+            (1e-6, 1.0, 0.3, 0.9),  # s -> 0+
+            (0.0, 0.7, 0.2, 1.0),  # mutation only
+        ],
+    )
+    def test_edge_regimes_match_fine_ode(self, s, u, nu0, z0):
+        params = ModelParams(N=100, s=s, u=u, nu0=nu0)
+        times, values = variance_ode(z0, 5.0, 1e-3, params)
+        closed = FluctuationLaw(z0, params).variance_on_grid(times[1:])
+        np.testing.assert_allclose(closed, values[1:], rtol=1e-8, atol=0.0)
+
+    def test_exact_limits(self):
+        starts = [(params, z0) for params, z0 in parameter_panel(6)]
+        starts += [(REF, 0.0), (REF, 1.0), (REF, REF_EQ.x_stable)]
+        starts += [(ModelParams(N=5, s=0.0, u=0.7, nu0=0.2), 1.0)]
+        for params, z0 in starts:
+            law = FluctuationLaw(z0, params)
+            sigma2 = law.variance_on_grid([0.0, 1e300])
+            assert sigma2[0] == 0.0
+            assert sigma2[1] == pytest.approx(limit_variance(params), rel=1e-13)
+
+    @pytest.mark.parametrize(
+        "s, u, nu0",
+        [
+            (MAX_RATE, MAX_RATE, 0.5),
+            (MAX_RATE, 1.0, 0.5),
+            (MAX_RATE, 1e-150, 0.5),
+            (1e-150, MAX_RATE, 0.5),
+            (0.0, MAX_RATE, 0.5),
+            (1.0, 1.0, 1e-300),
+            (MAX_RATE, MAX_RATE, 1e-300),
+        ],
+    )
+    @pytest.mark.parametrize("z0", [0.0, 0.5, 1.0])
+    def test_finite_up_to_max_rate(self, s, u, nu0, z0):
+        # pytest turns any RuntimeWarning (overflow, inf * 0) into an error
+        params = ModelParams(N=10, s=s, u=u, nu0=nu0)
+        times = [0.0, 1e-300, 1e-150, 1e-10, 1.0, 1e10, 1e300]
+        sigma2 = FluctuationLaw(z0, params).variance_on_grid(times)
+        assert np.all(np.isfinite(sigma2)) and np.all(sigma2 >= 0.0)
+        paths = sample_fluctuation_paths(z0, times, 4, 3, params)
+        assert np.all(np.isfinite(paths))
+
+    def test_start_at_unstable_point_stays_put(self):
+        # u nu0 underflows to 0, so x_minus = -u nu0 / (s x_plus) is -0.0
+        params = ModelParams(N=10, s=1.0, u=1e-200, nu0=1e-200)
+        assert equilibria(params).x_unstable == 0.0
+        times = np.linspace(0.0, 3.0, 4)
+        assert np.all(FluctuationLaw(0.0, params).variance_on_grid(times) == 0.0)
+        assert np.all(sample_fluctuation_paths(0.0, times, 3, 1, params) == 0.0)
+
+    def test_start_within_rounding_of_unstable_point_rejected(self):
+        # x_minus is about -1e-310, so C = -x_plus / 1e-310 overflows
+        params = ModelParams(N=10, s=1.0, u=1e-10, nu0=1e-300)
+        with pytest.raises(UnsupportedModelError, match="unstable point"):
+            FluctuationLaw(0.0, params)
+
+    @pytest.mark.parametrize(
+        "params, z0",
+        [
+            (REF, 0.1),
+            (REF, 0.95),
+            (REF, 0.0),
+            (REF, REF_EQ.x_stable),
+            (ModelParams(N=5, s=0.0, u=0.7, nu0=0.2), 0.9),
+            (ModelParams(N=5, s=1.0, u=1.0, nu0=1e-8), 1.0),
+            (ModelParams(N=5, s=3.0, u=0.1, nu0=1e-3), 0.0),
+        ],
+    )
+    def test_propagator_matches_quadrature(self, params, z0):
+        grid = np.linspace(0.0, 3.0, 13)
+        law = FluctuationLaw(z0, params)
+        slope = DriftFunctions(params).drift_slope
+        flow = law.solution
+        expected = [
+            math.exp(quad(lambda v: slope(flow(v)), a, b, epsabs=1e-15, epsrel=1e-13)[0])
+            for a, b in zip(grid[:-1], grid[1:])
+        ]
+        np.testing.assert_allclose(law.propagators(grid), expected, rtol=1e-12, atol=0.0)
 
 
 class TestCharacteristicFunction:
@@ -174,12 +293,12 @@ class TestSampler:
             sample_fluctuation_paths(0.1, np.array([0.0, 1.0]), 0, 1, REF)
 
     def test_seed_rejected_before_any_quadrature(self, monkeypatch):
-        # Path p draws from [rng_seed, p], so the seed is one integer >= 0.
-        def no_quadrature(*args, **kwargs):
-            raise AssertionError("integrated before validating the seed")
+        # Path p draws from [rng_seed, p], so the seed is one integer >= 0;
+        # it is checked before the law is built or Sigma evaluated.
+        def no_evaluation(*args, **kwargs):
+            raise AssertionError("evaluated the law before validating the seed")
 
-        monkeypatch.setattr(fluctuations, "quad", no_quadrature)
-        monkeypatch.setattr(fluctuations.rk4, "integrate_at", no_quadrature)
+        monkeypatch.setattr(fluctuations, "FluctuationLaw", no_evaluation)
         for bad in ([1, 2], (3,), True, -1, 1.5, "7", None):
             with pytest.raises(DomainError, match="rng_seed"):
                 sample_fluctuation_paths(0.1, np.array([0.0, 1.0]), 4, bad, REF)
@@ -239,10 +358,6 @@ class TestSampler:
         # a^2 * Var(1) + shock variance = Var(2); recover a by quadrature-free
         # identity Cov = a * Var(1) and check the ratio against the model a.
         sol = solve_deterministic(0.1, REF)
-        from scipy.integrate import quad
-
-        from moranlimits import DriftFunctions
-
         slope = DriftFunctions(REF).drift_slope
         log_a, _ = quad(lambda v: slope(sol(v)), 1.0, 2.0)
         a = math.exp(log_a)

@@ -39,8 +39,8 @@ GOLDEN = {
         "ensemble_report.json": "6347e6c95e019502892b91c4140a6978fef19cfecaf850463476ab35c8251078",
     },
     ("clt", "reference"): {
-        "clt_table.csv": "69a9d059bd06cb8878a134951da4332f2061ae2a7646771b85d3fe8374ae31e5",
-        "clt_report.json": "3361810b7f98d891ce98d85c380bea6c7aeb48c2f3277a0d7e59795803d02975",
+        "clt_table.csv": "55513adda8efc6947efb9a3ebfd00a525f7a0f3c07de426609af169499c7a23e",
+        "clt_report.json": "8bf7819ab17109b3b3540a5f3fa085dfa1283ce162e5c47c922d255b1bd2b72f",
     },
     ("simulate", "absorbing"): {
         "ensemble_table.csv": "5c08c44a295deb0e88c51399b16cc0d659718f782462dac5d31568f2ba92fbb5",
