@@ -29,7 +29,6 @@ from .deterministic import (
 from .fluctuations import (
     FluctuationLaw,
     VarianceResult,
-    characteristic_fn,
     limit_variance,
     sample_fluctuation_paths,
     variance_closed_form,
@@ -77,7 +76,6 @@ __all__ = [
     "solve_deterministic",
     "FluctuationLaw",
     "VarianceResult",
-    "characteristic_fn",
     "limit_variance",
     "sample_fluctuation_paths",
     "variance_closed_form",

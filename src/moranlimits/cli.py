@@ -7,9 +7,10 @@ Subcommands:
     stationary  stationary law and Gaussian concentration sweep
     selfcheck   run the acceptance criteria and report pass/fail
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure
-reported by selfcheck. Artifacts are deterministic: re-running a
-command with the same config and seed reproduces every byte.
+Exit codes: 0 success, 2 configuration error (including a model
+precondition the library raises), 3 numerical failure reported by
+selfcheck. Artifacts are deterministic: re-running a command with the
+same config and seed reproduces every byte.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 from .config import ConfigError, ExperimentConfig, load_config, validate_for_command
 from .deterministic import classify_regime, equilibria, ode_oracle_at, solve_deterministic
 from .io import dump_json, write_csv
-from .model import ModelParams, UnsupportedModelError
+from .model import DomainError, ModelParams, UnsupportedModelError
 from .simulate import clt_statistics, run_ensemble, simulate_path, summarize_paths
 from .stationary import gaussian_limit_check, stationary_distribution
 
@@ -288,16 +289,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; a config it cannot run on exits EXIT_CONFIG.
+
+    The model's preconditions are raised by the library code that needs
+    them, so a DomainError or UnsupportedModelError from the command
+    exits EXIT_CONFIG like a ConfigError. Every command computes before
+    it writes, so such an exit leaves no artifact. Any other exception
+    propagates.
+    """
     args = build_parser().parse_args(argv)
     try:
         config = load_config(args.config, seed_override=args.seed)
         validate_for_command(config, args.command)
-    except ConfigError as err:
+        out_dir = Path(args.out)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        return _COMMANDS[args.command](config, out_dir)
+    except (ConfigError, DomainError, UnsupportedModelError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    return _COMMANDS[args.command](config, out_dir)
 
 
 def entrypoint() -> None:

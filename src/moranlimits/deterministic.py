@@ -23,13 +23,14 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
 from . import rk4
-from .model import DomainError, ModelParams, UnsupportedModelError, check_real
+from .model import DomainError, ModelParams, UnsupportedModelError, check_real, check_times
 
 ArrayLike = Union[float, np.ndarray]
 
@@ -159,7 +160,9 @@ def equilibria(params: ModelParams) -> Equilibria:
 
     Raises:
         UnsupportedModelError: for s = u = 0, where every point is a
-            fixed point and no isolated equilibrium exists.
+            fixed point and no isolated equilibrium exists; and for s > 0
+            when the discriminant is below the smallest normal float,
+            where it has lost its digits (s = u = 1e-200 rounds it to 0).
     """
     regime = classify_regime(params)
     if regime is Regime.NEUTRAL:
@@ -176,6 +179,12 @@ def equilibria(params: ModelParams) -> Equilibria:
             discriminant=params.u,
         )
     disc = DriftFunctions(params).discriminant
+    if disc < sys.float_info.min:
+        raise UnsupportedModelError(
+            f"the drift discriminant D = (s - u)^2 + 4 s u nu0 = {disc!r} underflows"
+            f" below {sys.float_info.min!r} at s = {params.s!r}, u = {params.u!r};"
+            " the equilibria and the relaxation rate are not resolved"
+        )
     root = math.sqrt(disc)
     x_minus, x_plus = _drift_roots(params, root)
     return Equilibria(
@@ -202,16 +211,6 @@ def _snap_unit(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def _validate_times(t: ArrayLike) -> tuple[np.ndarray, bool]:
-    """Finite times >= 0 as a 1-d array, and whether t was a scalar."""
-    arr = np.asarray(t, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise DomainError("t must be finite")
-    if np.any(arr < 0.0):
-        raise DomainError("t must be >= 0")
-    return np.atleast_1d(arr), arr.ndim == 0
-
-
 def _validate_z0(z0: float) -> float:
     return check_real(z0, "z0", 0.0, 1.0)
 
@@ -236,7 +235,7 @@ class DeterministicSolution:
         return None if self.equilibria is None else self.equilibria.x_stable
 
     def __call__(self, t: ArrayLike) -> ArrayLike:
-        arr, scalar = _validate_times(t)
+        arr, scalar = check_times(t, "t")
         # broadcast: where the flow is constant the closure returns z0 itself
         values = _snap_unit(np.broadcast_to(self.flow(np.exp)(arr), arr.shape))
         return float(values[0]) if scalar else values
@@ -347,7 +346,7 @@ class LinearModelSolution:
         )
 
     def __call__(self, t: ArrayLike) -> tuple[ArrayLike, ArrayLike]:
-        arr, scalar = _validate_times(t)
+        arr, scalar = check_times(t, "t")
         x_plus, x_minus = self._x_plus, self._x_minus
         d_minus = self.z0 - x_minus
         d_plus = self.z0 - x_plus

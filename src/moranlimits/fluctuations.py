@@ -128,19 +128,6 @@ def variance_closed_form(z0: float, t: float, params: ModelParams) -> VarianceRe
     return VarianceResult(law.variance(t), False)
 
 
-def characteristic_fn(
-    z0: float, t: float, theta: float, params: ModelParams
-) -> complex:
-    """Characteristic function E exp(i theta V_t) of the fluctuation law.
-
-    The law is centred Gaussian, so the value is the real number
-    exp(-theta^2 Sigma(t) / 2) embedded in the complex plane.
-    """
-    theta = check_real(theta, "theta")
-    sigma2 = variance_closed_form(z0, t, params).value
-    return complex(math.exp(-0.5 * theta * theta * sigma2), 0.0)
-
-
 def limit_variance(params: ModelParams) -> float:
     """Stationary variance diffusion(x_stable) / (2 relaxation_rate)."""
     _require_noise(params)

@@ -24,6 +24,12 @@ import numpy as np
 ArrayLike = Union[float, np.ndarray]
 
 
+# Largest accepted s and u. The drift discriminant (s - u)^2 + 4 s u nu0
+# overflows a float from about 6e153; this cap keeps it, and every rate
+# built from s and u, finite.
+MAX_RATE = 1e150
+
+
 class DomainError(ValueError):
     """An argument lies outside the domain the operation is defined on."""
 
@@ -80,6 +86,16 @@ def check_seed(seed, sequence: bool = False):
     return check_int(seed, "rng_seed", minimum=0)
 
 
+def check_times(times, name: str, maximum: float = math.inf) -> tuple[np.ndarray, bool]:
+    """Finite times in [0, maximum] as a 1-d array, and whether times was a scalar."""
+    arr = np.asarray(times, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise DomainError(f"{name} must be finite")
+    if np.any(arr < 0.0) or np.any(arr > maximum):
+        raise DomainError(f"{name} must lie in [0, {maximum}]")
+    return np.atleast_1d(arr), arr.ndim == 0
+
+
 def check_grid(times, name: str = "t_grid") -> np.ndarray:
     """A non-empty, finite, non-negative, strictly increasing 1-d time grid."""
     try:
@@ -101,8 +117,8 @@ class ModelParams:
 
     Attributes:
         N: population size, integer >= 1.
-        s: selective advantage of type 0, >= 0.
-        u: total mutation rate per individual, >= 0.
+        s: selective advantage of type 0, in [0, MAX_RATE].
+        u: total mutation rate per individual, in [0, MAX_RATE].
         nu0: probability that a mutation produces type 0, strictly
             inside (0, 1). The type-1 probability is always derived as
             nu1 = 1 - nu0 so the pair sums to one exactly.
@@ -115,28 +131,13 @@ class ModelParams:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "N", check_int(self.N, "N", minimum=1))
-        object.__setattr__(self, "s", check_real(self.s, "s", minimum=0.0))
-        object.__setattr__(self, "u", check_real(self.u, "u", minimum=0.0))
+        object.__setattr__(self, "s", check_real(self.s, "s", 0.0, MAX_RATE))
+        object.__setattr__(self, "u", check_real(self.u, "u", 0.0, MAX_RATE))
         object.__setattr__(self, "nu0", check_real(self.nu0, "nu0", 0.0, 1.0, exclusive=True))
 
     @property
     def nu1(self) -> float:
         return 1.0 - self.nu0
-
-    @classmethod
-    def from_dict(cls, block: dict) -> "ModelParams":
-        """Build from a key-value block with exactly the keys N, s, u, nu0."""
-        required = ("N", "s", "u", "nu0")
-        missing = [key for key in required if key not in block]
-        if missing:
-            raise DomainError(f"missing model keys: {', '.join(missing)}")
-        unknown = [key for key in block if key not in required]
-        if unknown:
-            raise DomainError(f"unknown model keys: {', '.join(sorted(unknown))}")
-        return cls(N=block["N"], s=block["s"], u=block["u"], nu0=block["nu0"])
-
-    def to_dict(self) -> dict:
-        return {"N": self.N, "s": self.s, "u": self.u, "nu0": self.nu0}
 
 
 def kernel_q(p: ArrayLike, params: ModelParams) -> tuple[ArrayLike, ArrayLike]:

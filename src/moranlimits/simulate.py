@@ -41,6 +41,7 @@ from .model import (
     check_int,
     check_real,
     check_seed,
+    check_times,
     rate_tables,
 )
 
@@ -323,15 +324,7 @@ def sample_Z_at(times: ArrayLike, path: TrajectoryPath) -> ArrayLike:
     Right-continuous lookup: a query at an event time sees the state
     after the jump. Times must lie in [0, path.final_time].
     """
-    arr = np.asarray(times, dtype=float)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    if not np.all(np.isfinite(arr)):
-        raise DomainError("times must be finite")
-    if np.any(arr < 0.0) or np.any(arr > path.final_time):
-        raise DomainError(
-            f"times must lie in [0, {path.final_time}] where the path is defined"
-        )
+    arr, scalar = check_times(times, "times", maximum=path.final_time)
     states = np.concatenate(([path.k0], path.states))
     idx = np.searchsorted(path.times, arr, side="right")
     values = states[idx] / path.params.N

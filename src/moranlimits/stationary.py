@@ -292,9 +292,9 @@ def gaussian_limit_check(params: ModelParams, eps: float = 0.05) -> GaussianLimi
     """
     eps = check_real(eps, "eps", 0.0, 1.0, exclusive=True)
     _require_mutation(params)
-    dist = stationary_distribution(params)
     eq = equilibria(params)
     target = limit_variance(params)
+    dist = stationary_distribution(params)
     n = params.N
     support = dist.states / n
     mass_outside = float(

@@ -7,13 +7,8 @@ import math
 import pytest
 
 from moranlimits import cli
-from moranlimits.config import (
-    MAX_RATE,
-    ConfigError,
-    load_config,
-    parse_config,
-    validate_for_command,
-)
+from moranlimits.config import ConfigError, load_config, parse_config, validate_for_command
+from moranlimits.model import MAX_RATE
 
 BASE = {
     "schema_version": "1",
@@ -43,6 +38,10 @@ def make_config(tmp_path, overrides=None, drop=()):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(raw), encoding="utf-8")
     return path
+
+
+def assert_no_artifact(out):
+    assert not out.exists() or not any(out.iterdir())
 
 
 def read_csv(path):
@@ -82,7 +81,12 @@ class TestConfigParsing:
 
     def test_missing_model_key(self, tmp_path):
         path = make_config(tmp_path, drop=["model.nu0"])
-        with pytest.raises(ConfigError, match="missing model keys: nu0"):
+        with pytest.raises(ConfigError, match="missing key 'model.nu0'"):
+            load_config(path)
+
+    def test_unknown_model_key(self, tmp_path):
+        path = make_config(tmp_path, {"model.extra": 1})
+        with pytest.raises(ConfigError, match="unknown key 'model.extra'"):
             load_config(path)
 
     def test_schema_version_mismatch(self, tmp_path):
@@ -152,12 +156,19 @@ class TestCommandValidation:
         with pytest.raises(ConfigError, match="the clt command needs it"):
             validate_for_command(config, "clt")
 
-    def test_mutation_free_model_blocks_long_run_commands(self, tmp_path):
-        config = load_config(make_config(tmp_path, {"model.u": 0.0}))
+    def test_mutation_free_model_blocks_long_run_commands(self, tmp_path, capsys):
+        path = make_config(tmp_path, {"model.u": 0.0})
         for command in ("clt", "stationary"):
-            with pytest.raises(ConfigError, match="u > 0"):
-                validate_for_command(config, command)
-        validate_for_command(config, "ode")  # flow itself is fine without noise
+            out = tmp_path / command
+            code = cli.main([command, "--config", str(path), "--out", str(out)])
+            assert code == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error: ") and err.count("\n") == 1
+            assert "u = 0" in err or "u > 0" in err
+            assert "Traceback" not in err
+            assert_no_artifact(out)
+        # the flow itself is fine without noise
+        assert cli.main(["ode", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
 
     def test_oracle_step_bounded_by_rk4_stability(self, tmp_path):
         largest = 2.785 / (1e3 + 0.5)
@@ -215,11 +226,40 @@ class TestMainExitCodes:
     )
     def test_overflowing_rates_exit_2(self, tmp_path, capsys, command, overrides):
         path = make_config(tmp_path, overrides)
-        code = cli.main([command, "--config", str(path), "--out", str(tmp_path / "o")])
+        out = tmp_path / "o"
+        code = cli.main([command, "--config", str(path), "--out", str(out)])
         assert code == 2
         err = capsys.readouterr().err
-        assert "'model.s'" in err or "'model.u'" in err
+        assert "config error: model: s must lie in [0, 1e+150]" in err
         assert "Traceback" not in err
+        assert_no_artifact(out)
+
+    @pytest.mark.parametrize("command", ["ode", "simulate", "clt", "stationary"])
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"model.s": 1e-200, "model.u": 1e-200}, {"model.s": 1e-200, "model.u": 0.0}],
+        ids=["s=u=1e-200", "s=1e-200,u=0"],
+    )
+    def test_underflowing_discriminant_exits_2(self, tmp_path, capsys, command, overrides):
+        path = make_config(tmp_path, overrides)
+        out = tmp_path / "o"
+        code = cli.main([command, "--config", str(path), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        if overrides["model.u"] > 0.0 or command in ("ode", "simulate"):
+            assert "discriminant D" in err  # clt and stationary check u > 0 first
+        assert "Traceback" not in err
+        assert_no_artifact(out)
+
+    def test_other_exceptions_propagate(self, tmp_path, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("not a config error")
+
+        monkeypatch.setattr(cli, "solve_deterministic", broken)
+        path = make_config(tmp_path)
+        with pytest.raises(RuntimeError, match="not a config error"):
+            cli.main(["ode", "--config", str(path), "--out", str(tmp_path / "o")])
 
     @pytest.mark.parametrize("s", [3000.0, 150.0])
     def test_stiff_clt_runs_with_finite_variance(self, tmp_path, capsys, s):
@@ -241,10 +281,12 @@ class TestMainExitCodes:
     def test_clt_start_at_rounded_unstable_point_exits_2(self, tmp_path, capsys):
         # x_minus = -u nu0 / (s x_plus) is about -1e-310, so w(0) overflows at z0 = 0
         path = make_config(tmp_path, {"model.u": 1e-10, "model.nu0": 1e-300, "clt.z0": 0.0})
-        code = cli.main(["clt", "--config", str(path), "--out", str(tmp_path / "o")])
+        out = tmp_path / "o"
+        code = cli.main(["clt", "--config", str(path), "--out", str(out)])
         assert code == 2
         err = capsys.readouterr().err
         assert "unstable point" in err and "Traceback" not in err
+        assert_no_artifact(out)
 
     @pytest.mark.parametrize("key", ["model.s", "ode.t_end"])
     def test_integer_beyond_float_range_exits_2(self, tmp_path, capsys, key):

@@ -79,6 +79,19 @@ class TestEquilibria:
         with pytest.raises(UnsupportedModelError):
             equilibria(ModelParams(N=5, s=0.0, u=0.0, nu0=0.5))
 
+    @pytest.mark.parametrize("s, u", [(1e-200, 1e-200), (1e-200, 0.0), (1e-154, 0.0)])
+    def test_underflowing_discriminant_rejected(self, s, u):
+        # D = (s - u)^2 + 4 s u nu0 is 0, 0 and 1e-308, below the smallest normal float
+        with pytest.raises(UnsupportedModelError, match="discriminant D"):
+            equilibria(ModelParams(N=5, s=s, u=u, nu0=0.5))
+        with pytest.raises(UnsupportedModelError, match="discriminant D"):
+            solve_deterministic(0.5, ModelParams(N=5, s=s, u=u, nu0=0.5))
+
+    def test_smallest_normal_discriminant_resolved(self):
+        eq = equilibria(ModelParams(N=5, s=2e-154, u=0.0, nu0=0.5))  # D = 4e-308
+        assert eq.x_stable == 1.0
+        assert eq.discriminant == pytest.approx(4e-308, rel=1e-15)
+
     def test_mutation_only(self):
         params = ModelParams(N=5, s=0.0, u=0.7, nu0=0.4)
         eq = equilibria(params)

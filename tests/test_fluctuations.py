@@ -1,4 +1,4 @@
-"""Variance law, characteristic function, and the Gaussian path sampler."""
+"""Variance law and the Gaussian path sampler."""
 
 import math
 
@@ -14,7 +14,6 @@ from moranlimits import (
     FluctuationLaw,
     ModelParams,
     UnsupportedModelError,
-    characteristic_fn,
     equilibria,
     limit_variance,
     sample_fluctuation_paths,
@@ -23,7 +22,7 @@ from moranlimits import (
     variance_ode,
 )
 from moranlimits import fluctuations
-from moranlimits.config import MAX_RATE
+from moranlimits.model import MAX_RATE
 from moranlimits.selfcheck import parameter_panel, reference_params
 
 REF = reference_params()
@@ -35,7 +34,6 @@ REF_EQ = equilibria(REF)
 REF_VAR_FROM_TENTH_AT_1 = 0.7119665822504642  # z0 = 0.1, t = 1
 REF_VAR_AT_STABLE_AT_2 = 0.3154532754589792  # z0 = x_stable, t = 2
 REF_LIMIT_VARIANCE = 0.31909830056250527
-REF_CHAR_FN_LIMIT = 0.8525280643725194  # exp(-sigma_inf^2 / 2)
 
 
 class TestVariance:
@@ -223,33 +221,6 @@ class TestClosedForm:
             for a, b in zip(grid[:-1], grid[1:])
         ]
         np.testing.assert_allclose(law.propagators(grid), expected, rtol=1e-12, atol=0.0)
-
-
-class TestCharacteristicFunction:
-    def test_theta_zero_gives_one(self):
-        assert characteristic_fn(0.1, 1.0, 0.0, REF) == 1.0
-
-    def test_gaussian_real_positive(self):
-        value = characteristic_fn(0.1, 1.0, 0.7, REF)
-        assert value.imag == 0.0
-        assert 0.0 < value.real <= 1.0
-
-    def test_frozen_equilibrium_limit(self):
-        value = characteristic_fn(REF_EQ.x_stable, 50.0, 1.0, REF)
-        assert value.real == pytest.approx(REF_CHAR_FN_LIMIT, abs=1e-12)
-
-    def test_matches_variance_directly(self):
-        var = variance_closed_form(0.1, 1.0, REF).value
-        theta = 1.3
-        expected = math.exp(-0.5 * theta * theta * var)
-        assert characteristic_fn(0.1, 1.0, theta, REF).real == pytest.approx(
-            expected, rel=1e-12
-        )
-
-    def test_theta_validation(self):
-        for bad in (math.nan, math.inf, 1j, "1.0"):
-            with pytest.raises(DomainError):
-                characteristic_fn(0.1, 1.0, bad, REF)
 
 
 class TestFluctuationLaw:

@@ -1,13 +1,12 @@
 """Parameter validation, jump kernel, and the density-dependence identity."""
 
-import json
 import math
 
 import numpy as np
 import pytest
 
 from moranlimits import DomainError, ModelParams, kernel_q, rate_tables
-from moranlimits.model import check_int, check_real
+from moranlimits.model import MAX_RATE, check_int, check_real
 from moranlimits.selfcheck import parameter_panel, reference_params
 
 
@@ -52,20 +51,13 @@ class TestModelParams:
         with pytest.raises(DomainError):
             ModelParams(**kwargs)
 
-    def test_dict_round_trip(self):
-        block = {"N": 42, "s": 0.25, "u": 1.5, "nu0": 0.75}
-        params = ModelParams.from_dict(block)
-        assert params.to_dict() == block
-        again = ModelParams.from_dict(json.loads(json.dumps(params.to_dict())))
-        assert again == params
-
-    def test_from_dict_reports_missing_and_unknown_keys(self):
-        with pytest.raises(DomainError, match="nu0"):
-            ModelParams.from_dict({"N": 10, "s": 1.0, "u": 0.5})
-        with pytest.raises(DomainError, match="extra"):
-            ModelParams.from_dict(
-                {"N": 10, "s": 1.0, "u": 0.5, "nu0": 0.5, "extra": 1}
-            )
+    def test_rates_capped_at_max_rate(self):
+        params = ModelParams(N=10, s=MAX_RATE, u=MAX_RATE, nu0=0.5)
+        assert params.s == params.u == MAX_RATE
+        for key in ("s", "u"):
+            rates = {"s": 1.0, "u": 0.5, key: 1e151}
+            with pytest.raises(DomainError, match=rf"{key} must lie in \[0, 1e\+150\]"):
+                ModelParams(N=10, nu0=0.5, **rates)
 
     def test_frozen(self):
         with pytest.raises(Exception):
