@@ -51,6 +51,7 @@ from .stationary import (
     detailed_balance_residual,
     gaussian_limit_check,
     ks_distance_to_gaussian,
+    ks_sample_to_gaussian,
     stationary_distribution,
     stationary_sampler,
 )
@@ -94,6 +95,7 @@ __all__ = [
     "detailed_balance_residual",
     "gaussian_limit_check",
     "ks_distance_to_gaussian",
+    "ks_sample_to_gaussian",
     "stationary_distribution",
     "stationary_sampler",
 ]

@@ -235,6 +235,14 @@ class DeterministicSolution:
         return None if self.equilibria is None else self.equilibria.x_stable
 
     def __call__(self, t: ArrayLike) -> ArrayLike:
+        if type(t) is float:
+            # quadrature calls the flow one float at a time; the checks are
+            # check_times' own, and np.exp keeps the array path's bits
+            if not math.isfinite(t):
+                raise DomainError("t must be finite")
+            if t < 0.0:
+                raise DomainError("t must lie in [0, inf]")
+            return _snap_unit_scalar(float(self.flow(np.exp)(t)))
         arr, scalar = check_times(t, "t")
         # broadcast: where the flow is constant the closure returns z0 itself
         values = _snap_unit(np.broadcast_to(self.flow(np.exp)(arr), arr.shape))
@@ -243,9 +251,10 @@ class DeterministicSolution:
     def flow(self, exp: Callable) -> Callable[[ArrayLike], ArrayLike]:
         """The closed-form flow t -> z(z0, t), unchecked and unsnapped.
 
-        Scalar callers pass math.exp and array callers np.exp, which
-        differs from it in the last bit on some inputs. Where the flow
-        is constant the closure returns z0 itself.
+        __call__ passes np.exp, for a float t as for an array, so both
+        give the same bits. The scalar loops in fluctuations pass
+        math.exp, which differs from np.exp in the last bit on some
+        inputs. Where the flow is constant the closure returns z0 itself.
         """
         z0 = self.z0
         if self.regime is Regime.NEUTRAL:

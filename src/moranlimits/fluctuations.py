@@ -129,10 +129,23 @@ def variance_closed_form(z0: float, t: float, params: ModelParams) -> VarianceRe
 
 
 def limit_variance(params: ModelParams) -> float:
-    """Stationary variance diffusion(x_stable) / (2 relaxation_rate)."""
+    """Stationary variance diffusion(x_stable) / (2 relaxation_rate).
+
+    Raises:
+        UnsupportedModelError: for u = 0, and where the quotient
+            overflows: s = 0 with a subnormal u makes the rate u too
+            small to divide by.
+    """
     _require_noise(params)
     eq = equilibria(params)
-    return DriftFunctions(params).diffusion(eq.x_stable) / (2.0 * eq.relaxation_rate)
+    value = DriftFunctions(params).diffusion(eq.x_stable) / (2.0 * eq.relaxation_rate)
+    if not math.isfinite(value):
+        raise UnsupportedModelError(
+            "the stationary variance diffusion(x_stable) / (2 relaxation_rate)"
+            f" overflows to {value!r} at s = {params.s!r}, u = {params.u!r}: the"
+            f" relaxation rate {eq.relaxation_rate!r} is too small to divide by"
+        )
+    return value
 
 
 def _times_coefficients(p0: float, p1: float, p2: float, c: float) -> tuple:
@@ -162,7 +175,6 @@ class FluctuationLaw:
         eq = self.solution.equilibria
         self.x_stable = eq.x_stable
         self.relaxation_rate = eq.relaxation_rate
-        self.limit_variance = limit_variance(params)
         # A start at the unstable point stays there. In [0, 1] that takes
         # x_minus = -u nu0 / (s x_plus) rounding to 0, so the noise u nu0
         # at 0 is negligible beside s, and Sigma (all rho_k = 0) and V are
@@ -182,6 +194,11 @@ class FluctuationLaw:
             )
         elif not self._frozen:
             self._selection(params, eq)
+
+    @property
+    def limit_variance(self) -> float:
+        """Sigma(infinity); the closed form for finite t does not need it."""
+        return limit_variance(self.params)
 
     def _selection(self, params: ModelParams, eq: Equilibria) -> None:
         s, u = params.s, params.u

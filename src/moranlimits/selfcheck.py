@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.integrate import quad
 
 from .deterministic import (
     equilibria,
@@ -130,6 +129,8 @@ def check_flow_vs_oracle() -> CheckResult:
 
 def check_linear_model() -> CheckResult:
     """Criterion 2: two-type reduction reproduces the flow and its total mass."""
+    from scipy.integrate import quad  # deferred: only this oracle needs scipy.integrate
+
     times = np.linspace(0.0, 5.0, 21)
     worst_ratio = 0.0
     worst_mass = 0.0
@@ -155,7 +156,7 @@ def check_linear_model() -> CheckResult:
         passed=passed,
         detail=f"max ratio error {worst_ratio:.3e} (tol {LINEAR_RATIO_TOL:.0e}), "
         f"max relative mass error {worst_mass:.3e} (tol {LINEAR_MASS_TOL:.0e})",
-        metrics={"ratio_error": worst_ratio, "mass_error": worst_mass},
+        metrics={"ratio_error": worst_ratio, "mass_error": float(worst_mass)},
     )
 
 
@@ -214,8 +215,8 @@ def check_variance_agreement() -> CheckResult:
         f"(tol {VARIANCE_REL_TOL:.0e}); stable-start gap {worst_stable:.3e} "
         f"(tol {VARIANCE_STABLE_TOL:.0e})",
         metrics={
-            "relative_gap": worst_rel,
-            "stable_gap": worst_stable,
+            "relative_gap": float(worst_rel),
+            "stable_gap": float(worst_stable),
             "n_compared": compared,
         },
     )

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
-from scipy.stats import kstest
 
 from .deterministic import DeterministicSolution
 from .fluctuations import FluctuationLaw
@@ -44,6 +43,7 @@ from .model import (
     check_times,
     rate_tables,
 )
+from .stationary import ks_sample_to_gaussian
 
 ArrayLike = Union[float, np.ndarray]
 
@@ -544,8 +544,8 @@ def clt_statistics(
         }
         if sigma2[j] > 0.0:
             row["var_ratio"] = variance / float(sigma2[j])
-            row["ks_statistic"] = float(
-                kstest(scaled[:, j], "norm", args=(0.0, math.sqrt(float(sigma2[j])))).statistic
+            row["ks_statistic"] = ks_sample_to_gaussian(
+                scaled[:, j], math.sqrt(float(sigma2[j]))
             )
         else:
             row["var_ratio"] = None

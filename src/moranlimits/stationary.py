@@ -33,7 +33,6 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.linalg import null_space
 from scipy.special import ndtr
 
 from .deterministic import equilibria
@@ -212,6 +211,8 @@ def brute_force_stationary(params: ModelParams) -> np.ndarray:
     generator Q and solves pi Q = 0 by SVD. Dense in N, so meant for
     small chains.
     """
+    from scipy.linalg import null_space  # deferred: only this oracle needs scipy.linalg
+
     _require_mutation(params)
     lam, mu = rate_tables(params)
     n = params.N
@@ -260,6 +261,24 @@ def ks_distance_to_gaussian(
     gauss = ndtr(support / sigma)
     cum_before = np.concatenate(([0.0], cum[:-1]))
     return float(max(np.max(cum - gauss), np.max(gauss - cum_before)))
+
+
+def ks_sample_to_gaussian(sample, sigma: float) -> float:
+    """Two-sided one-sample KS statistic of sample against N(0, sigma^2).
+
+    The empirical CDF of the sorted sample steps to i / n at its i-th
+    point, so the supremum is i / n - G there or G - (i - 1) / n just
+    before it. The same formula as
+    scipy.stats.kstest(sample, "norm", args=(0, sigma)).statistic, and
+    equal to it bit for bit.
+    """
+    check_real(sigma, "sigma", 0.0, exclusive=True)
+    x = np.sort(sample)
+    n = x.size
+    gauss = ndtr(x / sigma)
+    above = np.arange(1.0, n + 1) / n - gauss
+    below = gauss - np.arange(0.0, n) / n
+    return float(max(above.max(), below.max()))
 
 
 @dataclass(frozen=True)

@@ -252,6 +252,19 @@ class TestMainExitCodes:
         assert "Traceback" not in err
         assert_no_artifact(out)
 
+    def test_subnormal_mutation_rate_names_s_and_u(self, tmp_path, capsys):
+        path = make_config(tmp_path, {"model.s": 0.0, "model.u": 1e-320})
+        out = tmp_path / "o"
+        code = cli.main(["stationary", "--config", str(path), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == (
+            "config error: the stationary variance diffusion(x_stable) / (2 relaxation_rate)"
+            " overflows to inf at s = 0.0, u = 1e-320: the relaxation rate 1e-320 is too"
+            " small to divide by\n"
+        )
+        assert_no_artifact(out)
+
     def test_other_exceptions_propagate(self, tmp_path, monkeypatch):
         def broken(*args, **kwargs):
             raise RuntimeError("not a config error")

@@ -20,7 +20,7 @@ from moranlimits import (
     ode_oracle_at,
     solve_deterministic,
 )
-from moranlimits import selfcheck
+from moranlimits import deterministic, selfcheck
 from moranlimits.deterministic import _snap_unit, _snap_unit_scalar
 from moranlimits.selfcheck import parameter_panel, reference_params
 
@@ -215,6 +215,67 @@ class TestDeterministicSolution:
             value = solve_deterministic(z0, params)(1e8)
             assert math.isfinite(value)
             assert value == pytest.approx(equilibria(params).x_stable, abs=1e-12)
+
+
+def scalar_path_starts():
+    """(params, z0) over every regime, with z0 at 0, 1, a drawn start and
+    each fixed point that lies in [0, 1]."""
+    models = [
+        ModelParams(N=5, s=0.0, u=0.0, nu0=0.5),  # NEUTRAL
+        ModelParams(N=5, s=0.0, u=0.5, nu0=0.3),  # MUTATION_ONLY
+        REF,  # SELECTION, x_minus < 0
+        ModelParams(N=5, s=1.0, u=0.0, nu0=0.5),  # SELECTION, x_minus = 0, x_plus = 1
+    ] + [params for params, _ in parameter_panel(4)]
+    drawn = np.random.default_rng(7).uniform(0.0, 1.0, len(models))
+    cases = []
+    for params, z_drawn in zip(models, drawn):
+        starts = {0.0, 1.0, float(z_drawn)}
+        if classify_regime(params) is not Regime.NEUTRAL:
+            eq = equilibria(params)
+            fixed = (eq.x_stable, eq.x_unstable)
+            starts |= {x for x in fixed if x is not None and 0.0 <= x <= 1.0}
+        cases += [(params, z0) for z0 in sorted(starts)]
+    return cases
+
+
+class TestScalarFlowPath:
+    def test_covers_every_regime(self):
+        assert {classify_regime(p) for p, _ in scalar_path_starts()} == set(Regime)
+
+    @pytest.mark.parametrize("t", [0.0, 5e-324, 1e-300, 1.0, 1e3])
+    def test_float_matches_array_bit_for_bit(self, t):
+        for params, z0 in scalar_path_starts():
+            sol = solve_deterministic(z0, params)
+            value = sol(t)
+            assert type(value) is float
+            assert_bitwise_equal(value, sol(np.array([t]))[0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0])
+    def test_same_domain_errors_as_checked_path(self, bad):
+        sol = solve_deterministic(0.1, REF)
+        with pytest.raises(DomainError) as scalar:
+            sol(bad)
+        with pytest.raises(DomainError) as checked:
+            sol(np.array(bad))
+        assert str(scalar.value) == str(checked.value)
+
+    def test_other_scalars_take_the_checked_path(self, monkeypatch):
+        original = deterministic.check_times
+        checked = []
+
+        def spy(times, name):
+            checked.append(times)
+            return original(times, name)
+
+        monkeypatch.setattr(deterministic, "check_times", spy)
+        sol = solve_deterministic(0.1, REF)
+        expected = sol(2.0)
+        assert checked == []
+        for t in (2, np.float64(2.0), np.array(2.0)):
+            value = sol(t)
+            assert type(value) is float
+            assert value == expected
+        assert len(checked) == 3
 
 
 class TestOdeOracle:

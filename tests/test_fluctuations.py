@@ -46,6 +46,16 @@ class TestVariance:
         with pytest.raises(UnsupportedModelError):
             limit_variance(params)
 
+    def test_subnormal_mutation_rate(self):
+        # Sigma(infinity) = diffusion(nu0) / (2 u) overflows; Sigma(t) does not
+        params = ModelParams(N=100, s=0.0, u=1e-320, nu0=0.5)
+        with pytest.raises(UnsupportedModelError, match=r"s = 0\.0, u = 1e-320"):
+            limit_variance(params)
+        law = FluctuationLaw(0.1, params)
+        with pytest.raises(UnsupportedModelError):
+            law.limit_variance
+        assert math.isfinite(law.variance(1.0)) and law.variance(1.0) > 0.0
+
     def test_zero_at_time_zero(self):
         result = variance_closed_form(0.1, 0.0, REF)
         assert result.value == 0.0

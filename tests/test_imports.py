@@ -1,0 +1,45 @@
+"""Import footprint: the CLI and the library load numpy and scipy.special only.
+
+scipy.stats, scipy.integrate and scipy.linalg serve the oracles alone
+(quadrature in selfcheck criterion 2, the generator null space in
+brute_force_stationary) and are imported inside them. Each case
+imports in a fresh interpreter and checks module names, not timings.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import moranlimits
+
+SRC = str(Path(moranlimits.__file__).resolve().parents[1])
+DEFERRED = ("scipy.stats", "scipy.integrate", "scipy.linalg")
+
+
+def modules_loaded_by(module: str) -> set:
+    probe = f"import sys, {module}; print('\\n'.join(sys.modules))"
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": SRC},
+    )
+    return set(result.stdout.split())
+
+
+@pytest.mark.parametrize(
+    "module", ["moranlimits", "moranlimits.cli", "moranlimits.selfcheck"]
+)
+def test_module_level_imports_skip_the_oracle_parts_of_scipy(module):
+    loaded = modules_loaded_by(module)
+    assert module in loaded
+    assert "numpy" in loaded and "scipy.special" in loaded
+    heavy = sorted(
+        name for name in loaded if any(name == d or name.startswith(d + ".") for d in DEFERRED)
+    )
+    assert heavy == []
+

@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtr
+from scipy.stats import kstest
 
 from moranlimits import (
     DomainError,
@@ -15,6 +18,7 @@ from moranlimits import (
     equilibria,
     gaussian_limit_check,
     ks_distance_to_gaussian,
+    ks_sample_to_gaussian,
     limit_variance,
     stationary_distribution,
     stationary_sampler,
@@ -99,6 +103,29 @@ class TestKsDistance:
             ks_distance_to_gaussian(dist, 0.5, 0.0)
         with pytest.raises(DomainError):
             ks_distance_to_gaussian(dist, 0.5, -1.0)
+
+
+class TestKsSample:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(1, 1500),
+        log_sigma=st.floats(-6.0, 6.0),
+        spread=st.floats(0.25, 4.0),
+        lattice=st.one_of(st.none(), st.floats(0.01, 1.0)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_scipy_kstest_bit_for_bit(self, n, log_sigma, spread, lattice, seed):
+        sigma = 10.0**log_sigma
+        sample = np.random.default_rng(seed).normal(0.0, spread * sigma, n)
+        if lattice is not None:  # ties, as in the chain's scaled deviations
+            sample = np.round(sample / (lattice * sigma)) * (lattice * sigma)
+        expected = kstest(sample, "norm", args=(0.0, sigma)).statistic
+        assert ks_sample_to_gaussian(sample, sigma) == expected
+
+    def test_sigma_validation(self):
+        for bad in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(DomainError):
+                ks_sample_to_gaussian(np.zeros(3), bad)
 
 
 class TestGaussianLimitCheck:
