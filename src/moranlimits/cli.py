@@ -41,15 +41,14 @@ _SUP_LEVELS = (0.01, 0.02, 0.05, 0.1)
 def _time_grid(t_end: float, step: float) -> np.ndarray:
     """Nodes i * step up to t_end, with t_end itself always included."""
     n_full = int(t_end / step)
-    times = [i * step for i in range(n_full + 1)]
+    times = np.arange(n_full + 1) * step
     remainder = t_end - n_full * step
     if remainder > 1e-9 * step:
-        times.append(t_end)
-    elif n_full > 0:
-        times[-1] = t_end
-    else:
-        times = [0.0, t_end]
-    return np.asarray(times)
+        return np.append(times, t_end)
+    if n_full == 0:
+        return np.array([0.0, t_end])
+    times[-1] = t_end
+    return times
 
 
 def _payload(command: str, config: ExperimentConfig, results: dict) -> dict:

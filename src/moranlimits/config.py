@@ -4,10 +4,11 @@ A config file is one JSON object. Unknown keys are rejected anywhere,
 missing required keys are reported by their dotted path, and every
 value is checked for its type and range. Beyond that this module checks
 only the rules that name a config key the library never sees: a
-command's section must be present, and the ode oracle step must keep
-RK4 stable. The model's own preconditions (the rate cap, u > 0 for the
-fluctuation and stationary laws, a resolvable discriminant) are raised
-by the library module that needs them, when the command runs.
+command's section must be present, the ode oracle step must keep RK4
+stable, and the ode table must fit a fixed work budget. The model's
+own preconditions (the rate cap, u > 0 for the fluctuation and
+stationary laws, a resolvable discriminant) are raised by the library
+module that needs them, when the command runs.
 """
 
 from __future__ import annotations
@@ -28,6 +29,10 @@ _MAX_SEED = 2**64 - 1
 # On [0, 1] the drift slope obeys |F'| <= s + u, so an oracle step h
 # with h (s + u) <= 2.785 keeps the oracle from diverging.
 _RK4_STABILITY_LIMIT = 2.785
+
+# The ode command takes about t_end / min(oracle_step, grid_step) RK4
+# steps and grid rows; 10^7 of them run in about 10 s.
+_MAX_ODE_STEPS = 10**7
 
 
 class ConfigError(ValueError):
@@ -241,6 +246,7 @@ def validate_for_command(config: ExperimentConfig, command: str) -> None:
         config.require(command)
     if command == "ode":
         _require_stable_oracle_step(config)
+        _require_ode_budget(config)
 
 
 def _require_stable_oracle_step(config: ExperimentConfig) -> None:
@@ -254,4 +260,17 @@ def _require_stable_oracle_step(config: ExperimentConfig) -> None:
             f" step * (s + u) <= {limit}, so the largest admissible step is"
             f" {limit} / (s + u) = {limit / rate!r}, and at this step s + u"
             f" must be <= {limit / step!r}"
+        )
+
+
+def _require_ode_budget(config: ExperimentConfig) -> None:
+    """Raise ConfigError if t_end / min(oracle_step, grid_step) exceeds the budget."""
+    settings = config.sections["ode"]
+    step = min(settings.oracle_step, settings.grid_step)
+    steps = settings.t_end / step
+    if steps > _MAX_ODE_STEPS:
+        raise ConfigError(
+            f"'ode.t_end' / min('ode.oracle_step', 'ode.grid_step') ="
+            f" {settings.t_end!r} / {step!r} = {steps:.3g} steps exceeds the budget"
+            f" of {_MAX_ODE_STEPS:.0e}; shorten t_end or lengthen the steps"
         )

@@ -323,8 +323,7 @@ def ode_oracle_at(
             raise DomainError("an array of starts takes one ModelParams per start")
         z0 = np.array([_validate_z0(z) for z in z0])
         post = _snap_unit
-    drift = DriftFunctions(params).drift
-    return rk4.integrate_at(lambda _t, z: drift(z), z0, times, step, post=post)
+    return rk4.integrate_at(DriftFunctions(params).drift, z0, times, step, post=post)
 
 
 class LinearModelSolution:

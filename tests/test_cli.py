@@ -182,6 +182,19 @@ class TestCommandValidation:
         with pytest.raises(ConfigError, match=repr(largest)):
             validate_for_command(config, "ode")
 
+    def test_ode_work_budget(self, tmp_path):
+        # t_end / min(oracle_step, grid_step) may reach 10^7, and no more
+        at_budget = {"ode.t_end": 1e7, "ode.grid_step": 1.0, "ode.oracle_step": 1.0}
+        validate_for_command(load_config(make_config(tmp_path, at_budget)), "ode")
+        for key, value in [
+            ("ode.t_end", math.nextafter(1e7, math.inf)),
+            ("ode.grid_step", 0.5),
+            ("ode.oracle_step", 0.5),
+        ]:
+            config = load_config(make_config(tmp_path, {**at_budget, key: value}))
+            with pytest.raises(ConfigError, match="exceeds the budget"):
+                validate_for_command(config, "ode")
+
     def test_rate_cap_is_accepted(self, tmp_path):
         overrides = {"model.s": MAX_RATE, "model.u": MAX_RATE}
         config = load_config(make_config(tmp_path, overrides))
@@ -217,6 +230,25 @@ class TestMainExitCodes:
         err = capsys.readouterr().err
         assert "'ode.oracle_step'" in err and "largest admissible step" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"ode.t_end": 1e12, "ode.grid_step": 1.0},  # a 10^12-node time grid
+            {"ode.oracle_step": 1e-12},  # 10^12 RK4 steps to t_end = 1
+        ],
+        ids=["grid", "oracle"],
+    )
+    def test_over_budget_ode_exits_2(self, tmp_path, capsys, overrides):
+        path = make_config(tmp_path, overrides)
+        out = tmp_path / "o"
+        code = cli.main(["ode", "--config", str(path), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert "'ode.t_end'" in err and "'ode.oracle_step'" in err and "'ode.grid_step'" in err
+        assert "Traceback" not in err
+        assert_no_artifact(out)
 
     @pytest.mark.parametrize("command", ["ode", "simulate", "clt", "stationary"])
     @pytest.mark.parametrize(

@@ -381,15 +381,14 @@ class TestBatchedOracle:
 
 
 def test_integrate_at_array_state_matches_scalar_calls():
-    # y' = rate (target - y) + slope t; targets inside the snap bands make
-    # the post-step snap fire once the state settles there.
+    # y' = rate (target - y); targets inside the snap bands make the
+    # post-step snap fire once the state settles there.
     rates = np.array([0.0, 0.5, 3.0, 40.0, 3.0, 3.0])
     targets = np.array([0.2, 0.7, 1.0 + 5e-14, 0.1, -5e-14, 1.0 + 1e-12])
-    slopes = np.array([1.0, 0.1, 0.0, 0.25, 0.0, 0.0])
     y0 = np.array([0.3, 0.0, 1.0, 0.9, 0.0, 0.5])
     times = [0.0, 0.01, 0.25, 0.3, 1.0, 20.0]
     batch = rk4.integrate_at(
-        lambda t, y: rates * (targets - y) + slopes * t,
+        lambda y: rates * (targets - y),
         y0,
         times,
         1e-2,
@@ -397,9 +396,9 @@ def test_integrate_at_array_state_matches_scalar_calls():
     )
     assert batch.shape == (len(times), y0.size)
     for j in range(y0.size):
-        rate, target, slope = float(rates[j]), float(targets[j]), float(slopes[j])
+        rate, target = float(rates[j]), float(targets[j])
         scalar = rk4.integrate_at(
-            lambda t, y: rate * (target - y) + slope * t,
+            lambda y: rate * (target - y),
             float(y0[j]),
             times,
             1e-2,
@@ -407,6 +406,24 @@ def test_integrate_at_array_state_matches_scalar_calls():
         )
         assert_bitwise_equal(batch[:, j], scalar)
     assert batch[-1, 2] == 1.0 and batch[-1, 4] == 0.0  # snapped onto the boundary
+
+
+def test_integrate_at_scalar_state_stays_python_float():
+    # A numpy time grid must not turn the step, and through it the state,
+    # into numpy scalars: their arithmetic is several times slower.
+    seen = []
+
+    def f(y):
+        seen.append(type(y))
+        return -y
+
+    def post(y):
+        seen.append(type(y))
+        return y
+
+    rk4.integrate_at(f, 1.0, np.linspace(0.0, 1.0, 5), 0.1, post=post)
+    assert len(seen) == 60  # 12 steps: four stages and one post each
+    assert set(seen) == {float}
 
 
 def test_criterion_one_sweeps_the_oracle_once(monkeypatch):

@@ -50,6 +50,11 @@ GOLDEN = {
         "ode_report.json": "9d6da5cc8a4755d77cfaffe729607dcfaa11ff7e00a1eb42ec7bfbbc0ce81f1c",
         "ode_table.csv": "aa01db90554af84df7830f2fae9c4a29f0d3006903fcf04e6979354ca133280a",
     },
+    # The limits horizon: 100,000 oracle steps from t = 0 to t = 100.
+    ("ode", "reference+long_ode"): {
+        "ode_report.json": "848fa9e52e31b82a4ee2e5eb483a4360bf5e2c7c05451e470b114cdee1df6bba",
+        "ode_table.csv": "b29b2ca91eb73c29318a039a724245e39ede2d7603ad1344eaf49ed6d5b0c5c8",
+    },
     ("stationary", "reference"): {
         "stationary_pmf.csv": "13db5375875f46bf4361e3d75a25de9b9f131ae5d4a7d529f40ea49a8c870cd9",
         "stationary_report.json": "ce0638bdcc96bc5f3047fa5df259a7fb62b6ccd251afff949568c2c0d41a7f8d",
@@ -84,7 +89,11 @@ def artifact_digests(out_dir: Path) -> dict:
 
 
 def write_config(tmp_path: Path, config: str) -> Path:
-    """The named config as a file; a "+store_paths" suffix turns store_paths on."""
+    """The named config as a file.
+
+    A "+store_paths" suffix turns store_paths on; "+long_ode" sets
+    ode.t_end to 100.
+    """
     base, _, variant = config.partition("+")
     if base == "reference" and not variant:
         return REFERENCE_CONFIG
@@ -94,6 +103,8 @@ def write_config(tmp_path: Path, config: str) -> Path:
         raw = json.loads(json.dumps(ABSORBING_CONFIG))
     if variant == "store_paths":
         raw["simulate"]["store_paths"] = True
+    elif variant == "long_ode":
+        raw["ode"]["t_end"] = 100.0
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(raw), encoding="utf-8")
     return config_path

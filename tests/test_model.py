@@ -192,7 +192,7 @@ def _call(name, **override):
         "stationary_sampler": lambda: stationary_sampler(
             stationary_distribution(SMALL), args["n"], args["rng_seed"]
         ),
-        "rk4.integrate_at": lambda: rk4.integrate_at(lambda t, y: -y, 1.0, args["times"], 0.1),
+        "rk4.integrate_at": lambda: rk4.integrate_at(lambda y: -y, 1.0, args["times"], 0.1),
         "FluctuationLaw.variance_on_grid": lambda: FluctuationLaw(0.1, SMALL).variance_on_grid(
             args["times"]
         ),
