@@ -22,7 +22,6 @@ from .deterministic import (
     classify_regime,
     equilibria,
     linear_model_solution,
-    ode_oracle,
     ode_oracle_at,
     solve_deterministic,
 )
@@ -72,7 +71,6 @@ __all__ = [
     "classify_regime",
     "equilibria",
     "linear_model_solution",
-    "ode_oracle",
     "ode_oracle_at",
     "solve_deterministic",
     "FluctuationLaw",

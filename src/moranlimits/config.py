@@ -5,10 +5,11 @@ missing required keys are reported by their dotted path, and every
 value is checked for its type and range. Beyond that this module checks
 only the rules that name a config key the library never sees: a
 command's section must be present, the ode oracle step must keep RK4
-stable, and the ode table must fit a fixed work budget. The model's
-own preconditions (the rate cap, u > 0 for the fluctuation and
-stationary laws, a resolvable discriminant) are raised by the library
-module that needs them, when the command runs.
+stable, and the ode table and the simulate time grid must fit one fixed
+work budget of 10^7 steps. The model's own preconditions (the rate
+cap, u > 0 for the fluctuation and stationary laws, owned by
+model.require_mutation, a resolvable discriminant) are raised by the
+library module that needs them, when the command runs.
 """
 
 from __future__ import annotations
@@ -31,8 +32,9 @@ _MAX_SEED = 2**64 - 1
 _RK4_STABILITY_LIMIT = 2.785
 
 # The ode command takes about t_end / min(oracle_step, grid_step) RK4
-# steps and grid rows; 10^7 of them run in about 10 s.
-_MAX_ODE_STEPS = 10**7
+# steps and grid rows, and simulate t_end / grid_step grid rows per path;
+# 10^7 RK4 steps run in about 10 s.
+_MAX_STEPS = 10**7
 
 
 class ConfigError(ValueError):
@@ -246,7 +248,9 @@ def validate_for_command(config: ExperimentConfig, command: str) -> None:
         config.require(command)
     if command == "ode":
         _require_stable_oracle_step(config)
-        _require_ode_budget(config)
+        _require_step_budget(config, "ode", ("oracle_step", "grid_step"))
+    elif command == "simulate":
+        _require_step_budget(config, "simulate", ("grid_step",))
 
 
 def _require_stable_oracle_step(config: ExperimentConfig) -> None:
@@ -263,14 +267,16 @@ def _require_stable_oracle_step(config: ExperimentConfig) -> None:
         )
 
 
-def _require_ode_budget(config: ExperimentConfig) -> None:
-    """Raise ConfigError if t_end / min(oracle_step, grid_step) exceeds the budget."""
-    settings = config.sections["ode"]
-    step = min(settings.oracle_step, settings.grid_step)
+def _require_step_budget(config: ExperimentConfig, section: str, step_keys: tuple) -> None:
+    """Raise ConfigError if t_end / min(step_keys) in the section exceeds the budget."""
+    settings = config.sections[section]
+    step = min(getattr(settings, key) for key in step_keys)
     steps = settings.t_end / step
-    if steps > _MAX_ODE_STEPS:
+    if steps > _MAX_STEPS:
+        keys = ", ".join(f"'{section}.{key}'" for key in step_keys)
+        divisor = f"min({keys})" if len(step_keys) > 1 else keys
         raise ConfigError(
-            f"'ode.t_end' / min('ode.oracle_step', 'ode.grid_step') ="
-            f" {settings.t_end!r} / {step!r} = {steps:.3g} steps exceeds the budget"
-            f" of {_MAX_ODE_STEPS:.0e}; shorten t_end or lengthen the steps"
+            f"'{section}.t_end' / {divisor} = {settings.t_end!r} / {step!r} ="
+            f" {steps:.3g} steps exceeds the budget of {_MAX_STEPS:.0e};"
+            " shorten t_end or lengthen the steps"
         )

@@ -68,12 +68,10 @@ class DriftFunctions:
     Built from a sequence of models, it holds one coefficient row per
     model, and the polynomials take an array x with one entry per row.
     Each entry equals the single-model value bit for bit, since the
-    same elementwise operations run in the same order. `discriminant`
-    is defined for a single model only.
+    same elementwise operations run in the same order.
     """
 
     def __init__(self, params: Union[ModelParams, Sequence[ModelParams]]):
-        self.params = params
         if isinstance(params, ModelParams):
             s, u, nu0 = params.s, params.u, params.nu0
         else:
@@ -96,21 +94,6 @@ class DriftFunctions:
 
     def diffusion(self, x: ArrayLike) -> ArrayLike:
         return (self._ga * x + self._gb) * x + self._gc
-
-    @property
-    def discriminant(self) -> float:
-        """(s - u)^2 + 4 s u nu0 for s > 0; u for s = 0, u > 0.
-
-        Undefined in the frozen regime s = u = 0.
-        """
-        s, u = self.params.s, self.params.u
-        if s > 0.0:
-            return (s - u) ** 2 + 4.0 * s * u * self.params.nu0
-        if u > 0.0:
-            return u
-        raise UnsupportedModelError(
-            "discriminant is undefined for s = u = 0 (every point is stationary)"
-        )
 
 
 @dataclass(frozen=True)
@@ -178,11 +161,12 @@ def equilibria(params: ModelParams) -> Equilibria:
             slope_unstable=None,
             discriminant=params.u,
         )
-    disc = DriftFunctions(params).discriminant
+    s, u = params.s, params.u
+    disc = (s - u) ** 2 + 4.0 * s * u * params.nu0
     if disc < sys.float_info.min:
         raise UnsupportedModelError(
             f"the drift discriminant D = (s - u)^2 + 4 s u nu0 = {disc!r} underflows"
-            f" below {sys.float_info.min!r} at s = {params.s!r}, u = {params.u!r};"
+            f" below {sys.float_info.min!r} at s = {s!r}, u = {u!r};"
             " the equilibria and the relaxation rate are not resolved"
         )
     root = math.sqrt(disc)
@@ -230,10 +214,6 @@ class DeterministicSolution:
             None if self.regime is Regime.NEUTRAL else equilibria(params)
         )
 
-    @property
-    def x_stable(self) -> Optional[float]:
-        return None if self.equilibria is None else self.equilibria.x_stable
-
     def __call__(self, t: ArrayLike) -> ArrayLike:
         if type(t) is float:
             # quadrature calls the flow one float at a time; the checks are
@@ -252,9 +232,10 @@ class DeterministicSolution:
         """The closed-form flow t -> z(z0, t), unchecked and unsnapped.
 
         __call__ passes np.exp, for a float t as for an array, so both
-        give the same bits. The scalar loops in fluctuations pass
-        math.exp, which differs from np.exp in the last bit on some
-        inputs. Where the flow is constant the closure returns z0 itself.
+        give the same bits. variance_ode's right-hand side, a scalar
+        loop, passes math.exp, which differs from np.exp in the last bit
+        on some inputs. Where the flow is constant the closure returns
+        z0 itself.
         """
         z0 = self.z0
         if self.regime is Regime.NEUTRAL:
@@ -279,22 +260,6 @@ class DeterministicSolution:
 def solve_deterministic(z0: float, params: ModelParams) -> DeterministicSolution:
     """Closed-form solution of the limiting ODE started at z0 in [0, 1]."""
     return DeterministicSolution(z0, params)
-
-
-def ode_oracle(
-    z0: float, t_end: float, step: float, params: ModelParams
-) -> tuple[np.ndarray, np.ndarray]:
-    """Fixed-step RK4 integration of the limiting ODE, for cross-checks.
-
-    Deliberately shares no code with the closed form: it sees only the
-    drift polynomial. Returns (times, values) at every integration node
-    from 0 to t_end; a shorter final step covers any remainder.
-    """
-    z0 = _validate_z0(z0)
-    drift = DriftFunctions(params).drift
-    return rk4.integrate(
-        lambda _t, z: drift(z), z0, t_end, step, post=_snap_unit_scalar
-    )
 
 
 def ode_oracle_at(

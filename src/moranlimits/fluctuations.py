@@ -36,9 +36,16 @@ Sigma(t+h) - a^2 Sigma(t) and the exact propagator
     a = exp(int_t^{t+h} drift_slope(z_v) dv) = drift(z_{t+h}) / drift(z_t)
       = exp(-sqrt(D) h) ((1 - w(t)) / (1 - w(t+h)))^2.
 
-Everything here requires u > 0, so the noise is bounded away from zero
-on [0, 1]. variance_ode, RK4 on the variance equation, is the
-independent oracle of the closed form.
+Everything here requires u > 0 (model.require_mutation), so the noise
+is bounded away from zero on [0, 1].
+
+variance_ode steps the variance equation by RK4, and selfcheck
+criterion 4 compares it with the closed form. Its right-hand side reads
+z(t) from the closed-form flow itself (DeterministicSolution.flow with
+math.exp), so criterion 4 checks the closed form for Sigma against
+the variance equation along that flow. It does not check the flow: an
+error in z(t) moves both sides the same way. Criterion 1 checks the
+flow on its own, against the RK4 oracle on the drift polynomial.
 """
 
 from __future__ import annotations
@@ -65,6 +72,7 @@ from .model import (
     check_int,
     check_real,
     check_seed,
+    require_mutation,
 )
 
 # Past sqrt(D) t = 2000, C exp(-sqrt(D) t) underflows for every finite C;
@@ -87,13 +95,6 @@ class VarianceResult(NamedTuple):
     used_fallback: bool
 
 
-def _require_noise(params: ModelParams) -> None:
-    if params.u <= 0.0:
-        raise UnsupportedModelError(
-            "fluctuation formulas require u > 0 so the noise floor is positive"
-        )
-
-
 def _snap_nonneg(value: float) -> float:
     return 0.0 if -1e-15 < value < 0.0 else value
 
@@ -114,10 +115,11 @@ def variance_ode(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Fixed-step RK4 solution of the variance equation from Sigma(0) = 0.
 
-    Returns (times, variances) at every node from 0 to t_end. This is
-    the independent oracle the closed form is checked against.
+    Returns (times, variances) at every node from 0 to t_end. The
+    right-hand side evaluates the closed-form flow, so this checks the
+    closed form for Sigma given z(t), not z(t) itself.
     """
-    _require_noise(params)
+    require_mutation(params)
     sol = solve_deterministic(z0, params)
     return rk4.integrate(_variance_rhs(sol), 0.0, t_end, step, post=_snap_nonneg)
 
@@ -136,7 +138,7 @@ def limit_variance(params: ModelParams) -> float:
             overflows: s = 0 with a subnormal u makes the rate u too
             small to divide by.
     """
-    _require_noise(params)
+    require_mutation(params)
     eq = equilibria(params)
     value = DriftFunctions(params).diffusion(eq.x_stable) / (2.0 * eq.relaxation_rate)
     if not math.isfinite(value):
@@ -168,12 +170,11 @@ class FluctuationLaw:
     """
 
     def __init__(self, z0: float, params: ModelParams):
-        _require_noise(params)
+        require_mutation(params)
         self.params = params
         self.solution = solve_deterministic(z0, params)
         self.z0 = self.solution.z0
         eq = self.solution.equilibria
-        self.x_stable = eq.x_stable
         self.relaxation_rate = eq.relaxation_rate
         # A start at the unstable point stays there. In [0, 1] that takes
         # x_minus = -u nu0 / (s x_plus) rounding to 0, so the noise u nu0
@@ -194,11 +195,6 @@ class FluctuationLaw:
             )
         elif not self._frozen:
             self._selection(params, eq)
-
-    @property
-    def limit_variance(self) -> float:
-        """Sigma(infinity); the closed form for finite t does not need it."""
-        return limit_variance(self.params)
 
     def _selection(self, params: ModelParams, eq: Equilibria) -> None:
         s, u = params.s, params.u

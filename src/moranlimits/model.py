@@ -140,6 +140,15 @@ class ModelParams:
         return 1.0 - self.nu0
 
 
+def require_mutation(params: ModelParams) -> None:
+    """Raise UnsupportedModelError unless u > 0, as the fluctuation and stationary laws need."""
+    if params.u <= 0.0:
+        raise UnsupportedModelError(
+            "u = 0 makes the boundary states absorbing: the noise floor is 0 and no"
+            " stationary law exists, so the fluctuation and stationary laws need u > 0"
+        )
+
+
 def kernel_q(p: ArrayLike, params: ModelParams) -> tuple[ArrayLike, ArrayLike]:
     """Rescaled jump kernel (q(p, +1), q(p, -1)) of the density-dependent chain.
 

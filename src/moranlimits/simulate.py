@@ -514,7 +514,8 @@ def clt_statistics(
     sqrt(N) (Z^N_t - z(t)) next to the predicted variance Sigma(t) and
     the Kolmogorov-Smirnov distance from N(0, Sigma(t)). A leading t=0
     row carries only the deterministic rounding offset
-    sqrt(N) (k0 / N - z0); its variance entries are None.
+    sqrt(N) (k0 / N - z0); its variance entries are None. Returns a dict
+    with the keys k0, rows and rounding_offset.
 
     Requires u > 0 (the Gaussian law needs a positive noise floor).
     """
@@ -552,11 +553,4 @@ def clt_statistics(
             row["ks_statistic"] = None
         rows.append(row)
 
-    return {
-        "k0": k0,
-        "grid": grid,
-        "rows": rows,
-        "rounding_offset": float(scaled[0, 0]),
-        "sigma2": sigma2,
-        "summary": summary,
-    }
+    return {"k0": k0, "rows": rows, "rounding_offset": float(scaled[0, 0])}

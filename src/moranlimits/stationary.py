@@ -39,23 +39,15 @@ from .deterministic import equilibria
 from .fluctuations import limit_variance
 from .model import (
     ModelParams,
-    UnsupportedModelError,
     check_int,
     check_real,
     check_seed,
     kernel_q,
     rate_tables,
+    require_mutation,
 )
 
 _UNDERFLOW_LOG = -745.0
-
-
-def _require_mutation(params: ModelParams) -> None:
-    if params.u <= 0.0:
-        raise UnsupportedModelError(
-            "u = 0 makes the boundary states absorbing; no stationary law on the"
-            " interior exists"
-        )
 
 
 @dataclass(frozen=True)
@@ -182,7 +174,7 @@ def stationary_distribution(params: ModelParams) -> StationaryDistribution:
         UnsupportedModelError: when u = 0 and the product breaks down at
             the absorbing boundaries.
     """
-    _require_mutation(params)
+    require_mutation(params)
     mode = _mode(params)
     floor = _UNDERFLOW_LOG - math.log(params.N + 1)
     left_floor = floor
@@ -213,7 +205,7 @@ def brute_force_stationary(params: ModelParams) -> np.ndarray:
     """
     from scipy.linalg import null_space  # deferred: only this oracle needs scipy.linalg
 
-    _require_mutation(params)
+    require_mutation(params)
     lam, mu = rate_tables(params)
     n = params.N
     generator = np.zeros((n + 1, n + 1))
@@ -310,7 +302,7 @@ def gaussian_limit_check(params: ModelParams, eps: float = 0.05) -> GaussianLimi
     outside the eps-neighbourhood of x_stable.
     """
     eps = check_real(eps, "eps", 0.0, 1.0, exclusive=True)
-    _require_mutation(params)
+    require_mutation(params)
     eq = equilibria(params)
     target = limit_variance(params)
     dist = stationary_distribution(params)

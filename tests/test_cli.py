@@ -195,6 +195,18 @@ class TestCommandValidation:
             with pytest.raises(ConfigError, match="exceeds the budget"):
                 validate_for_command(config, "ode")
 
+    def test_simulate_grid_budget(self, tmp_path):
+        # t_end / grid_step may reach 10^7, and no more
+        at_budget = {"simulate.t_end": 1e7, "simulate.grid_step": 1.0}
+        validate_for_command(load_config(make_config(tmp_path, at_budget)), "simulate")
+        for key, value in [
+            ("simulate.t_end", math.nextafter(1e7, math.inf)),
+            ("simulate.grid_step", math.nextafter(1.0, 0.0)),
+        ]:
+            config = load_config(make_config(tmp_path, {**at_budget, key: value}))
+            with pytest.raises(ConfigError, match="exceeds the budget"):
+                validate_for_command(config, "simulate")
+
     def test_rate_cap_is_accepted(self, tmp_path):
         overrides = {"model.s": MAX_RATE, "model.u": MAX_RATE}
         config = load_config(make_config(tmp_path, overrides))
@@ -247,6 +259,18 @@ class TestMainExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
         assert "'ode.t_end'" in err and "'ode.oracle_step'" in err and "'ode.grid_step'" in err
+        assert "Traceback" not in err
+        assert_no_artifact(out)
+
+    def test_over_budget_simulate_exits_2(self, tmp_path, capsys):
+        # a 10^12-node time grid to t_end = 1
+        path = make_config(tmp_path, {"simulate.t_end": 1.0, "simulate.grid_step": 1e-12})
+        out = tmp_path / "o"
+        code = cli.main(["simulate", "--config", str(path), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert "'simulate.t_end'" in err and "'simulate.grid_step'" in err
         assert "Traceback" not in err
         assert_no_artifact(out)
 

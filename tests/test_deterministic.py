@@ -16,7 +16,6 @@ from moranlimits import (
     equilibria,
     kernel_q,
     linear_model_solution,
-    ode_oracle,
     ode_oracle_at,
     solve_deterministic,
 )
@@ -68,10 +67,10 @@ class TestRegimeAndDrift:
             assert floor > 0.0
 
     def test_discriminant_by_regime(self):
-        assert DriftFunctions(REF).discriminant == REF_DISCRIMINANT
-        assert DriftFunctions(ModelParams(N=5, s=0.0, u=0.7, nu0=0.4)).discriminant == 0.7
+        assert equilibria(REF).discriminant == REF_DISCRIMINANT
+        assert equilibria(ModelParams(N=5, s=0.0, u=0.7, nu0=0.4)).discriminant == 0.7
         with pytest.raises(UnsupportedModelError):
-            DriftFunctions(ModelParams(N=5, s=0.0, u=0.0, nu0=0.4)).discriminant
+            equilibria(ModelParams(N=5, s=0.0, u=0.0, nu0=0.4)).discriminant
 
 
 class TestEquilibria:
@@ -279,38 +278,46 @@ class TestScalarFlowPath:
 
 
 class TestOdeOracle:
+    """rk4.integrate on the drift polynomial, and the flow oracle ode_oracle_at."""
+
+    @staticmethod
+    def integrate_drift(z0, t_end, step):
+        drift = DriftFunctions(REF).drift
+        return rk4.integrate(lambda _t, z: drift(z), z0, t_end, step)
+
     def test_step_validation(self):
         with pytest.raises(DomainError):
-            ode_oracle(0.1, 1.0, 0.0, REF)
+            self.integrate_drift(0.1, 1.0, 0.0)
         with pytest.raises(DomainError):
-            ode_oracle(0.1, 1.0, 2.0, REF)  # step exceeds the horizon
+            self.integrate_drift(0.1, 1.0, 2.0)  # step exceeds the horizon
         with pytest.raises(DomainError):
-            ode_oracle(0.1, -1.0, 0.1, REF)
+            self.integrate_drift(0.1, -1.0, 0.1)
 
     def test_zero_horizon(self):
-        times, values = ode_oracle(0.1, 0.0, 0.5, REF)
+        times, values = self.integrate_drift(0.1, 0.0, 0.5)
         assert times.tolist() == [0.0]
         assert values.tolist() == [0.1]
 
     def test_node_layout_with_remainder(self):
-        times, _ = ode_oracle(0.1, 1.05, 0.25, REF)
+        times, _ = self.integrate_drift(0.1, 1.05, 0.25)
         assert times[0] == 0.0
         assert times[-1] == 1.05
         assert np.all(np.diff(times) > 0)
 
     def test_tracks_closed_form(self):
-        times, values = ode_oracle(0.1, 10.0, 1e-3, REF)
+        times = np.arange(1, 10_001) * 1e-3
+        values = ode_oracle_at(0.1, times, 1e-3, REF)
         closed = solve_deterministic(0.1, REF)(times)
         assert np.max(np.abs(closed - values)) < 1e-9
 
     def test_oracle_at_matches_full_integration(self):
-        times, values = ode_oracle(0.2, 3.0, 1e-2, REF)
-        at = ode_oracle_at(0.2, times[1:], 1e-2, REF)
+        times, values = self.integrate_drift(0.2, 3.0, 1e-2)
+        at = rk4.integrate_at(DriftFunctions(REF).drift, 0.2, times[1:], 1e-2)
         assert np.max(np.abs(at - values[1:])) < 1e-12
 
     def test_oracle_stays_in_unit_interval(self):
         params = ModelParams(N=5, s=1.0, u=0.0, nu0=0.5)
-        _, values = ode_oracle(1.0, 5.0, 1e-3, params)
+        values = ode_oracle_at(1.0, np.linspace(0.0, 5.0, 5001), 1e-3, params)
         assert np.all(values <= 1.0)
         assert np.all(values >= 0.0)
 

@@ -52,8 +52,6 @@ class TestVariance:
         with pytest.raises(UnsupportedModelError, match=r"s = 0\.0, u = 1e-320"):
             limit_variance(params)
         law = FluctuationLaw(0.1, params)
-        with pytest.raises(UnsupportedModelError):
-            law.limit_variance
         assert math.isfinite(law.variance(1.0)) and law.variance(1.0) > 0.0
 
     def test_zero_at_time_zero(self):
@@ -236,9 +234,7 @@ class TestClosedForm:
 class TestFluctuationLaw:
     def test_exposes_model_quantities(self):
         law = FluctuationLaw(0.1, REF)
-        assert law.x_stable == REF_EQ.x_stable
         assert law.relaxation_rate == REF_EQ.relaxation_rate
-        assert law.limit_variance == pytest.approx(REF_LIMIT_VARIANCE, rel=1e-13)
 
     def test_variance_matches_free_function(self):
         law = FluctuationLaw(0.1, REF)
