@@ -33,6 +33,11 @@ ABSORBING_CONFIG = {
     "simulate": {"z0": 0.01, "t_end": 4.0, "n_paths": 96, "grid_step": 0.1},
 }
 
+# Two stored paths long enough to reach the capped 8192-draw batches of
+# the chain's 64 -> 8192 draw schedule: more than 64 + 256 + 1024 + 4096
+# + 8192 = 13632 events each.
+LONG_PATHS = {"N": 20_000, "t_end": 1.0, "events": [15627, 15856]}
+
 GOLDEN = {
     ("simulate", "reference"): {
         "ensemble_table.csv": "4268445bbd75cc4e230994563a4ebf4379c1580669ec7a4a14b264764cc85a38",
@@ -70,6 +75,11 @@ GOLDEN = {
         "ensemble_report.json": "d1cb6babbe26004ed3e24436d0fae8678b5f6655cd0403a8a2bb691d1909fa58",
         "ensemble_table.csv": "5c08c44a295deb0e88c51399b16cc0d659718f782462dac5d31568f2ba92fbb5",
     },
+    ("simulate", "reference+long_paths"): {
+        "ensemble_paths.csv": "38a1a1a85f693de714f0fd9b55ea0f432330b3e4b4565e80171eb787e81ff4f4",
+        "ensemble_report.json": "81e7f2aa566861cc0f201f9810bd4ad7dd16c6b11a149005b6a35732a15aa447",
+        "ensemble_table.csv": "e7c98554b6180f107cce7908b9c865867c19cd8e984bb7008d77c8556719f2fa",
+    },
 }
 
 
@@ -92,7 +102,8 @@ def write_config(tmp_path: Path, config: str) -> Path:
     """The named config as a file.
 
     A "+store_paths" suffix turns store_paths on; "+long_ode" sets
-    ode.t_end to 100.
+    ode.t_end to 100; "+long_paths" keeps 2 paths at N = 2 * 10^4 to
+    t = 1 (LONG_PATHS).
     """
     base, _, variant = config.partition("+")
     if base == "reference" and not variant:
@@ -105,6 +116,11 @@ def write_config(tmp_path: Path, config: str) -> Path:
         raw["simulate"]["store_paths"] = True
     elif variant == "long_ode":
         raw["ode"]["t_end"] = 100.0
+    elif variant == "long_paths":
+        raw["model"]["N"] = LONG_PATHS["N"]
+        raw["simulate"].update(
+            t_end=LONG_PATHS["t_end"], n_paths=len(LONG_PATHS["events"]), store_paths=True
+        )
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(raw), encoding="utf-8")
     return config_path
@@ -118,6 +134,21 @@ def test_artifacts_match_golden_digests(tmp_path, command, config):
         code = cli.main([command, "--config", str(config_path), "--out", str(out_dir)])
     assert code == 0
     assert artifact_digests(out_dir) == GOLDEN[(command, config)]
+
+
+def test_long_paths_reach_the_capped_batches(tmp_path):
+    config_path = write_config(tmp_path, "reference+long_paths")
+    out_dir = tmp_path / "out"
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["simulate", "--config", str(config_path), "--out", str(out_dir)])
+    assert code == 0
+    lines = (out_dir / "ensemble_paths.csv").read_text(encoding="utf-8").splitlines()[1:]
+    rows = [0] * len(LONG_PATHS["events"])
+    for line in lines:
+        rows[int(line.split(",")[0])] += 1
+    events = [n - 1 for n in rows]  # less each path's t = 0 anchor row
+    assert events == LONG_PATHS["events"]
+    assert min(events) > 64 + 256 + 1024 + 4096 + 8192
 
 
 # Integers where floats are expected, and an empty stationary section
