@@ -5,22 +5,24 @@ missing required keys are reported by their dotted path, and every
 value is checked for its type and range. Beyond that this module checks
 only the rules that name a config key the library never sees: a
 command's section must be present, the ode oracle step must keep RK4
-stable, and the ode table and the simulate time grid must fit one fixed
-work budget of 10^7 steps. The model's own preconditions (the rate
-cap, u > 0 for the fluctuation and stationary laws, owned by
-model.require_mutation, a resolvable discriminant) are raised by the
-library module that needs them, when the command runs.
+stable, the ode table and the simulate time grid must fit one fixed
+work budget of 10^7 steps, and the chain that simulate and clt run must
+fit budgets of 10^7 rate-table rows and 10^10 events. The model's own
+preconditions (the rate cap, u > 0 for the fluctuation and stationary
+laws, owned by model.require_mutation, a resolvable discriminant) are
+raised by the library module that needs them, when the command runs.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from functools import partial
 from pathlib import Path
 from typing import Optional
 
-from .model import DomainError, ModelParams, check_int, check_real
+from .model import DomainError, ModelParams, check_int, check_real, max_jump_rate
 
 CURRENT_SCHEMA = "1"
 
@@ -35,6 +37,12 @@ _RK4_STABILITY_LIMIT = 2.785
 # steps and grid rows, and simulate t_end / grid_step grid rows per path;
 # 10^7 RK4 steps run in about 10 s.
 _MAX_STEPS = 10**7
+
+# simulate and clt build a rate table of N + 1 rows, about 100 bytes
+# each, and run at most n_paths * t_end * N * max_jump_rate events, at
+# 2.5 to 15 million events per second on a 2-vCPU VM.
+_MAX_TABLE_ROWS = 10**7
+_MAX_EVENTS = 10**10
 
 
 class ConfigError(ValueError):
@@ -251,6 +259,8 @@ def validate_for_command(config: ExperimentConfig, command: str) -> None:
         _require_step_budget(config, "ode", ("oracle_step", "grid_step"))
     elif command == "simulate":
         _require_step_budget(config, "simulate", ("grid_step",))
+    if command in ("simulate", "clt"):
+        _require_chain_budget(config, command)
 
 
 def _require_stable_oracle_step(config: ExperimentConfig) -> None:
@@ -279,4 +289,35 @@ def _require_step_budget(config: ExperimentConfig, section: str, step_keys: tupl
             f"'{section}.t_end' / {divisor} = {settings.t_end!r} / {step!r} ="
             f" {steps:.3g} steps exceeds the budget of {_MAX_STEPS:.0e};"
             " shorten t_end or lengthen the steps"
+        )
+
+
+def _require_chain_budget(config: ExperimentConfig, section: str) -> None:
+    """Raise ConfigError if the chain's rate table or event bound exceeds its budget.
+
+    The event bound is n_paths * t_end * N * max_jump_rate, t_end being
+    the section's last time: every state's total event rate is at most
+    N * max_jump_rate.
+    """
+    settings = config.sections[section]
+    model = config.model
+    if model.N + 1 > _MAX_TABLE_ROWS:
+        raise ConfigError(
+            f"'model.N' + 1 = {model.N + 1} rate-table rows exceeds the budget of"
+            f" {_MAX_TABLE_ROWS:.0e} for {section}; lower N"
+        )
+    t_end = settings.t_end if section == "simulate" else settings.times[-1]
+    rate = max_jump_rate(model)
+    try:
+        events = settings.n_paths * t_end * model.N * rate
+    except OverflowError:  # an n_paths beyond the float range
+        events = math.inf
+    if events > _MAX_EVENTS:
+        t_key = "'simulate.t_end'" if section == "simulate" else "max('clt.times')"
+        raise ConfigError(
+            f"'{section}.n_paths' * {t_key} * 'model.N' * max_jump_rate ="
+            f" {settings.n_paths} * {t_end!r} * {model.N} * {rate:.6g} = {events:.3g}"
+            f" events exceeds the budget of {_MAX_EVENTS:.0e} (max_jump_rate, the"
+            " largest jump rate per individual, is set by 'model.s', 'model.u' and"
+            " 'model.nu0'); lower n_paths, the horizon or N"
         )

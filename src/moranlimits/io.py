@@ -9,9 +9,12 @@ CSV contract: write_csv takes the header and a sequence of equal-length
 columns, not rows. Each column is formatted once by its type: a float
 array through repr, a (non-bool) integer array through str, and any
 other sequence, such as a list holding None or an array of bools, cell
-by cell through format_cell. The bytes are those of format_cell applied
-to every cell of the zipped rows; rows are joined and written in blocks
-of _BLOCK_ROWS, so the formatted text held at once stays bounded.
+by cell through format_cell. An integer array whose values span less
+than 1 / _SPAN_RATIO of its length, as the path and state columns of
+stored paths do, formats each value of the span once and looks its
+cells up in that table. The bytes are those of format_cell applied to
+every cell of the zipped rows; rows are joined and written in blocks of
+_BLOCK_ROWS, so the formatted text held at once stays bounded.
 """
 
 from __future__ import annotations
@@ -24,6 +27,9 @@ import numpy as np
 
 # Rows formatted and written per block.
 _BLOCK_ROWS = 65536
+# An integer block whose values span less than 1 / _SPAN_RATIO of its
+# rows is formatted through a table of the span.
+_SPAN_RATIO = 2
 
 
 def jsonable(value):
@@ -71,8 +77,21 @@ def _format_column(column):
         if column.dtype.kind == "f":
             return map(repr, column.tolist())
         if column.dtype.kind in "iu":
-            return map(str, column.tolist())
+            return _format_integers(column)
     return map(format_cell, column)
+
+
+def _format_integers(column: np.ndarray):
+    """str of every cell, formatting each value once when the span is narrow."""
+    if column.size:
+        lo, hi = int(column.min()), int(column.max())
+        if (hi - lo) * _SPAN_RATIO < column.size:
+            table = np.array([str(value) for value in range(lo, hi + 1)], dtype=object)
+            # Unsigned offsets cannot wrap; signed values widen first, as
+            # int8 -128..127 has offsets up to 255.
+            offsets = column - lo if column.dtype.kind == "u" else column.astype(np.int64) - lo
+            return table[offsets].tolist()
+    return map(str, column.tolist())
 
 
 def write_csv(path: Path, header: list, columns: list) -> None:

@@ -170,6 +170,19 @@ def kernel_q(p: ArrayLike, params: ModelParams) -> tuple[ArrayLike, ArrayLike]:
     return up, down
 
 
+def max_jump_rate(params: ModelParams) -> float:
+    """Largest total jump rate per individual, max over p in [0, 1] of q(p, +1) + q(p, -1).
+
+    The sum (2 + s) p (1 - p) + u nu0 (1 - p) + u nu1 p is a concave
+    quadratic in p, so the maximum sits at its vertex
+    1/2 + u (nu1 - nu0) / (2 (2 + s)), clipped to [0, 1]. N times it
+    bounds every state's total event rate.
+    """
+    vertex = 0.5 + params.u * (params.nu1 - params.nu0) / (2.0 * (2.0 + params.s))
+    up, down = kernel_q(min(max(vertex, 0.0), 1.0), params)
+    return up + down
+
+
 def rate_tables(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     """Birth and death rates (lambda_k, mu_k) of the finite chain at every state 0..N.
 

@@ -6,19 +6,38 @@ lambda_k / (lambda_k + mu_k). No time discretisation enters anywhere;
 grid values are read off the right-continuous step path. With u = 0 the
 boundary states absorb and simulation stops early.
 
-Two kernels run the chain. The per-path event loop (_run_chain) serves
-single paths and ensembles of fewer than _LOCKSTEP_MIN_PATHS paths. The
-lockstep kernel (_run_lockstep) serves larger ensembles: it advances
-every live path by one event per numpy step, Gillespie's direct method
-run across trajectories, and below the threshold its fixed cost per
-step outweighs the saving.
+A path draws its waits and coins in batches of 64, 256, 1024, 4096 and
+then 8192 each: a batch's exponential waits, then as many uniform
+coins. Two kernels run the chain on that stream.
+
+- The per-path kernel (_run_chain) serves single paths and small
+  ensembles. It runs the 64- and 256-draw batches event by event. A
+  batch of 1024 draws or more runs as one block: every up/down decision
+  of the batch comes from a fixed-point iteration (Song et al., ICML
+  2021, "Accelerating Feedforward Computation via Parallel Nonlinear
+  Equation Solving"). A guess of the decisions gives, by a cumulative
+  sum, the state before each event, and the coins are re-tested at those
+  states. Every decision before the first one that changed, and that
+  one, is final, so the iteration ends at the unique fixed point, which
+  is the loop's path. Event times come from one np.add.accumulate seeded
+  with the current time, which adds in the loop's order, so the block's
+  path equals the loop's bit for bit. Where the drift is steep (small N,
+  strong selection) the passes settle few decisions each; once they
+  have cost more than the loop would have, the loop finishes the batch.
+- The lockstep kernel (_run_lockstep) advances every live path of an
+  ensemble by one event per numpy step, Gillespie's direct method run
+  across trajectories. run_ensemble picks it by the path count and each
+  path's event bound t_end * max_k (lambda_k + mu_k): from
+  _LOCKSTEP_ALL_PATHS paths on, and from _LOCKSTEP_MIN_PATHS paths when
+  the bound lies in [_SHORT_PATH_EVENTS, _LONG_PATH_EVENTS).
 
 Reproducibility contract: a path is a pure function of
 (seed, params, k0, horizon). Ensembles give path p the dedicated stream
 seeded by (master_seed, p) and both kernels draw from it in the same
 order, so results do not depend on the kernel and any prefix of paths
-can be regenerated in isolation. The same holds for summarize_paths,
-which summarises paths already kept event by event by simulate_path.
+can be regenerated in isolation. The batch schedule is part of that
+contract. The same holds for summarize_paths, which summarises paths
+already kept event by event by simulate_path.
 """
 
 from __future__ import annotations
@@ -27,7 +46,7 @@ import math
 from bisect import bisect_left
 from itertools import compress
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -51,10 +70,33 @@ ArrayLike = Union[float, np.ndarray]
 # for 64 draws, long paths amortise refills at the cap.
 _BATCH_START = 64
 _BATCH_MAX = 8192
+# Batches of at least this many draws run as one block (1024, 4096 and
+# 8192 of the schedule); the 64- and 256-draw batches run event by event.
+_BLOCK_MIN = 1024
 
-# Ensembles of at least this many paths run on the lockstep kernel, whose
-# fixed cost per numpy step loses to the per-path loop on fewer paths.
+
+def _pass_cost(width: int) -> int:
+    """Draws of the per-event loop that cost about as much as one block pass.
+
+    A fixed-point pass over width draws takes about 30 us plus 10 ns a
+    draw, and the loop about 0.3 us a draw (direct timings on a 2-vCPU
+    VM).
+    """
+    return 96 + width // 32
+
+
+# Kernel choice for an ensemble, by its path count and each path's event
+# bound t_end * max_k (lambda_k + mu_k), from direct timings of both
+# kernels (2-vCPU VM, N = 200 to 5 * 10^4, 4 to 201 grid points).
+# Lockstep runs from _LOCKSTEP_MIN_PATHS paths when the bound lies in
+# [_SHORT_PATH_EVENTS, _LONG_PATH_EVENTS), and from _LOCKSTEP_ALL_PATHS
+# paths whatever it is. Below those counts the per-path kernel is
+# faster: very short paths spend more on lockstep's two generators per
+# path than on events, and long ones run mostly in the block body.
 _LOCKSTEP_MIN_PATHS = 64
+_LOCKSTEP_ALL_PATHS = 128
+_SHORT_PATH_EVENTS = 2**9
+_LONG_PATH_EVENTS = 2**14
 # Draws per path buffered by the lockstep kernel between refills.
 _CHUNK = 256
 
@@ -81,33 +123,51 @@ class TrajectoryPath:
         return int(self.times.size)
 
 
-def _chain_tables(params: ModelParams) -> tuple[list, list]:
-    """Total event rate and up-move probability per state, as plain lists.
+class _ChainTables(NamedTuple):
+    """Total event rate and up-move probability per state 0..N.
 
-    Scalar indexing into lists is what the event loop spends its time
-    on; numpy arrays are markedly slower there.
+    The lists serve the per-event loops: scalar indexing into lists is
+    what they spend their time on, and numpy arrays are markedly slower
+    there. The block body reads the arrays.
     """
+
+    rates: list
+    p_up: list
+    rate_array: np.ndarray
+    p_up_array: np.ndarray
+
+
+def _chain_tables(params: ModelParams) -> _ChainTables:
     lam, mu = rate_tables(params)
     total = lam + mu
     with np.errstate(invalid="ignore", divide="ignore"):
         p_up = np.where(total > 0.0, lam / np.where(total > 0.0, total, 1.0), 0.0)
-    return total.tolist(), p_up.tolist()
+    return _ChainTables(total.tolist(), p_up.tolist(), total, p_up)
 
 
 def _run_chain(
     k0: int,
     t_end: float,
     rng: np.random.Generator,
-    total_rates: list,
-    p_up: list,
+    tables: _ChainTables,
     grid: Optional[np.ndarray] = None,
     record: bool = False,
 ):
-    """Drive one chain to t_end; optionally record events and/or grid states."""
+    """Drive one chain to t_end; optionally record events and/or grid states.
+
+    Returns (times, states, absorbed, grid_states): the event times and
+    the state after each event as arrays when record is set (else
+    None), and the states at the grid times when a grid is given (else
+    None). Batches of fewer than _BLOCK_MIN draws run event by event;
+    longer ones run as one block, with the same result bit for bit.
+    """
+    total_rates, p_up = tables.rates, tables.p_up
     t = 0.0
     k = k0
-    events_t: list = []
+    events_t: list = []  # the per-event loop's events since the last block
     events_k: list = []
+    chunks_t: list = []  # every event before those, as arrays in order
+    chunks_k: list = []
     absorbed = False
     if grid is not None:
         n_grid = grid.size
@@ -130,9 +190,82 @@ def _run_chain(
             break
         if idx == batch:
             batch = min(batch * 4, _BATCH_MAX)
-            waits = rng.exponential(size=batch).tolist()
-            coins = rng.random(size=batch).tolist()
+            waits = rng.exponential(size=batch)
+            coins = rng.random(size=batch)
             idx = 0
+            if batch < _BLOCK_MIN:
+                waits = waits.tolist()
+                coins = coins.tolist()
+            else:
+                # Block body. ks[i] is the state before event i. Guess
+                # every decision at state k, then
+                # re-test each coin at the states the guess implies,
+                # over a window that doubles each time it holds no
+                # change. Decisions before the first one that changed,
+                # and that one, are final, so each pass settles at
+                # least one more and the fixed point is the loop's
+                # path. A wrong guess may leave 0..N; the clipped
+                # lookups keep it in the table. Once the passes have
+                # cost more than the loop would have spent on the draws
+                # they settled, plus one first pass, the loop takes
+                # over the rest of the batch.
+                ups = coins < p_up[k]
+                ks = np.empty(batch + 1, dtype=np.int64)
+                ks[0] = k
+                first = 0
+                width = _BLOCK_MIN
+                spent = -_pass_cost(width)
+                while first < batch:
+                    end = min(first + width, batch)
+                    steps = ups[first:end].view(np.int8) * np.int8(2)
+                    steps -= 1
+                    np.cumsum(steps, dtype=np.int64, out=ks[first + 1 : end + 1])
+                    ks[first + 1 : end + 1] += ks[first]
+                    retest = coins[first:end] < tables.p_up_array.take(
+                        ks[first:end], mode="clip"
+                    )
+                    changed = retest != ups[first:end]
+                    c = int(changed.argmax())
+                    spent += _pass_cost(end - first)
+                    if changed[c]:
+                        ups[first + c : end] = retest[c:]
+                        first += c
+                    else:
+                        first = end
+                        width *= 2
+                    if spent > first:
+                        break
+                # The first pass settles decision 0 at least, and state k
+                # has a positive rate, so argmax 0 means no absorbing state.
+                # Past one, a settled path may leave 0..N.
+                rates = tables.rate_array.take(ks[:first], mode="clip")
+                stop = int((rates <= 0.0).argmax()) or first
+                # Event times, added in the loop's order: t + d0, then + d1, ...
+                times = waits[:stop] / rates[:stop]
+                times[0] += t
+                np.add.accumulate(times, out=times)
+                n = int(np.searchsorted(times, t_end, side="right"))
+                if n:
+                    states = ks[: n + 1]
+                    if grid_list is not None:
+                        hi = bisect_left(grid_list, times[n - 1], gi)
+                        passed = grid[gi:hi]
+                        grid_states[gi:hi] = states[np.searchsorted(times[:n], passed, side="right")]
+                        gi = hi
+                    if record:
+                        chunks_t += [np.asarray(events_t, dtype=float), times[:n]]
+                        chunks_k += [np.asarray(events_k, dtype=np.int64), states[1:]]
+                        events_t, events_k = [], []
+                    t = float(times[n - 1])
+                    k = int(states[n])
+                if n < first:
+                    absorbed = n == stop
+                    break
+                idx = first
+                if first < batch:
+                    waits = waits.tolist()
+                    coins = coins.tolist()
+                continue
         t_next = t + waits[idx] / rate
         up = coins[idx] < p_up[k]
         idx += 1
@@ -149,10 +282,12 @@ def _run_chain(
             events_t.append(t)
             events_k.append(k)
     if grid_states is not None:
-        while gi < n_grid:
-            grid_states[gi] = k
-            gi += 1
-    return events_t, events_k, k, absorbed, grid_states
+        grid_states[gi:] = k
+    if not record:
+        return None, None, absorbed, grid_states
+    times = np.concatenate(chunks_t + [np.asarray(events_t, dtype=float)])
+    states = np.concatenate(chunks_k + [np.asarray(events_k, dtype=np.int64)])
+    return times, states, absorbed, grid_states
 
 
 def _run_lockstep(
@@ -284,16 +419,15 @@ def simulate_path(
     k0 = check_int(k0, "k0", 0, params.N)
     t_end = check_real(t_end, "t_end", minimum=0.0)
     check_seed(rng_seed, sequence=True)
-    total_rates, p_up = _chain_tables(params)
     rng = np.random.default_rng(rng_seed)
-    events_t, events_k, _, absorbed, _ = _run_chain(
-        k0, t_end, rng, total_rates, p_up, record=True
+    times, states, absorbed, _ = _run_chain(
+        k0, t_end, rng, _chain_tables(params), record=True
     )
     return TrajectoryPath(
         params=params,
         k0=k0,
-        times=np.asarray(events_t, dtype=float),
-        states=np.asarray(events_k, dtype=np.int64),
+        times=times,
+        states=states,
         final_time=t_end,
         absorbed=absorbed,
     )
@@ -310,10 +444,9 @@ def simulate_on_grid(
     k0 = check_int(k0, "k0", 0, params.N)
     grid = check_grid(t_grid)
     check_seed(rng_seed, sequence=True)
-    total_rates, p_up = _chain_tables(params)
     rng = np.random.default_rng(rng_seed)
-    _, _, _, _, grid_states = _run_chain(
-        k0, float(grid[-1]), rng, total_rates, p_up, grid=grid, record=False
+    _, _, _, grid_states = _run_chain(
+        k0, float(grid[-1]), rng, _chain_tables(params), grid=grid
     )
     return grid_states
 
@@ -419,27 +552,31 @@ def run_ensemble(
     Path p is simulated on the stream [rng_seed, p], exactly as
     simulate_on_grid(k0, t_grid, [rng_seed, p], params) would simulate
     it, so z_values[p] * N equals that call's result bit for bit. Two
-    kernels produce the same paths: from _LOCKSTEP_MIN_PATHS paths on,
-    the lockstep kernel advances all live paths one event per numpy
-    step; smaller ensembles, where its fixed cost per step dominates,
-    run the per-path event loop.
+    kernels produce the same paths (module docstring): the lockstep
+    kernel for many paths, and the per-path kernel for few paths and
+    for a few dozen that are very short or long.
     """
     k0 = check_int(k0, "k0", 0, params.N)
     grid = check_grid(t_grid)
     n_paths = check_int(n_paths, "n_paths", minimum=1)
     rng_seed = check_seed(rng_seed)
 
-    total_rates, p_up = _chain_tables(params)
-    if n_paths >= _LOCKSTEP_MIN_PATHS:
-        states, absorbed = _run_lockstep(k0, grid, rng_seed, n_paths, total_rates, p_up)
+    tables = _chain_tables(params)
+    t_end = float(grid[-1])
+    events = t_end * float(tables.rate_array.max())
+    if n_paths >= _LOCKSTEP_ALL_PATHS or (
+        n_paths >= _LOCKSTEP_MIN_PATHS and _SHORT_PATH_EVENTS <= events < _LONG_PATH_EVENTS
+    ):
+        states, absorbed = _run_lockstep(
+            k0, grid, rng_seed, n_paths, tables.rates, tables.p_up
+        )
     else:
-        t_end = float(grid[-1])
         states = np.empty((n_paths, grid.size), dtype=np.int64)
         absorbed = np.zeros(n_paths, dtype=bool)
         for p in range(n_paths):
             rng = np.random.default_rng([rng_seed, p])
-            _, _, _, absorbed[p], states[p] = _run_chain(
-                k0, t_end, rng, total_rates, p_up, grid=grid, record=False
+            _, _, absorbed[p], states[p] = _run_chain(
+                k0, t_end, rng, tables, grid=grid
             )
 
     return _summary(

@@ -207,6 +207,37 @@ class TestCommandValidation:
             with pytest.raises(ConfigError, match="exceeds the budget"):
                 validate_for_command(config, "simulate")
 
+    @pytest.mark.parametrize("command", ["simulate", "clt"])
+    def test_chain_table_budget(self, tmp_path, command):
+        # N + 1 rate-table rows may reach 10^7, and no more
+        validate_for_command(load_config(make_config(tmp_path, {"model.N": 10**7 - 1})), command)
+        config = load_config(make_config(tmp_path, {"model.N": 10**7}))
+        with pytest.raises(ConfigError, match="'model.N' \\+ 1 = 10000001 rate-table rows"):
+            validate_for_command(config, command)
+
+    @pytest.mark.parametrize("command", ["simulate", "clt"])
+    def test_chain_event_budget(self, tmp_path, command):
+        # s = u = 0 gives max_jump_rate 1/2, so 20 paths of N = 10^5 to
+        # t = 10^4 make exactly 10^10 events, the budget
+        horizon = {
+            "simulate": lambda t: {"simulate.t_end": t, "simulate.grid_step": 1.0},
+            "clt": lambda t: {"clt.times": [t]},
+        }[command]
+        at_budget = {"model.N": 10**5, "model.s": 0.0, "model.u": 0.0, f"{command}.n_paths": 20}
+        validate_for_command(
+            load_config(make_config(tmp_path, {**at_budget, **horizon(1e4)})), command
+        )
+        for overrides in [
+            {**at_budget, **horizon(math.nextafter(1e4, math.inf))},
+            {**at_budget, **horizon(1e4), f"{command}.n_paths": 21},
+            {**at_budget, **horizon(1e4), "model.N": 10**5 + 1},
+            {**at_budget, **horizon(1e4), "model.s": 1e-9},
+            {**at_budget, **horizon(1e4), f"{command}.n_paths": 10**400},
+        ]:
+            config = load_config(make_config(tmp_path, overrides))
+            with pytest.raises(ConfigError, match="events exceeds the budget of 1e\\+10"):
+                validate_for_command(config, command)
+
     def test_rate_cap_is_accepted(self, tmp_path):
         overrides = {"model.s": MAX_RATE, "model.u": MAX_RATE}
         config = load_config(make_config(tmp_path, overrides))
@@ -271,6 +302,29 @@ class TestMainExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
         assert "'simulate.t_end'" in err and "'simulate.grid_step'" in err
+        assert "Traceback" not in err
+        assert_no_artifact(out)
+
+    @pytest.mark.parametrize("command", ["simulate", "clt"])
+    @pytest.mark.parametrize(
+        "overrides, keys",
+        [
+            ({"model.N": 10**12}, ["'model.N'"]),
+            ({"model.s": MAX_RATE}, ["n_paths'", "'model.N'", "'model.s'", "'model.u'"]),
+            ({"simulate.n_paths": 10**9, "clt.n_paths": 10**9}, ["n_paths'", "'model.N'"]),
+        ],
+        ids=["table", "rate", "paths"],
+    )
+    def test_over_chain_budget_exits_2(self, tmp_path, capsys, command, overrides, keys):
+        path = make_config(tmp_path, overrides)
+        out = tmp_path / "o"
+        code = cli.main([command, "--config", str(path), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert "exceeds the budget" in err
+        for key in keys:
+            assert key in err
         assert "Traceback" not in err
         assert_no_artifact(out)
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from moranlimits import DomainError, ModelParams, kernel_q, rate_tables
-from moranlimits.model import MAX_RATE, check_int, check_real
+from moranlimits.model import MAX_RATE, check_int, check_real, max_jump_rate
 from moranlimits.selfcheck import parameter_panel, reference_params
 
 
@@ -107,6 +107,26 @@ class TestKernel:
 
 
 class TestChainRates:
+    @pytest.mark.parametrize(
+        "s, u, nu0, vertex",
+        [
+            (1.0, 0.5, 0.5, 0.5),  # reference shape: g = 3 p (1 - p) + 1/4
+            (0.0, 0.0, 0.5, 0.5),
+            (0.0, 100.0, 0.9, 0.0),  # vertex clipped to p = 0
+            (0.0, 100.0, 0.1, 1.0),  # and to p = 1
+            (2.0, 1.0, 0.25, 0.5 + 0.5 / 8.0),
+        ],
+    )
+    def test_max_jump_rate(self, s, u, nu0, vertex):
+        params = ModelParams(N=100, s=s, u=u, nu0=nu0)
+        up, down = kernel_q(vertex, params)
+        assert max_jump_rate(params) == up + down
+        grid = np.linspace(0.0, 1.0, 100_001)
+        up, down = kernel_q(grid, params)
+        assert max_jump_rate(params) == pytest.approx((up + down).max(), rel=1e-9)
+        lam, mu = rate_tables(params)
+        assert (lam + mu).max() <= params.N * max_jump_rate(params) * (1.0 + 1e-15)
+
     def test_reference_values(self):
         # lambda_50 = 50*50*2/100 + 50*0.25 = 62.5; mu_50 = 25 + 50*0.25 = 37.5
         lam, mu = rate_tables(REF)

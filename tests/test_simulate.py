@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from moranlimits import (
@@ -23,6 +25,7 @@ from moranlimits import (
 )
 from moranlimits import simulate
 from moranlimits.io import jsonable
+from moranlimits.model import rate_tables
 from moranlimits.selfcheck import reference_params
 
 REF = reference_params()
@@ -299,7 +302,15 @@ class TestLockstepKernel:
 
         monkeypatch.setattr(simulate, "_run_lockstep", spy)
         summary = run_ensemble(k0, grid, n_paths, seed, params)
-        assert len(calls) == (n_paths >= simulate._LOCKSTEP_MIN_PATHS)
+        # lockstep for many paths, or for a few dozen whose event bound
+        # t_end * max_k (lambda_k + mu_k) is neither very short nor long
+        lam, mu = rate_tables(params)
+        events = float(np.asarray(grid)[-1]) * float((lam + mu).max())
+        assert len(calls) == (
+            n_paths >= simulate._LOCKSTEP_ALL_PATHS
+            or n_paths >= simulate._LOCKSTEP_MIN_PATHS
+            and simulate._SHORT_PATH_EVENTS <= events < simulate._LONG_PATH_EVENTS
+        )
         absorbed = 0
         events = []
         for p in range(n_paths):
@@ -345,6 +356,34 @@ class TestLockstepKernel:
         )
         assert np.all(summary.z_values == 30 / REF.N)
 
+    @pytest.mark.parametrize(
+        "n_paths, t_end",
+        [(64, 0.1), (100, 0.1), (127, 17.0), (128, 0.1), (128, 17.0)],
+        ids=["short-64", "short-100", "long-127", "short-128", "long-128"],
+    )
+    def test_kernel_choice_by_event_bound(self, monkeypatch, n_paths, t_end):
+        # N = 1000 on the reference shape bounds each path by 1000 t_end
+        # events: 100 very short ones, or 17,000 long ones
+        params = ModelParams(N=1000, s=1.0, u=0.5, nu0=0.5)
+        grid = np.linspace(0.0, t_end, 6)
+        self.run_and_compare(monkeypatch, 100, grid, n_paths, 13, params)
+
+    def test_lockstep_directly_on_long_paths(self):
+        # Ensembles this small with paths this long run per path, so drive
+        # the lockstep kernel itself across its chunk and batch refills.
+        params = ModelParams(N=1000, s=1.0, u=0.5, nu0=0.5)
+        grid = np.linspace(0.0, 25.0, 11)
+        n_paths, seed = 6, 8
+        tables = simulate._chain_tables(params)
+        states, absorbed = simulate._run_lockstep(
+            100, grid, seed, n_paths, tables.rates, tables.p_up
+        )
+        for p in range(n_paths):
+            times, _, was_absorbed, expected = reference_chain(100, 25.0, [seed, p], params, grid)
+            assert len(times) > 64 + 256 + 1024 + 4096 + 8192
+            assert np.array_equal(states[p], expected), p
+            assert absorbed[p] == was_absorbed
+
 
 class TestSummarizePaths:
     """Summaries of kept paths equal run_ensemble's, bit for bit."""
@@ -388,3 +427,127 @@ class TestSummarizePaths:
             summarize_paths(paths + [simulate_path(51, 1.0, [7, 2], REF)], grid, 7)
         with pytest.raises(DomainError, match="rng_seed"):
             summarize_paths(paths, grid, [7, 0])
+
+
+def reference_chain(k0, t_end, seed, params, grid=None):
+    """The chain as one plain per-event loop: (times, states, absorbed, grid states).
+
+    Written out here, apart from the kernels it checks. Draws come in
+    batches of 64, 256, 1024, 4096 and then 8192 waits followed by as
+    many coins; that schedule is part of the stream contract.
+    """
+    lam, mu = (table.tolist() for table in rate_tables(params))
+    rng = np.random.default_rng(seed)
+    t, k, absorbed = 0.0, k0, False
+    times, states = [], []
+    grid_states = None if grid is None else np.empty(len(grid), dtype=np.int64)
+    gi = 0
+    batch, idx = 64, 0
+    waits = rng.exponential(size=batch).tolist()
+    coins = rng.random(size=batch).tolist()
+    while True:
+        rate = lam[k] + mu[k]
+        if rate <= 0.0:
+            absorbed = True
+            break
+        if idx == batch:
+            batch, idx = min(batch * 4, 8192), 0
+            waits = rng.exponential(size=batch).tolist()
+            coins = rng.random(size=batch).tolist()
+        t_next = t + waits[idx] / rate
+        up = coins[idx] < lam[k] / rate
+        idx += 1
+        if t_next > t_end:
+            break
+        while grid is not None and gi < len(grid) and grid[gi] < t_next:
+            grid_states[gi] = k
+            gi += 1
+        t = t_next
+        k += 1 if up else -1
+        times.append(t)
+        states.append(k)
+    if grid is not None:
+        grid_states[gi:] = k
+    return times, states, absorbed, grid_states
+
+
+def assert_chain_matches_reference(k0, t_end, seed, params, grid):
+    """simulate_path and simulate_on_grid reproduce reference_chain bit for bit."""
+    times, states, absorbed, _ = reference_chain(k0, t_end, seed, params)
+    path = simulate_path(k0, t_end, seed, params)
+    assert path.times.tolist() == times
+    assert path.states.tolist() == states
+    assert path.absorbed == absorbed
+    _, _, _, expected = reference_chain(k0, float(grid[-1]), seed, params, grid)
+    assert np.array_equal(simulate_on_grid(k0, grid, seed, params), expected)
+    return len(times)
+
+
+# Events that take a path through the per-event batches of 64 and 256
+# draws and the whole of the first block batch of 1024.
+BLOCK_EVENTS = 64 + 256 + 1024
+
+
+class TestChainKernel:
+    """The chain kernel against reference_chain, bit for bit."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        n=st.one_of(st.integers(1, 40), st.integers(41, 50_000)),
+        s=st.sampled_from([0.0, 0.2, 1.0, 30.0]),
+        u=st.sampled_from([0.0, 0.01, 0.5, 3.0]),
+        nu0=st.floats(0.05, 0.95),
+        start=st.sampled_from(["zero", "interior", "full"]),
+        draw=st.floats(0.0, 1.0),
+        events=st.one_of(st.just(0), st.integers(1, 20_000)),
+        seed=st.integers(0, 2**32),
+        grid_points=st.integers(1, 60),
+    )
+    @example(n=50_000, s=1.0, u=0.5, nu0=0.5, start="interior", draw=0.1,
+             events=20_000, seed=1, grid_points=60)
+    @example(n=1000, s=30.0, u=0.5, nu0=0.5, start="interior", draw=0.1,
+             events=20_000, seed=2, grid_points=7)
+    @example(n=2000, s=0.2, u=0.0, nu0=0.5, start="interior", draw=0.01,
+             events=20_000, seed=3, grid_points=11)
+    @example(n=30, s=0.0, u=0.0, nu0=0.5, start="interior", draw=0.5,
+             events=20_000, seed=4, grid_points=5)
+    def test_matches_reference(self, n, s, u, nu0, start, draw, events, seed, grid_points):
+        params = ModelParams(N=n, s=s, u=u, nu0=nu0)
+        k0 = {"zero": 0, "full": n, "interior": round(draw * n)}[start]
+        lam, mu = rate_tables(params)
+        top = float((lam + mu).max())  # 0 only for N = 1 without mutation
+        t_end = events / top if top > 0.0 else float(events)
+        grid = np.unique(np.linspace(0.0, t_end, grid_points) * np.sqrt(draw))
+        grid = np.append(grid[grid < t_end], t_end)
+        assert_chain_matches_reference(k0, t_end, [seed, 0], params, grid)
+
+    @pytest.mark.parametrize(
+        "n, s, u, k0, t_end",
+        [
+            (50_000, 1.0, 0.5, 5000, 0.4),  # long and fast-converging
+            (1000, 1.0, 0.5, 100, 25.0),  # every batch size, up to 8192
+            (1000, 30.0, 0.5, 100, 2.0),  # steep drift: the loop takes over
+            (100, 0.0, 0.5, 0, 60.0),
+            (3000, 0.2, 0.0, 30, 30.0),  # u = 0: absorbed inside a block
+        ],
+    )
+    def test_block_batches_match_reference(self, n, s, u, k0, t_end):
+        params = ModelParams(N=n, s=s, u=u, nu0=0.5)
+        grid = np.linspace(0.0, t_end, 97)
+        events = assert_chain_matches_reference(k0, t_end, [77, n], params, grid)
+        assert events > BLOCK_EVENTS
+
+    def test_absorbed_inside_a_block(self):
+        # neutral and without mutation, p_up is 1/2 at every inner state,
+        # so the block body settles each batch in one pass, up to state 0
+        params = ModelParams(N=3000, s=0.0, u=0.0, nu0=0.5)
+        grid = np.linspace(0.0, 200.0, 41)
+        events = assert_chain_matches_reference(30, 200.0, [77, 1], params, grid)
+        path = simulate_path(30, 200.0, [77, 1], params)
+        assert path.absorbed and path.states[-1] == 0
+        assert 64 + 256 + 1024 + 4096 < events < 64 + 256 + 1024 + 4096 + 8192
+
+    def test_zero_horizon(self):
+        path = simulate_path(50, 0.0, 3, REF)
+        assert path.n_events == 0 and not path.absorbed
+        assert simulate_on_grid(50, [0.0], 3, REF).tolist() == [50]
