@@ -89,7 +89,10 @@ def _format_integers(column: np.ndarray):
             table = np.array([str(value) for value in range(lo, hi + 1)], dtype=object)
             # Unsigned offsets cannot wrap; signed values widen first, as
             # int8 -128..127 has offsets up to 255.
-            offsets = column - lo if column.dtype.kind == "u" else column.astype(np.int64) - lo
+            if column.dtype.kind == "u":
+                offsets = column - lo
+            else:
+                offsets = np.subtract(column, lo, dtype=np.int64)
             return table[offsets].tolist()
     return map(str, column.tolist())
 

@@ -198,17 +198,16 @@ def _run_chain(
                 coins = coins.tolist()
             else:
                 # Block body. ks[i] is the state before event i. Guess
-                # every decision at state k, then
-                # re-test each coin at the states the guess implies,
-                # over a window that doubles each time it holds no
-                # change. Decisions before the first one that changed,
-                # and that one, are final, so each pass settles at
-                # least one more and the fixed point is the loop's
-                # path. A wrong guess may leave 0..N; the clipped
-                # lookups keep it in the table. Once the passes have
-                # cost more than the loop would have spent on the draws
-                # they settled, plus one first pass, the loop takes
-                # over the rest of the batch.
+                # every decision at state k, then re-test each coin at
+                # the states the guess implies, over a window that
+                # doubles each time it holds no change. Decisions before
+                # the first one that changed, and that one, are final,
+                # so each pass settles at least one more and the fixed
+                # point is the loop's path. A wrong guess may leave
+                # 0..N; the clipped lookups keep it in the table. Once
+                # the passes have cost more than the loop would have
+                # spent on the draws they settled, plus one first pass,
+                # the loop takes over the rest of the batch.
                 ups = coins < p_up[k]
                 ks = np.empty(batch + 1, dtype=np.int64)
                 ks[0] = k
@@ -237,7 +236,7 @@ def _run_chain(
                         break
                 # The first pass settles decision 0 at least, and state k
                 # has a positive rate, so argmax 0 means no absorbing state.
-                # Past one, a settled path may leave 0..N.
+                # Only past an absorbing state can a settled path leave 0..N.
                 rates = tables.rate_array.take(ks[:first], mode="clip")
                 stop = int((rates <= 0.0).argmax()) or first
                 # Event times, added in the loop's order: t + d0, then + d1, ...
@@ -246,18 +245,18 @@ def _run_chain(
                 np.add.accumulate(times, out=times)
                 n = int(np.searchsorted(times, t_end, side="right"))
                 if n:
-                    states = ks[: n + 1]
                     if grid_list is not None:
+                        # a grid point reads the state after the events up to it
                         hi = bisect_left(grid_list, times[n - 1], gi)
-                        passed = grid[gi:hi]
-                        grid_states[gi:hi] = states[np.searchsorted(times[:n], passed, side="right")]
+                        passed = np.searchsorted(times[:n], grid[gi:hi], side="right")
+                        grid_states[gi:hi] = ks[passed]
                         gi = hi
                     if record:
                         chunks_t += [np.asarray(events_t, dtype=float), times[:n]]
-                        chunks_k += [np.asarray(events_k, dtype=np.int64), states[1:]]
+                        chunks_k += [np.asarray(events_k, dtype=np.int64), ks[1 : n + 1]]
                         events_t, events_k = [], []
                     t = float(times[n - 1])
-                    k = int(states[n])
+                    k = int(ks[n])
                 if n < first:
                     absorbed = n == stop
                     break

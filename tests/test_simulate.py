@@ -305,11 +305,11 @@ class TestLockstepKernel:
         # lockstep for many paths, or for a few dozen whose event bound
         # t_end * max_k (lambda_k + mu_k) is neither very short nor long
         lam, mu = rate_tables(params)
-        events = float(np.asarray(grid)[-1]) * float((lam + mu).max())
+        bound = float(np.asarray(grid)[-1]) * float((lam + mu).max())
         assert len(calls) == (
             n_paths >= simulate._LOCKSTEP_ALL_PATHS
             or n_paths >= simulate._LOCKSTEP_MIN_PATHS
-            and simulate._SHORT_PATH_EVENTS <= events < simulate._LONG_PATH_EVENTS
+            and simulate._SHORT_PATH_EVENTS <= bound < simulate._LONG_PATH_EVENTS
         )
         absorbed = 0
         events = []
