@@ -26,7 +26,7 @@ import numpy as np
 from .config import ConfigError, ExperimentConfig, load_config, validate_for_command
 from .deterministic import classify_regime, equilibria, ode_oracle_at, solve_deterministic
 from .io import dump_json, write_csv
-from .model import DomainError, ModelParams, UnsupportedModelError
+from .model import DomainError, ModelParams, UnsupportedModelError, time_grid
 from .simulate import clt_statistics, run_ensemble, simulate_path, summarize_paths
 from .stationary import gaussian_limit_check, stationary_distribution
 
@@ -36,19 +36,6 @@ EXIT_NUMERIC = 3
 
 # Sup-deviation exceedance levels reported by the simulate command.
 _SUP_LEVELS = (0.01, 0.02, 0.05, 0.1)
-
-
-def _time_grid(t_end: float, step: float) -> np.ndarray:
-    """Nodes i * step up to t_end, with t_end itself always included."""
-    n_full = int(t_end / step)
-    times = np.arange(n_full + 1) * step
-    remainder = t_end - n_full * step
-    if remainder > 1e-9 * step:
-        return np.append(times, t_end)
-    if n_full == 0:
-        return np.array([0.0, t_end])
-    times[-1] = t_end
-    return times
 
 
 def _payload(command: str, config: ExperimentConfig, results: dict) -> dict:
@@ -75,7 +62,7 @@ def cmd_ode(config: ExperimentConfig, out_dir: Path) -> int:
     settings = config.sections["ode"]
     params = config.model
     solution = solve_deterministic(settings.z0, params)
-    times = _time_grid(settings.t_end, settings.grid_step)
+    times = time_grid(settings.t_end, settings.grid_step)
     z_closed = solution(times)
     z_oracle = ode_oracle_at(settings.z0, times, settings.oracle_step, params)
     diff = np.abs(z_closed - z_oracle)
@@ -115,7 +102,7 @@ def cmd_simulate(config: ExperimentConfig, out_dir: Path) -> int:
     params = config.model
     k0 = int(round(settings.z0 * params.N))
     reference = solve_deterministic(settings.z0, params)
-    grid = _time_grid(settings.t_end, settings.grid_step)
+    grid = time_grid(settings.t_end, settings.grid_step)
     artifacts = {"table": "ensemble_table.csv"}
     if settings.store_paths:
         # One pass: the kept paths also give the grid values.

@@ -222,27 +222,25 @@ class DeterministicSolution:
                 raise DomainError("t must be finite")
             if t < 0.0:
                 raise DomainError("t must lie in [0, inf]")
-            return _snap_unit_scalar(float(self.flow(np.exp)(t)))
+            return _snap_unit_scalar(float(self.flow()(t)))
         arr, scalar = check_times(t, "t")
         # broadcast: where the flow is constant the closure returns z0 itself
-        values = _snap_unit(np.broadcast_to(self.flow(np.exp)(arr), arr.shape))
+        values = _snap_unit(np.broadcast_to(self.flow()(arr), arr.shape))
         return float(values[0]) if scalar else values
 
-    def flow(self, exp: Callable) -> Callable[[ArrayLike], ArrayLike]:
+    def flow(self) -> Callable[[ArrayLike], ArrayLike]:
         """The closed-form flow t -> z(z0, t), unchecked and unsnapped.
 
-        __call__ passes np.exp, for a float t as for an array, so both
-        give the same bits. variance_ode's right-hand side, a scalar
-        loop, passes math.exp, which differs from np.exp in the last bit
-        on some inputs. Where the flow is constant the closure returns
-        z0 itself.
+        It evaluates np.exp for a float t as for an array, so both give
+        the same bits. Where the flow is constant the closure returns z0
+        itself.
         """
         z0 = self.z0
         if self.regime is Regime.NEUTRAL:
             return lambda t: z0
         if self.regime is Regime.MUTATION_ONLY:
             nu0, u = self.params.nu0, self.params.u
-            return lambda t: nu0 + (z0 - nu0) * exp(-u * t)
+            return lambda t: nu0 + (z0 - nu0) * np.exp(-u * t)
         eq = self.equilibria
         x_plus, x_minus, rate = eq.x_stable, eq.x_unstable, eq.relaxation_rate
         if z0 == x_plus or z0 == x_minus:
@@ -251,7 +249,7 @@ class DeterministicSolution:
         d_plus = z0 - x_plus
 
         def selection_flow(t: ArrayLike) -> ArrayLike:
-            decay = exp(-rate * t)
+            decay = np.exp(-rate * t)
             return (x_plus * d_minus - x_minus * d_plus * decay) / (d_minus - d_plus * decay)
 
         return selection_flow
@@ -260,6 +258,23 @@ class DeterministicSolution:
 def solve_deterministic(z0: float, params: ModelParams) -> DeterministicSolution:
     """Closed-form solution of the limiting ODE started at z0 in [0, 1]."""
     return DeterministicSolution(z0, params)
+
+
+def check_starts(z0: ArrayLike, params: Union[ModelParams, Sequence[ModelParams]]) -> ArrayLike:
+    """z0 checked in the oracles' float-or-panel form, as a float or a float array.
+
+    A float start takes one ModelParams; a non-empty 1-d array of starts
+    takes a sequence of ModelParams, one per start.
+    """
+    if np.ndim(z0) == 0:
+        if not isinstance(params, ModelParams):
+            raise DomainError("a single start z0 takes a single ModelParams")
+        return _validate_z0(z0)
+    if np.ndim(z0) != 1 or len(z0) == 0:
+        raise DomainError(f"z0 must be a float or a non-empty 1-d array, got {z0!r}")
+    if isinstance(params, ModelParams) or len(params) != len(z0):
+        raise DomainError("an array of starts takes one ModelParams per start")
+    return np.array([_validate_z0(z) for z in z0])
 
 
 def ode_oracle_at(
@@ -276,18 +291,8 @@ def ode_oracle_at(
     lockstep sweep, and column j equals
     ode_oracle_at(float(z0[j]), times, step, params[j]) bit for bit.
     """
-    if np.ndim(z0) == 0:
-        if not isinstance(params, ModelParams):
-            raise DomainError("a single start z0 takes a single ModelParams")
-        z0 = _validate_z0(z0)
-        post = _snap_unit_scalar
-    else:
-        if np.ndim(z0) != 1 or len(z0) == 0:
-            raise DomainError(f"z0 must be a float or a non-empty 1-d array, got {z0!r}")
-        if isinstance(params, ModelParams) or len(params) != len(z0):
-            raise DomainError("an array of starts takes one ModelParams per start")
-        z0 = np.array([_validate_z0(z) for z in z0])
-        post = _snap_unit
+    z0 = check_starts(z0, params)
+    post = _snap_unit_scalar if np.ndim(z0) == 0 else _snap_unit
     return rk4.integrate_at(DriftFunctions(params).drift, z0, times, step, post=post)
 
 

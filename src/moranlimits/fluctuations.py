@@ -39,28 +39,26 @@ Sigma(t+h) - a^2 Sigma(t) and the exact propagator
 Everything here requires u > 0 (model.require_mutation), so the noise
 is bounded away from zero on [0, 1].
 
-variance_ode steps the variance equation by RK4, and selfcheck
-criterion 4 compares it with the closed form. Its right-hand side reads
-z(t) from the closed-form flow itself (DeterministicSolution.flow with
-math.exp), so criterion 4 checks the closed form for Sigma against
-the variance equation along that flow. It does not check the flow: an
-error in z(t) moves both sides the same way. Criterion 1 checks the
-flow on its own, against the RK4 oracle on the drift polynomial.
+variance_ode steps the flow and the variance equation together by RK4,
+and selfcheck criterion 4 compares it with the closed form. Its
+right-hand side evaluates only the drift, drift-slope and diffusion
+polynomials, never the closed-form flow, so an error in the closed-form
+z(t) or Sigma(t) shows as a gap between the two sides.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
 from . import rk4
 from .deterministic import (
-    DeterministicSolution,
     DriftFunctions,
     Equilibria,
     Regime,
+    check_starts,
     equilibria,
     solve_deterministic,
 )
@@ -95,33 +93,41 @@ class VarianceResult(NamedTuple):
     used_fallback: bool
 
 
-def _snap_nonneg(value: float) -> float:
-    return 0.0 if -1e-15 < value < 0.0 else value
-
-
-def _variance_rhs(sol: DeterministicSolution) -> Callable[[float, float], float]:
-    funcs = DriftFunctions(sol.params)
-    flow = sol.flow(math.exp)
-
-    def rhs(t: float, sigma2: float) -> float:
-        z = flow(t)
-        return 2.0 * funcs.drift_slope(z) * sigma2 + funcs.diffusion(z)
-
-    return rhs
-
-
 def variance_ode(
-    z0: float, t_end: float, step: float, params: ModelParams
+    z0: Union[float, np.ndarray],
+    tau_end: float,
+    step: float,
+    params: Union[ModelParams, Sequence[ModelParams]],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Fixed-step RK4 solution of the variance equation from Sigma(0) = 0.
 
-    Returns (times, variances) at every node from 0 to t_end. The
-    right-hand side evaluates the closed-form flow, so this checks the
-    closed form for Sigma given z(t), not z(t) itself.
+    Steps the autonomous pair z' = drift(z) / r, Sigma' = (2 drift_slope(z)
+    Sigma + diffusion(z)) / r from (z0, 0) in relaxation time tau = r t,
+    r the relaxation rate, over the nodes of model.time_grid(tau_end,
+    step). Returns (taus, variances), variances[i] approximating
+    Sigma(taus[i] / r). A wrong r would only rescale time, and the
+    closed form read at t = tau / r would follow it.
+
+    z0 and params take ode_oracle_at's form: a float start with one
+    ModelParams gives variances of shape (nodes,); an array of m starts
+    with one ModelParams each gives (nodes, m), column j equal to the
+    call for row j alone bit for bit.
     """
-    require_mutation(params)
-    sol = solve_deterministic(z0, params)
-    return rk4.integrate(_variance_rhs(sol), 0.0, t_end, step, post=_snap_nonneg)
+    z0 = check_starts(z0, params)
+    models = [params] if np.ndim(z0) == 0 else params
+    for model in models:
+        require_mutation(model)
+    rates = [equilibria(model).relaxation_rate for model in models]
+    rate = np.array(rates) if np.ndim(z0) else rates[0]
+    funcs = DriftFunctions(params)
+
+    def rhs(y: np.ndarray) -> np.ndarray:
+        z, sigma2 = y
+        slope, noise = funcs.drift_slope(z), funcs.diffusion(z)
+        return np.array([funcs.drift(z) / rate, (2.0 * slope * sigma2 + noise) / rate])
+
+    taus, values = rk4.integrate(rhs, np.array([z0, np.zeros_like(z0)]), tau_end, step)
+    return taus, values[:, 1]
 
 
 def variance_closed_form(z0: float, t: float, params: ModelParams) -> VarianceResult:

@@ -111,6 +111,25 @@ def check_grid(times, name: str = "t_grid") -> np.ndarray:
     return grid
 
 
+# A remainder of at most this fraction of the step is rounding debris
+# from the grid construction, not a real final step.
+REMAINDER_EPS = 1e-9
+
+
+def time_grid(t_end: float, step: float) -> np.ndarray:
+    """Nodes i * step up to t_end, with t_end itself always included.
+
+    t_end replaces the last node when the remainder is debris, and
+    follows it otherwise.
+    """
+    n_full = int(t_end / step)
+    times = np.arange(n_full + 1) * step
+    if t_end - n_full * step > REMAINDER_EPS * step:
+        return np.append(times, t_end)
+    times[-1] = t_end
+    return times
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Parameter quadruple of one model instance.

@@ -31,7 +31,7 @@ from .deterministic import (
     ode_oracle_at,
     solve_deterministic,
 )
-from .fluctuations import limit_variance, variance_closed_form, variance_ode
+from .fluctuations import FluctuationLaw, limit_variance, variance_ode
 from .model import ModelParams
 from .simulate import clt_statistics, run_ensemble
 from .stationary import (
@@ -182,31 +182,32 @@ def check_stability() -> CheckResult:
 def check_variance_agreement() -> CheckResult:
     """Criterion 4: the two variance evaluators agree; the stable start is exact.
 
-    The integration step scales with the horizon 5 / rate so the error
-    term h * rate stays uniform across the panel.
+    The RK4 oracle runs in relaxation time tau = rate t, on [0, 5] at
+    step 1e-3 for every row, so the error term h * rate is uniform
+    across the panel and all rows advance in one lockstep sweep.
     """
+    rows = []
+    for params, z0 in _sweep_sets():
+        x_stable = equilibria(params).x_stable
+        z0_eff = z0 if abs(z0 - x_stable) >= 0.01 else 0.5 * x_stable
+        rows += [(params, z0_eff), (params, x_stable)]
+    taus, oracle = variance_ode(
+        np.array([z0 for _, z0 in rows]), 5.0, 1e-3, [params for params, _ in rows]
+    )
     worst_rel = 0.0
     worst_stable = 0.0
     compared = 0
-    for params, z0 in _sweep_sets():
-        eq = equilibria(params)
-        rate, x_stable = eq.relaxation_rate, eq.x_stable
-        z0_eff = z0 if abs(z0 - x_stable) >= 0.01 else 0.5 * x_stable
-        horizon = 5.0 / rate
-        step = horizon / 5000.0
-        ode_times, ode_values = variance_ode(z0_eff, horizon, step, params)
-        for idx in range(500, ode_times.size, 500):
-            t = float(ode_times[idx])
-            closed = variance_closed_form(z0_eff, t, params).value
-            worst_rel = max(worst_rel, abs(closed - ode_values[idx]) / abs(ode_values[idx]))
-            compared += 1
+    for j in range(0, len(rows), 2):
+        params, z0_eff = rows[j]
+        rate = equilibria(params).relaxation_rate
+        ode = oracle[500::500, j]
+        closed = FluctuationLaw(z0_eff, params).variance_on_grid(taus[500::500] / rate)
+        worst_rel = max(worst_rel, float(np.max(np.abs(closed - ode) / np.abs(ode))))
+        compared += ode.size
         # stable start: compare the ODE against the exponential form directly
-        sigma_inf2 = limit_variance(params)
-        stable_times, stable_values = variance_ode(x_stable, horizon, step, params)
-        for idx in range(1000, stable_times.size, 1000):
-            t = float(stable_times[idx])
-            exact = sigma_inf2 * (1.0 - math.exp(-2.0 * rate * t))
-            worst_stable = max(worst_stable, abs(stable_values[idx] - exact) / exact)
+        stable = oracle[1000::1000, j + 1]
+        exact = limit_variance(params) * (1.0 - np.exp(-2.0 * taus[1000::1000]))
+        worst_stable = max(worst_stable, float(np.max(np.abs(stable - exact) / exact)))
     passed = worst_rel < VARIANCE_REL_TOL and worst_stable < VARIANCE_STABLE_TOL
     return CheckResult(
         name="4-variance-evaluators-agree",

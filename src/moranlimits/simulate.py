@@ -294,8 +294,7 @@ def _run_lockstep(
     grid: np.ndarray,
     rng_seed: int,
     n_paths: int,
-    total_rates: list,
-    p_up: list,
+    tables: _ChainTables,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Drive n_paths chains to grid[-1] together, one event per numpy step.
 
@@ -313,11 +312,11 @@ def _run_lockstep(
     grid_list = grid.tolist()
     states = np.empty((n_paths, n_grid), dtype=np.int64)
     absorbed = np.zeros(n_paths, dtype=bool)
-    p_up = np.asarray(p_up)
-    absorbing = np.asarray(total_rates) <= 0.0
+    p_up = tables.p_up_array
+    absorbing = tables.rate_array <= 0.0
     can_absorb = bool(absorbing.any())
     # absorbing states never divide: their paths skip to the horizon
-    safe_rates = np.where(absorbing, 1.0, total_rates)
+    safe_rates = np.where(absorbing, 1.0, tables.rate_array)
 
     # Live paths in path order, compacted whenever some finish.
     ids = np.arange(n_paths)
@@ -566,9 +565,7 @@ def run_ensemble(
     if n_paths >= _LOCKSTEP_ALL_PATHS or (
         n_paths >= _LOCKSTEP_MIN_PATHS and _SHORT_PATH_EVENTS <= events < _LONG_PATH_EVENTS
     ):
-        states, absorbed = _run_lockstep(
-            k0, grid, rng_seed, n_paths, tables.rates, tables.p_up
-        )
+        states, absorbed = _run_lockstep(k0, grid, rng_seed, n_paths, tables)
     else:
         states = np.empty((n_paths, grid.size), dtype=np.int64)
         absorbed = np.zeros(n_paths, dtype=bool)

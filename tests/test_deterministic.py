@@ -282,8 +282,7 @@ class TestOdeOracle:
 
     @staticmethod
     def integrate_drift(z0, t_end, step):
-        drift = DriftFunctions(REF).drift
-        return rk4.integrate(lambda _t, z: drift(z), z0, t_end, step)
+        return rk4.integrate(DriftFunctions(REF).drift, z0, t_end, step)
 
     def test_step_validation(self):
         with pytest.raises(DomainError):

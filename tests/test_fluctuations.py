@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from moranlimits import (
+    DeterministicSolution,
     DomainError,
     DriftFunctions,
     FluctuationLaw,
@@ -27,6 +28,8 @@ from moranlimits.selfcheck import parameter_panel, reference_params
 
 REF = reference_params()
 REF_EQ = equilibria(REF)
+# variance_ode runs in relaxation time tau = rate t
+RATE = REF_EQ.relaxation_rate
 
 # Frozen oracle values for the reference set (s=1, u=0.5, nu0=0.5).
 # Each was computed by an independent route (adaptive quadrature of the
@@ -79,27 +82,31 @@ class TestVariance:
     def test_start_next_to_stable_point_matches_ode(self):
         # within 1e-4 of x_stable, where a path-integral form would be ill-conditioned
         z0 = REF_EQ.x_stable + 5e-5
-        times, values = variance_ode(z0, 1.0, 1e-3, REF)
-        result = variance_closed_form(z0, 1.0, REF)
+        taus, values = variance_ode(z0, 1.0, 1e-3, REF)
+        result = variance_closed_form(z0, taus[-1] / RATE, REF)
         assert result.value == pytest.approx(values[-1], rel=1e-9)
 
     def test_decreasing_flow_side(self):
-        result = variance_closed_form(0.95, 1.0, REF)
+        taus, values = variance_ode(0.95, RATE, RATE * 1e-4, REF)
+        assert taus[-1] / RATE == pytest.approx(1.0)
+        result = variance_closed_form(0.95, taus[-1] / RATE, REF)
         assert not result.used_fallback
-        times, values = variance_ode(0.95, 1.0, 1e-4, REF)
-        assert times[-1] == pytest.approx(1.0)
         assert result.value == pytest.approx(values[-1], rel=1e-8)
 
     def test_ode_and_closed_form_agree_across_panel(self):
+        # one lockstep sweep over the panel, on [0, 2] in tau at 2000 steps
+        rows = []
         for params, z0 in parameter_panel(6):
             eq = equilibria(params)
-            if abs(z0 - eq.x_stable) < 1e-2:
-                z0 = 0.5 * eq.x_stable
-            horizon = 2.0 / eq.relaxation_rate
-            times, values = variance_ode(z0, horizon, horizon / 2000.0, params)
+            rows.append((params, z0 if abs(z0 - eq.x_stable) >= 1e-2 else 0.5 * eq.x_stable))
+        taus, values = variance_ode(
+            np.array([z0 for _, z0 in rows]), 2.0, 1e-3, [params for params, _ in rows]
+        )
+        for j, (params, z0) in enumerate(rows):
+            rate = equilibria(params).relaxation_rate
             for idx in (500, 1000, 2000):
-                closed = variance_closed_form(z0, float(times[idx]), params)
-                assert closed.value == pytest.approx(values[idx], rel=1e-5)
+                closed = variance_closed_form(z0, float(taus[idx]) / rate, params)
+                assert closed.value == pytest.approx(values[idx, j], rel=1e-5)
 
     def test_limit_variance_frozen(self):
         assert limit_variance(REF) == pytest.approx(REF_LIMIT_VARIANCE, rel=1e-13)
@@ -113,6 +120,38 @@ class TestVariance:
             variance_closed_form(0.1, -1.0, REF)
         with pytest.raises(DomainError):
             variance_ode(0.1, 1.0, 0.0, REF)
+
+
+class TestVarianceOde:
+    """The RK4 variance oracle: a lockstep panel that never reads the closed form."""
+
+    def test_panel_columns_match_single_rows(self):
+        rows = [(REF, 0.1), (REF, 1.0), (REF, REF_EQ.x_stable)]
+        rows += [(ModelParams(N=5, s=0.0, u=0.7, nu0=0.2), 0.9)]  # mutation only
+        rows += parameter_panel(3)
+        taus, panel = variance_ode(
+            np.array([z0 for _, z0 in rows]), 2.0, 1e-2, [params for params, _ in rows]
+        )
+        assert panel.shape == (taus.size, len(rows))
+        for j, (params, z0) in enumerate(rows):
+            row_taus, row = variance_ode(z0, 2.0, 1e-2, params)
+            assert np.array_equal(row_taus, taus)
+            assert np.array_equal(panel[:, j], row)
+            assert np.array_equal(np.signbit(panel[:, j]), np.signbit(row))
+        with pytest.raises(DomainError):
+            variance_ode(np.array([0.1, 0.2]), 2.0, 1e-2, [REF])
+
+    def test_runs_without_the_closed_form(self, monkeypatch):
+        def closed_form(*args, **kwargs):
+            raise AssertionError("variance_ode read the closed form")
+
+        monkeypatch.setattr(DeterministicSolution, "flow", closed_form)
+        monkeypatch.setattr(DeterministicSolution, "__call__", closed_form)
+        monkeypatch.setattr(fluctuations, "FluctuationLaw", closed_form)
+        taus, values = variance_ode(0.1, 2.0, 1e-3, REF)
+        monkeypatch.undo()
+        closed = FluctuationLaw(0.1, REF).variance_on_grid(taus[1:] / RATE)
+        np.testing.assert_allclose(values[1:], closed, rtol=1e-10, atol=0.0)
 
 
 def log_uniform(low: float, high: float):
@@ -136,12 +175,13 @@ class TestClosedForm:
     )
     def test_matches_variance_ode(self, s, u, nu0, z0, n_steps):
         params = ModelParams(N=100, s=s, u=u, nu0=nu0)
-        step = 0.05 / (s + u)
-        times, coarse = variance_ode(z0, n_steps * step, step, params)
+        rate = equilibria(params).relaxation_rate
+        step = 0.05 * rate / (s + u)  # 0.05 / (s + u) in t
+        taus, coarse = variance_ode(z0, n_steps * step, step, params)
         _, fine = variance_ode(z0, n_steps * step, step / 2.0, params)
         assert fine.size == 2 * coarse.size - 1
         oracle = fine[::2] + (fine[::2] - coarse) / 15.0
-        closed = FluctuationLaw(z0, params).variance_on_grid(times[1:])
+        closed = FluctuationLaw(z0, params).variance_on_grid(taus[1:] / rate)
         np.testing.assert_allclose(closed, oracle[1:], rtol=1e-6, atol=0.0)
 
     @pytest.mark.parametrize(
@@ -157,8 +197,10 @@ class TestClosedForm:
     )
     def test_edge_regimes_match_fine_ode(self, s, u, nu0, z0):
         params = ModelParams(N=100, s=s, u=u, nu0=nu0)
-        times, values = variance_ode(z0, 5.0, 1e-3, params)
-        closed = FluctuationLaw(z0, params).variance_on_grid(times[1:])
+        rate = equilibria(params).relaxation_rate
+        # t in [0, 5] at step 1e-3
+        taus, values = variance_ode(z0, 5.0 * rate, 1e-3 * rate, params)
+        closed = FluctuationLaw(z0, params).variance_on_grid(taus[1:] / rate)
         np.testing.assert_allclose(closed, values[1:], rtol=1e-8, atol=0.0)
 
     def test_exact_limits(self):

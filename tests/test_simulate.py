@@ -375,9 +375,7 @@ class TestLockstepKernel:
         grid = np.linspace(0.0, 25.0, 11)
         n_paths, seed = 6, 8
         tables = simulate._chain_tables(params)
-        states, absorbed = simulate._run_lockstep(
-            100, grid, seed, n_paths, tables.rates, tables.p_up
-        )
+        states, absorbed = simulate._run_lockstep(100, grid, seed, n_paths, tables)
         for p in range(n_paths):
             times, _, was_absorbed, expected = reference_chain(100, 25.0, [seed, p], params, grid)
             assert len(times) > 64 + 256 + 1024 + 4096 + 8192
