@@ -136,6 +136,16 @@ def variance_closed_form(z0: float, t: float, params: ModelParams) -> VarianceRe
     return VarianceResult(law.variance(t), False)
 
 
+def _stable_noise(params: ModelParams, eq: Equilibria) -> float:
+    """diffusion(x_stable); under selection 2 x_plus (1 - x_plus + u nu1), with
+    1 - x_plus = u nu1 / (s (1 - x_minus)) from drift(1) = -u nu1, since
+    1 - x_plus itself rounds away where x_plus is within float resolution of 1."""
+    if eq.regime is Regime.MUTATION_ONLY:
+        return DriftFunctions(params).diffusion(eq.x_stable)
+    down = params.u * params.nu1
+    return 2.0 * eq.x_stable * (down / (params.s * (1.0 - eq.x_unstable)) + down)
+
+
 def limit_variance(params: ModelParams) -> float:
     """Stationary variance diffusion(x_stable) / (2 relaxation_rate).
 
@@ -146,7 +156,7 @@ def limit_variance(params: ModelParams) -> float:
     """
     require_mutation(params)
     eq = equilibria(params)
-    value = DriftFunctions(params).diffusion(eq.x_stable) / (2.0 * eq.relaxation_rate)
+    value = _stable_noise(params, eq) / (2.0 * eq.relaxation_rate)
     if not math.isfinite(value):
         raise UnsupportedModelError(
             "the stationary variance diffusion(x_stable) / (2 relaxation_rate)"
@@ -219,11 +229,10 @@ class FluctuationLaw:
         # Its coefficients, times scale^k, are formed without cancellation
         # or overflow: 1 - x_plus comes from drift(1) = -u nu1, and scale
         # is w(0) when |w(0)| <= 1, which keeps them finite as s -> 0.
-        down = u * params.nu1
-        k = 1.0 + down
+        k = 1.0 + u * params.nu1
         scale, self._omega = (w0, 1.0) if abs(w0) <= 1.0 else (1.0, w0)
         minus = x_minus * scale
-        p0 = 2.0 * x_plus * (down / (s * (1.0 - x_minus)) + down)
+        p0 = _stable_noise(params, eq)
         p1 = -2.0 * k * (x_plus * scale + minus) + 4.0 * x_plus * minus - rate * (delta * scale)
         p2 = 2.0 * minus * ((k - x_minus) * scale)
         self._rho = _times_coefficients(p0, p1, p2, scale)

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -110,6 +111,18 @@ class TestVariance:
 
     def test_limit_variance_frozen(self):
         assert limit_variance(REF) == pytest.approx(REF_LIMIT_VARIANCE, rel=1e-13)
+
+    @pytest.mark.parametrize("s, u, nu0", [(1.0, 1e-100, 0.5), (1e150, 1.0, 0.5), (1.0, 1e-9, 0.5)])
+    def test_limit_variance_where_x_stable_rounds_to_one(self, s, u, nu0):
+        # 1 - x_stable is below float resolution or close to it; the
+        # reference is g(x_stable) / (2 sqrt(D)) in 400-digit arithmetic
+        with mpmath.workdps(400):
+            s_, u_, nu0_ = (mpmath.mpf(value) for value in (s, u, nu0))
+            root = mpmath.sqrt((s_ - u_) ** 2 + 4 * s_ * u_ * nu0_)
+            x = (s_ - u_ + root) / (2 * s_)
+            noise = (2 + s_) * x * (1 - x) + u_ * nu0_ * (1 - x) + u_ * (1 - nu0_) * x
+            value = limit_variance(ModelParams(N=100, s=s, u=u, nu0=nu0))
+            assert abs(value / (noise / (2 * root)) - 1) <= 1e-14
 
     def test_variance_is_nonnegative(self):
         _, values = variance_ode(0.02, 4.0, 1e-3, REF)
