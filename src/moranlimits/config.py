@@ -7,10 +7,11 @@ only the rules that name a config key the library never sees: a
 command's section must be present, the ode oracle step must keep RK4
 stable, the ode table and the simulate time grid must fit one fixed
 work budget of 10^7 steps, and the chain that simulate and clt run must
-fit budgets of 10^7 rate-table rows and 10^10 events. The model's own
-preconditions (the rate cap, u > 0 for the fluctuation and stationary
-laws, owned by model.require_mutation, a resolvable discriminant) are
-raised by the library module that needs them, when the command runs.
+fit budgets of 10^7 rate-table rows, 10^10 events and 1 GiB of path
+state. The model's own preconditions (the rate cap, u > 0 for the
+fluctuation and stationary laws, owned by model.require_mutation, a
+resolvable discriminant) are raised by the library module that needs
+them, when the command runs.
 """
 
 from __future__ import annotations
@@ -43,6 +44,12 @@ _MAX_STEPS = 10**7
 # 2.5 to 15 million events per second on a 2-vCPU VM.
 _MAX_TABLE_ROWS = 10**7
 _MAX_EVENTS = 10**10
+
+# Their ensembles hold about 5.9 KB per path before any event (two generators
+# and two 256-draw buffers) and 16 B per path and grid row (states, proportions).
+_PATH_BYTES = 6 * 1024
+_GRID_ROW_BYTES = 16
+_MAX_ENSEMBLE_BYTES = 2**30
 
 
 class ConfigError(ValueError):
@@ -293,7 +300,7 @@ def _require_step_budget(config: ExperimentConfig, section: str, step_keys: tupl
 
 
 def _require_chain_budget(config: ExperimentConfig, section: str) -> None:
-    """Raise ConfigError if the chain's rate table or event bound exceeds its budget.
+    """Raise ConfigError if the chain's rate table, event bound or memory exceeds its budget.
 
     The event bound is n_paths * t_end * N * max_jump_rate, t_end being
     the section's last time: every state's total event rate is at most
@@ -301,23 +308,33 @@ def _require_chain_budget(config: ExperimentConfig, section: str) -> None:
     """
     settings = config.sections[section]
     model = config.model
+    simulate = section == "simulate"
     if model.N + 1 > _MAX_TABLE_ROWS:
         raise ConfigError(
             f"'model.N' + 1 = {model.N + 1} rate-table rows exceeds the budget of"
             f" {_MAX_TABLE_ROWS:.0e} for {section}; lower N"
         )
-    t_end = settings.t_end if section == "simulate" else settings.times[-1]
+    t_end = settings.t_end if simulate else settings.times[-1]
     rate = max_jump_rate(model)
     try:
         events = settings.n_paths * t_end * model.N * rate
     except OverflowError:  # an n_paths beyond the float range
         events = math.inf
     if events > _MAX_EVENTS:
-        t_key = "'simulate.t_end'" if section == "simulate" else "max('clt.times')"
+        t_key = "'simulate.t_end'" if simulate else "max('clt.times')"
         raise ConfigError(
             f"'{section}.n_paths' * {t_key} * 'model.N' * max_jump_rate ="
             f" {settings.n_paths} * {t_end!r} * {model.N} * {rate:.6g} = {events:.3g}"
             f" events exceeds the budget of {_MAX_EVENTS:.0e} (max_jump_rate, the"
             " largest jump rate per individual, is set by 'model.s', 'model.u' and"
             " 'model.nu0'); lower n_paths, the horizon or N"
+        )
+    # below the event budget n_paths converts to a float
+    rows = settings.t_end / settings.grid_step + 2 if simulate else len(settings.times) + 1
+    size = float(settings.n_paths) * (_PATH_BYTES + _GRID_ROW_BYTES * rows)
+    if size > _MAX_ENSEMBLE_BYTES:
+        raise ConfigError(
+            f"'{section}.n_paths' * ({_PATH_BYTES} + {_GRID_ROW_BYTES} * grid rows) ="
+            f" {settings.n_paths} * ({_PATH_BYTES} + {_GRID_ROW_BYTES} * {rows:.6g}) = {size:.3g}"
+            f" bytes exceeds the memory budget of {_MAX_ENSEMBLE_BYTES} (1 GiB); lower n_paths"
         )

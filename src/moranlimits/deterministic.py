@@ -261,10 +261,9 @@ def solve_deterministic(z0: float, params: ModelParams) -> DeterministicSolution
 
 
 def check_starts(z0: ArrayLike, params: Union[ModelParams, Sequence[ModelParams]]) -> ArrayLike:
-    """z0 checked in the oracles' float-or-panel form, as a float or a float array.
+    """z0 checked as one float start, or as a non-empty 1-d array of starts.
 
-    A float start takes one ModelParams; a non-empty 1-d array of starts
-    takes a sequence of ModelParams, one per start.
+    A float takes one ModelParams, an array a sequence with one per start.
     """
     if np.ndim(z0) == 0:
         if not isinstance(params, ModelParams):

@@ -101,17 +101,13 @@ def variance_ode(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Fixed-step RK4 solution of the variance equation from Sigma(0) = 0.
 
-    Steps the autonomous pair z' = drift(z) / r, Sigma' = (2 drift_slope(z)
-    Sigma + diffusion(z)) / r from (z0, 0) in relaxation time tau = r t,
-    r the relaxation rate, over the nodes of model.time_grid(tau_end,
-    step). Returns (taus, variances), variances[i] approximating
-    Sigma(taus[i] / r). A wrong r would only rescale time, and the
-    closed form read at t = tau / r would follow it.
-
-    z0 and params take ode_oracle_at's form: a float start with one
-    ModelParams gives variances of shape (nodes,); an array of m starts
-    with one ModelParams each gives (nodes, m), column j equal to the
-    call for row j alone bit for bit.
+    Steps z' = drift(z) / r, Sigma' = (2 drift_slope(z) Sigma +
+    diffusion(z)) / r from (z0, 0) in relaxation time tau = r t, r the
+    relaxation rate, over the nodes of model.time_grid(tau_end, step),
+    and returns (taus, variances) with variances[i] ~ Sigma(taus[i] / r);
+    a wrong r would only rescale time. z0 and params take ode_oracle_at's
+    float-or-panel form; a panel gives one column per row, equal to that
+    row's own call bit for bit.
     """
     z0 = check_starts(z0, params)
     models = [params] if np.ndim(z0) == 0 else params
@@ -137,9 +133,11 @@ def variance_closed_form(z0: float, t: float, params: ModelParams) -> VarianceRe
 
 
 def _stable_noise(params: ModelParams, eq: Equilibria) -> float:
-    """diffusion(x_stable); under selection 2 x_plus (1 - x_plus + u nu1), with
-    1 - x_plus = u nu1 / (s (1 - x_minus)) from drift(1) = -u nu1, since
-    1 - x_plus itself rounds away where x_plus is within float resolution of 1."""
+    """diffusion(x_stable), which keeps its digits where x_plus rounds to 1.
+
+    Under selection it is 2 x_plus (1 - x_plus + u nu1), with 1 - x_plus =
+    u nu1 / (s (1 - x_minus)) from drift(1) = -u nu1.
+    """
     if eq.regime is Regime.MUTATION_ONLY:
         return DriftFunctions(params).diffusion(eq.x_stable)
     down = params.u * params.nu1

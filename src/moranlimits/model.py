@@ -111,17 +111,12 @@ def check_grid(times, name: str = "t_grid") -> np.ndarray:
     return grid
 
 
-# A remainder of at most this fraction of the step is rounding debris
-# from the grid construction, not a real final step.
+# A remainder of at most this fraction of the step is rounding debris.
 REMAINDER_EPS = 1e-9
 
 
 def time_grid(t_end: float, step: float) -> np.ndarray:
-    """Nodes i * step up to t_end, with t_end itself always included.
-
-    t_end replaces the last node when the remainder is debris, and
-    follows it otherwise.
-    """
+    """Nodes i * step up to t_end, then t_end, which replaces the last node if it is that close."""
     n_full = int(t_end / step)
     times = np.arange(n_full + 1) * step
     if t_end - n_full * step > REMAINDER_EPS * step:

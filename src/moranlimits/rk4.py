@@ -1,12 +1,11 @@
 """Classical fixed-step fourth-order Runge-Kutta for autonomous y' = f(y).
 
-One loop serves both entry points: `integrate` records every node of
-model.time_grid from t = 0, and `integrate_at` records requested times,
-sub-stepping between them. The loop runs the four stages inline: one
-call to f per stage, and no stage times to add up. Its times, steps and
-a float state stay Python floats rather than numpy scalars, which round
-the same IEEE doubles the same way but cost several times as much per
-operation in a scalar loop.
+`integrate` records every node of model.time_grid from t = 0, and
+`integrate_at` the requested times, sub-stepping between them. Both run
+one loop, with the four stages inline and one call to f each. Its times,
+steps and a float state stay Python floats rather than numpy scalars,
+which round the same IEEE doubles the same way but cost several times
+as much per operation in a scalar loop.
 
 The state may also be a float array of independent rows advanced in
 lockstep on one shared time grid. `f` and `post` then take and return
@@ -26,7 +25,7 @@ import numpy as np
 from .model import REMAINDER_EPS, DomainError, check_grid, check_real, time_grid
 
 
-def _march(f: Callable, y0, ts: np.ndarray, max_step: float, post: Optional[Callable]) -> np.ndarray:
+def _march(f: Callable, y0, ts: np.ndarray, max_step: float, post) -> np.ndarray:
     """State at each time of ts from y0 at t = 0, no step longer than max_step."""
     out = np.empty(ts.shape + np.shape(y0))
     y = y0
@@ -50,26 +49,20 @@ def _march(f: Callable, y0, ts: np.ndarray, max_step: float, post: Optional[Call
 
 
 def integrate(
-    f: Callable[[float], float],
-    y0: float,
-    t_end: float,
-    step: float,
-    post: Optional[Callable[[float], float]] = None,
+    f: Callable[[float], float], y0: float, t_end: float, step: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Integrate from t = 0 to t_end, recording every node including 0.
 
     The nodes are model.time_grid(t_end, step): a shorter final step
-    covers any remainder when step does not divide t_end. `post` is
-    applied to the state after each step (used by callers to pin
-    rounding excursions back onto an invariant set). Returns the nodes
-    and the states, of shape (nodes,) + shape(y0).
+    covers any remainder when step does not divide t_end. Returns the
+    nodes and the states, of shape (nodes,) + shape(y0).
     """
     step = check_real(step, "step", 0.0, exclusive=True)
     t_end = check_real(t_end, "t_end", minimum=0.0)
     if t_end > 0.0 and step > t_end:
         raise DomainError(f"step {step} exceeds integration horizon {t_end}")
     times = time_grid(t_end, step)
-    return times, _march(f, y0, times, step, post)
+    return times, _march(f, y0, times, step, None)
 
 
 def integrate_at(
@@ -83,7 +76,9 @@ def integrate_at(
 
     `times` must be non-negative and strictly increasing; integration
     starts at t = 0 with state y0, a float or an array of rows. The
-    result has shape (len(times),) + shape(y0).
+    result has shape (len(times),) + shape(y0). `post` is applied to the
+    state after each step (used by callers to pin rounding excursions
+    back onto an invariant set).
     """
     ts = check_grid(times, "times")
     check_real(max_step, "max_step", 0.0, exclusive=True)

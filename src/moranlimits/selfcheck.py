@@ -194,8 +194,7 @@ def check_variance_agreement() -> CheckResult:
     taus, oracle = variance_ode(
         np.array([z0 for _, z0 in rows]), 5.0, 1e-3, [params for params, _ in rows]
     )
-    worst_rel = 0.0
-    worst_stable = 0.0
+    worst_rel = worst_stable = 0.0
     compared = 0
     for j in range(0, len(rows), 2):
         params, z0_eff = rows[j]

@@ -312,7 +312,6 @@ def _run_lockstep(
     grid_list = grid.tolist()
     states = np.empty((n_paths, n_grid), dtype=np.int64)
     absorbed = np.zeros(n_paths, dtype=bool)
-    p_up = tables.p_up_array
     absorbing = tables.rate_array <= 0.0
     can_absorb = bool(absorbing.any())
     # absorbing states never divide: their paths skip to the horizon
@@ -386,7 +385,7 @@ def _run_lockstep(
                     done.append(r)
                 else:
                     g_t[r] = grid_list[hi]
-        up = (coin < p_up[k]).view(np.int8)
+        up = (coin < tables.p_up_array[k]).view(np.int8)
         k += up * 2 - 1
         t = t_next
         if done:

@@ -238,6 +238,20 @@ class TestCommandValidation:
             with pytest.raises(ConfigError, match="events exceeds the budget of 1e\\+10"):
                 validate_for_command(config, command)
 
+    @pytest.mark.parametrize("command", ["simulate", "clt"])
+    def test_chain_memory_budget(self, tmp_path, command):
+        # 128 grid rows make 6144 + 16 * 128 = 8192 bytes a path, so 2^17
+        # paths fill the 2^30-byte budget exactly
+        rows = {
+            "simulate": {"simulate.t_end": 63.0, "simulate.grid_step": 0.5},  # 126 + 2
+            "clt": {"clt.times": [0.01 * (i + 1) for i in range(127)]},  # 0 and 127 times
+        }[command]
+        at_budget = {**rows, f"{command}.n_paths": 2**17}
+        validate_for_command(load_config(make_config(tmp_path, at_budget)), command)
+        config = load_config(make_config(tmp_path, {**at_budget, f"{command}.n_paths": 2**17 + 1}))
+        with pytest.raises(ConfigError, match="bytes exceeds the memory budget of 1073741824"):
+            validate_for_command(config, command)
+
     def test_rate_cap_is_accepted(self, tmp_path):
         overrides = {"model.s": MAX_RATE, "model.u": MAX_RATE}
         config = load_config(make_config(tmp_path, overrides))
@@ -325,6 +339,28 @@ class TestMainExitCodes:
         assert "exceeds the budget" in err
         for key in keys:
             assert key in err
+        assert "Traceback" not in err
+        assert_no_artifact(out)
+
+    @pytest.mark.parametrize(
+        "command, overrides",
+        [
+            # two grid rows and 3 events: only the paths' own state is large
+            (
+                "simulate",
+                {"simulate.n_paths": 10**8, "simulate.t_end": 1e-8, "simulate.grid_step": 1e-8},
+            ),
+            ("clt", {"clt.n_paths": 10**6}),
+        ],
+    )
+    def test_over_memory_budget_exits_2(self, tmp_path, capsys, command, overrides):
+        path = make_config(tmp_path, overrides)
+        out = tmp_path / "o"
+        code = cli.main([command, "--config", str(path), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert f"'{command}.n_paths'" in err and "memory budget" in err
         assert "Traceback" not in err
         assert_no_artifact(out)
 
