@@ -110,15 +110,17 @@ def variance_ode(
     row's own call bit for bit.
     """
     z0 = check_starts(z0, params)
-    models = [params] if np.ndim(z0) == 0 else params
+    models = params if np.ndim(z0) else [params]
     for model in models:
         require_mutation(model)
     rates = [equilibria(model).relaxation_rate for model in models]
     rate = np.array(rates) if np.ndim(z0) else rates[0]
     funcs = DriftFunctions(params)
+    # one row evaluates on Python floats, which round as numpy does but cost less
+    split = iter if np.ndim(z0) else np.ndarray.tolist
 
     def rhs(y: np.ndarray) -> np.ndarray:
-        z, sigma2 = y
+        z, sigma2 = split(y)
         slope, noise = funcs.drift_slope(z), funcs.diffusion(z)
         return np.array([funcs.drift(z) / rate, (2.0 * slope * sigma2 + noise) / rate])
 

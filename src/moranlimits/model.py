@@ -116,7 +116,7 @@ REMAINDER_EPS = 1e-9
 
 
 def time_grid(t_end: float, step: float) -> np.ndarray:
-    """Nodes i * step up to t_end, then t_end, which replaces the last node if it is that close."""
+    """Nodes i * step up to t_end, then t_end, replacing a last node within REMAINDER_EPS * step."""
     n_full = int(t_end / step)
     times = np.arange(n_full + 1) * step
     if t_end - n_full * step > REMAINDER_EPS * step:
