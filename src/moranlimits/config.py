@@ -6,12 +6,13 @@ value is checked for its type and range. Beyond that this module checks
 only the rules that name a config key the library never sees: a
 command's section must be present, the ode oracle step must keep RK4
 stable, the ode table and the simulate time grid must fit one fixed
-work budget of 10^7 steps, and the chain that simulate and clt run must
+work budget of 10^7 steps, the chain that simulate and clt run must
 fit budgets of 10^7 rate-table rows, 10^10 events and 1 GiB of path
-state. The model's own preconditions (the rate cap, u > 0 for the
-fluctuation and stationary laws, owned by model.require_mutation, a
-resolvable discriminant) are raised by the library module that needs
-them, when the command runs.
+state, and the pmf that stationary writes must fit 10^7 rows. The
+model's own preconditions (the rate cap, u > 0 for the fluctuation and
+stationary laws, owned by model.require_mutation, a resolvable
+discriminant) are raised by the library module that needs them, when
+the command runs.
 """
 
 from __future__ import annotations
@@ -40,8 +41,9 @@ _RK4_STABILITY_LIMIT = 2.785
 _MAX_STEPS = 10**7
 
 # simulate and clt build a rate table of N + 1 rows, about 100 bytes
-# each, and run at most n_paths * t_end * N * max_jump_rate events, at
-# 2.5 to 15 million events per second on a 2-vCPU VM.
+# each, and stationary writes a pmf CSV of N + 1 rows. simulate and clt
+# run at most n_paths * t_end * N * max_jump_rate events, at 2.5 to 15
+# million events per second on a 2-vCPU VM.
 _MAX_TABLE_ROWS = 10**7
 _MAX_EVENTS = 10**10
 
@@ -268,6 +270,8 @@ def validate_for_command(config: ExperimentConfig, command: str) -> None:
         _require_step_budget(config, "simulate", ("grid_step",))
     if command in ("simulate", "clt"):
         _require_chain_budget(config, command)
+    elif command == "stationary":
+        _require_table_rows(config, "stationary", "pmf rows")
 
 
 def _require_stable_oracle_step(config: ExperimentConfig) -> None:
@@ -299,6 +303,16 @@ def _require_step_budget(config: ExperimentConfig, section: str, step_keys: tupl
         )
 
 
+def _require_table_rows(config: ExperimentConfig, command: str, rows: str) -> None:
+    """Raise ConfigError if the command's table of N + 1 rows exceeds the budget."""
+    n = config.model.N
+    if n + 1 > _MAX_TABLE_ROWS:
+        raise ConfigError(
+            f"'model.N' + 1 = {n + 1} {rows} exceeds the budget of"
+            f" {_MAX_TABLE_ROWS:.0e} for {command}; lower N"
+        )
+
+
 def _require_chain_budget(config: ExperimentConfig, section: str) -> None:
     """Raise ConfigError if the chain's rate table, event bound or memory exceeds its budget.
 
@@ -309,11 +323,7 @@ def _require_chain_budget(config: ExperimentConfig, section: str) -> None:
     settings = config.sections[section]
     model = config.model
     simulate = section == "simulate"
-    if model.N + 1 > _MAX_TABLE_ROWS:
-        raise ConfigError(
-            f"'model.N' + 1 = {model.N + 1} rate-table rows exceeds the budget of"
-            f" {_MAX_TABLE_ROWS:.0e} for {section}; lower N"
-        )
+    _require_table_rows(config, section, "rate-table rows")
     t_end = settings.t_end if simulate else settings.times[-1]
     rate = max_jump_rate(model)
     try:

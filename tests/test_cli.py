@@ -207,12 +207,13 @@ class TestCommandValidation:
             with pytest.raises(ConfigError, match="exceeds the budget"):
                 validate_for_command(config, "simulate")
 
-    @pytest.mark.parametrize("command", ["simulate", "clt"])
+    @pytest.mark.parametrize("command", ["simulate", "clt", "stationary"])
     def test_chain_table_budget(self, tmp_path, command):
-        # N + 1 rate-table rows may reach 10^7, and no more
+        # N + 1 rate-table rows (or stationary's pmf rows) may reach 10^7, and no more
+        rows = "pmf rows" if command == "stationary" else "rate-table rows"
         validate_for_command(load_config(make_config(tmp_path, {"model.N": 10**7 - 1})), command)
         config = load_config(make_config(tmp_path, {"model.N": 10**7}))
-        with pytest.raises(ConfigError, match="'model.N' \\+ 1 = 10000001 rate-table rows"):
+        with pytest.raises(ConfigError, match=f"'model.N' \\+ 1 = 10000001 {rows}"):
             validate_for_command(config, command)
 
     @pytest.mark.parametrize("command", ["simulate", "clt"])
@@ -339,6 +340,18 @@ class TestMainExitCodes:
         assert "exceeds the budget" in err
         for key in keys:
             assert key in err
+        assert "Traceback" not in err
+        assert_no_artifact(out)
+
+    def test_over_pmf_budget_stationary_exits_2(self, tmp_path, capsys):
+        # a pmf of 10^12 + 1 rows; refused before the sweep runs
+        path = make_config(tmp_path, {"model.N": 10**12})
+        out = tmp_path / "o"
+        code = cli.main(["stationary", "--config", str(path), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert "'model.N'" in err and "pmf rows exceeds the budget" in err
         assert "Traceback" not in err
         assert_no_artifact(out)
 
