@@ -171,9 +171,10 @@ def cmd_clt(config: ExperimentConfig, out_dir: Path) -> int:
     }
     dump_json(out_dir / "clt_report.json", _payload("clt", config, results))
     for row in stats["rows"][1:]:
+        ks = row["ks_statistic"]  # None where Sigma(t) underflows to 0
         print(
             f"clt: t={row['t']:g} var {row['scaled_var']:.4f} "
-            f"target {row['sigma2']:.4f} ks {row['ks_statistic']:.4f}"
+            f"target {row['sigma2']:.4f} ks {'n/a' if ks is None else format(ks, '.4f')}"
         )
     return EXIT_OK
 

@@ -9,8 +9,8 @@ stable, the ode table and the simulate time grid must fit one fixed
 work budget of 10^7 steps, the chain that simulate and clt run must
 fit budgets of 10^7 rate-table rows, 10^10 events and 1 GiB of path
 state, and the pmf that stationary writes must fit 10^7 rows. The
-model's own preconditions (the rate cap, u > 0 for the fluctuation and
-stationary laws, owned by model.require_mutation, a resolvable
+model's own preconditions (the rate cap, u nu0 > 0 and u nu1 > 0 for
+the fluctuation and stationary laws, owned by model.require_mutation, a resolvable
 discriminant) are raised by the library module that needs them, when
 the command runs.
 """

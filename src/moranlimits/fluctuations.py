@@ -36,8 +36,9 @@ Sigma(t+h) - a^2 Sigma(t) and the exact propagator
     a = exp(int_t^{t+h} drift_slope(z_v) dv) = drift(z_{t+h}) / drift(z_t)
       = exp(-sqrt(D) h) ((1 - w(t)) / (1 - w(t+h)))^2.
 
-Everything here requires u > 0 (model.require_mutation), so the noise
-is bounded away from zero on [0, 1].
+Everything here requires u nu0 > 0 and u nu1 > 0
+(model.require_mutation), so the noise is bounded away from zero on
+[0, 1].
 
 variance_ode steps the flow and the variance equation together by RK4,
 and selfcheck criterion 4 compares it with the closed form. Its
@@ -52,6 +53,7 @@ import math
 from typing import NamedTuple, Sequence, Union
 
 import numpy as np
+import numpy.random  # noqa: F401 - numpy defers it to first use; load it with the module
 
 from . import rk4
 from .deterministic import (

@@ -155,11 +155,23 @@ class ModelParams:
 
 
 def require_mutation(params: ModelParams) -> None:
-    """Raise UnsupportedModelError unless u > 0, as the fluctuation and stationary laws need."""
+    """Raise UnsupportedModelError unless both mutation rates u nu0 and u nu1 are > 0.
+
+    The fluctuation and stationary laws need them. u > 0 alone is not
+    enough: a product u nu_j that underflows to 0 leaves a boundary
+    state absorbing just as u = 0 does.
+    """
     if params.u <= 0.0:
         raise UnsupportedModelError(
             "u = 0 makes the boundary states absorbing: the noise floor is 0 and no"
             " stationary law exists, so the fluctuation and stationary laws need u > 0"
+        )
+    if not (params.u * params.nu0 > 0.0 and params.u * params.nu1 > 0.0):
+        raise UnsupportedModelError(
+            f"u * nu0 = {params.u * params.nu0!r} and u * nu1 = {params.u * params.nu1!r}"
+            f" at u = {params.u!r}, nu0 = {params.nu0!r}: a mutation rate that underflows"
+            " to 0 makes a boundary state absorbing, so the fluctuation and stationary"
+            " laws need both products > 0"
         )
 
 

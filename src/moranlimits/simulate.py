@@ -49,6 +49,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
+import numpy.random  # noqa: F401 - numpy defers it to first use; load it with the module
 
 from .deterministic import DeterministicSolution
 from .fluctuations import FluctuationLaw
@@ -649,7 +650,8 @@ def clt_statistics(
     sqrt(N) (k0 / N - z0); its variance entries are None. Returns a dict
     with the keys k0, rows and rounding_offset.
 
-    Requires u > 0 (the Gaussian law needs a positive noise floor).
+    Requires u nu0 > 0 and u nu1 > 0 (the Gaussian law needs a positive
+    noise floor).
     """
     check_seed(rng_seed)
     ts = check_grid(times, "times")

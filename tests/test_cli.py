@@ -424,6 +424,50 @@ class TestMainExitCodes:
         )
         assert_no_artifact(out)
 
+    @pytest.mark.parametrize("command", ["clt", "stationary"])
+    @pytest.mark.parametrize(
+        "overrides, product",
+        [
+            ({"model.u": 1e-200, "model.nu0": 1e-200}, "u * nu0 = 0.0"),
+            ({"model.u": 1e-310, "model.nu0": 1.0 - 2.0**-53}, "u * nu1 = 0.0"),
+        ],
+        ids=["u*nu0", "u*nu1"],
+    )
+    def test_underflowing_mutation_rate_exits_2(
+        self, tmp_path, capsys, command, overrides, product
+    ):
+        # u > 0, but one mutation rate u nu_j is 0: a boundary state absorbs,
+        # where the stationary pmf used to be NaN and fail in dump_json
+        path = make_config(tmp_path, overrides)
+        out = tmp_path / "o"
+        code = cli.main([command, "--config", str(path), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert product in err and f"u = {overrides['model.u']!r}" in err
+        assert_no_artifact(out)
+
+    def test_clt_row_with_underflowing_sigma_prints_na(self, tmp_path, capsys):
+        # Sigma(1e-300) underflows to 0, so that row has no KS statistic
+        path = make_config(
+            tmp_path,
+            {
+                "model.N": 1000,
+                "model.s": 25.0,
+                "model.u": 7.0,
+                "model.nu0": 1e-300,
+                "clt.z0": 0.0,
+                "clt.times": [1e-300, 1.0],
+            },
+        )
+        code = cli.main(["clt", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == 0
+        printed = capsys.readouterr()
+        assert "Traceback" not in printed.err
+        assert "clt: t=1e-300 var 0.0000 target 0.0000 ks n/a\n" in printed.out
+        report = json.loads((tmp_path / "o" / "clt_report.json").read_text(encoding="utf-8"))
+        assert report["results"]["rows"][1]["ks_statistic"] is None
+
     def test_other_exceptions_propagate(self, tmp_path, monkeypatch):
         def broken(*args, **kwargs):
             raise RuntimeError("not a config error")

@@ -178,23 +178,38 @@ class TestClosedForm:
     # combined about 1e-7. Its Horner polynomials also lose digits where
     # diffusion is far below its terms, near x = 1 when s >> u nu1; the
     # domain keeps s / (u nu1) below 1e10, where that stays under 1e-6.
-    @settings(max_examples=150, deadline=None)
+    # Each example is one panel of rows sharing one step in relaxation
+    # time, set by its stiffest row: every other row steps finer than
+    # (s + u) h = 0.05, over a horizon shorter by the same factor.
+    @settings(max_examples=8, deadline=None)
     @given(
-        s=st.one_of(st.just(0.0), log_uniform(-9.0, 4.0)),
-        u=log_uniform(-3.0, 3.0),
-        nu0=st.one_of(log_uniform(-12.0, -1.0), st.floats(0.1, 0.999)),
-        z0=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+        rows=st.lists(
+            st.tuples(
+                st.one_of(st.just(0.0), log_uniform(-9.0, 4.0)),  # s
+                log_uniform(-3.0, 3.0),  # u
+                st.one_of(log_uniform(-12.0, -1.0), st.floats(0.1, 0.999)),  # nu0
+                st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),  # z0
+            ),
+            min_size=20,
+            max_size=40,
+        ),
         n_steps=st.integers(1, 1000),
     )
-    def test_matches_variance_ode(self, s, u, nu0, z0, n_steps):
-        params = ModelParams(N=100, s=s, u=u, nu0=nu0)
-        rate = equilibria(params).relaxation_rate
-        step = 0.05 * rate / (s + u)  # 0.05 / (s + u) in t
-        taus, coarse = variance_ode(z0, n_steps * step, step, params)
-        _, fine = variance_ode(z0, n_steps * step, step / 2.0, params)
-        assert fine.size == 2 * coarse.size - 1
+    def test_matches_variance_ode(self, rows, n_steps):
+        panel = [ModelParams(N=100, s=s, u=u, nu0=nu0) for s, u, nu0, _ in rows]
+        z0 = np.array([row[3] for row in rows])
+        rates = [equilibria(params).relaxation_rate for params in panel]
+        step = 0.05 * min(rate / (p.s + p.u) for rate, p in zip(rates, panel))
+        taus, coarse = variance_ode(z0, n_steps * step, step, panel)
+        _, fine = variance_ode(z0, n_steps * step, step / 2.0, panel)
+        assert fine.shape == (2 * coarse.shape[0] - 1, len(rows))
         oracle = fine[::2] + (fine[::2] - coarse) / 15.0
-        closed = FluctuationLaw(z0, params).variance_on_grid(taus[1:] / rate)
+        closed = np.column_stack(
+            [
+                FluctuationLaw(start, params).variance_on_grid(taus[1:] / rate)
+                for start, params, rate in zip(z0, panel, rates)
+            ]
+        )
         np.testing.assert_allclose(closed, oracle[1:], rtol=1e-6, atol=0.0)
 
     @pytest.mark.parametrize(
@@ -249,12 +264,21 @@ class TestClosedForm:
         assert np.all(np.isfinite(paths))
 
     def test_start_at_unstable_point_stays_put(self):
-        # u nu0 underflows to 0, so x_minus = -u nu0 / (s x_plus) is -0.0
-        params = ModelParams(N=10, s=1.0, u=1e-200, nu0=1e-200)
+        # u nu0 is the least subnormal, so x_minus = -u nu0 / (s x_plus) is -0.0
+        params = ModelParams(N=10, s=4.0, u=1e-200, nu0=5e-124)
+        assert params.u * params.nu0 == 5e-324
         assert equilibria(params).x_unstable == 0.0
         times = np.linspace(0.0, 3.0, 4)
         assert np.all(FluctuationLaw(0.0, params).variance_on_grid(times) == 0.0)
         assert np.all(sample_fluctuation_paths(0.0, times, 3, 1, params) == 0.0)
+
+    def test_underflowing_mutation_rate_rejected(self):
+        # u nu0 = 0 with u > 0: state 0 absorbs as it does at u = 0
+        params = ModelParams(N=10, s=1.0, u=1e-200, nu0=1e-200)
+        with pytest.raises(UnsupportedModelError, match=r"u \* nu0 = 0\.0"):
+            FluctuationLaw(0.0, params)
+        with pytest.raises(UnsupportedModelError, match=r"u \* nu0 = 0\.0"):
+            limit_variance(params)
 
     def test_start_within_rounding_of_unstable_point_rejected(self):
         # x_minus is about -1e-310, so C = -x_plus / 1e-310 overflows

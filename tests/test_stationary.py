@@ -23,8 +23,9 @@ from moranlimits import (
     stationary_distribution,
     stationary_sampler,
 )
+from moranlimits import stationary
 from moranlimits.model import rate_tables
-from moranlimits.selfcheck import parameter_panel, reference_params
+from moranlimits.selfcheck import _sweep_sets, parameter_panel, reference_params
 
 REF = reference_params()
 
@@ -103,6 +104,79 @@ class TestKsDistance:
             ks_distance_to_gaussian(dist, 0.5, 0.0)
         with pytest.raises(DomainError):
             ks_distance_to_gaussian(dist, 0.5, -1.0)
+
+
+def ndtr_test_points() -> np.ndarray:
+    """Over 10^6 arguments: random bulk and tails, and every branch point of Cephes' ndtr.
+
+    The branches switch at |a| = 1 (erf to erfc), sqrt(2) (erfc's own
+    erf branch), 8 sqrt(2) (P / Q to R / S) and sqrt(2 MAXLOG), about
+    37.7 (erfc underflows to 0); each is scanned ulp by ulp and nearby.
+    """
+    rng = np.random.default_rng(20261019)
+    parts = [
+        rng.normal(0.0, 3.0, 350_000),
+        rng.uniform(-40.0, 40.0, 300_000),
+        rng.uniform(-1.5, 1.5, 100_000),
+        np.geomspace(1e-300, 1e3, 50_000),
+        -np.geomspace(1e-300, 1e3, 50_000),
+        [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324],
+        [2.2250738585072014e-308, -2.2250738585072014e-308, 1e-310, -1e-310, 1e308, -1e308],
+    ]
+    for branch in (1.0, math.sqrt(2.0), 8.0 * math.sqrt(2.0), math.sqrt(2.0 * stationary._MAXLOG)):
+        for point in (branch, -branch):
+            parts.append(point + np.arange(-5000, 5001) * np.spacing(point))
+            parts.append(point + rng.uniform(-1e-3, 1e-3, 10_000))
+    return np.concatenate([np.asarray(part, dtype=float) for part in parts])
+
+
+def scipy_ks_distance(dist, center: float, sigma: float) -> float:
+    """ks_distance_to_gaussian as it was written on scipy.special.ndtr."""
+    n = dist.params.N
+    cum = dist.cdf()
+    gauss = ndtr(math.sqrt(n) * (dist.states / n - center) / sigma)
+    cum_before = np.concatenate(([0.0], cum[:-1]))
+    return float(max(np.max(cum - gauss), np.max(gauss - cum_before)))
+
+
+class TestNdtrPort:
+    def test_exact_port_matches_scipy_bit_for_bit(self):
+        points = ndtr_test_points()
+        assert points.size >= 10**6
+        ported = stationary._ndtr(points)
+        expected = ndtr(points)
+        differ = np.flatnonzero(ported.view(np.uint64) != expected.view(np.uint64))
+        assert differ.size == 0, (points[differ[:5]], ported[differ[:5]], expected[differ[:5]])
+
+    def test_near_port_within_the_sup_margin(self):
+        points = np.sort(ndtr_test_points())
+        near = stationary._ndtr_near(points)
+        assert np.array_equal(np.isnan(near), np.isnan(points))
+        finite = ~np.isnan(points)
+        assert np.max(np.abs(near[finite] - ndtr(points[finite]))) <= 2.5e-16
+        assert 2.5e-16 < stationary._SUP_MARGIN / 1000.0
+
+    def test_ks_distance_matches_scipy_form_on_the_selfcheck_panel(self):
+        for params, _ in _sweep_sets():
+            for exponent in range(2, 8):
+                swept = ModelParams(N=10**exponent, s=params.s, u=params.u, nu0=params.nu0)
+                dist = stationary_distribution(swept)
+                center = equilibria(swept).x_stable
+                sigma = math.sqrt(limit_variance(swept))
+                assert ks_distance_to_gaussian(dist, center, sigma) == scipy_ks_distance(
+                    dist, center, sigma
+                )
+
+    @pytest.mark.parametrize("extra", [math.nan, math.inf, -math.inf])
+    def test_ks_sample_non_finite_matches_scipy_form(self, extra):
+        sample = np.append(np.random.default_rng(3).normal(0.0, 1.0, 200), extra)
+        x = np.sort(sample)
+        gauss = ndtr(x)
+        above = np.arange(1.0, x.size + 1) / x.size - gauss
+        below = gauss - np.arange(0.0, x.size) / x.size
+        expected = float(max(above.max(), below.max()))
+        got = ks_sample_to_gaussian(sample, 1.0)
+        assert got == expected or (math.isnan(got) and math.isnan(expected))
 
 
 class TestKsSample:
