@@ -145,7 +145,8 @@ def equilibria(params: ModelParams) -> Equilibria:
         UnsupportedModelError: for s = u = 0, where every point is a
             fixed point and no isolated equilibrium exists; and for s > 0
             when the discriminant is below the smallest normal float,
-            where it has lost its digits (s = u = 1e-200 rounds it to 0).
+            where it has lost its digits (s = u = 1e-200 rounds it to 0),
+            or when u / s is so large that x_minus overflows.
     """
     regime = classify_regime(params)
     if regime is Regime.NEUTRAL:
@@ -171,6 +172,11 @@ def equilibria(params: ModelParams) -> Equilibria:
         )
     root = math.sqrt(disc)
     x_minus, x_plus = _drift_roots(params, root)
+    if not math.isfinite(x_minus):
+        raise UnsupportedModelError(
+            f"the unstable root x_minus = (s - u - sqrt(D)) / (2 s) overflows to"
+            f" {x_minus!r} at s = {s!r}, u = {u!r}; the equilibria are not resolved"
+        )
     return Equilibria(
         regime=regime,
         x_stable=x_plus,
@@ -215,14 +221,6 @@ class DeterministicSolution:
         )
 
     def __call__(self, t: ArrayLike) -> ArrayLike:
-        if type(t) is float:
-            # quadrature calls the flow one float at a time; the checks are
-            # check_times' own, and np.exp keeps the array path's bits
-            if not math.isfinite(t):
-                raise DomainError("t must be finite")
-            if t < 0.0:
-                raise DomainError("t must lie in [0, inf]")
-            return _snap_unit_scalar(float(self.flow()(t)))
         arr, scalar = check_times(t, "t")
         # broadcast: where the flow is constant the closure returns z0 itself
         values = _snap_unit(np.broadcast_to(self.flow()(arr), arr.shape))

@@ -26,10 +26,8 @@ coins. Two kernels run the chain on that stream.
   have cost more than the loop would have, the loop finishes the batch.
 - The lockstep kernel (_run_lockstep) advances every live path of an
   ensemble by one event per numpy step, Gillespie's direct method run
-  across trajectories. run_ensemble picks it by the path count and each
-  path's event bound t_end * max_k (lambda_k + mu_k): from
-  _LOCKSTEP_ALL_PATHS paths on, and from _LOCKSTEP_MIN_PATHS paths when
-  the bound lies in [_SHORT_PATH_EVENTS, _LONG_PATH_EVENTS).
+  across trajectories. run_ensemble picks it from _LOCKSTEP_MIN_PATHS
+  paths on.
 
 Reproducibility contract: a path is a pure function of
 (seed, params, k0, horizon). Ensembles give path p the dedicated stream
@@ -86,18 +84,12 @@ def _pass_cost(width: int) -> int:
     return 96 + width // 32
 
 
-# Kernel choice for an ensemble, by its path count and each path's event
-# bound t_end * max_k (lambda_k + mu_k), from direct timings of both
-# kernels (2-vCPU VM, N = 200 to 5 * 10^4, 4 to 201 grid points).
-# Lockstep runs from _LOCKSTEP_MIN_PATHS paths when the bound lies in
-# [_SHORT_PATH_EVENTS, _LONG_PATH_EVENTS), and from _LOCKSTEP_ALL_PATHS
-# paths whatever it is. Below those counts the per-path kernel is
-# faster: very short paths spend more on lockstep's two generators per
-# path than on events, and long ones run mostly in the block body.
-_LOCKSTEP_MIN_PATHS = 64
-_LOCKSTEP_ALL_PATHS = 128
-_SHORT_PATH_EVENTS = 2**9
-_LONG_PATH_EVENTS = 2**14
+# Ensembles of at least this many paths run in lockstep, the rest path by
+# path, from direct timings of both kernels (2-vCPU VM, N = 200 to
+# 5 * 10^4, 4 to 201 grid points). Below it neither kernel wins on every
+# shape: lockstep builds two generators per path, and long paths run
+# mostly in the per-path kernel's block body.
+_LOCKSTEP_MIN_PATHS = 128
 # Draws per path buffered by the lockstep kernel between refills.
 _CHUNK = 256
 
@@ -551,8 +543,7 @@ def run_ensemble(
     simulate_on_grid(k0, t_grid, [rng_seed, p], params) would simulate
     it, so z_values[p] * N equals that call's result bit for bit. Two
     kernels produce the same paths (module docstring): the lockstep
-    kernel for many paths, and the per-path kernel for few paths and
-    for a few dozen that are very short or long.
+    kernel for many paths and the per-path kernel for few.
     """
     k0 = check_int(k0, "k0", 0, params.N)
     grid = check_grid(t_grid)
@@ -561,10 +552,7 @@ def run_ensemble(
 
     tables = _chain_tables(params)
     t_end = float(grid[-1])
-    events = t_end * float(tables.rate_array.max())
-    if n_paths >= _LOCKSTEP_ALL_PATHS or (
-        n_paths >= _LOCKSTEP_MIN_PATHS and _SHORT_PATH_EVENTS <= events < _LONG_PATH_EVENTS
-    ):
+    if n_paths >= _LOCKSTEP_MIN_PATHS:
         states, absorbed = _run_lockstep(k0, grid, rng_seed, n_paths, tables)
     else:
         states = np.empty((n_paths, grid.size), dtype=np.int64)

@@ -411,6 +411,35 @@ class TestMainExitCodes:
         assert "Traceback" not in err
         assert_no_artifact(out)
 
+    @pytest.mark.parametrize("command", ["ode", "simulate", "clt", "stationary"])
+    def test_overflowing_unstable_root_exits_2(self, tmp_path, capsys, command):
+        # u / s ~ 1e327 overflows x_minus to -inf; the sections are tiny so
+        # that no budget refuses the config first
+        overrides = {
+            "model.s": 8.5e-206,
+            "model.u": 7.7e122,
+            "model.nu0": 0.76,
+            "ode.z0": 0.5,
+            "ode.t_end": 1e-120,
+            "ode.grid_step": 1e-120,
+            "ode.oracle_step": 1e-123,
+            "simulate.z0": 0.5,
+            "simulate.t_end": 1e-130,
+            "simulate.grid_step": 1e-130,
+            "simulate.n_paths": 2,
+            "clt.z0": 0.5,
+            "clt.times": [1e-130],
+            "clt.n_paths": 2,
+        }
+        path = make_config(tmp_path, overrides)
+        out = tmp_path / "o"
+        code = cli.main([command, "--config", str(path), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert "x_minus" in err and "s = 8.5e-206, u = 7.7e+122" in err
+        assert_no_artifact(out)
+
     def test_subnormal_mutation_rate_names_s_and_u(self, tmp_path, capsys):
         path = make_config(tmp_path, {"model.s": 0.0, "model.u": 1e-320})
         out = tmp_path / "o"

@@ -86,6 +86,13 @@ class TestEquilibria:
         with pytest.raises(UnsupportedModelError, match="discriminant D"):
             solve_deterministic(0.5, ModelParams(N=5, s=s, u=u, nu0=0.5))
 
+    def test_overflowing_unstable_root_rejected(self):
+        # u / s ~ 1e327: (s - u - sqrt(D)) / (2 s) is -inf, and x_plus = 0.0 from it
+        params = ModelParams(N=5, s=8.5e-206, u=7.7e122, nu0=0.76)
+        with pytest.raises(UnsupportedModelError, match="x_minus") as err:
+            equilibria(params)
+        assert "s = 8.5e-206, u = 7.7e+122" in str(err.value)
+
     def test_smallest_normal_discriminant_resolved(self):
         eq = equilibria(ModelParams(N=5, s=2e-154, u=0.0, nu0=0.5))  # D = 4e-308
         assert eq.x_stable == 1.0
@@ -238,6 +245,8 @@ def scalar_path_starts():
 
 
 class TestScalarFlowPath:
+    """A scalar time gives a float with the bits of the one-point array call."""
+
     def test_covers_every_regime(self):
         assert {classify_regime(p) for p, _ in scalar_path_starts()} == set(Regime)
 
@@ -266,15 +275,14 @@ class TestScalarFlowPath:
             checked.append(times)
             return original(times, name)
 
-        monkeypatch.setattr(deterministic, "check_times", spy)
         sol = solve_deterministic(0.1, REF)
-        expected = sol(2.0)
-        assert checked == []
-        for t in (2, np.float64(2.0), np.array(2.0)):
+        expected = sol(np.array([2.0]))[0]
+        monkeypatch.setattr(deterministic, "check_times", spy)
+        for t in (2.0, 2, np.float64(2.0), np.array(2.0)):
             value = sol(t)
             assert type(value) is float
             assert value == expected
-        assert len(checked) == 3
+        assert len(checked) == 4
 
 
 class TestOdeOracle:

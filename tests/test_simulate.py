@@ -287,100 +287,92 @@ class TestCltStatistics:
 
 
 class TestLockstepKernel:
-    """Ensembles equal the per-path reference, whichever kernel runs them."""
+    """The lockstep kernel equals reference_chain bit for bit, path by path."""
 
-    THRESHOLD = simulate._LOCKSTEP_MIN_PATHS
+    PATHS = 64
 
     @staticmethod
-    def run_and_compare(monkeypatch, k0, grid, n_paths, seed, params):
-        calls = []
-        lockstep = simulate._run_lockstep
-
-        def spy(*args, **kwargs):
-            calls.append(args)
-            return lockstep(*args, **kwargs)
-
-        monkeypatch.setattr(simulate, "_run_lockstep", spy)
-        summary = run_ensemble(k0, grid, n_paths, seed, params)
-        # lockstep for many paths, or for a few dozen whose event bound
-        # t_end * max_k (lambda_k + mu_k) is neither very short nor long
-        lam, mu = rate_tables(params)
-        bound = float(np.asarray(grid)[-1]) * float((lam + mu).max())
-        assert len(calls) == (
-            n_paths >= simulate._LOCKSTEP_ALL_PATHS
-            or n_paths >= simulate._LOCKSTEP_MIN_PATHS
-            and simulate._SHORT_PATH_EVENTS <= bound < simulate._LONG_PATH_EVENTS
-        )
-        absorbed = 0
+    def run_and_compare(k0, grid, n_paths, seed, params):
+        grid = np.asarray(grid, dtype=float)
+        tables = simulate._chain_tables(params)
+        states, absorbed = simulate._run_lockstep(k0, grid, seed, n_paths, tables)
         events = []
         for p in range(n_paths):
-            expected = simulate_on_grid(k0, grid, [seed, p], params)
-            assert np.array_equal(summary.z_values[p], expected / params.N), p
-            path = simulate_path(k0, float(grid[-1]), [seed, p], params)
-            absorbed += path.absorbed
-            events.append(path.n_events)
-        assert summary.absorbed_count == absorbed
-        return summary, events
-
-    @pytest.mark.parametrize("extra", [-1, 0, 37])
-    def test_reference_shape_non_uniform_grid(self, monkeypatch, extra):
-        params = ModelParams(N=1000, s=1.0, u=0.5, nu0=0.5)
-        grid = np.array([0.0, 1e-4, 0.013, 0.3, 0.31, 1.0, 2.5, 2.5 + 1e-9, 3.0])
-        self.run_and_compare(monkeypatch, 100, grid, self.THRESHOLD + extra, 5, params)
-
-    @pytest.mark.parametrize("k0", [0, 60, 2, 57])
-    def test_absorbing_boundaries(self, monkeypatch, k0):
-        params = ModelParams(N=60, s=0.3, u=0.0, nu0=0.5)
-        grid = np.linspace(0.0, 10.0, 23)
-        summary, _ = self.run_and_compare(
-            monkeypatch, k0, grid, self.THRESHOLD, 11, params
-        )
-        assert summary.absorbed_count > 0
-        if k0 in (0, params.N):
-            assert summary.absorbed_count == self.THRESHOLD
-            assert np.all(summary.z_values == k0 / params.N)
-
-    def test_long_paths_cross_batch_and_chunk_refills(self, monkeypatch):
-        # Batches of 64, 256, 1024, 4096 and then 8192 draws: more than
-        # 13632 events per path reach the capped batches.
-        params = ModelParams(N=1000, s=1.0, u=0.5, nu0=0.5)
-        grid = np.linspace(0.0, 25.0, 11)
-        _, events = self.run_and_compare(
-            monkeypatch, 100, grid, self.THRESHOLD, 8, params
-        )
-        assert min(events) > 64 + 256 + 1024 + 4096 + 8192
-
-    def test_single_point_grid(self, monkeypatch):
-        summary, _ = self.run_and_compare(
-            monkeypatch, 30, [0.0], self.THRESHOLD, 3, REF
-        )
-        assert np.all(summary.z_values == 30 / REF.N)
+            times, _, was_absorbed, expected = reference_chain(
+                k0, float(grid[-1]), [seed, p], params, grid
+            )
+            assert np.array_equal(states[p], expected), p
+            assert absorbed[p] == was_absorbed, p
+            events.append(len(times))
+        return states, absorbed, events
 
     @pytest.mark.parametrize(
         "n_paths, t_end",
-        [(64, 0.1), (100, 0.1), (127, 17.0), (128, 0.1), (128, 17.0)],
-        ids=["short-64", "short-100", "long-127", "short-128", "long-128"],
+        [(64, 0.1), (100, 0.1), (127, 3.0), (127, 17.0), (128, 0.1), (128, 3.0), (128, 17.0)],
+        ids=["short-64", "short-100", "mid-127", "long-127", "short-128", "mid-128", "long-128"],
     )
     def test_kernel_choice_by_event_bound(self, monkeypatch, n_paths, t_end):
-        # N = 1000 on the reference shape bounds each path by 1000 t_end
-        # events: 100 very short ones, or 17,000 long ones
+        # N = 1000 on the reference shape bounds each path by about 1000 t_end
+        # events; lockstep runs from _LOCKSTEP_MIN_PATHS paths on, whatever
+        # that bound. Both kernels are faked, so nothing simulates.
+        calls = []
+
+        def fake_chain(k0, t_end, rng, tables, grid=None, record=False):
+            calls.append("per-path")
+            return None, None, False, np.full(grid.size, k0)
+
+        def fake_lockstep(k0, grid, rng_seed, n_paths, tables):
+            calls.append("lockstep")
+            return np.full((n_paths, grid.size), k0), np.zeros(n_paths, dtype=bool)
+
+        monkeypatch.setattr(simulate, "_run_chain", fake_chain)
+        monkeypatch.setattr(simulate, "_run_lockstep", fake_lockstep)
         params = ModelParams(N=1000, s=1.0, u=0.5, nu0=0.5)
-        grid = np.linspace(0.0, t_end, 6)
-        self.run_and_compare(monkeypatch, 100, grid, n_paths, 13, params)
+        run_ensemble(100, np.linspace(0.0, t_end, 6), n_paths, 13, params)
+        if n_paths >= simulate._LOCKSTEP_MIN_PATHS:
+            assert calls == ["lockstep"]
+        else:
+            assert calls == ["per-path"] * n_paths
+
+    @pytest.mark.parametrize("extra", [-1, 0, 37])
+    def test_reference_shape_non_uniform_grid(self, extra):
+        params = ModelParams(N=1000, s=1.0, u=0.5, nu0=0.5)
+        grid = np.array([0.0, 1e-4, 0.013, 0.3, 0.31, 1.0, 2.5, 2.5 + 1e-9, 3.0])
+        self.run_and_compare(100, grid, self.PATHS + extra, 5, params)
+
+    @pytest.mark.parametrize("k0", [0, 60, 2, 57])
+    def test_absorbing_boundaries(self, k0):
+        params = ModelParams(N=60, s=0.3, u=0.0, nu0=0.5)
+        grid = np.linspace(0.0, 10.0, 23)
+        states, absorbed, _ = self.run_and_compare(k0, grid, self.PATHS, 11, params)
+        assert absorbed.any()
+        if k0 in (0, params.N):
+            assert absorbed.all()
+            assert np.all(states == k0)
+
+    def test_long_paths_cross_batch_and_chunk_refills(self):
+        # Neutral without mutation, paths absorb at 0 or N after a few
+        # thousand to 20,000 events: some leave inside the 1024- and
+        # 4096-draw batches, one runs on into the capped ones.
+        params = ModelParams(N=200, s=0.0, u=0.0, nu0=0.5)
+        grid = np.linspace(0.0, 1e4, 11)
+        _, absorbed, events = self.run_and_compare(100, grid, 8, 4, params)
+        assert absorbed.all()
+        before_cap = 64 + 256 + 1024 + 4096
+        assert min(events) < before_cap and max(events) > before_cap + 8192
+
+    def test_single_point_grid(self):
+        states, _, _ = self.run_and_compare(30, [0.0], self.PATHS, 3, REF)
+        assert np.all(states == 30)
 
     def test_lockstep_directly_on_long_paths(self):
-        # Ensembles this small with paths this long run per path, so drive
-        # the lockstep kernel itself across its chunk and batch refills.
+        # Every path runs over 13,632 events to the horizon, so all of
+        # them cross the chunk and batch refills in step.
         params = ModelParams(N=1000, s=1.0, u=0.5, nu0=0.5)
         grid = np.linspace(0.0, 25.0, 11)
-        n_paths, seed = 6, 8
-        tables = simulate._chain_tables(params)
-        states, absorbed = simulate._run_lockstep(100, grid, seed, n_paths, tables)
-        for p in range(n_paths):
-            times, _, was_absorbed, expected = reference_chain(100, 25.0, [seed, p], params, grid)
-            assert len(times) > 64 + 256 + 1024 + 4096 + 8192
-            assert np.array_equal(states[p], expected), p
-            assert absorbed[p] == was_absorbed
+        _, absorbed, events = self.run_and_compare(100, grid, 6, 8, params)
+        assert not absorbed.any()
+        assert min(events) > 64 + 256 + 1024 + 4096 + 8192
 
 
 class TestSummarizePaths:
@@ -397,12 +389,22 @@ class TestSummarizePaths:
         assert kept.to_record() == direct.to_record()
         return kept
 
-    # 4 paths run on the per-path loop in run_ensemble, 64 and 100 in lockstep.
-    @pytest.mark.parametrize("n_paths", [4, 64, 100])
-    def test_matches_run_ensemble(self, n_paths):
+    # run_ensemble runs 4, 64 and 100 paths path by path, and
+    # _LOCKSTEP_MIN_PATHS in lockstep.
+    @pytest.mark.parametrize("n_paths", [4, 64, 100, simulate._LOCKSTEP_MIN_PATHS])
+    def test_matches_run_ensemble(self, monkeypatch, n_paths):
+        lockstep = simulate._run_lockstep
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return lockstep(*args)
+
+        monkeypatch.setattr(simulate, "_run_lockstep", spy)
         grid = np.linspace(0.0, 3.0, 61)
         reference = solve_deterministic(0.1, REF)
         self.compare(100, grid, n_paths, 20260817, REF, reference=reference)
+        assert len(calls) == (n_paths >= simulate._LOCKSTEP_MIN_PATHS)
 
     @pytest.mark.parametrize("n_paths", [4, 64])
     def test_absorbing_paths(self, n_paths):
