@@ -8,7 +8,8 @@ command's section must be present, the ode oracle step must keep RK4
 stable, the ode table and the simulate time grid must fit one fixed
 work budget of 10^7 steps, the chain that simulate and clt run must
 fit budgets of 10^7 rate-table rows, 10^10 events and 1 GiB of path
-state, and the pmf that stationary writes must fit 10^7 rows. The
+state (with simulate.store_paths, of kept events too), and the pmf that
+stationary writes must fit 10^7 rows. The
 model's own preconditions (the rate cap, u nu0 > 0 and u nu1 > 0 for
 the fluctuation and stationary laws, owned by model.require_mutation, a resolvable
 discriminant) are raised by the library module that needs them, when
@@ -52,6 +53,9 @@ _MAX_EVENTS = 10**10
 _PATH_BYTES = 6 * 1024
 _GRID_ROW_BYTES = 16
 _MAX_ENSEMBLE_BYTES = 2**30
+# simulate with store_paths keeps every event twice: 16 B in its path's times
+# and states, and 24 B in the three CSV columns (38.5 B measured per event).
+_STORED_EVENT_BYTES = 40
 
 
 class ConfigError(ValueError):
@@ -318,7 +322,8 @@ def _require_chain_budget(config: ExperimentConfig, section: str) -> None:
 
     The event bound is n_paths * t_end * N * max_jump_rate, t_end being
     the section's last time: every state's total event rate is at most
-    N * max_jump_rate.
+    N * max_jump_rate. A simulate run with store_paths also holds each of
+    those events in memory.
     """
     settings = config.sections[section]
     model = config.model
@@ -342,9 +347,16 @@ def _require_chain_budget(config: ExperimentConfig, section: str) -> None:
     # below the event budget n_paths converts to a float
     rows = settings.t_end / settings.grid_step + 2 if simulate else len(settings.times) + 1
     size = float(settings.n_paths) * (_PATH_BYTES + _GRID_ROW_BYTES * rows)
+    terms = f"'{section}.n_paths' * ({_PATH_BYTES} + {_GRID_ROW_BYTES} * grid rows)"
+    values = f"{settings.n_paths} * ({_PATH_BYTES} + {_GRID_ROW_BYTES} * {rows:.6g})"
+    remedy = "lower n_paths"
+    if simulate and settings.store_paths:
+        size += _STORED_EVENT_BYTES * events
+        terms += f" + {_STORED_EVENT_BYTES} * events kept by 'simulate.store_paths'"
+        values += f" + {_STORED_EVENT_BYTES} * {events:.3g}"
+        remedy = "lower n_paths, the horizon or N, or set store_paths to false"
     if size > _MAX_ENSEMBLE_BYTES:
         raise ConfigError(
-            f"'{section}.n_paths' * ({_PATH_BYTES} + {_GRID_ROW_BYTES} * grid rows) ="
-            f" {settings.n_paths} * ({_PATH_BYTES} + {_GRID_ROW_BYTES} * {rows:.6g}) = {size:.3g}"
-            f" bytes exceeds the memory budget of {_MAX_ENSEMBLE_BYTES} (1 GiB); lower n_paths"
+            f"{terms} = {values} = {size:.3g} bytes exceeds the memory budget of"
+            f" {_MAX_ENSEMBLE_BYTES} (1 GiB); {remedy}"
         )

@@ -231,7 +231,8 @@ class DeterministicSolution:
 
         It evaluates np.exp for a float t as for an array, so both give
         the same bits. Where the flow is constant the closure returns z0
-        itself.
+        itself. Raises UnsupportedModelError under selection when z0 - x_minus
+        and z0 - x_plus round alike, where the closed form divides by 0.
         """
         z0 = self.z0
         if self.regime is Regime.NEUTRAL:
@@ -245,6 +246,13 @@ class DeterministicSolution:
             return lambda t: z0
         d_minus = z0 - x_minus
         d_plus = z0 - x_plus
+        if d_minus == d_plus:
+            params = self.params
+            raise UnsupportedModelError(
+                f"the roots x_minus = {x_minus!r} and x_plus = {x_plus!r} at s = {params.s!r},"
+                f" u = {params.u!r}, nu0 = {params.nu0!r} are closer than z0 = {z0!r}"
+                " resolves, so the closed-form flow divides by 0"
+            )
 
         def selection_flow(t: ArrayLike) -> ArrayLike:
             decay = np.exp(-rate * t)

@@ -465,9 +465,9 @@ def _grid_variance(values: np.ndarray) -> np.ndarray:
 class EnsembleSummary:
     """Grid values of an i.i.d. path ensemble plus deviation statistics.
 
-    z_values[p, j] is path p's proportion at t_grid[j]. When a
-    reference curve was supplied, z_ref holds its grid values and the
-    deviation views below compare against it.
+    z_values[p, j] is path p's proportion at t_grid[j], and z_ref[j] the
+    reference curve's value there; the deviation views below compare
+    against it.
     """
 
     params: ModelParams
@@ -476,7 +476,7 @@ class EnsembleSummary:
     n_paths: int
     t_grid: np.ndarray
     z_values: np.ndarray
-    z_ref: Optional[np.ndarray]
+    z_ref: np.ndarray
     absorbed_count: int
 
     @property
@@ -490,15 +490,11 @@ class EnsembleSummary:
     @property
     def sup_deviation(self) -> np.ndarray:
         """Per-path sup over the grid of |Z^N_t - reference(t)|."""
-        if self.z_ref is None:
-            raise DomainError("ensemble was run without a reference curve")
         return np.abs(self.z_values - self.z_ref).max(axis=1)
 
     @property
     def scaled_deviations(self) -> np.ndarray:
         """Per-path, per-time sqrt(N) (Z^N_t - reference(t))."""
-        if self.z_ref is None:
-            raise DomainError("ensemble was run without a reference curve")
         return math.sqrt(self.params.N) * (self.z_values - self.z_ref)
 
     @property
@@ -512,7 +508,7 @@ class EnsembleSummary:
         return _grid_variance(self.scaled_deviations)
 
     def to_record(self) -> dict:
-        record = {
+        return {
             "n_paths": self.n_paths,
             "k0": self.k0,
             "rng_seed": self.rng_seed,
@@ -520,13 +516,11 @@ class EnsembleSummary:
             "t_grid": self.t_grid.tolist(),
             "mean_z": self.mean_z.tolist(),
             "var_z": self.var_z.tolist(),
+            "z_ref": self.z_ref.tolist(),
+            "sup_deviation": self.sup_deviation.tolist(),
+            "scaled_dev_mean": self.scaled_dev_mean.tolist(),
+            "scaled_dev_var": self.scaled_dev_var.tolist(),
         }
-        if self.z_ref is not None:
-            record["z_ref"] = self.z_ref.tolist()
-            record["sup_deviation"] = self.sup_deviation.tolist()
-            record["scaled_dev_mean"] = self.scaled_dev_mean.tolist()
-            record["scaled_dev_var"] = self.scaled_dev_var.tolist()
-        return record
 
 
 def run_ensemble(
@@ -535,9 +529,9 @@ def run_ensemble(
     n_paths: int,
     rng_seed: int,
     params: ModelParams,
-    reference: Optional[DeterministicSolution] = None,
+    reference: DeterministicSolution,
 ) -> EnsembleSummary:
-    """Simulate n_paths independent paths and collect grid statistics.
+    """Simulate n_paths independent paths and compare them with reference.
 
     Path p is simulated on the stream [rng_seed, p], exactly as
     simulate_on_grid(k0, t_grid, [rng_seed, p], params) would simulate
@@ -572,7 +566,7 @@ def summarize_paths(
     paths: Sequence[TrajectoryPath],
     t_grid: Sequence[float],
     rng_seed: int,
-    reference: Optional[DeterministicSolution] = None,
+    reference: DeterministicSolution,
 ) -> EnsembleSummary:
     """Grid statistics of an ensemble whose paths were kept event by event.
 
@@ -602,13 +596,10 @@ def _summary(
     grid: np.ndarray,
     rng_seed: int,
     params: ModelParams,
-    reference: Optional[DeterministicSolution],
+    reference: DeterministicSolution,
     z_values: np.ndarray,
     absorbed_count: int,
 ) -> EnsembleSummary:
-    z_ref = None
-    if reference is not None:
-        z_ref = np.asarray(reference(grid), dtype=float)
     return EnsembleSummary(
         params=params,
         k0=k0,
@@ -616,7 +607,7 @@ def _summary(
         n_paths=len(z_values),
         t_grid=grid,
         z_values=z_values,
-        z_ref=z_ref,
+        z_ref=reference(grid),
         absorbed_count=absorbed_count,
     )
 
@@ -650,7 +641,7 @@ def clt_statistics(
     reference = law.solution
     k0 = int(round(reference.z0 * params.N))
     grid = np.concatenate(([0.0], ts))
-    summary = run_ensemble(k0, grid, n_paths, rng_seed, params, reference=reference)
+    summary = run_ensemble(k0, grid, n_paths, rng_seed, params, reference)
     sigma2 = law.variance_on_grid(grid)
     scaled = summary.scaled_deviations
     means = summary.scaled_dev_mean

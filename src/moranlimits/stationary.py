@@ -56,6 +56,7 @@ from .deterministic import equilibria
 from .fluctuations import limit_variance
 from .model import (
     ModelParams,
+    UnsupportedModelError,
     check_int,
     check_real,
     check_seed,
@@ -444,13 +445,20 @@ def gaussian_limit_check(params: ModelParams, eps: float = 0.05) -> GaussianLimi
     target = limit_variance(params)
     dist = stationary_distribution(params)
     n = params.N
+    empirical = n * dist.var_z()
+    if not (target > 0.0 and math.isfinite(empirical / target)):
+        raise UnsupportedModelError(
+            f"N Var(Z) / sigma^2 = {empirical!r} / {target!r} at N = {n}, s = {params.s!r},"
+            f" u = {params.u!r}, nu0 = {params.nu0!r} is not finite: the limit variance"
+            " is too small to compare the stationary law against"
+        )
     support = dist.states / n
     mass_outside = float(
         dist.probabilities[np.abs(support - eq.x_stable) >= eps].sum()
     )
     return GaussianLimitReport(
         N=n,
-        empirical_var_scaled=n * dist.var_z(),
+        empirical_var_scaled=empirical,
         target=target,
         ks_statistic=ks_distance_to_gaussian(
             dist, center=eq.x_stable, sigma=math.sqrt(target)

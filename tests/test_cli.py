@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from moranlimits import cli
+from moranlimits import cli, simulate
 from moranlimits.config import ConfigError, load_config, parse_config, validate_for_command
 from moranlimits.model import MAX_RATE
 
@@ -253,6 +253,31 @@ class TestCommandValidation:
         with pytest.raises(ConfigError, match="bytes exceeds the memory budget of 1073741824"):
             validate_for_command(config, command)
 
+    def test_stored_paths_memory_budget(self, tmp_path):
+        # s = u = 0 gives max_jump_rate 1/2: 2^17 paths of N = 100 to t = 1 on
+        # 3 grid rows bound 6,553,600 events, and 2^17 * (6144 + 16 * 3) bytes
+        # of paths plus 40 B per kept event fill the 2^30-byte budget exactly
+        at_budget = {
+            "model.N": 100, "model.s": 0.0, "model.u": 0.0, "simulate.t_end": 1.0,
+            "simulate.grid_step": 1.0, "simulate.n_paths": 2**17, "simulate.store_paths": True,
+        }
+        validate_for_command(load_config(make_config(tmp_path, at_budget)), "simulate")
+        for key, value in [
+            ("simulate.n_paths", 2**17 + 1),
+            ("model.N", 101),
+            ("model.s", 1e-9),
+        ]:
+            config = load_config(make_config(tmp_path, {**at_budget, key: value}))
+            with pytest.raises(ConfigError, match="events kept by 'simulate.store_paths'"):
+                validate_for_command(config, "simulate")
+        # the kept events are what does not fit
+        unstored = {**at_budget, "simulate.n_paths": 2**17 + 1, "simulate.store_paths": False}
+        validate_for_command(load_config(make_config(tmp_path, unstored)), "simulate")
+        # the reference model stores its 100 paths (bound 3 * 10^5 events)
+        reference = {"model.N": 1000, "simulate.t_end": 3.0, "simulate.n_paths": 100,
+                     "simulate.store_paths": True}
+        validate_for_command(load_config(make_config(tmp_path, reference)), "simulate")
+
     def test_rate_cap_is_accepted(self, tmp_path):
         overrides = {"model.s": MAX_RATE, "model.u": MAX_RATE}
         config = load_config(make_config(tmp_path, overrides))
@@ -375,6 +400,25 @@ class TestMainExitCodes:
         assert err.startswith("config error: ") and err.count("\n") == 1
         assert f"'{command}.n_paths'" in err and "memory budget" in err
         assert "Traceback" not in err
+        assert_no_artifact(out)
+
+    def test_stored_paths_over_memory_budget_exits_2(self, tmp_path, capsys, monkeypatch):
+        # 10^9 events of one path kept twice over: about 40 GB, refused unrun
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated a refused config")
+
+        monkeypatch.setattr(simulate, "_run_chain", no_simulation)
+        overrides = {
+            "model.N": 10**6, "simulate.n_paths": 1, "simulate.t_end": 1000.0,
+            "simulate.grid_step": 1.0, "simulate.store_paths": True,
+        }
+        path = make_config(tmp_path, overrides)
+        out = tmp_path / "o"
+        code = cli.main(["simulate", "--config", str(path), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert "'simulate.store_paths'" in err and "memory budget" in err
         assert_no_artifact(out)
 
     @pytest.mark.parametrize("command", ["ode", "simulate", "clt", "stationary"])

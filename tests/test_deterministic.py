@@ -158,10 +158,21 @@ class TestDeterministicSolution:
 
     def test_negative_time_rejected(self):
         sol = solve_deterministic(0.5, REF)
-        with pytest.raises(DomainError):
-            sol(-1e-9)
+        for bad in (-1e-9, math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError):
+                sol(bad)
         with pytest.raises(DomainError):
             sol(np.array([0.0, -2.0]))
+
+    def test_unresolved_root_gap_rejected(self):
+        # s = u and a tiny nu0 put the roots 1e-103 apart, so z0 - x_minus and
+        # z0 - x_plus round alike and the flow's denominator is 0 at t = 0
+        params = ModelParams(N=1, s=1.0, u=1.0, nu0=2.3012815966784414e-207)
+        sol = solve_deterministic(0.1, params)
+        with pytest.raises(UnsupportedModelError, match="closer than z0 = 0.1 resolves"):
+            sol(0.0)
+        for z0 in (0.0, equilibria(params).x_stable, 1e-104):  # a fixed point, or resolved
+            assert math.isfinite(solve_deterministic(z0, params)(1.0))
 
     def test_neutral_flow_is_frozen(self):
         sol = solve_deterministic(0.37, ModelParams(N=5, s=0.0, u=0.0, nu0=0.5))
@@ -211,9 +222,14 @@ class TestDeterministicSolution:
                     assert restarted == pytest.approx(sol(t + r), abs=1e-10)
 
     def test_scalar_and_array_calling(self):
-        sol = solve_deterministic(0.1, REF)
-        assert isinstance(sol(1.0), float)
-        out = sol(np.array([0.0, 1.0, 2.0]))
+        # a scalar time gives a float with the bits of the one-point array call
+        for params, z0 in scalar_path_starts():
+            sol = solve_deterministic(z0, params)
+            for t in (0.0, 5e-324, 1e-300, 1.0, 1e3):
+                value = sol(t)
+                assert type(value) is float
+                assert_bitwise_equal(value, sol(np.array([t]))[0])
+        out = solve_deterministic(0.1, REF)(np.array([0.0, 1.0, 2.0]))
         assert out.shape == (3,)
 
     def test_long_horizon_is_finite(self):
@@ -245,27 +261,11 @@ def scalar_path_starts():
 
 
 class TestScalarFlowPath:
-    """A scalar time gives a float with the bits of the one-point array call."""
+    """The starts of the scalar check span every regime, and every scalar type
+    goes through check_times to a float."""
 
     def test_covers_every_regime(self):
         assert {classify_regime(p) for p, _ in scalar_path_starts()} == set(Regime)
-
-    @pytest.mark.parametrize("t", [0.0, 5e-324, 1e-300, 1.0, 1e3])
-    def test_float_matches_array_bit_for_bit(self, t):
-        for params, z0 in scalar_path_starts():
-            sol = solve_deterministic(z0, params)
-            value = sol(t)
-            assert type(value) is float
-            assert_bitwise_equal(value, sol(np.array([t]))[0])
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0])
-    def test_same_domain_errors_as_checked_path(self, bad):
-        sol = solve_deterministic(0.1, REF)
-        with pytest.raises(DomainError) as scalar:
-            sol(bad)
-        with pytest.raises(DomainError) as checked:
-            sol(np.array(bad))
-        assert str(scalar.value) == str(checked.value)
 
     def test_other_scalars_take_the_checked_path(self, monkeypatch):
         original = deterministic.check_times

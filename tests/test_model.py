@@ -185,6 +185,7 @@ def _call(name, **override):
         sample_fluctuation_paths,
         simulate_on_grid,
         simulate_path,
+        solve_deterministic,
         stationary_distribution,
         stationary_sampler,
         summarize_paths,
@@ -192,9 +193,10 @@ def _call(name, **override):
 
     args = {"k0": 2, "n_paths": 2, "rng_seed": 1, "t_grid": GRID, "times": GRID, "n": 3, "N": 20}
     args.update(override)
+    flow = solve_deterministic(0.1, SMALL)
     calls = {
         "run_ensemble": lambda: run_ensemble(
-            args["k0"], args["t_grid"], args["n_paths"], args["rng_seed"], SMALL
+            args["k0"], args["t_grid"], args["n_paths"], args["rng_seed"], SMALL, flow
         ),
         "clt_statistics": lambda: clt_statistics(
             0.1, override.get("times", GRID[1:]), args["n_paths"], args["rng_seed"], SMALL  # t > 0
@@ -207,7 +209,7 @@ def _call(name, **override):
             args["k0"], args["t_grid"], args["rng_seed"], SMALL
         ),
         "summarize_paths": lambda: summarize_paths(
-            [simulate_path(2, 0.5, [1, 0], SMALL)], args["t_grid"], args["rng_seed"]
+            [simulate_path(2, 0.5, [1, 0], SMALL)], args["t_grid"], args["rng_seed"], flow
         ),
         "stationary_sampler": lambda: stationary_sampler(
             stationary_distribution(SMALL), args["n"], args["rng_seed"]

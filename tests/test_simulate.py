@@ -31,6 +31,14 @@ from moranlimits.selfcheck import reference_params
 REF = reference_params()
 
 
+def flow_from(k0, params):
+    """The deterministic flow from the ensemble's start k0 / N."""
+    return solve_deterministic(k0 / params.N, params)
+
+
+FLOW = flow_from(50, REF)
+
+
 class TestValidation:
     def test_state_bounds(self):
         for bad in (-1, REF.N + 1, 0.5, None, True):
@@ -184,8 +192,8 @@ class TestChainStatistics:
 class TestEnsemble:
     def test_determinism(self):
         grid = np.linspace(0.0, 1.0, 11)
-        a = run_ensemble(50, grid, 8, 99, REF)
-        b = run_ensemble(50, grid, 8, 99, REF)
+        a = run_ensemble(50, grid, 8, 99, REF, FLOW)
+        b = run_ensemble(50, grid, 8, 99, REF, FLOW)
         assert np.array_equal(a.z_values, b.z_values)
 
     def test_master_seed_rejected_before_any_work(self, monkeypatch):
@@ -198,19 +206,18 @@ class TestEnsemble:
         grid = np.linspace(0.0, 1.0, 6)
         for bad in ([1, 2], (3,), -1, 1.5, "7", True, None):
             with pytest.raises(DomainError, match="rng_seed"):
-                run_ensemble(50, grid, 4, bad, REF)
+                run_ensemble(50, grid, 4, bad, REF, FLOW)
             with pytest.raises(DomainError, match="rng_seed"):
                 clt_statistics(0.1, (0.5,), 4, bad, REF)
 
     def test_summary_shapes_and_reference(self):
         grid = np.linspace(0.0, 1.0, 11)
-        sol = solve_deterministic(0.5, REF)
-        summary = run_ensemble(50, grid, 8, 99, REF, reference=sol)
+        summary = run_ensemble(50, grid, 8, 99, REF, FLOW)
         assert summary.z_values.shape == (8, 11)
         assert summary.mean_z.shape == (11,)
         assert summary.var_z.shape == (11,)
         assert np.all(summary.z_values[:, 0] == 0.5)
-        assert summary.z_ref is not None
+        assert np.array_equal(summary.z_ref, FLOW(grid))
         scaled = summary.scaled_deviations
         assert scaled.shape == (8, 11)
         assert np.all(
@@ -218,29 +225,23 @@ class TestEnsemble:
         )
         assert summary.sup_deviation.shape == (8,)
 
-    def test_reference_required_for_deviations(self):
-        grid = np.linspace(0.0, 1.0, 6)
-        summary = run_ensemble(50, grid, 4, 99, REF)
-        with pytest.raises(DomainError):
-            summary.scaled_deviations
-        with pytest.raises(DomainError):
-            summary.sup_deviation
-
     def test_single_path_variance_is_zero(self):
         grid = np.linspace(0.0, 1.0, 6)
-        summary = run_ensemble(50, grid, 1, 99, REF)
+        summary = run_ensemble(50, grid, 1, 99, REF, FLOW)
         assert np.all(summary.var_z == 0.0)
 
     def test_absorbed_count(self):
         params = ModelParams(N=10, s=0.0, u=0.0, nu0=0.5)
         grid = np.linspace(0.0, 200.0, 5)
-        summary = run_ensemble(5, grid, 12, 3, params)
+        summary = run_ensemble(5, grid, 12, 3, params, flow_from(5, params))
         assert summary.absorbed_count == 12
 
     def test_record_is_json_ready(self):
         grid = np.linspace(0.0, 1.0, 4)
-        summary = run_ensemble(50, grid, 3, 99, REF)
-        json.dumps(jsonable(summary.to_record()))
+        summary = run_ensemble(50, grid, 3, 99, REF, FLOW)
+        record = json.loads(json.dumps(jsonable(summary.to_record())))
+        assert len(record) == 11
+        assert record["z_ref"] == FLOW(grid).tolist()
 
 
 class TestCltStatistics:
@@ -307,14 +308,12 @@ class TestLockstepKernel:
         return states, absorbed, events
 
     @pytest.mark.parametrize(
-        "n_paths, t_end",
-        [(64, 0.1), (100, 0.1), (127, 3.0), (127, 17.0), (128, 0.1), (128, 3.0), (128, 17.0)],
-        ids=["short-64", "short-100", "mid-127", "long-127", "short-128", "mid-128", "long-128"],
+        "n_paths", [1, 64, 100, 127, 128, 1000], ids=lambda n: f"{n}-paths"
     )
-    def test_kernel_choice_by_event_bound(self, monkeypatch, n_paths, t_end):
-        # N = 1000 on the reference shape bounds each path by about 1000 t_end
-        # events; lockstep runs from _LOCKSTEP_MIN_PATHS paths on, whatever
-        # that bound. Both kernels are faked, so nothing simulates.
+    def test_kernel_choice_by_path_count(self, monkeypatch, n_paths):
+        # Lockstep runs from _LOCKSTEP_MIN_PATHS paths on, whatever the
+        # horizon: N = 1000 on the reference shape bounds each path by about
+        # 1000 t_end events. Both kernels are faked, so nothing simulates.
         calls = []
 
         def fake_chain(k0, t_end, rng, tables, grid=None, record=False):
@@ -328,11 +327,12 @@ class TestLockstepKernel:
         monkeypatch.setattr(simulate, "_run_chain", fake_chain)
         monkeypatch.setattr(simulate, "_run_lockstep", fake_lockstep)
         params = ModelParams(N=1000, s=1.0, u=0.5, nu0=0.5)
-        run_ensemble(100, np.linspace(0.0, t_end, 6), n_paths, 13, params)
-        if n_paths >= simulate._LOCKSTEP_MIN_PATHS:
-            assert calls == ["lockstep"]
-        else:
-            assert calls == ["per-path"] * n_paths
+        reference = flow_from(100, params)
+        lockstep = n_paths >= simulate._LOCKSTEP_MIN_PATHS
+        for t_end in (0.1, 3.0, 17.0):
+            calls.clear()
+            run_ensemble(100, np.linspace(0.0, t_end, 6), n_paths, 13, params, reference)
+            assert calls == (["lockstep"] if lockstep else ["per-path"] * n_paths)
 
     @pytest.mark.parametrize("extra", [-1, 0, 37])
     def test_reference_shape_non_uniform_grid(self, extra):
@@ -379,11 +379,12 @@ class TestSummarizePaths:
     """Summaries of kept paths equal run_ensemble's, bit for bit."""
 
     @staticmethod
-    def compare(k0, grid, n_paths, seed, params, reference=None):
+    def compare(k0, grid, n_paths, seed, params):
         t_end = float(np.asarray(grid)[-1])
         paths = [simulate_path(k0, t_end, [seed, p], params) for p in range(n_paths)]
-        kept = summarize_paths(paths, grid, seed, reference=reference)
-        direct = run_ensemble(k0, grid, n_paths, seed, params, reference=reference)
+        reference = flow_from(k0, params)
+        kept = summarize_paths(paths, grid, seed, reference)
+        direct = run_ensemble(k0, grid, n_paths, seed, params, reference)
         assert np.array_equal(kept.z_values, direct.z_values)
         assert kept.absorbed_count == direct.absorbed_count
         assert kept.to_record() == direct.to_record()
@@ -401,9 +402,7 @@ class TestSummarizePaths:
             return lockstep(*args)
 
         monkeypatch.setattr(simulate, "_run_lockstep", spy)
-        grid = np.linspace(0.0, 3.0, 61)
-        reference = solve_deterministic(0.1, REF)
-        self.compare(100, grid, n_paths, 20260817, REF, reference=reference)
+        self.compare(100, np.linspace(0.0, 3.0, 61), n_paths, 20260817, REF)
         assert len(calls) == (n_paths >= simulate._LOCKSTEP_MIN_PATHS)
 
     @pytest.mark.parametrize("n_paths", [4, 64])
@@ -420,13 +419,13 @@ class TestSummarizePaths:
         grid = np.linspace(0.0, 1.0, 5)
         paths = [simulate_path(50, 1.0, [7, p], REF) for p in range(2)]
         with pytest.raises(DomainError, match="at least one path"):
-            summarize_paths([], grid, 7)
+            summarize_paths([], grid, 7, FLOW)
         with pytest.raises(DomainError, match="end at t_grid"):
-            summarize_paths(paths, grid[:-1], 7)
+            summarize_paths(paths, grid[:-1], 7, FLOW)
         with pytest.raises(DomainError, match="share k0"):
-            summarize_paths(paths + [simulate_path(51, 1.0, [7, 2], REF)], grid, 7)
+            summarize_paths(paths + [simulate_path(51, 1.0, [7, 2], REF)], grid, 7, FLOW)
         with pytest.raises(DomainError, match="rng_seed"):
-            summarize_paths(paths, grid, [7, 0])
+            summarize_paths(paths, grid, [7, 0], FLOW)
 
 
 def reference_chain(k0, t_end, seed, params, grid=None):

@@ -243,6 +243,15 @@ class TestGaussianLimitCheck:
         with pytest.raises(UnsupportedModelError):
             gaussian_limit_check(params)
 
+    @pytest.mark.parametrize(
+        "s, u, nu0", [(1.0, 1e-309, 0.5), (1e150, 1e-160, 0.1)], ids=["subnormal-u", "s/u=1e310"]
+    )
+    def test_overflowing_variance_ratio_rejected(self, s, u, nu0):
+        # the limit variance is so small that N Var(Z) / sigma^2 overflows to inf
+        params = ModelParams(N=1, s=s, u=u, nu0=nu0)
+        with pytest.raises(UnsupportedModelError, match="N Var\\(Z\\) / sigma\\^2"):
+            gaussian_limit_check(params)
+
 
 class TestSampler:
     def test_determinism_and_range(self):
