@@ -158,9 +158,8 @@ class TestDeterministicSolution:
 
     def test_negative_time_rejected(self):
         sol = solve_deterministic(0.5, REF)
-        for bad in (-1e-9, math.nan, math.inf, -math.inf):
-            with pytest.raises(DomainError):
-                sol(bad)
+        with pytest.raises(DomainError):
+            sol(-1e-9)
         with pytest.raises(DomainError):
             sol(np.array([0.0, -2.0]))
 
@@ -222,14 +221,9 @@ class TestDeterministicSolution:
                     assert restarted == pytest.approx(sol(t + r), abs=1e-10)
 
     def test_scalar_and_array_calling(self):
-        # a scalar time gives a float with the bits of the one-point array call
-        for params, z0 in scalar_path_starts():
-            sol = solve_deterministic(z0, params)
-            for t in (0.0, 5e-324, 1e-300, 1.0, 1e3):
-                value = sol(t)
-                assert type(value) is float
-                assert_bitwise_equal(value, sol(np.array([t]))[0])
-        out = solve_deterministic(0.1, REF)(np.array([0.0, 1.0, 2.0]))
+        sol = solve_deterministic(0.1, REF)
+        assert isinstance(sol(1.0), float)
+        out = sol(np.array([0.0, 1.0, 2.0]))
         assert out.shape == (3,)
 
     def test_long_horizon_is_finite(self):
@@ -261,11 +255,27 @@ def scalar_path_starts():
 
 
 class TestScalarFlowPath:
-    """The starts of the scalar check span every regime, and every scalar type
-    goes through check_times to a float."""
+    """A scalar time gives a float with the bits of the one-point array call."""
 
     def test_covers_every_regime(self):
         assert {classify_regime(p) for p, _ in scalar_path_starts()} == set(Regime)
+
+    @pytest.mark.parametrize("t", [0.0, 5e-324, 1e-300, 1.0, 1e3])
+    def test_float_matches_array_bit_for_bit(self, t):
+        for params, z0 in scalar_path_starts():
+            sol = solve_deterministic(z0, params)
+            value = sol(t)
+            assert type(value) is float
+            assert_bitwise_equal(value, sol(np.array([t]))[0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0])
+    def test_same_domain_errors_as_checked_path(self, bad):
+        sol = solve_deterministic(0.1, REF)
+        with pytest.raises(DomainError) as scalar:
+            sol(bad)
+        with pytest.raises(DomainError) as checked:
+            sol(np.array(bad))
+        assert str(scalar.value) == str(checked.value)
 
     def test_other_scalars_take_the_checked_path(self, monkeypatch):
         original = deterministic.check_times

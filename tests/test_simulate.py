@@ -308,12 +308,15 @@ class TestLockstepKernel:
         return states, absorbed, events
 
     @pytest.mark.parametrize(
-        "n_paths", [1, 64, 100, 127, 128, 1000], ids=lambda n: f"{n}-paths"
+        "n_paths, t_end",
+        [(64, 0.1), (100, 0.1), (127, 3.0), (127, 17.0), (128, 0.1), (128, 3.0), (128, 17.0)],
+        ids=["short-64", "short-100", "mid-127", "long-127", "short-128", "mid-128", "long-128"],
     )
-    def test_kernel_choice_by_path_count(self, monkeypatch, n_paths):
-        # Lockstep runs from _LOCKSTEP_MIN_PATHS paths on, whatever the
-        # horizon: N = 1000 on the reference shape bounds each path by about
-        # 1000 t_end events. Both kernels are faked, so nothing simulates.
+    def test_kernel_choice_by_event_bound(self, monkeypatch, n_paths, t_end):
+        # The choice depends on the path count alone, not on the event bound:
+        # N = 1000 on the reference shape bounds each path by about 1000 t_end
+        # events, and lockstep runs from _LOCKSTEP_MIN_PATHS paths on, whatever
+        # that bound. Both kernels are faked, so nothing simulates.
         calls = []
 
         def fake_chain(k0, t_end, rng, tables, grid=None, record=False):
@@ -328,11 +331,11 @@ class TestLockstepKernel:
         monkeypatch.setattr(simulate, "_run_lockstep", fake_lockstep)
         params = ModelParams(N=1000, s=1.0, u=0.5, nu0=0.5)
         reference = flow_from(100, params)
-        lockstep = n_paths >= simulate._LOCKSTEP_MIN_PATHS
-        for t_end in (0.1, 3.0, 17.0):
-            calls.clear()
-            run_ensemble(100, np.linspace(0.0, t_end, 6), n_paths, 13, params, reference)
-            assert calls == (["lockstep"] if lockstep else ["per-path"] * n_paths)
+        run_ensemble(100, np.linspace(0.0, t_end, 6), n_paths, 13, params, reference)
+        if n_paths >= simulate._LOCKSTEP_MIN_PATHS:
+            assert calls == ["lockstep"]
+        else:
+            assert calls == ["per-path"] * n_paths
 
     @pytest.mark.parametrize("extra", [-1, 0, 37])
     def test_reference_shape_non_uniform_grid(self, extra):
