@@ -15,12 +15,25 @@ stored paths do, formats each value of the span once and looks its
 cells up in that table. The bytes are those of format_cell applied to
 every cell of the zipped rows; rows are joined and written in blocks of
 _BLOCK_ROWS, so the formatted text held at once stays bounded.
+
+A table of more than one block is formatted on two cores when this
+process has the fork start method and runs no thread but its main one
+(a forked child would hold a copy of any lock another thread holds).
+One forked worker formats the odd blocks, this process formats the even
+ones and writes every block in order, so the bytes are those of the
+serial loop. One worker block is in flight at a time: block i + 1 is
+submitted before block i is formatted, and its text is written right
+after block i. The worker is forked before the file is opened. If it
+dies, this process formats its block and every later one itself, and
+the worker has exited before write_csv returns. Any other table is
+formatted block by block in this process.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -103,9 +116,82 @@ def write_csv(path: Path, header: list, columns: list) -> None:
     if len(lengths) > 1:
         raise ValueError(f"columns differ in length: {sorted(lengths)}")
     n_rows = lengths.pop() if lengths else 0
+    starts = range(0, n_rows, _BLOCK_ROWS)
+    context = _fork_context() if len(starts) > 1 else None
+    if context is None:
+        _write_blocks(path, header, (_format_block(columns, start) for start in starts))
+        return
+    from concurrent.futures import ProcessPoolExecutor  # deferred, as in _fork_context
+
+    with ProcessPoolExecutor(
+        max_workers=1, mp_context=context, initializer=_hold_columns, initargs=(columns,)
+    ) as pool:
+        # The first submit forks the worker, before the file is opened, so
+        # the worker inherits no buffer of it.
+        first = pool.submit(_format_held_block, starts[1])
+        _write_blocks(path, header, _alternating_blocks(pool, first, columns, starts))
+
+
+def _write_blocks(path: Path, header: list, texts) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(",".join(header) + "\n")
-        for start in range(0, n_rows, _BLOCK_ROWS):
-            block = slice(start, start + _BLOCK_ROWS)
-            cells = [_format_column(column[block]) for column in columns]
-            handle.write("\n".join(map(",".join, zip(*cells))) + "\n")
+        # writelines drops each text before it asks for the next one
+        handle.writelines(texts)
+
+
+def _format_block(columns: list, start: int) -> str:
+    """The rows from start on, at most _BLOCK_ROWS of them, each ending in a newline."""
+    block = slice(start, start + _BLOCK_ROWS)
+    cells = [_format_column(column[block]) for column in columns]
+    return "\n".join(map(",".join, zip(*cells))) + "\n"
+
+
+def _fork_context():
+    """The fork context when a block worker may be forked, else None."""
+    if threading.active_count() != 1:
+        return None
+    import multiprocessing  # deferred: only tables of several blocks need a worker
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return None
+    return multiprocessing.get_context("fork")
+
+
+# The columns of the table being written, set only in a forked worker: a
+# submit sends the worker a block's start, not its rows.
+_held_columns: list = []
+
+
+def _hold_columns(columns: list) -> None:
+    global _held_columns
+    _held_columns = columns
+
+
+def _format_held_block(start: int) -> str:
+    return _format_block(_held_columns, start)
+
+
+def _alternating_blocks(pool, first, columns: list, starts: range):
+    """Every block's text in order: odd blocks from the worker, even ones from here.
+
+    first is the worker's future for block 1. Block i + 1 is submitted
+    before block i is formatted, so one worker block is in flight at a
+    time. Once the worker has died, every block not yet yielded is
+    formatted here.
+    """
+    from concurrent.futures.process import BrokenProcessPool
+
+    future, done = first, 0
+    try:
+        for even in range(0, len(starts), 2):
+            odd = even + 1
+            if even and odd < len(starts):
+                future = pool.submit(_format_held_block, starts[odd])
+            yield _format_block(columns, starts[even])
+            done += 1
+            if odd < len(starts):
+                yield future.result()
+                done += 1
+    except BrokenProcessPool:
+        for start in starts[done:]:
+            yield _format_block(columns, start)

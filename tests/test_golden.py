@@ -17,11 +17,13 @@ import contextlib
 import hashlib
 import io
 import json
+import multiprocessing
 from pathlib import Path
 
 import pytest
 
 from moranlimits import cli
+from moranlimits import io as mio
 
 REFERENCE_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "reference.json"
 
@@ -134,6 +136,31 @@ def test_artifacts_match_golden_digests(tmp_path, command, config):
         code = cli.main([command, "--config", str(config_path), "--out", str(out_dir)])
     assert code == 0
     assert artifact_digests(out_dir) == GOLDEN[(command, config)]
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="the block worker is forked only where the platform has fork",
+)
+def test_long_paths_through_the_block_worker(tmp_path, monkeypatch):
+    """The long-paths case again, its ~31.5k stored rows cut into 8 blocks
+    of 4096, so a forked worker formats every other one."""
+    blocks = []
+    alternating = mio._alternating_blocks
+
+    def spy(pool, first, columns, starts):
+        blocks.append(len(starts))
+        return alternating(pool, first, columns, starts)
+
+    monkeypatch.setattr(mio, "_BLOCK_ROWS", 4096)
+    monkeypatch.setattr(mio, "_alternating_blocks", spy)
+    config_path = write_config(tmp_path, "reference+long_paths")
+    out_dir = tmp_path / "out"
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["simulate", "--config", str(config_path), "--out", str(out_dir)])
+    assert code == 0
+    assert blocks == [8]
+    assert artifact_digests(out_dir) == GOLDEN[("simulate", "reference+long_paths")]
 
 
 def test_long_paths_reach_the_capped_batches(tmp_path):

@@ -1,6 +1,10 @@
 """The column-wise CSV writer against the per-cell reference format."""
 
+import faulthandler
+import multiprocessing
+import os
 import tempfile
+import threading
 from pathlib import Path
 from unittest import mock
 
@@ -164,3 +168,104 @@ def test_table_offsets_do_not_wrap(dtype):
     column = np.tile(np.array([lo + i for i in range(256)], dtype=dtype), 5)
     columns = [column]
     assert written_bytes(["k"], columns) == reference_bytes(["k"], columns)
+
+
+# --- tables of several blocks: odd blocks in one forked worker -------------
+
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="the block worker is forked only where the platform has fork",
+)
+
+BLOCK_ROWS = 7
+MIXED_HEADER = ["f", "i", "b", "m"]
+
+
+@pytest.fixture
+def bounded():
+    """A write that hangs ends the test run with a traceback after 60 s."""
+    faulthandler.dump_traceback_later(60, exit=True)
+    yield
+    faulthandler.cancel_dump_traceback_later()
+
+
+def mixed_columns(n: int) -> list:
+    """Float, int, bool and list columns of n rows."""
+    rng = np.random.default_rng(n)
+    return [
+        rng.standard_normal(n) * 10.0 ** rng.integers(-20, 20, n),
+        rng.integers(-(2**62), 2**62, n),
+        rng.random(n) < 0.5,
+        [None if i % 3 == 0 else (i * 0.1 if i % 3 == 1 else i) for i in range(n)],
+    ]
+
+
+def logged_blocks(monkeypatch, tmp_path, die_in_worker=False):
+    """Patch _format_block to log each block's (pid, start) to a file; a
+    forked worker inherits the patch. With die_in_worker the worker exits
+    at its first block. Returns a reader of the log."""
+    log = tmp_path / "blocks.log"
+    log.touch()
+    parent = os.getpid()
+    original = mio._format_block
+
+    def format_block(columns, start):
+        if die_in_worker and os.getpid() != parent:
+            os._exit(3)
+        with open(log, "a", encoding="utf-8") as handle:
+            handle.write(f"{os.getpid()} {start}\n")
+        return original(columns, start)
+
+    monkeypatch.setattr(mio, "_format_block", format_block)
+
+    def read():
+        pairs = [line.split() for line in log.read_text(encoding="utf-8").splitlines()]
+        return [(int(pid), int(start)) for pid, start in pairs]
+
+    return read
+
+
+@needs_fork
+@pytest.mark.usefixtures("bounded")
+def test_worker_formats_the_odd_blocks(monkeypatch, tmp_path):
+    n = 8 * BLOCK_ROWS + 3  # nine blocks, the last one short
+    columns = mixed_columns(n)
+    read = logged_blocks(monkeypatch, tmp_path)
+    assert written_bytes(MIXED_HEADER, columns, BLOCK_ROWS) == reference_bytes(MIXED_HEADER, columns)
+    assert multiprocessing.active_children() == []
+    blocks = read()
+    here = sorted(start for pid, start in blocks if pid == os.getpid())
+    there = sorted(start for pid, start in blocks if pid != os.getpid())
+    assert here == list(range(0, n, 2 * BLOCK_ROWS))
+    assert there == list(range(BLOCK_ROWS, n, 2 * BLOCK_ROWS))
+    assert len({pid for pid, _ in blocks}) == 2
+
+
+@needs_fork
+@pytest.mark.usefixtures("bounded")
+def test_dead_worker_leaves_its_blocks_to_this_process(monkeypatch, tmp_path):
+    n = 5 * BLOCK_ROWS
+    columns = mixed_columns(n)
+    read = logged_blocks(monkeypatch, tmp_path, die_in_worker=True)
+    assert written_bytes(MIXED_HEADER, columns, BLOCK_ROWS) == reference_bytes(MIXED_HEADER, columns)
+    assert multiprocessing.active_children() == []
+    assert read() == [(os.getpid(), start) for start in range(0, n, BLOCK_ROWS)]
+
+
+@needs_fork
+@pytest.mark.usefixtures("bounded")
+def test_a_second_thread_keeps_the_write_inline(monkeypatch, tmp_path):
+    n = 4 * BLOCK_ROWS
+    columns = mixed_columns(n)
+    read = logged_blocks(monkeypatch, tmp_path)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        data = written_bytes(MIXED_HEADER, columns, BLOCK_ROWS)
+    finally:
+        release.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert data == reference_bytes(MIXED_HEADER, columns)
+    assert read() == [(os.getpid(), start) for start in range(0, n, BLOCK_ROWS)]
