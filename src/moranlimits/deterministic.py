@@ -319,32 +319,22 @@ class LinearModelSolution:
         solution = DeterministicSolution(z0, params)
         self.z0 = solution.z0
         self.params = params
-        eq = solution.equilibria
-        self._x_plus = eq.x_stable
-        self._x_minus = eq.x_unstable
-        self._gap = eq.relaxation_rate  # = s * (x_plus - x_minus)
-        self.growth_rates = (
-            1.0 + params.s * self._x_plus,
-            1.0 + params.s * self._x_minus,
-        )
+        eq = self.equilibria = solution.equilibria
+        self.growth_rates = (1.0 + params.s * eq.x_stable, 1.0 + params.s * eq.x_unstable)
 
     def __call__(self, t: ArrayLike) -> tuple[ArrayLike, ArrayLike]:
         arr, scalar = check_times(t, "t")
-        x_plus, x_minus = self._x_plus, self._x_minus
+        eq = self.equilibria
+        x_plus, x_minus = eq.x_stable, eq.x_unstable
         d_minus = self.z0 - x_minus
         d_plus = self.z0 - x_plus
-        decay = np.exp(-self._gap * arr)
+        decay = np.exp(-eq.relaxation_rate * arr)  # relaxation_rate = s * (x_plus - x_minus)
         scale = np.exp(self.growth_rates[0] * arr) / (x_plus - x_minus)
         y0 = scale * (x_plus * d_minus - x_minus * d_plus * decay)
         y1 = scale * ((1.0 - x_plus) * d_minus - (1.0 - x_minus) * d_plus * decay)
         if scalar:
             return float(y0[0]), float(y1[0])
         return y0, y1
-
-    def proportion(self, t: ArrayLike) -> ArrayLike:
-        """y0 / (y0 + y1), which reproduces the proportion flow."""
-        y0, y1 = self(t)
-        return y0 / (y0 + y1)
 
 
 def linear_model_solution(z0: float, params: ModelParams) -> LinearModelSolution:

@@ -3,7 +3,9 @@
 Artifacts must be byte-identical across re-runs with the same config
 and seed: keys are sorted, floats go through repr (shortest round-trip
 form), newlines are fixed to "\\n", and nothing time- or host-dependent
-is ever written.
+is ever written. dump_json lets json's default hook turn numpy arrays
+and scalars into Python values; NaN or any other type raises before the
+file is opened.
 
 CSV contract: write_csv takes the header and a sequence of equal-length
 columns, not rows. Each column is formatted once by its type: a float
@@ -16,22 +18,23 @@ cells up in that table. The bytes are those of format_cell applied to
 every cell of the zipped rows; rows are joined and written in blocks of
 _BLOCK_ROWS, so the formatted text held at once stays bounded.
 
-A table of more than one block is formatted on two cores when this
-process has the fork start method and runs no thread but its main one
-(a forked child would hold a copy of any lock another thread holds).
-One forked worker formats the odd blocks, this process formats the even
-ones and writes every block in order, so the bytes are those of the
-serial loop. One worker block is in flight at a time: block i + 1 is
-submitted before block i is formatted, and its text is written right
-after block i. The worker is forked before the file is opened. If it
-dies, this process formats its block and every later one itself, and
-the worker has exited before write_csv returns. Any other table is
-formatted block by block in this process.
+A table of more than one block is formatted on two cores when fork_pool
+gives a worker: the platform has the fork start method and this process
+runs no thread but its main one (a forked child would hold a copy of any
+lock another thread holds). selfcheck.run_all asks fork_pool too, and
+neither falls back to another start method. One forked worker formats
+the odd blocks, this process formats the even ones and writes every
+block in order, so the bytes are those of the serial loop. One worker
+block is in flight at a time: block i + 1 is submitted before block i
+is formatted, and its text is written right after block i. The worker
+is forked before the file is opened. If it dies, this process formats
+its block and every later one itself, and the worker has exited before
+write_csv returns. Any other table is formatted block by block in this
+process.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import threading
 from pathlib import Path
@@ -45,29 +48,18 @@ _BLOCK_ROWS = 65536
 _SPAN_RATIO = 2
 
 
-def jsonable(value):
-    """Recursively coerce numpy containers and scalars to JSON-safe types."""
-    if isinstance(value, dict):
-        return {str(key): jsonable(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [jsonable(item) for item in value]
+def _json_default(value):
+    """json's hook for what it cannot encode: numpy arrays and scalars."""
     if isinstance(value, np.ndarray):
-        return [jsonable(item) for item in value.tolist()]
-    if isinstance(value, (np.bool_, bool)):
-        return bool(value)
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
-    if isinstance(value, Path):
-        return str(value)
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return jsonable(dataclasses.asdict(value))
-    return value
+        return value.tolist()
+    if isinstance(value, np.generic):
+        return value.item()
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def dump_json(path: Path, payload: dict) -> None:
-    text = json.dumps(jsonable(payload), sort_keys=True, indent=2, allow_nan=False)
+    """Sorted, indented JSON; NaN or an unknown type raises before the file is opened."""
+    text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False, default=_json_default)
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(text + "\n")
 
@@ -117,15 +109,11 @@ def write_csv(path: Path, header: list, columns: list) -> None:
         raise ValueError(f"columns differ in length: {sorted(lengths)}")
     n_rows = lengths.pop() if lengths else 0
     starts = range(0, n_rows, _BLOCK_ROWS)
-    context = _fork_context() if len(starts) > 1 else None
-    if context is None:
+    pool = fork_pool(_hold_columns, (columns,)) if len(starts) > 1 else None
+    if pool is None:
         _write_blocks(path, header, (_format_block(columns, start) for start in starts))
         return
-    from concurrent.futures import ProcessPoolExecutor  # deferred, as in _fork_context
-
-    with ProcessPoolExecutor(
-        max_workers=1, mp_context=context, initializer=_hold_columns, initargs=(columns,)
-    ) as pool:
+    with pool:
         # The first submit forks the worker, before the file is opened, so
         # the worker inherits no buffer of it.
         first = pool.submit(_format_held_block, starts[1])
@@ -146,15 +134,21 @@ def _format_block(columns: list, start: int) -> str:
     return "\n".join(map(",".join, zip(*cells))) + "\n"
 
 
-def _fork_context():
-    """The fork context when a block worker may be forked, else None."""
+def fork_pool(initializer=None, initargs=()):
+    """A one-worker ProcessPoolExecutor in the fork context, or None where this
+    process may not fork (module docstring); initializer(*initargs) runs first."""
     if threading.active_count() != 1:
         return None
-    import multiprocessing  # deferred: only tables of several blocks need a worker
+    import multiprocessing  # deferred: only a worker needs these modules
 
     if "fork" not in multiprocessing.get_all_start_methods():
         return None
-    return multiprocessing.get_context("fork")
+    from concurrent.futures import ProcessPoolExecutor
+
+    context = multiprocessing.get_context("fork")
+    return ProcessPoolExecutor(
+        max_workers=1, mp_context=context, initializer=initializer, initargs=initargs
+    )
 
 
 # The columns of the table being written, set only in a forked worker: a

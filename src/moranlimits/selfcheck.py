@@ -32,6 +32,7 @@ from .deterministic import (
     solve_deterministic,
 )
 from .fluctuations import FluctuationLaw, limit_variance, variance_ode
+from .io import fork_pool
 from .model import ModelParams
 from .simulate import clt_statistics, run_ensemble
 from .stationary import (
@@ -409,20 +410,18 @@ def _run_check(index: int) -> CheckResult:
 def run_all() -> list[CheckResult]:
     """Run every criterion, criterion 6 in a worker process; results in criterion order.
 
-    The worker is forked where the platform can, so it shares this
-    process's imported modules (and any patches to them) and receives
-    only the criterion's index. The fork is taken before this process
-    starts any thread: with fork, the executor launches its worker before
-    its own manager thread. A worker that dies, or whose result cannot be
-    collected, gives a failed criterion 6. The worker has exited before
-    this returns.
+    The worker comes from io.fork_pool, so it is forked only where the
+    platform has fork and no other thread runs (the executor forks before
+    it starts its own manager thread). It shares this process's imported
+    modules (and any patches to them) and receives only the criterion's
+    index. Without it all nine run here; no other start method is tried.
+    A worker that dies, or whose result cannot be collected, gives a
+    failed criterion 6. The worker has exited before this returns.
     """
-    import multiprocessing  # deferred: only run_all needs a worker
-    from concurrent.futures import ProcessPoolExecutor
-
-    methods = multiprocessing.get_all_start_methods()
-    context = multiprocessing.get_context("fork" if "fork" in methods else None)
-    with ProcessPoolExecutor(max_workers=1, mp_context=context) as pool:
+    pool = fork_pool()
+    if pool is None:
+        return [_run_check(index) for index in range(len(_CHECKS))]
+    with pool:
         future = pool.submit(_run_check, _WORKER_INDEX)
         results = [
             _run_check(index) for index in range(len(_CHECKS)) if index != _WORKER_INDEX

@@ -497,7 +497,8 @@ class TestLinearModel:
         times = np.linspace(0.0, 5.0, 26)
         linear = linear_model_solution(0.1, REF)
         flow = solve_deterministic(0.1, REF)(times)
-        assert np.max(np.abs(linear.proportion(times) - flow)) < 1e-12
+        y0, y1 = linear(times)
+        assert np.max(np.abs(y0 / (y0 + y1) - flow)) < 1e-12
 
     def test_negative_time_rejected(self):
         with pytest.raises(DomainError):

@@ -1,4 +1,5 @@
-"""The column-wise CSV writer against the per-cell reference format."""
+"""The column-wise CSV writer against the per-cell reference format, and
+dump_json's numpy encoding through json's default hook."""
 
 import faulthandler
 import multiprocessing
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from moranlimits import io as mio
-from moranlimits.io import format_cell, write_csv
+from moranlimits.io import dump_json, format_cell, write_csv
 
 # Floats where repr changes form or rounding is delicate: repr switches to
 # exponent notation at 1e16 and below 1e-4.
@@ -168,6 +169,56 @@ def test_table_offsets_do_not_wrap(dtype):
     column = np.tile(np.array([lo + i for i in range(256)], dtype=dtype), 5)
     columns = [column]
     assert written_bytes(["k"], columns) == reference_bytes(["k"], columns)
+
+
+# --- dump_json: json's default hook encodes numpy values --------------------
+
+
+def test_numpy_payload_writes_the_bytes_of_its_python_equivalent(tmp_path):
+    numpy_payload = {
+        "f64": np.float64(0.1),
+        "f32": np.float32(0.1),
+        "i64": np.int64(-(2**62)),
+        "flag": np.bool_(True),
+        "floats": np.array([1e-5, 1e16, -0.0, 1.0 / 3.0]),
+        "ints": np.arange(-1, 2, dtype=np.int64),
+        "pair": (np.float64(2.0), 3, "x"),
+        "nested": {"b": {"grid": np.array([[1, 2], [3, 4]])}, "a": [np.bool_(False), None]},
+    }
+    plain_payload = {
+        "f64": 0.1,
+        "f32": 0.10000000149011612,
+        "i64": -(2**62),
+        "flag": True,
+        "floats": [1e-5, 1e16, -0.0, 1.0 / 3.0],
+        "ints": [-1, 0, 1],
+        "pair": [2.0, 3, "x"],
+        "nested": {"b": {"grid": [[1, 2], [3, 4]]}, "a": [False, None]},
+    }
+    dump_json(tmp_path / "numpy.json", numpy_payload)
+    dump_json(tmp_path / "plain.json", plain_payload)
+    data = (tmp_path / "numpy.json").read_bytes()
+    assert data == (tmp_path / "plain.json").read_bytes()
+    assert data.endswith(b"}\n") and b"\r" not in data
+
+
+@pytest.mark.parametrize(
+    "value",
+    [float("nan"), np.float64("nan"), np.float32("nan"), np.array([0.0, np.nan]), np.inf],
+)
+def test_non_finite_payload_raises_and_writes_nothing(tmp_path, value):
+    path = tmp_path / "report.json"
+    with pytest.raises(ValueError):
+        dump_json(path, {"ok": 1.0, "value": value})
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("value", [{1, 2}, Path("a"), object()])
+def test_unencodable_value_raises_and_writes_nothing(tmp_path, value):
+    path = tmp_path / "report.json"
+    with pytest.raises(TypeError):
+        dump_json(path, {"value": [value]})
+    assert not path.exists()
 
 
 # --- tables of several blocks: odd blocks in one forked worker -------------

@@ -1,4 +1,5 @@
-"""run_all's split: criterion 6 in one forked worker, the other eight inline.
+"""run_all's split: criterion 6 in one forked worker, the other eight inline,
+or all nine inline while another thread runs.
 
 Fast fake criteria stand in for the real ones, so these cases check the
 plumbing only: order, failure reporting, a dying worker, and that no
@@ -11,6 +12,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -83,6 +85,22 @@ def test_dead_worker_is_a_failed_criterion(monkeypatch):
     assert dead.detail.startswith("raised BrokenProcessPool: ")
     assert all(r.passed for i, r in enumerate(results) if i != 5)
     assert multiprocessing.active_children() == []
+
+
+def test_a_second_thread_keeps_every_criterion_inline(monkeypatch):
+    monkeypatch.setattr(selfcheck, "_CHECKS", _fakes())
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        results = run_all()
+        assert multiprocessing.active_children() == []
+    finally:
+        release.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert [r.name for r in results] == [f"fake-{i}" for i in range(1, 10)]
+    assert [int(r.detail) for r in results] == [os.getpid()] * 9
 
 
 _SCRIPT = """

@@ -24,7 +24,7 @@ from moranlimits import (
     summarize_paths,
 )
 from moranlimits import simulate
-from moranlimits.io import jsonable
+from moranlimits.io import dump_json
 from moranlimits.model import rate_tables
 from moranlimits.selfcheck import reference_params
 
@@ -236,10 +236,11 @@ class TestEnsemble:
         summary = run_ensemble(5, grid, 12, 3, params, flow_from(5, params))
         assert summary.absorbed_count == 12
 
-    def test_record_is_json_ready(self):
+    def test_record_is_json_ready(self, tmp_path):
         grid = np.linspace(0.0, 1.0, 4)
         summary = run_ensemble(50, grid, 3, 99, REF, FLOW)
-        record = json.loads(json.dumps(jsonable(summary.to_record())))
+        dump_json(tmp_path / "record.json", summary.to_record())
+        record = json.loads((tmp_path / "record.json").read_text(encoding="utf-8"))
         assert len(record) == 11
         assert record["z_ref"] == FLOW(grid).tolist()
 
