@@ -229,10 +229,9 @@ class DeterministicSolution:
     def flow(self) -> Callable[[ArrayLike], ArrayLike]:
         """The closed-form flow t -> z(z0, t), unchecked and unsnapped.
 
-        It evaluates np.exp for a float t as for an array, so both give
-        the same bits. Where the flow is constant the closure returns z0
-        itself. Raises UnsupportedModelError under selection when z0 - x_minus
-        and z0 - x_plus round alike, where the closed form divides by 0.
+        Where the flow is constant the closure returns z0 itself. Raises
+        UnsupportedModelError under selection when z0 - x_minus and
+        z0 - x_plus round alike, where the closed form divides by 0.
         """
         z0 = self.z0
         if self.regime is Regime.NEUTRAL:

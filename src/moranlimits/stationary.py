@@ -253,11 +253,11 @@ def brute_force_stationary(params: ModelParams) -> np.ndarray:
     """Stationary law as the null space of the transposed generator.
 
     Independent oracle for the product formula: builds the dense
-    generator Q and solves pi Q = 0 by SVD. Dense in N, so meant for
-    small chains.
+    generator Q and solves pi Q = 0 by SVD. The null space is spanned by
+    the right singular vectors past the numerical rank, which counts the
+    singular values above max(shape) * eps * sigma_max (the rule of
+    scipy.linalg.null_space). Dense in N, so meant for small chains.
     """
-    from scipy.linalg import null_space  # deferred: only this oracle needs scipy.linalg
-
     require_mutation(params)
     lam, mu = rate_tables(params)
     n = params.N
@@ -268,12 +268,14 @@ def brute_force_stationary(params: ModelParams) -> np.ndarray:
         if k > 0:
             generator[k, k - 1] = mu[k]
         generator[k, k] = -(lam[k] + mu[k])
-    basis = null_space(generator.T)
-    if basis.shape[1] != 1:
+    _, sigma, vh = np.linalg.svd(generator.T)
+    tol = np.max(sigma) * (np.finfo(float).eps * (n + 1))
+    basis = vh[np.count_nonzero(sigma > tol):]
+    if basis.shape[0] != 1:
         raise RuntimeError(
-            f"generator null space has dimension {basis.shape[1]}, expected 1"
+            f"generator null space has dimension {basis.shape[0]}, expected 1"
         )
-    pi = basis[:, 0]
+    pi = basis[0]
     pi = pi / pi.sum()
     return pi
 

@@ -7,10 +7,10 @@ report's `results` object. The `config` record is left out of those,
 since it restates the config file rather than computing anything; it is
 pinned on its own, because the parser writes it.
 
-The digests were taken with numpy 2.4 and scipy 1.17 on x86-64. Another
-build of numpy, scipy or libm may round the last bit of a float
-differently; regenerate the digests then, after checking with the
-per-path reference tests that only rounding moved.
+The digests were taken with numpy 2.4 on x86-64. Another build of
+numpy or libm may round the last bit of a float differently; regenerate
+the digests then, after checking with the per-path reference tests that
+only rounding moved.
 """
 
 import contextlib

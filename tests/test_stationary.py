@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import null_space
 from scipy.special import ndtr
 from scipy.stats import kstest
 
@@ -59,6 +60,18 @@ class TestStationaryDistribution:
             product = stationary_distribution(params).full_probabilities()
             oracle = brute_force_stationary(params)
             assert np.max(np.abs(product - oracle)) < 1e-12
+
+    def test_null_space_is_scipys_bit_for_bit_on_criterion_7(self):
+        shapes = [REF] + [p for p, _ in parameter_panel(2)]
+        for shape in shapes:
+            for n in (2, 3, 5, 10, 25, 50):
+                params = ModelParams(N=n, s=shape.s, u=shape.u, nu0=shape.nu0)
+                lam, mu = rate_tables(params)
+                generator = np.diag(lam[:-1], 1) + np.diag(mu[1:], -1) - np.diag(lam + mu)
+                basis = null_space(generator.T)
+                assert basis.shape == (n + 1, 1)
+                expected = basis[:, 0] / basis[:, 0].sum()
+                assert brute_force_stationary(params).tobytes() == expected.tobytes()
 
     def test_detailed_balance(self):
         params = ModelParams(N=500, s=1.0, u=0.5, nu0=0.5)
