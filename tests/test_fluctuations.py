@@ -1,5 +1,6 @@
 """Variance law and the Gaussian path sampler."""
 
+import hashlib
 import math
 
 import mpmath
@@ -369,6 +370,29 @@ class TestSampler:
         paths = sample_fluctuation_paths(0.1, grid, 50, 123, REF)
         assert paths.shape == (50, 9)
         assert np.all(paths[:, 0] == 0.0)
+
+    @pytest.mark.parametrize(
+        "params, z0, grid, n_paths, seed, digest",
+        [
+            # the shape of the benchmark's limits call
+            (
+                ModelParams(N=1000, s=1.3, u=0.7, nu0=0.45), 0.62,
+                np.linspace(0.0, 10.0, 401), 512, 7,
+                "db9855dd23b197e0c33ad3112e3318ac7d058d61e96cee03b9113ee836b163cf",
+            ),
+            # a start at the unstable point: every path is 0, no draw is made
+            (
+                ModelParams(N=10, s=4.0, u=1e-200, nu0=5e-124), 0.0,
+                np.linspace(0.0, 3.0, 101), 64, 1,
+                "20aec767acbfc817568f8683a7cc00a0bea607c5b4bda106b60992e39c9ecd5a",
+            ),
+        ],
+    )
+    def test_golden_paths(self, params, z0, grid, n_paths, seed, digest):
+        # SHA-256 of the float64 bytes; numpy 2.4 on x86-64, as tests/test_golden.py
+        paths = sample_fluctuation_paths(z0, grid, n_paths, seed, params)
+        assert paths.shape == (n_paths, grid.size) and paths.dtype == np.float64
+        assert hashlib.sha256(paths.tobytes()).hexdigest() == digest
 
     def test_bitwise_determinism(self):
         grid = np.linspace(0.0, 2.0, 9)
