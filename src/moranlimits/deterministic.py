@@ -30,7 +30,15 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from . import rk4
-from .model import DomainError, ModelParams, UnsupportedModelError, check_real, check_times
+from .model import (
+    REMAINDER_EPS,
+    DomainError,
+    ModelParams,
+    UnsupportedModelError,
+    check_grid,
+    check_real,
+    check_times,
+)
 
 ArrayLike = Union[float, np.ndarray]
 
@@ -188,6 +196,10 @@ def equilibria(params: ModelParams) -> Equilibria:
 
 
 def _snap_unit_scalar(z: float) -> float:
+    """z with a rounding excursion past 0 or 1 pinned back to the boundary.
+
+    _scalar_oracle_at writes these two comparisons inline.
+    """
     if -_UNIT_SNAP < z < 0.0:
         return 0.0
     if 1.0 < z < 1.0 + _UNIT_SNAP:
@@ -289,15 +301,58 @@ def ode_oracle_at(
 ) -> np.ndarray:
     """RK4 state at the requested times, sub-stepping at most `step`.
 
-    A float z0 takes one ModelParams and gives shape (len(times),). A
+    A float z0 takes one ModelParams and gives shape (len(times),). It
+    runs in _scalar_oracle_at's own Python float loop, which equals
+    rk4.integrate_at on the drift with the unit snap bit for bit. A
     1-d array of m starts takes a sequence of m ModelParams, one per
     start, and gives shape (len(times), m): all rows advance in one
-    lockstep sweep, and column j equals
+    lockstep sweep of rk4.integrate_at, and column j equals
     ode_oracle_at(float(z0[j]), times, step, params[j]) bit for bit.
     """
     z0 = check_starts(z0, params)
-    post = _snap_unit_scalar if np.ndim(z0) == 0 else _snap_unit
-    return rk4.integrate_at(DriftFunctions(params).drift, z0, times, step, post=post)
+    if np.ndim(z0) == 0:
+        return _scalar_oracle_at(z0, times, step, params)
+    return rk4.integrate_at(DriftFunctions(params).drift, z0, times, step, post=_snap_unit)
+
+
+def _scalar_oracle_at(z0: float, times: ArrayLike, step: float, params: ModelParams) -> np.ndarray:
+    """rk4.integrate_at(DriftFunctions(params).drift, z0, times, step, post=_snap_unit_scalar).
+
+    The same validation, sub-step rule, stage association and snap, with
+    the drift's coefficients held as locals and the drift and the snap
+    written out: a step makes no Python call.
+    """
+    ts = check_grid(times, "times")
+    max_step = check_real(step, "max_step", 0.0, exclusive=True)
+    drift = DriftFunctions(params)
+    a, b, c = drift._a, drift._b, drift._c
+    low, high = -_UNIT_SNAP, 1.0 + _UNIT_SNAP
+    y = z0
+    t_prev = 0.0
+    values = []
+    for t_next in ts.tolist():
+        span = t_next - t_prev
+        if span > 0.0:
+            n_sub = max(1, math.ceil(span / max_step - REMAINDER_EPS))
+            h = span / n_sub
+            half, sixth = 0.5 * h, h / 6.0
+            for _ in range(n_sub):
+                k1 = (a * y + b) * y + c
+                x = y + half * k1
+                k2 = (a * x + b) * x + c
+                x = y + half * k2
+                k3 = (a * x + b) * x + c
+                x = y + h * k3
+                k4 = (a * x + b) * x + c
+                y = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                if y < 0.0:
+                    if y > low:
+                        y = 0.0
+                elif 1.0 < y < high:
+                    y = 1.0
+        values.append(y)
+        t_prev = t_next
+    return np.array(values)
 
 
 class LinearModelSolution:

@@ -336,6 +336,9 @@ def sample_fluctuation_paths(
     paths is reproducible independently of n_paths.
 
     Returns an (n_paths, len(t_grid)) matrix; column 0 is identically 0.
+    It is the only matrix the sampler allocates: each path's normals are
+    drawn into its row and the recurrence overwrites them column by
+    column, so the peak memory is about the output's size.
     """
     n_paths = check_int(n_paths, "n_paths", minimum=1)
     rng_seed = check_seed(rng_seed)
@@ -352,9 +355,9 @@ def sample_fluctuation_paths(
     propagate = law.propagators(ts)
     # roundoff can push the shock variance a hair below zero
     shock_sd = np.sqrt(np.maximum(sigma2[1:] - propagate * (propagate * sigma2[:-1]), 0.0))
-    shocks = np.empty((n_paths, n_steps))
+    # column i + 1 holds the normal of step i until the recurrence reaches it
     for p in range(n_paths):
-        shocks[p] = np.random.default_rng([rng_seed, p]).standard_normal(n_steps)
+        np.random.default_rng([rng_seed, p]).standard_normal(out=paths[p, 1:])
     for i in range(n_steps):
-        paths[:, i + 1] = propagate[i] * paths[:, i] + shock_sd[i] * shocks[:, i]
+        paths[:, i + 1] = propagate[i] * paths[:, i] + shock_sd[i] * paths[:, i + 1]
     return paths

@@ -7,6 +7,12 @@ steps and a float state stay Python floats rather than numpy scalars,
 which round the same IEEE doubles the same way but cost several times
 as much per operation in a scalar loop.
 
+The package calls it with array states: the batched flow oracle
+(deterministic.ode_oracle_at on an array of starts, criterion 1) and
+variance_ode. The single-start flow oracle runs its own copy of this
+loop with the drift written inline, and equals integrate_at on the
+drift bit for bit.
+
 The state may also be a float array of independent rows advanced in
 lockstep on one shared time grid. `f` and `post` then take and return
 arrays of that shape, and each row of the result equals the integration

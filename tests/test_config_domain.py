@@ -135,7 +135,14 @@ def _raw(model, **sections):
     return {"schema_version": "1", "model": model, "seed": 20260817, **sections}
 
 
-@settings(max_examples=200, derandomize=True, deadline=None)
+# A fixed sweep of 200 configs by default; HYPOTHESIS_PROFILE=wide
+# (tests/conftest.py) runs the profile's random search instead.
+_SWEEP = (
+    {} if settings.get_current_profile_name() == "wide" else {"max_examples": 200, "derandomize": True}
+)
+
+
+@settings(deadline=None, **_SWEEP)
 @given(case=configs())
 @example(case=("clt", _raw({"N": 1000, "s": 25.0, "u": 7.0, "nu0": 1e-300},
                            clt={"z0": 0.0, "times": [1e-300, 1.0], "n_paths": 1}), 0))

@@ -1,9 +1,12 @@
 """Closed-form flow, equilibria, RK4 oracle, and the linear reduction."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from moranlimits import (
     DomainError,
@@ -435,6 +438,93 @@ def test_integrate_at_array_state_matches_scalar_calls():
         )
         assert_bitwise_equal(batch[:, j], scalar)
     assert batch[-1, 2] == 1.0 and batch[-1, 4] == 0.0  # snapped onto the boundary
+
+
+@st.composite
+def oracle_cases(draw):
+    """A model, a start, irregular increasing times and a step inside RK4's stable range.
+
+    The spans between times are arbitrary floats, so most end in a
+    remainder sub-step; step (s + u) <= 2.785 keeps every step stable.
+    """
+    s, u = draw(st.floats(0.0, 5.0)), draw(st.floats(0.0, 5.0))
+    nu0 = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    z0 = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
+    gaps = draw(st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=8))
+    times = list(itertools.accumulate(gaps))
+    if draw(st.booleans()):
+        times.insert(0, 0.0)
+    step = draw(st.floats(1e-2, 1.0))
+    if s + u > 0.0:
+        step = min(step, 2.785 / (s + u))
+    return ModelParams(N=5, s=s, u=u, nu0=nu0), z0, times, step
+
+
+# A fixed number of examples by default; HYPOTHESIS_PROFILE=wide
+# (tests/conftest.py) runs the profile's random search instead.
+_ORACLE_SWEEP = {} if settings.get_current_profile_name() == "wide" else {"max_examples": 150}
+
+
+@settings(deadline=None, **_ORACLE_SWEEP)
+@given(case=oracle_cases())
+# u = 0 from the fixed point 1, as in test_oracle_stays_in_unit_interval
+@example(case=(ModelParams(N=5, s=1.0, u=0.0, nu0=0.5), 1.0, np.linspace(0.0, 5.0, 5001), 1e-3))
+@example(case=(ModelParams(N=5, s=1.0, u=0.0, nu0=0.5), 0.999999, np.linspace(0.0, 3.0, 31), 0.1))
+# x_plus rounds to 1: the state reaches 1 + 2^-52 and the snap fires 9 times
+@example(case=(ModelParams(N=5, s=5.0, u=1e-13, nu0=1.0 - 2.0**-53), 0.5, [0.37, 5.0, 12.5, 40.37], 0.5))
+# spans of 0.1 that divide by the step 0.1 to just above 1: REMAINDER_EPS keeps one sub-step
+@example(case=(REF, 0.1, np.linspace(0.0, 2.0, 21), 0.1))
+@example(case=(ModelParams(N=5, s=0.0, u=0.0, nu0=0.5), 0.4, [0.5, 1.5], 0.3))  # frozen
+def test_scalar_oracle_matches_integrate_at(case):
+    """The inline scalar loop equals rk4.integrate_at on the drift with the snap, bit for bit."""
+    params, z0, times, step = case
+    expected = rk4.integrate_at(
+        DriftFunctions(params).drift, z0, times, step, post=_snap_unit_scalar
+    )
+    assert_bitwise_equal(ode_oracle_at(z0, times, step, params), expected)
+
+
+@pytest.mark.parametrize("target", [-5e-14, -1e-12, 1.0 + 5e-14, 1.0 + 1e-12])
+def test_scalar_oracle_snaps_as_integrate_at(monkeypatch, target):
+    # No model's drift leaves [0, 1] by more than rounding; the stand-in
+    # drift 3 (target - x) settles inside or past a snap band.
+    class Relaxation(DriftFunctions):
+        def __init__(self, params):
+            super().__init__(params)
+            self._a, self._b, self._c = 0.0, -3.0, 3.0 * target
+
+    monkeypatch.setattr(deterministic, "DriftFunctions", Relaxation)
+    times = [0.0, 0.01, 0.25, 1.0, 20.0]
+    expected = rk4.integrate_at(
+        Relaxation(REF).drift, 0.5, times, 1e-2, post=_snap_unit_scalar
+    )
+    assert_bitwise_equal(ode_oracle_at(0.5, times, 1e-2, REF), expected)
+    assert expected[-1] == round(target)  # each step's excursion is snapped back
+
+
+@pytest.mark.parametrize(
+    "times, step",
+    [
+        ([], 1e-3),
+        ([0.5, 0.5], 1e-3),
+        ([-1.0, 0.5], 1e-3),
+        ([0.5, math.nan], 1e-3),
+        ([[0.5, 1.0]], 1e-3),
+        (["a"], 1e-3),
+        ([0.5], 0.0),
+        ([0.5], -1.0),
+        ([0.5], math.inf),
+        ([0.5], math.nan),
+        ([0.5], True),
+        ([0.5], "0.1"),
+    ],
+)
+def test_scalar_oracle_rejects_as_integrate_at(times, step):
+    with pytest.raises(DomainError) as expected:
+        rk4.integrate_at(DriftFunctions(REF).drift, 0.1, times, step, post=_snap_unit_scalar)
+    with pytest.raises(DomainError) as raised:
+        ode_oracle_at(0.1, times, step, REF)
+    assert str(raised.value) == str(expected.value)
 
 
 def test_integrate_at_scalar_state_stays_python_float():

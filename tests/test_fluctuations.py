@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -393,6 +394,18 @@ class TestSampler:
         paths = sample_fluctuation_paths(z0, grid, n_paths, seed, params)
         assert paths.shape == (n_paths, grid.size) and paths.dtype == np.float64
         assert hashlib.sha256(paths.tobytes()).hexdigest() == digest
+
+    def test_peak_memory_is_the_output(self):
+        # The normals are drawn into the output matrix itself: no second
+        # (n_paths, n_steps) array, which would take the peak to 2x.
+        grid = np.linspace(0.0, 10.0, 201)
+        tracemalloc.start()
+        try:
+            paths = sample_fluctuation_paths(0.1, grid, 2000, 7, REF)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * paths.nbytes
 
     def test_bitwise_determinism(self):
         grid = np.linspace(0.0, 2.0, 9)
