@@ -387,6 +387,18 @@ class TestSampler:
                 np.linspace(0.0, 3.0, 101), 64, 1,
                 "20aec767acbfc817568f8683a7cc00a0bea607c5b4bda106b60992e39c9ecd5a",
             ),
+            # seeds of three and four uint32 words: each path's entropy then
+            # fills the hash pool, or runs past it
+            (
+                ModelParams(N=1000, s=1.3, u=0.7, nu0=0.45), 0.62,
+                np.linspace(0.0, 10.0, 401), 64, 2**64 + 7,
+                "53a1456eae038d1eb9f0529b56d397a95fd19fc5404732bb834e3c142ca50861",
+            ),
+            (
+                ModelParams(N=1000, s=1.3, u=0.7, nu0=0.45), 0.62,
+                np.linspace(0.0, 10.0, 401), 64, 2**100 + 3,
+                "cc94a847da42af6bc4225eeb3baf457c3bc0ba17e4ee57690748ed960f38a464",
+            ),
         ],
     )
     def test_golden_paths(self, params, z0, grid, n_paths, seed, digest):

@@ -1,5 +1,6 @@
 """Event-driven chain simulation, grid sampling, and ensemble statistics."""
 
+import hashlib
 import json
 import math
 
@@ -368,6 +369,28 @@ class TestLockstepKernel:
     def test_single_point_grid(self):
         states, _, _ = self.run_and_compare(30, [0.0], self.PATHS, 3, REF)
         assert np.all(states == 30)
+
+    @pytest.mark.parametrize("seed", [2**32 - 1, 2**32, 2**100 + 3])
+    def test_multi_word_seeds(self, seed):
+        # The largest one-word seed, and seeds of two and four uint32 words.
+        params = ModelParams(N=1000, s=1.0, u=0.5, nu0=0.5)
+        self.run_and_compare(100, np.linspace(0.0, 2.0, 11), self.PATHS, seed, params)
+
+    @pytest.mark.parametrize(
+        "n_paths, seed, digest",
+        [
+            (128, 2**32, "c2b369640e9aca8d5b472a3e4a8a7992b5a6bd1604ad0ab6167d4ee18793cb27"),
+            (16, 2**100 + 3, "4577461dbff7603a9a455fe6bdff3bef4396faa0e2ef7395077f2ab73ce8e737"),
+        ],
+        ids=["lockstep", "per-path"],
+    )
+    def test_golden_multi_word_seed(self, n_paths, seed, digest):
+        # SHA-256 of the float64 proportions; numpy 2.4 on x86-64, as tests/test_golden.py
+        params = ModelParams(N=1000, s=1.0, u=0.5, nu0=0.5)
+        grid = np.linspace(0.0, 2.0, 11)
+        summary = run_ensemble(100, grid, n_paths, seed, params, flow_from(100, params))
+        assert hashlib.sha256(summary.z_values.tobytes()).hexdigest() == digest
+        assert summary.absorbed_count == 0
 
     def test_lockstep_directly_on_long_paths(self):
         # Every path runs over 13,632 events to the horizon, so all of
