@@ -17,9 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 import math
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 ArrayLike = Union[float, np.ndarray]
 
@@ -84,6 +85,106 @@ def check_seed(seed, sequence: bool = False):
             check_int(value, "rng_seed entries", minimum=0)
         return seed
     return check_int(seed, "rng_seed", minimum=0)
+
+
+# NumPy's SeedSequence hash (numpy/random/bit_generator.pyx): a pool of
+# four uint32 words, filled and mixed by hashmix/mix, then read out by
+# generate_state. Arithmetic wraps modulo 2^32.
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = 16
+_MASK32 = 0xFFFFFFFF
+
+
+class _PathState(ISeedSequence):
+    """A seed sequence that hands PCG64 one precomputed state.
+
+    PCG64 asks its seed sequence for generate_state(4, np.uint64) once,
+    when it is built; no other request is served.
+    """
+
+    def __init__(self, words: np.ndarray):
+        self._words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError(
+                f"a path state holds 4 uint64 words, got a request for {n_words} {np.dtype(dtype)}"
+            )
+        return self._words
+
+
+def _path_states(rng_seed: int, n_paths: int) -> np.ndarray:
+    """SeedSequence([rng_seed, p]).generate_state(4, np.uint64) for p < n_paths, one row each.
+
+    The hash runs on uint32 arrays over all paths at once. Its constants
+    do not depend on the data, so they advance as Python ints. The
+    entropy of path p is the uint32 words of rng_seed (least significant
+    first; 0 is one word) followed by p, one word below 2^32.
+    """
+    seed_words = []
+    while True:
+        seed_words.append(rng_seed & _MASK32)
+        rng_seed >>= 32
+        if not rng_seed:
+            break
+    entropy = [np.full(n_paths, word, dtype=np.uint32) for word in seed_words]
+    entropy.append(np.arange(n_paths, dtype=np.uint32))
+
+    hash_const = _INIT_A
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value *= hash_const
+        value ^= value >> _XSHIFT
+        return value
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        result = x * _MIX_MULT_L - y * _MIX_MULT_R
+        result ^= result >> _XSHIFT
+        return result
+
+    zero = np.zeros(n_paths, dtype=np.uint32)
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL_SIZE)]
+    for i_src in range(_POOL_SIZE):
+        for i_dst in range(_POOL_SIZE):
+            if i_src != i_dst:
+                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
+    for word in entropy[_POOL_SIZE:]:
+        for i_dst in range(_POOL_SIZE):
+            pool[i_dst] = mix(pool[i_dst], hashmix(word))
+
+    hash_const = _INIT_B
+    states = np.empty((n_paths, 4), dtype=np.uint64)
+    for i in range(8):  # uint32 words lo, hi of each uint64 word lo | hi << 32
+        value = pool[i % _POOL_SIZE] ^ hash_const
+        hash_const = hash_const * _MULT_B & _MASK32
+        value *= hash_const
+        value ^= value >> _XSHIFT
+        if i % 2 == 0:
+            states[:, i // 2] = value
+        else:
+            states[:, i // 2] |= value.astype(np.uint64) << 32
+    return states
+
+
+def path_generators(rng_seed: int, n_paths: int) -> Iterator[np.random.Generator]:
+    """The generators default_rng([rng_seed, p]) builds, for p = 0 .. n_paths - 1 in order.
+
+    rng_seed is an integer >= 0 (check_seed). Every path's PCG64 state
+    is hashed up front in one vectorised pass; each generator is built
+    from its state by numpy's own PCG64 as it is taken. Beyond 2^32
+    paths a path index takes two uint32 words, which the hash here
+    does not cover.
+    """
+    if n_paths > 2**32:
+        raise DomainError(f"n_paths must be <= 2**32 to draw per-path streams, got {n_paths}")
+    states = _path_states(rng_seed, n_paths)
+    return (np.random.Generator(np.random.PCG64(_PathState(row))) for row in states)
 
 
 def check_times(times, name: str, maximum: float = math.inf) -> tuple[np.ndarray, bool]:

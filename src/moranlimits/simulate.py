@@ -31,11 +31,14 @@ coins. Two kernels run the chain on that stream.
 
 Reproducibility contract: a path is a pure function of
 (seed, params, k0, horizon). Ensembles give path p the dedicated stream
-seeded by (master_seed, p) and both kernels draw from it in the same
-order, so results do not depend on the kernel and any prefix of paths
-can be regenerated in isolation. The batch schedule is part of that
-contract. The same holds for summarize_paths, which summarises paths
-already kept event by event by simulate_path.
+seeded by (master_seed, p), the generator
+np.random.default_rng([master_seed, p]) builds, and both kernels draw
+from it in the same order, so results do not depend on the kernel and
+any prefix of paths can be regenerated in isolation. The contract fixes
+each path's PCG64 state, not how it is computed: model.path_generators
+hashes every path's state in one vectorised pass. The batch schedule is
+part of that contract. The same holds for summarize_paths, which
+summarises paths already kept event by event by simulate_path.
 """
 
 from __future__ import annotations
@@ -47,7 +50,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
-import numpy.random  # noqa: F401 - numpy defers it to first use; load it with the module
 
 from .deterministic import DeterministicSolution
 from .fluctuations import FluctuationLaw
@@ -59,6 +61,7 @@ from .model import (
     check_real,
     check_seed,
     check_times,
+    path_generators,
     rate_tables,
 )
 from .stationary import ks_sample_to_gaussian
@@ -87,8 +90,8 @@ def _pass_cost(width: int) -> int:
 # Ensembles of at least this many paths run in lockstep, the rest path by
 # path, from direct timings of both kernels (2-vCPU VM, N = 200 to
 # 5 * 10^4, 4 to 201 grid points). Below it neither kernel wins on every
-# shape: lockstep builds two generators per path, and long paths run
-# mostly in the per-path kernel's block body.
+# shape: lockstep holds two generators and two draw buffers per path, and
+# long paths run mostly in the per-path kernel's block body.
 _LOCKSTEP_MIN_PATHS = 128
 # Draws per path buffered by the lockstep kernel between refills.
 _CHUNK = 256
@@ -295,11 +298,12 @@ def _run_lockstep(
     equal to what _run_chain gives path p on the stream [rng_seed, p].
     Every live path sits at the same event index, so all of them reach a
     boundary of _run_chain's batch schedule at the same step. Each path
-    reads its stream through two generators: one draws the batch's
-    exponential waits; the other skips them, then draws the batch's
-    uniform coins. Both deliver in chunks of _CHUNK, which match one
-    batched draw bit for bit, so the buffers hold (paths, _CHUNK) draws
-    however long the batch is.
+    reads its stream through two generators, both in the state of
+    default_rng([rng_seed, p]) and taken from two passes of
+    path_generators: one draws the batch's exponential waits; the other
+    skips them, then draws the batch's uniform coins. Both deliver in
+    chunks of _CHUNK, which match one batched draw bit for bit, so the
+    buffers hold (paths, _CHUNK) draws however long the batch is.
     """
     n_grid = grid.size
     grid_list = grid.tolist()
@@ -316,10 +320,9 @@ def _run_lockstep(
     t = np.zeros(n_paths)
     gi = [0] * n_paths  # first grid point each live path has not filled
     g_t = np.full(n_paths, grid[0])  # its time
-    # Each is the generator default_rng([rng_seed, p]) builds, twice over.
-    seeds = [np.random.SeedSequence([rng_seed, p]) for p in range(n_paths)]
-    wait_rngs = [np.random.Generator(np.random.PCG64(seq)) for seq in seeds]
-    coin_rngs = [np.random.Generator(np.random.PCG64(seq)) for seq in seeds]
+    # One pass of path_generators for the waits and one for the coins.
+    wait_rngs = list(path_generators(rng_seed, n_paths))
+    coin_rngs = list(path_generators(rng_seed, n_paths))
     out_rows = list(states)  # row views, written as grid points are passed
     waits = np.empty((n_paths, _CHUNK))
     coins = np.empty((n_paths, _CHUNK))
@@ -551,8 +554,7 @@ def run_ensemble(
     else:
         states = np.empty((n_paths, grid.size), dtype=np.int64)
         absorbed = np.zeros(n_paths, dtype=bool)
-        for p in range(n_paths):
-            rng = np.random.default_rng([rng_seed, p])
+        for p, rng in enumerate(path_generators(rng_seed, n_paths)):
             _, _, absorbed[p], states[p] = _run_chain(
                 k0, t_end, rng, tables, grid=grid
             )

@@ -50,7 +50,6 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-import numpy.random  # noqa: F401 - numpy defers it to first use; load it with the module
 
 from .deterministic import equilibria
 from .fluctuations import limit_variance

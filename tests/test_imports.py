@@ -6,8 +6,9 @@ The normal CDF is a port of Cephes' ndtr in moranlimits.stationary,
 selfcheck criterion 2 integrates on a Gauss-Kronrod rule in numpy, and
 brute_force_stationary takes its null space from numpy's SVD, so no
 code path imports scipy; the tests keep it as a reference. numpy 2
-defers numpy.random to its first use; the modules that draw random
-numbers load it at import, so that cost stays out of a command's run.
+defers numpy.random to its first use; moranlimits.model, which every
+module that draws random numbers imports, loads it at import, so that
+cost stays out of a command's run.
 The fork workers of write_csv and selfcheck.run_all import
 multiprocessing and concurrent.futures only when they may start one,
 which keeps about 25 ms out of every command's start. Each case runs in

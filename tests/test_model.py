@@ -1,12 +1,22 @@
 """Parameter validation, jump kernel, and the density-dependence identity."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from moranlimits import DomainError, ModelParams, kernel_q, rate_tables
-from moranlimits.model import MAX_RATE, check_int, check_real, max_jump_rate
+from moranlimits.model import (
+    MAX_RATE,
+    _path_states,
+    check_int,
+    check_real,
+    max_jump_rate,
+    path_generators,
+)
 from moranlimits.selfcheck import parameter_panel, reference_params
 
 
@@ -277,3 +287,59 @@ class TestSharedCheckers:
             check_real(value, "s")
         with pytest.raises(DomainError):
             ModelParams(N=10, s=value, u=0.5, nu0=0.5)
+
+
+def numpy_states(seed, n_paths):
+    return np.array(
+        [np.random.SeedSequence([seed, p]).generate_state(4, np.uint64) for p in range(n_paths)]
+    )
+
+
+# A fixed number of examples by default; HYPOTHESIS_PROFILE=wide
+# (tests/conftest.py) runs the profile's random search instead.
+_STATE_SWEEP = {} if settings.get_current_profile_name() == "wide" else {"max_examples": 200}
+
+
+class TestPathGenerators:
+    """path_generators builds the generators default_rng([seed, p]) builds."""
+
+    # one-word seeds at both ends, and seeds of two, three and four words
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64, 2**100 + 3])
+    def test_states_equal_seed_sequence(self, seed):
+        assert np.array_equal(_path_states(seed, 301), numpy_states(seed, 301))
+
+    @settings(deadline=None, **_STATE_SWEEP)
+    @given(seed=st.integers(0, 2**130 - 1), n_paths=st.integers(1, 64))
+    @example(seed=0, n_paths=1)
+    @example(seed=2**128 - 1, n_paths=64)
+    def test_states_equal_seed_sequence_anywhere(self, seed, n_paths):
+        assert np.array_equal(_path_states(seed, n_paths), numpy_states(seed, n_paths))
+
+    @pytest.mark.parametrize("seed", [5, 2**64 + 7])
+    def test_draws_equal_default_rng(self, seed):
+        generators = list(path_generators(seed, 6))
+        assert len(generators) == 6
+        for p, rng in enumerate(generators):
+            expected = np.random.default_rng([seed, p])
+            assert np.array_equal(rng.standard_normal(300), expected.standard_normal(300))
+            assert np.array_equal(rng.standard_exponential(300), expected.standard_exponential(300))
+            assert np.array_equal(rng.random(300), expected.random(300))
+            rng.bit_generator.advance(1000)
+            expected.bit_generator.advance(1000)
+            assert rng.bit_generator.state == expected.bit_generator.state
+
+    @pytest.mark.parametrize("n_words, dtype", [(4, np.uint32), (8, np.uint32), (2, np.uint64), (5, np.uint64)])
+    def test_stand_in_serves_only_the_pcg64_request(self, n_words, dtype):
+        rng = next(path_generators(9, 1))
+        with pytest.raises(ValueError, match="4 uint64 words"):
+            rng.bit_generator.seed_seq.generate_state(n_words, dtype)
+
+    def test_more_paths_than_one_word_indexes_refused_before_allocating(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match="n_paths"):
+                path_generators(3, 2**32 + 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16
