@@ -289,6 +289,11 @@ class TestCltStatistics:
         assert row["ks_statistic"] < 0.05
 
 
+# A fixed number of examples by default; HYPOTHESIS_PROFILE=wide
+# (tests/conftest.py) runs the profile's random search instead.
+_LOCKSTEP_SWEEP = {} if settings.get_current_profile_name() == "wide" else {"max_examples": 40}
+
+
 class TestLockstepKernel:
     """The lockstep kernel equals reference_chain bit for bit, path by path."""
 
@@ -400,6 +405,40 @@ class TestLockstepKernel:
         _, absorbed, events = self.run_and_compare(100, grid, 6, 8, params)
         assert not absorbed.any()
         assert min(events) > 64 + 256 + 1024 + 4096 + 8192
+
+    @settings(deadline=None, **_LOCKSTEP_SWEEP)
+    @given(
+        n=st.one_of(st.integers(1, 60), st.sampled_from([1000, 50_000])),
+        s=st.sampled_from([0.0, 0.3, 30.0]),
+        u=st.sampled_from([0.0, 0.5]),
+        nu0=st.floats(0.05, 0.95),
+        start=st.sampled_from(["zero", "interior", "full"]),
+        place=st.floats(0.0, 1.0),
+        # up to 8000 events: past 64 + 256 + 1024 + 4096 into the 8192 batch
+        events=st.one_of(st.just(0), st.integers(1, 8000)),
+        grid_points=st.integers(1, 60),
+        spread=st.floats(0.0, 1.0),
+        n_paths=st.integers(1, 40),
+        seed=st.integers(0, 2**64),
+    )
+    # u = 0: 27 of the 300 paths absorb, the rest run to the horizon
+    @example(n=100, s=0.0, u=0.0, nu0=0.5, start="interior", place=0.5, events=1000,
+             grid_points=41, spread=1.0, n_paths=300, seed=5)
+    @example(n=1000, s=0.3, u=0.5, nu0=0.5, start="interior", place=0.1, events=8000,
+             grid_points=60, spread=1.0, n_paths=40, seed=2**32)
+    @example(n=1, s=0.0, u=0.0, nu0=0.5, start="full", place=0.0, events=10,
+             grid_points=3, spread=1.0, n_paths=3, seed=0)
+    def test_matches_reference(
+        self, n, s, u, nu0, start, place, events, grid_points, spread, n_paths, seed
+    ):
+        params = ModelParams(N=n, s=s, u=u, nu0=nu0)
+        k0 = {"zero": 0, "full": n, "interior": round(place * n)}[start]
+        lam, mu = rate_tables(params)
+        top = float((lam + mu).max())  # 0 only for N = 1 without mutation
+        t_end = events / top if top > 0.0 else float(events)
+        grid = np.unique(np.linspace(0.0, t_end, grid_points) * spread)
+        grid = np.append(grid[grid < t_end], t_end)
+        self.run_and_compare(k0, grid, n_paths, seed, params)
 
 
 class TestSummarizePaths:
