@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from itertools import compress
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence, Union
 
@@ -296,9 +295,11 @@ def _run_lockstep(
 
     Returns the grid states (n_paths, grid.size) and the absorbed flags,
     equal to what _run_chain gives path p on the stream [rng_seed, p].
-    Every live path sits at the same event index, so all of them reach a
-    boundary of _run_chain's batch schedule at the same step. Each path
-    reads its stream through two generators, both in the state of
+    Row p of every structure is path p for the whole call: a filled row
+    keeps stepping on its own stream, which no other row reads. Every
+    path sits at the same event index, so all of them reach a boundary
+    of _run_chain's batch schedule at the same step. Each path reads its
+    stream through two generators, both in the state of
     default_rng([rng_seed, p]) and taken from two passes of
     path_generators: one draws the batch's exponential waits; the other
     skips them, then draws the batch's uniform coins. Both deliver in
@@ -314,24 +315,21 @@ def _run_lockstep(
     # absorbing states never divide: their paths skip to the horizon
     safe_rates = np.where(absorbing, 1.0, tables.rate_array)
 
-    # Live paths in path order, compacted whenever some finish.
-    ids = np.arange(n_paths)
     k = np.full(n_paths, k0, dtype=np.int64)
     t = np.zeros(n_paths)
-    gi = [0] * n_paths  # first grid point each live path has not filled
-    g_t = np.full(n_paths, grid[0])  # its time
+    gi = [0] * n_paths  # first grid point each path has not filled
+    g_t = np.full(n_paths, grid[0])  # its time; inf once the row is filled
     # One pass of path_generators for the waits and one for the coins.
     wait_rngs = list(path_generators(rng_seed, n_paths))
     coin_rngs = list(path_generators(rng_seed, n_paths))
-    out_rows = list(states)  # row views, written as grid points are passed
     waits = np.empty((n_paths, _CHUNK))
     coins = np.empty((n_paths, _CHUNK))
     skipped = np.empty(_BATCH_MAX)
-    chunk_rows = None  # chunk row of each live path; None while it is its position
+    running = n_paths  # rows not yet filled
 
     batch = batch_left = 0
     col = width = 0
-    while ids.size:
+    while running:
         if col == width:
             if batch_left == 0:
                 if batch:
@@ -352,47 +350,35 @@ def _run_lockstep(
                 wait_rng.standard_exponential(out=wait_row)
                 coin_rng.random(out=coin_row)
             col = 0
-            chunk_rows = None
-        if chunk_rows is None:
-            wait = waits[: ids.size, col]
-            coin = coins[: ids.size, col]
-        else:
-            wait = waits[chunk_rows, col]
-            coin = coins[chunk_rows, col]
-        col += 1
 
-        t_next = wait / safe_rates[k]
+        t_next = waits[:, col] / safe_rates[k]
         t_next += t
+        step = (coins[:, col] < tables.p_up_array[k]).view(np.int8) * 2 - 1
+        col += 1
         if can_absorb:
+            # an absorbing state holds for good: no step, no event before inf
             stuck = absorbing[k]
             if stuck.any():
-                absorbed[ids[stuck]] = True
                 t_next[stuck] = np.inf
-        done = []
+                step[stuck] = 0
         cross = t_next > g_t
         if cross.any():
             # state k holds on [t, t_next); grid points there read k
             hit = np.flatnonzero(cross)
             for r, t_hit, k_hit in zip(hit.tolist(), t_next[hit].tolist(), k[hit].tolist()):
                 hi = bisect_left(grid_list, t_hit)
-                out_rows[r][gi[r] : hi] = k_hit
+                states[r, gi[r] : hi] = k_hit
                 gi[r] = hi
-                if hi == n_grid:
-                    done.append(r)
-                else:
+                if hi < n_grid:
                     g_t[r] = grid_list[hi]
-        up = (coin < tables.p_up_array[k]).view(np.int8)
-        k += up * 2 - 1
+                else:
+                    # Filled. Past the horizon a path may still reach an
+                    # absorbing state, so only a fill from inf is absorption.
+                    g_t[r] = math.inf
+                    absorbed[r] = t_hit == math.inf
+                    running -= 1
+        k += step
         t = t_next
-        if done:
-            keep = np.ones(ids.size, dtype=bool)
-            keep[done] = False
-            chunk_rows = (np.arange(ids.size) if chunk_rows is None else chunk_rows)[keep]
-            ids, k, t, g_t = ids[keep], k[keep], t[keep], g_t[keep]
-            gi = list(compress(gi, keep))
-            out_rows = list(compress(out_rows, keep))
-            wait_rngs = list(compress(wait_rngs, keep))
-            coin_rngs = list(compress(coin_rngs, keep))
     return states, absorbed
 
 
