@@ -8,8 +8,8 @@ Subcommands:
     selfcheck   run the acceptance criteria and report pass/fail
 
 Exit codes: 0 success, 2 configuration error (including a model
-precondition the library raises), 3 numerical failure reported by
-selfcheck. Artifacts are deterministic: re-running a command with the
+precondition the library raises, and an --out that cannot be made a
+directory), 3 numerical failure reported by selfcheck. Artifacts are deterministic: re-running a command with the
 same config and seed reproduces every byte.
 """
 
@@ -280,16 +280,20 @@ def main(argv=None) -> int:
 
     The model's preconditions are raised by the library code that needs
     them, so a DomainError or UnsupportedModelError from the command
-    exits EXIT_CONFIG like a ConfigError. Every command computes before
-    it writes, so such an exit leaves no artifact. Any other exception
-    propagates.
+    exits EXIT_CONFIG like a ConfigError, and so does an --out that
+    cannot be made a directory. Every command computes before it writes,
+    so such an exit leaves no artifact. Any other exception propagates.
     """
     args = build_parser().parse_args(argv)
     try:
         config = load_config(args.config, seed_override=args.seed)
         validate_for_command(config, args.command)
         out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as err:
+            print(f"output error: cannot create directory {out_dir}: {err.strerror or err}", file=sys.stderr)
+            return EXIT_CONFIG
         return _COMMANDS[args.command](config, out_dir)
     except (ConfigError, DomainError, UnsupportedModelError) as err:
         print(f"config error: {err}", file=sys.stderr)

@@ -258,8 +258,12 @@ def load_config(path, seed_override: Optional[int] = None) -> ExperimentConfig:
         raise ConfigError(f"config file not found: {file_path}")
     try:
         raw = json.loads(file_path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"config is not UTF-8 text: {err}") from err
     except json.JSONDecodeError as err:
         raise ConfigError(f"config is not valid JSON: {err}") from err
+    except RecursionError:
+        raise ConfigError("config is nested too deeply to parse") from None
     return parse_config(raw, seed_override=seed_override)
 
 

@@ -368,6 +368,47 @@ class TestMainExitCodes:
         assert "Traceback" not in err
         assert_no_artifact(out)
 
+    @pytest.mark.parametrize(
+        "content, fragment",
+        [(b"\xff\xfe{", "not UTF-8"), (b"[" * 100_000, "nested too deeply")],
+        ids=["not-utf8", "nested-too-deep"],
+    )
+    def test_malformed_config_file_exits_2(self, tmp_path, capsys, content, fragment):
+        path = tmp_path / "config.json"
+        path.write_bytes(content)
+        out = tmp_path / "o"
+        code = cli.main(["ode", "--config", str(path), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and fragment in err
+        assert "Traceback" not in err
+        assert_no_artifact(out)
+
+    @pytest.mark.parametrize("below", ["", "sub"], ids=["existing-file", "under-a-file"])
+    def test_unusable_out_exits_2(self, tmp_path, capsys, below):
+        path = make_config(tmp_path)
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory", encoding="utf-8")
+        out = taken / below if below else taken
+        code = cli.main(["ode", "--config", str(path), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"output error: cannot create directory {out}: ")
+        assert err.count("\n") == 1
+        assert taken.read_text(encoding="utf-8") == "not a directory"
+
+    def test_over_window_budget_stationary_exits_2(self, tmp_path, capsys):
+        # N = 10^14 is only swept, so no pmf row budget applies; its window
+        # would hold about 10^8 states on each side of the mode
+        path = make_config(tmp_path, {"stationary.n_values": [10**14]})
+        out = tmp_path / "o"
+        code = cli.main(["stationary", "--config", str(path), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "budget of its window" in err
+        assert "Traceback" not in err
+        assert_no_artifact(out)
+
     def test_over_pmf_budget_stationary_exits_2(self, tmp_path, capsys):
         # a pmf of 10^12 + 1 rows; refused before the sweep runs
         path = make_config(tmp_path, {"model.N": 10**12})
