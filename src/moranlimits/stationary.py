@@ -54,6 +54,7 @@ import numpy as np
 from .deterministic import equilibria
 from .fluctuations import limit_variance
 from .model import (
+    DomainError,
     ModelParams,
     UnsupportedModelError,
     check_int,
@@ -65,6 +66,10 @@ from .model import (
 )
 
 _UNDERFLOW_LOG = -745.0
+# A window closes within this many states on each side of the mode, the
+# bound config puts on pmf rows; the closing state is found by summing
+# at most this many log-ratios, so nothing longer is allocated.
+_MAX_SIDE_STATES = 10**7
 
 # Cephes ndtr.c: 1/sqrt(2), log(DBL_MAX), and the coefficients of erfc
 # on [1, 8) (P / Q), on [8, inf) (R / S) and of erf on [0, 1] (T / U).
@@ -193,18 +198,26 @@ def _outward(mode: int, end: int, floor: float, params: ModelParams) -> np.ndarr
     """Log-weights of the states from mode toward end (mode excluded, end included).
 
     Summed outward from 0 at mode in chunks of doubling size, and cut
-    before the first one below floor.
+    before the first one below floor. Raises DomainError when no state
+    within _MAX_SIDE_STATES of mode falls below floor.
     """
     chunks = []
     total = 0.0
     k = mode
     size = 32 * math.isqrt(params.N) + 64
     while k != end:
+        room = _MAX_SIDE_STATES - abs(k - mode)
+        if room == 0:
+            raise DomainError(
+                f"the stationary law at N = {params.N} stays above the cut for"
+                f" {_MAX_SIDE_STATES:.0e} states on one side of its mode, the"
+                " budget of its window; lower N"
+            )
         if end > k:
-            nxt = min(k + size, end)
+            nxt = min(k + size, k + room, end)
             ratios = _log_ratios(k, nxt, params)
         else:
-            nxt = max(k - size, end)
+            nxt = max(k - size, k - room, end)
             ratios = -_log_ratios(nxt, k, params)[::-1]
         ratios[0] += total  # continue the running sum in the same order
         part = np.cumsum(ratios)

@@ -1,6 +1,7 @@
 """Birth-death stationary law, its oracles, and the Gaussian limit check."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -373,6 +374,20 @@ class TestWindow:
         dist = stationary_distribution(params)
         assert dist.offset > 0
         assert dist.probabilities.size < 5000
+
+    def test_window_over_budget_refused_without_a_large_allocation(self):
+        # The window would hold about 10^8 states on each side of the mode,
+        # and the first chunk 32 * 10^7 + 64 states; the refusal sums at most
+        # _MAX_SIDE_STATES log-ratios, a few float64 arrays of that length.
+        params = ModelParams(N=10**14, s=1.0, u=0.5, nu0=0.5)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match="budget of its window"):
+                gaussian_limit_check(params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 8 * stationary._MAX_SIDE_STATES
 
     def test_window_is_a_small_part_of_a_large_chain(self):
         params = reference_params(N=10**6)
