@@ -9,8 +9,9 @@ Subcommands:
 
 Exit codes: 0 success, 2 configuration error (including a model
 precondition the library raises, and an --out that cannot be made a
-directory), 3 numerical failure reported by selfcheck. Artifacts are deterministic: re-running a command with the
-same config and seed reproduces every byte.
+directory), 3 numerical failure reported by selfcheck. Artifacts are
+deterministic: re-running a command with the same config and seed
+reproduces every byte.
 """
 
 from __future__ import annotations
@@ -292,7 +293,8 @@ def main(argv=None) -> int:
         try:
             out_dir.mkdir(parents=True, exist_ok=True)
         except OSError as err:
-            print(f"output error: cannot create directory {out_dir}: {err.strerror or err}", file=sys.stderr)
+            reason = err.strerror or err
+            print(f"output error: cannot create directory {out_dir}: {reason}", file=sys.stderr)
             return EXIT_CONFIG
         return _COMMANDS[args.command](config, out_dir)
     except (ConfigError, DomainError, UnsupportedModelError) as err:

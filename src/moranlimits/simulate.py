@@ -24,10 +24,12 @@ coins. Two kernels run the chain on that stream.
   path equals the loop's bit for bit. Where the drift is steep (small N,
   strong selection) the passes settle few decisions each; once they
   have cost more than the loop would have, the loop finishes the batch.
-- The lockstep kernel (_run_lockstep) advances every live path of an
+- The lockstep kernel (_run_lockstep) advances every path of an
   ensemble by one event per numpy step, Gillespie's direct method run
-  across trajectories. run_ensemble picks it from _LOCKSTEP_MIN_PATHS
-  paths on.
+  across trajectories. Row p of its arrays is path p for the whole
+  call: a path past the horizon keeps drawing from its own streams
+  until every path is done. run_ensemble picks it from
+  _LOCKSTEP_MIN_PATHS paths on.
 
 Reproducibility contract: a path is a pure function of
 (seed, params, k0, horizon). Ensembles give path p the dedicated stream

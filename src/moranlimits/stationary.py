@@ -213,11 +213,12 @@ def _outward(mode: int, end: int, floor: float, params: ModelParams) -> np.ndarr
                 f" {_MAX_SIDE_STATES:.0e} states on one side of its mode, the"
                 " budget of its window; lower N"
             )
+        size = min(size, room)
         if end > k:
-            nxt = min(k + size, k + room, end)
+            nxt = min(k + size, end)
             ratios = _log_ratios(k, nxt, params)
         else:
-            nxt = max(k - size, k - room, end)
+            nxt = max(k - size, end)
             ratios = -_log_ratios(nxt, k, params)[::-1]
         ratios[0] += total  # continue the running sum in the same order
         part = np.cumsum(ratios)

@@ -399,7 +399,7 @@ class TestMainExitCodes:
 
     def test_over_window_budget_stationary_exits_2(self, tmp_path, capsys):
         # N = 10^14 is only swept, so no pmf row budget applies; its window
-        # would hold about 10^8 states on each side of the mode
+        # would hold about 2 * 10^8 states on each side of the mode
         path = make_config(tmp_path, {"stationary.n_values": [10**14]})
         out = tmp_path / "o"
         code = cli.main(["stationary", "--config", str(path), "--out", str(out)])

@@ -376,9 +376,9 @@ class TestWindow:
         assert dist.probabilities.size < 5000
 
     def test_window_over_budget_refused_without_a_large_allocation(self):
-        # The window would hold about 10^8 states on each side of the mode,
-        # and the first chunk 32 * 10^7 + 64 states; the refusal sums at most
-        # _MAX_SIDE_STATES log-ratios, a few float64 arrays of that length.
+        # The window would hold about 2 * 10^8 states on each side of the
+        # mode, and the first chunk 32 * 10^7 + 64 states; the refusal sums
+        # at most _MAX_SIDE_STATES log-ratios, in a few arrays of that length.
         params = ModelParams(N=10**14, s=1.0, u=0.5, nu0=0.5)
         tracemalloc.start()
         try:
