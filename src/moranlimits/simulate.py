@@ -142,6 +142,7 @@ def _chain_tables(params: ModelParams) -> _ChainTables:
     return _ChainTables(total.tolist(), p_up.tolist(), total, p_up)
 
 
+@np.errstate(over="ignore")  # a wait over a subnormal rate is past any horizon
 def _run_chain(
     k0: int,
     t_end: float,
@@ -286,6 +287,7 @@ def _run_chain(
     return times, states, absorbed, grid_states
 
 
+@np.errstate(over="ignore")  # a wait over a subnormal rate is past any horizon
 def _run_lockstep(
     k0: int,
     grid: np.ndarray,
@@ -333,24 +335,26 @@ def _run_lockstep(
     col = width = 0
     while running:
         if col == width:
+            # A filled row steps on its old draws, which no output reads.
+            # Any coins keep it in 0..N: p_up is 1 at 0 and 0 at N, and
+            # an absorbing state holds.
+            live = np.flatnonzero(g_t < math.inf).tolist()
             if batch_left == 0:
                 if batch:
                     # The waits stopped where this batch's coins began;
                     # the coins, one 64-bit word each, end where the
                     # next batch begins.
-                    for rng in wait_rngs:
-                        rng.bit_generator.advance(batch)
+                    for r in live:
+                        wait_rngs[r].bit_generator.advance(batch)
                 batch = min(batch * 4, _BATCH_MAX) if batch else _BATCH_START
-                for rng in coin_rngs:
-                    rng.standard_exponential(out=skipped[:batch])
+                for r in live:
+                    coin_rngs[r].standard_exponential(out=skipped[:batch])
                 batch_left = batch
             width = min(_CHUNK, batch_left)
             batch_left -= width
-            for wait_rng, coin_rng, wait_row, coin_row in zip(
-                wait_rngs, coin_rngs, waits[:, :width], coins[:, :width]
-            ):
-                wait_rng.standard_exponential(out=wait_row)
-                coin_rng.random(out=coin_row)
+            for r in live:
+                wait_rngs[r].standard_exponential(out=waits[r, :width])
+                coin_rngs[r].random(out=coins[r, :width])
             col = 0
 
         t_next = waits[:, col] / safe_rates[k]
@@ -374,10 +378,12 @@ def _run_lockstep(
                 if hi < n_grid:
                     g_t[r] = grid_list[hi]
                 else:
-                    # Filled. Past the horizon a path may still reach an
-                    # absorbing state, so only a fill from inf is absorption.
+                    # Filled: absorbed if it holds an absorbing state, as in
+                    # _run_chain. Not from later steps, which may reach one
+                    # past the horizon, nor from t_hit == inf alone, which
+                    # a wait over a subnormal rate also gives.
                     g_t[r] = math.inf
-                    absorbed[r] = t_hit == math.inf
+                    absorbed[r] = absorbing[k_hit]
                     running -= 1
         k += step
         t = t_next

@@ -410,7 +410,7 @@ class TestLockstepKernel:
     @given(
         n=st.one_of(st.integers(1, 60), st.sampled_from([1000, 50_000])),
         s=st.sampled_from([0.0, 0.3, 30.0]),
-        u=st.sampled_from([0.0, 0.5]),
+        u=st.sampled_from([0.0, 1e-309, 0.5]),
         nu0=st.floats(0.05, 0.95),
         start=st.sampled_from(["zero", "interior", "full"]),
         place=st.floats(0.0, 1.0),
@@ -428,14 +428,17 @@ class TestLockstepKernel:
              grid_points=60, spread=1.0, n_paths=40, seed=2**32)
     @example(n=1, s=0.0, u=0.0, nu0=0.5, start="full", place=0.0, events=10,
              grid_points=3, spread=1.0, n_paths=3, seed=0)
+    # subnormal u: a wait at state 0 overflows to inf, yet nothing absorbs
+    @example(n=2, s=0.3, u=1e-309, nu0=0.5, start="zero", place=0.0, events=50,
+             grid_points=10, spread=1.0, n_paths=40, seed=3)
     def test_matches_reference(
         self, n, s, u, nu0, start, place, events, grid_points, spread, n_paths, seed
     ):
         params = ModelParams(N=n, s=s, u=u, nu0=nu0)
         k0 = {"zero": 0, "full": n, "interior": round(place * n)}[start]
         lam, mu = rate_tables(params)
-        top = float((lam + mu).max())  # 0 only for N = 1 without mutation
-        t_end = events / top if top > 0.0 else float(events)
+        top = float((lam + mu).max())  # 0 or subnormal only for N = 1 with u < 1e-300
+        t_end = events / top if top > 1e-300 else float(events)
         grid = np.unique(np.linspace(0.0, t_end, grid_points) * spread)
         grid = np.append(grid[grid < t_end], t_end)
         self.run_and_compare(k0, grid, n_paths, seed, params)
@@ -601,6 +604,15 @@ class TestChainKernel:
         grid = np.linspace(0.0, t_end, 97)
         events = assert_chain_matches_reference(k0, t_end, [77, n], params, grid)
         assert events > BLOCK_EVENTS
+
+    def test_subnormal_mutation_rate(self):
+        # At states 0 and N the rate is N u / 2 = 10^-308, subnormal: a wait
+        # there overflows to inf, inside a block batch, and is no absorption.
+        params = ModelParams(N=20, s=0.0, u=1e-309, nu0=0.5)
+        grid = np.linspace(0.0, 10_000.0, 21)
+        events = assert_chain_matches_reference(10, 10_000.0, 128, params, grid)
+        path = simulate_path(10, 10_000.0, 128, params)
+        assert events > 64 + 256 and path.states[-1] in (0, 20) and not path.absorbed
 
     def test_absorbed_inside_a_block(self):
         # neutral and without mutation, p_up is 1/2 at every inner state,
