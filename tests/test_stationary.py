@@ -375,10 +375,13 @@ class TestWindow:
         assert dist.offset > 0
         assert dist.probabilities.size < 5000
 
-    def test_window_over_budget_refused_without_a_large_allocation(self):
+    def test_window_over_budget_refused_without_a_large_allocation(self, monkeypatch):
         # The window would hold about 2 * 10^8 states on each side of the
         # mode, and the first chunk 32 * 10^7 + 64 states; the refusal sums
         # at most _MAX_SIDE_STATES log-ratios, in a few arrays of that length.
+        # A budget of 10^5 checks the same bound without 10^7-state arrays;
+        # the CLI test runs the real one.
+        monkeypatch.setattr(stationary, "_MAX_SIDE_STATES", 10**5)
         params = ModelParams(N=10**14, s=1.0, u=0.5, nu0=0.5)
         tracemalloc.start()
         try:
