@@ -27,8 +27,8 @@ coins. Two kernels run the chain on that stream.
 - The lockstep kernel (_run_lockstep) advances every path of an
   ensemble by one event per numpy step, Gillespie's direct method run
   across trajectories. Row p of its arrays is path p for the whole
-  call: a path past the horizon keeps drawing from its own streams
-  until every path is done. run_ensemble picks it from
+  call: a path past the horizon stops drawing and steps on its last
+  draws until every path is done. run_ensemble picks it from
   _LOCKSTEP_MIN_PATHS paths on.
 
 Reproducibility contract: a path is a pure function of
@@ -300,10 +300,10 @@ def _run_lockstep(
     Returns the grid states (n_paths, grid.size) and the absorbed flags,
     equal to what _run_chain gives path p on the stream [rng_seed, p].
     Row p of every structure is path p for the whole call: a filled row
-    keeps stepping on its own stream, which no other row reads. Every
-    path sits at the same event index, so all of them reach a boundary
-    of _run_chain's batch schedule at the same step. Each path reads its
-    stream through two generators, both in the state of
+    stops drawing and steps on its last draws, which no output reads.
+    Every path sits at the same event index, so all of them reach a
+    boundary of _run_chain's batch schedule at the same step. Each path
+    reads its stream through two generators, both in the state of
     default_rng([rng_seed, p]) and taken from two passes of
     path_generators: one draws the batch's exponential waits; the other
     skips them, then draws the batch's uniform coins. Both deliver in
@@ -335,9 +335,8 @@ def _run_lockstep(
     col = width = 0
     while running:
         if col == width:
-            # A filled row steps on its old draws, which no output reads.
-            # Any coins keep it in 0..N: p_up is 1 at 0 and 0 at N, and
-            # an absorbing state holds.
+            # Filled rows reuse their old draws; any coin keeps a row in
+            # 0..N, as p_up is 1 at 0 and 0 at N and absorbing states hold.
             live = np.flatnonzero(g_t < math.inf).tolist()
             if batch_left == 0:
                 if batch:
@@ -378,10 +377,7 @@ def _run_lockstep(
                 if hi < n_grid:
                     g_t[r] = grid_list[hi]
                 else:
-                    # Filled: absorbed if it holds an absorbing state, as in
-                    # _run_chain. Not from later steps, which may reach one
-                    # past the horizon, nor from t_hit == inf alone, which
-                    # a wait over a subnormal rate also gives.
+                    # filled: absorbed iff it holds an absorbing state, as in _run_chain
                     g_t[r] = math.inf
                     absorbed[r] = absorbing[k_hit]
                     running -= 1

@@ -579,6 +579,9 @@ class TestChainKernel:
              events=20_000, seed=3, grid_points=11)
     @example(n=30, s=0.0, u=0.0, nu0=0.5, start="interior", draw=0.5,
              events=20_000, seed=4, grid_points=5)
+    # subnormal u: at states 0 and N a wait overflows to inf, inside a block
+    @example(n=20, s=0.0, u=1e-309, nu0=0.5, start="interior", draw=0.5,
+             events=20_000, seed=128, grid_points=21)
     def test_matches_reference(self, n, s, u, nu0, start, draw, events, seed, grid_points):
         params = ModelParams(N=n, s=s, u=u, nu0=nu0)
         k0 = {"zero": 0, "full": n, "interior": round(draw * n)}[start]
@@ -604,15 +607,6 @@ class TestChainKernel:
         grid = np.linspace(0.0, t_end, 97)
         events = assert_chain_matches_reference(k0, t_end, [77, n], params, grid)
         assert events > BLOCK_EVENTS
-
-    def test_subnormal_mutation_rate(self):
-        # At states 0 and N the rate is N u / 2 = 10^-308, subnormal: a wait
-        # there overflows to inf, inside a block batch, and is no absorption.
-        params = ModelParams(N=20, s=0.0, u=1e-309, nu0=0.5)
-        grid = np.linspace(0.0, 10_000.0, 21)
-        events = assert_chain_matches_reference(10, 10_000.0, 128, params, grid)
-        path = simulate_path(10, 10_000.0, 128, params)
-        assert events > 64 + 256 and path.states[-1] in (0, 20) and not path.absorbed
 
     def test_absorbed_inside_a_block(self):
         # neutral and without mutation, p_up is 1/2 at every inner state,
