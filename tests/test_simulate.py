@@ -556,10 +556,15 @@ def assert_chain_matches_reference(k0, t_end, seed, params, grid):
 BLOCK_EVENTS = 64 + 256 + 1024
 
 
+# A fixed number of examples by default; HYPOTHESIS_PROFILE=wide
+# (tests/conftest.py) runs the profile's random search instead.
+_CHAIN_SWEEP = {} if settings.get_current_profile_name() == "wide" else {"max_examples": 60}
+
+
 class TestChainKernel:
     """The chain kernel against reference_chain, bit for bit."""
 
-    @settings(deadline=None, max_examples=60)
+    @settings(deadline=None, **_CHAIN_SWEEP)
     @given(
         n=st.one_of(st.integers(1, 40), st.integers(41, 50_000)),
         s=st.sampled_from([0.0, 0.2, 1.0, 30.0]),
