@@ -48,7 +48,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -145,21 +145,23 @@ def _chain_tables(params: ModelParams) -> _ChainTables:
 @np.errstate(over="ignore")  # a wait over a subnormal rate is past any horizon
 def _run_chain(
     k0: int,
-    t_end: float,
+    grid: np.ndarray,
     rng: np.random.Generator,
     tables: _ChainTables,
-    grid: Optional[np.ndarray] = None,
     record: bool = False,
 ):
-    """Drive one chain to t_end; optionally record events and/or grid states.
+    """Drive one chain from k0 at time 0 to grid[-1], drawing from rng.
 
-    Returns (times, states, absorbed, grid_states): the event times and
-    the state after each event as arrays when record is set (else
-    None), and the states at the grid times when a grid is given (else
-    None). Batches of fewer than _BLOCK_MIN draws run event by event;
-    longer ones run as one block, with the same result bit for bit.
+    grid is a sorted array of times from 0 on; tables come from
+    _chain_tables. Returns (times, states, absorbed, grid_states): the
+    event times and the state after each event, both empty unless
+    record is set; whether the chain stopped at an absorbing state; and
+    the state at each grid time. Batches of fewer than _BLOCK_MIN draws
+    run event by event; longer ones run as one block, with the same
+    result bit for bit.
     """
     total_rates, p_up = tables.rates, tables.p_up
+    t_end = float(grid[-1])
     t = 0.0
     k = k0
     events_t: list = []  # the per-event loop's events since the last block
@@ -167,14 +169,9 @@ def _run_chain(
     chunks_t: list = []  # every event before those, as arrays in order
     chunks_k: list = []
     absorbed = False
-    if grid is not None:
-        n_grid = grid.size
-        grid_states = np.empty(n_grid, dtype=np.int64)
-        grid_list = grid.tolist()
-    else:
-        n_grid = 0
-        grid_states = None
-        grid_list = None
+    n_grid = grid.size
+    grid_states = np.empty(n_grid, dtype=np.int64)
+    grid_list = grid.tolist()
     gi = 0
 
     batch = _BATCH_START
@@ -243,12 +240,11 @@ def _run_chain(
                 np.add.accumulate(times, out=times)
                 n = int(np.searchsorted(times, t_end, side="right"))
                 if n:
-                    if grid_list is not None:
-                        # a grid point reads the state after the events up to it
-                        hi = bisect_left(grid_list, times[n - 1], gi)
-                        passed = np.searchsorted(times[:n], grid[gi:hi], side="right")
-                        grid_states[gi:hi] = ks[passed]
-                        gi = hi
+                    # a grid point reads the state after the events up to it
+                    hi = bisect_left(grid_list, times[n - 1], gi)
+                    passed = np.searchsorted(times[:n], grid[gi:hi], side="right")
+                    grid_states[gi:hi] = ks[passed]
+                    gi = hi
                     if record:
                         chunks_t += [np.asarray(events_t, dtype=float), times[:n]]
                         chunks_k += [np.asarray(events_k, dtype=np.int64), ks[1 : n + 1]]
@@ -268,20 +264,16 @@ def _run_chain(
         idx += 1
         if t_next > t_end:
             break
-        if grid_list is not None:
-            # state k holds on [t, t_next); grid points there read k
-            while gi < n_grid and grid_list[gi] < t_next:
-                grid_states[gi] = k
-                gi += 1
+        # state k holds on [t, t_next); grid points there read k
+        while gi < n_grid and grid_list[gi] < t_next:
+            grid_states[gi] = k
+            gi += 1
         t = t_next
         k = k + 1 if up else k - 1
         if record:
             events_t.append(t)
             events_k.append(k)
-    if grid_states is not None:
-        grid_states[gi:] = k
-    if not record:
-        return None, None, absorbed, grid_states
+    grid_states[gi:] = k
     times = np.concatenate(chunks_t + [np.asarray(events_t, dtype=float)])
     states = np.concatenate(chunks_k + [np.asarray(events_k, dtype=np.int64)])
     return times, states, absorbed, grid_states
@@ -404,7 +396,7 @@ def simulate_path(
     check_seed(rng_seed, sequence=True)
     rng = np.random.default_rng(rng_seed)
     times, states, absorbed, _ = _run_chain(
-        k0, t_end, rng, _chain_tables(params), record=True
+        k0, np.array([t_end]), rng, _chain_tables(params), record=True
     )
     return TrajectoryPath(
         params=params,
@@ -422,16 +414,14 @@ def simulate_on_grid(
     """States at the grid times only, without retaining events.
 
     Consumes randomness identically to simulate_path with
-    t_end = t_grid[-1], so both views of one seed agree.
+    t_end = t_grid[-1], so both views of one seed agree: simulate_path
+    is this kernel run on the one-point grid [t_end], keeping its events.
     """
     k0 = check_int(k0, "k0", 0, params.N)
     grid = check_grid(t_grid)
     check_seed(rng_seed, sequence=True)
     rng = np.random.default_rng(rng_seed)
-    _, _, _, grid_states = _run_chain(
-        k0, float(grid[-1]), rng, _chain_tables(params), grid=grid
-    )
-    return grid_states
+    return _run_chain(k0, grid, rng, _chain_tables(params))[3]
 
 
 def sample_Z_at(times: ArrayLike, path: TrajectoryPath) -> ArrayLike:
@@ -538,16 +528,13 @@ def run_ensemble(
     rng_seed = check_seed(rng_seed)
 
     tables = _chain_tables(params)
-    t_end = float(grid[-1])
     if n_paths >= _LOCKSTEP_MIN_PATHS:
         states, absorbed = _run_lockstep(k0, grid, rng_seed, n_paths, tables)
     else:
         states = np.empty((n_paths, grid.size), dtype=np.int64)
         absorbed = np.zeros(n_paths, dtype=bool)
         for p, rng in enumerate(path_generators(rng_seed, n_paths)):
-            _, _, absorbed[p], states[p] = _run_chain(
-                k0, t_end, rng, tables, grid=grid
-            )
+            _, _, absorbed[p], states[p] = _run_chain(k0, grid, rng, tables)
 
     return _summary(
         k0, grid, rng_seed, params, reference, states / params.N, int(absorbed.sum())

@@ -326,7 +326,7 @@ class TestLockstepKernel:
         # that bound. Both kernels are faked, so nothing simulates.
         calls = []
 
-        def fake_chain(k0, t_end, rng, tables, grid=None, record=False):
+        def fake_chain(k0, grid, rng, tables, record=False):
             calls.append("per-path")
             return None, None, False, np.full(grid.size, k0)
 
