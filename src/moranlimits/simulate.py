@@ -318,8 +318,10 @@ def _run_lockstep(
     # One pass of path_generators for the waits and one for the coins.
     wait_rngs = list(path_generators(rng_seed, n_paths))
     coin_rngs = list(path_generators(rng_seed, n_paths))
-    waits = np.empty((n_paths, _CHUNK))
-    coins = np.empty((n_paths, _CHUNK))
+    # Zeroed: a row filled before a wider chunk steps on columns it never
+    # drew, which must hold valid coins.
+    waits = np.zeros((n_paths, _CHUNK))
+    coins = np.zeros((n_paths, _CHUNK))
     skipped = np.empty(_BATCH_MAX)
     running = n_paths  # rows not yet filled
 
@@ -327,8 +329,8 @@ def _run_lockstep(
     col = width = 0
     while running:
         if col == width:
-            # Filled rows reuse their old draws; any coin keeps a row in
-            # 0..N, as p_up is 1 at 0 and 0 at N and absorbing states hold.
+            # Filled rows reuse their old draws; any coin in [0, 1) keeps a
+            # row in 0..N, as p_up is 1 at 0 and 0 at N and absorbing states hold.
             live = np.flatnonzero(g_t < math.inf).tolist()
             if batch_left == 0:
                 if batch:
