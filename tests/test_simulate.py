@@ -371,6 +371,27 @@ class TestLockstepKernel:
         before_cap = 64 + 256 + 1024 + 4096
         assert min(events) < before_cap and max(events) > before_cap + 8192
 
+    def test_filled_rows_never_read_unwritten_draws(self, monkeypatch):
+        # Subnormal u: a path that reaches state 0 or N waits past the
+        # horizon, so paths 1 and 2 fill within the 64-draw batch while
+        # path 0 runs 142 events, past column 64 of the 256-draw chunk
+        # that only the unfilled row wrote. Fresh float buffers hold -1,
+        # a coin that would step a row from N to N + 1.
+        empty = np.empty
+
+        def poisoned(shape, dtype=float, **kwargs):
+            out = empty(shape, dtype=dtype, **kwargs)
+            if out.dtype.kind == "f":
+                out.fill(-1.0)
+            return out
+
+        monkeypatch.setattr(np, "empty", poisoned)
+        params = ModelParams(N=13, s=0.0, u=1e-309, nu0=0.5)
+        lam, mu = rate_tables(params)
+        t_end = 200.0 / float((lam + mu).max())
+        _, _, events = self.run_and_compare(6, [t_end], 3, 4, params)
+        assert events == [142, 16, 34]
+
     def test_single_point_grid(self):
         states, _, _ = self.run_and_compare(30, [0.0], self.PATHS, 3, REF)
         assert np.all(states == 30)
