@@ -8,8 +8,9 @@ Subcommands:
     selfcheck   run the acceptance criteria and report pass/fail
 
 Exit codes: 0 success, 2 configuration error (including a model
-precondition the library raises, and an --out that cannot be made a
-directory), 3 numerical failure reported by selfcheck. Artifacts are
+precondition the library raises, a config file that cannot be read, an
+--out that cannot be made a directory, and an artifact that cannot be
+written), 3 numerical failure reported by selfcheck. Artifacts are
 deterministic: re-running a command with the same config and seed
 reproduces every byte.
 """
@@ -283,7 +284,10 @@ def main(argv=None) -> int:
     them, so a DomainError or UnsupportedModelError from the command
     exits EXIT_CONFIG like a ConfigError, and so does an --out that
     cannot be made a directory. Every command computes before it writes,
-    so such an exit leaves no artifact. Any other exception propagates.
+    so such an exit leaves no artifact. An artifact that cannot be
+    opened or written (an OSError that names its file) exits EXIT_CONFIG
+    too, leaving only the artifacts written before it. Any other
+    exception propagates, an OSError without a file name included.
     """
     args = build_parser().parse_args(argv)
     try:
@@ -296,7 +300,14 @@ def main(argv=None) -> int:
             reason = err.strerror or err
             print(f"output error: cannot create directory {out_dir}: {reason}", file=sys.stderr)
             return EXIT_CONFIG
-        return _COMMANDS[args.command](config, out_dir)
+        try:
+            return _COMMANDS[args.command](config, out_dir)
+        except OSError as err:
+            if err.filename is None:  # not a file's error, such as a failed fork
+                raise
+            reason = err.strerror or err
+            print(f"output error: cannot write {err.filename}: {reason}", file=sys.stderr)
+            return EXIT_CONFIG
     except (ConfigError, DomainError, UnsupportedModelError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG

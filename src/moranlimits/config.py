@@ -258,6 +258,8 @@ def load_config(path, seed_override: Optional[int] = None) -> ExperimentConfig:
         raise ConfigError(f"config file not found: {file_path}")
     try:
         raw = json.loads(file_path.read_text(encoding="utf-8"))
+    except OSError as err:
+        raise ConfigError(f"cannot read config file {file_path}: {err.strerror or err}") from err
     except UnicodeDecodeError as err:
         raise ConfigError(f"config is not UTF-8 text: {err}") from err
     except json.JSONDecodeError as err:

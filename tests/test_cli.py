@@ -3,10 +3,13 @@
 import csv
 import json
 import math
+import multiprocessing
+from pathlib import Path
 
 import pytest
 
 from moranlimits import cli, simulate
+from moranlimits import io as mio
 from moranlimits.config import ConfigError, load_config, parse_config, validate_for_command
 from moranlimits.model import MAX_RATE
 
@@ -384,6 +387,60 @@ class TestMainExitCodes:
         assert "Traceback" not in err
         assert_no_artifact(out)
 
+    def test_unreadable_config_file_exits_2(self, tmp_path, capsys, monkeypatch):
+        path = make_config(tmp_path)
+
+        def unreadable(self, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(self))
+
+        monkeypatch.setattr(Path, "read_text", unreadable)
+        out = tmp_path / "o"
+        code = cli.main(["ode", "--config", str(path), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: cannot read config file {path}: Permission denied\n"
+        assert_no_artifact(out)
+
+    def test_unwritable_artifact_exits_2(self, tmp_path, capsys):
+        path = make_config(tmp_path)
+        out = tmp_path / "o"
+        (out / "ode_table.csv").mkdir(parents=True)
+        code = cli.main(["ode", "--config", str(path), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"output error: cannot write {out / 'ode_table.csv'}: ")
+        assert err.count("\n") == 1
+        assert sorted(p.name for p in out.iterdir()) == ["ode_table.csv"]
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="the block worker is forked only where the platform has fork",
+    )
+    def test_unwritable_multi_block_paths_exit_2_and_stop_the_worker(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # 146 rows of 5 paths over blocks of 16 rows: the worker
+        # is forked before the file fails to open
+        pools = []
+        fork_pool = mio.fork_pool
+
+        def pool_spy(*args):
+            pools.append(fork_pool(*args))
+            return pools[-1]
+
+        monkeypatch.setattr(mio, "_BLOCK_ROWS", 16)
+        monkeypatch.setattr(mio, "fork_pool", pool_spy)
+        path = make_config(tmp_path, {"simulate.store_paths": True})
+        out = tmp_path / "o"
+        (out / "ensemble_paths.csv").mkdir(parents=True)
+        code = cli.main(["simulate", "--config", str(path), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"output error: cannot write {out / 'ensemble_paths.csv'}: ")
+        assert err.count("\n") == 1
+        assert len(pools) == 1 and pools[0] is not None
+        assert multiprocessing.active_children() == []
+
     @pytest.mark.parametrize("below", ["", "sub"], ids=["existing-file", "under-a-file"])
     def test_unusable_out_exits_2(self, tmp_path, capsys, below):
         path = make_config(tmp_path)
@@ -589,6 +646,16 @@ class TestMainExitCodes:
         monkeypatch.setattr(cli, "solve_deterministic", broken)
         path = make_config(tmp_path)
         with pytest.raises(RuntimeError, match="not a config error"):
+            cli.main(["ode", "--config", str(path), "--out", str(tmp_path / "o")])
+
+    def test_os_error_without_a_file_propagates(self, tmp_path, monkeypatch):
+        # such as a fork that fails for want of processes
+        def no_fork(*args, **kwargs):
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(cli, "solve_deterministic", no_fork)
+        path = make_config(tmp_path)
+        with pytest.raises(BlockingIOError):
             cli.main(["ode", "--config", str(path), "--out", str(tmp_path / "o")])
 
     @pytest.mark.parametrize("s", [3000.0, 150.0])
