@@ -112,14 +112,12 @@ class StationaryDistribution:
     """Exact stationary law pi of one finite chain, on a window of states.
 
     The window is the states offset, ..., offset + len(probabilities) - 1;
-    pi is 0 in float64 outside it. log_weights[j] is the unnormalised log
-    of the product formula at state offset + j, 0 at the mode;
-    probabilities is its normalised exponential.
+    pi is 0 in float64 outside it. probabilities[j] is the normalised
+    exponential of the product formula's log-weight at state offset + j.
     """
 
     params: ModelParams
     offset: int
-    log_weights: np.ndarray
     probabilities: np.ndarray
 
     @property
@@ -251,14 +249,13 @@ def stationary_distribution(params: ModelParams) -> StationaryDistribution:
         left_floor += float(np.sum(_log_ratios(0, valley, params)))
     left = _outward(mode, 0, left_floor, params)
     right = _outward(mode, params.N, floor, params)
-    log_weights = np.concatenate((left[::-1], [0.0], right))
-    weights = np.exp(log_weights - log_weights.max())
-    probabilities = weights / weights.sum()
+    # the log-weights, 0 at the mode, become the probabilities in place
+    probabilities = np.concatenate((left[::-1], [0.0], right))
+    probabilities -= probabilities.max()
+    np.exp(probabilities, out=probabilities)
+    probabilities /= probabilities.sum()
     return StationaryDistribution(
-        params=params,
-        offset=mode - left.size,
-        log_weights=log_weights,
-        probabilities=probabilities,
+        params=params, offset=mode - left.size, probabilities=probabilities
     )
 
 
