@@ -43,13 +43,15 @@ _MAX_STEPS = 10**7
 
 # simulate and clt build a rate table of N + 1 rows, about 100 bytes
 # each, and stationary writes a pmf CSV of N + 1 rows. simulate and clt
-# run at most n_paths * t_end * N * max_jump_rate events, at 2.5 to 15
-# million events per second on a 2-vCPU VM.
+# run at most n_paths * t_end * N * max_jump_rate events, at 25 to 55
+# million events per second on a 2-vCPU VM (about 2.5 million without a C
+# compiler).
 _MAX_TABLE_ROWS = 10**7
 _MAX_EVENTS = 10**10
 
-# Their ensembles hold about 5.9 KB per path before any event (two generators
-# and two 256-draw buffers) and 16 B per path and grid row (states, proportions).
+# Their ensembles are charged 6 KB per path before any event, far above the
+# few hundred bytes a path holds (the run's paths share one set of batch
+# buffers), and 16 B per path and grid row (states, proportions).
 _PATH_BYTES = 6 * 1024
 _GRID_ROW_BYTES = 16
 _MAX_ENSEMBLE_BYTES = 2**30

@@ -35,6 +35,7 @@ process.
 
 from __future__ import annotations
 
+import itertools
 import json
 import threading
 from pathlib import Path
@@ -60,8 +61,7 @@ def _json_default(value):
 def dump_json(path: Path, payload: dict) -> None:
     """Sorted, indented JSON; NaN or an unknown type raises before the file is opened."""
     text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False, default=_json_default)
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(text + "\n")
+    _write_texts(path, [text + "\n"])
 
 
 def format_cell(value) -> str:
@@ -121,10 +121,29 @@ def write_csv(path: Path, header: list, columns: list) -> None:
 
 
 def _write_blocks(path: Path, header: list, texts) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(",".join(header) + "\n")
-        # writelines drops each text before it asks for the next one
-        handle.writelines(texts)
+    _write_texts(path, itertools.chain([",".join(header) + "\n"], texts))
+
+
+def _write_texts(path: Path, texts) -> None:
+    """Write each of texts to path in order.
+
+    An OSError of the file itself, such as a full disk, is raised naming
+    path, so the CLI reports it; one raised while texts forms a text,
+    such as a failed fork, propagates as it is.
+    """
+    handle = open(path, "w", encoding="utf-8", newline="\n")
+    try:
+        for text in texts:
+            try:
+                handle.write(text)
+            except OSError as err:
+                raise OSError(err.errno, err.strerror, str(path)) from err
+            del text  # dropped before the next text is formed
+    finally:
+        try:
+            handle.close()
+        except OSError as err:
+            raise OSError(err.errno, err.strerror, str(path)) from err
 
 
 def _format_block(columns: list, start: int) -> str:

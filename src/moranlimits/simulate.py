@@ -8,47 +8,51 @@ boundary states absorb and simulation stops early.
 
 A path draws its waits and coins in batches of 64, 256, 1024, 4096 and
 then 8192 each: a batch's exponential waits, then as many uniform
-coins. Two kernels run the chain on that stream.
+coins. _run_chain draws each batch with numpy and hands it to one batch
+step, which runs the path's events on it: the wait t + w / rate, the
+coin test coin < p_up[k], the grid fill, the optional event record, and
+the stop at the grid's end or at a state of rate 0. Every path runs
+this way, one at a time: simulate_path, simulate_on_grid and each path
+of run_ensemble.
 
-- The per-path kernel (_run_chain) serves single paths and small
-  ensembles. It runs the 64- and 256-draw batches event by event. A
-  batch of 1024 draws or more runs as one block: every up/down decision
-  of the batch comes from a fixed-point iteration (Song et al., ICML
-  2021, "Accelerating Feedforward Computation via Parallel Nonlinear
-  Equation Solving"). A guess of the decisions gives, by a cumulative
-  sum, the state before each event, and the coins are re-tested at those
-  states. Every decision before the first one that changed, and that
-  one, is final, so the iteration ends at the unique fixed point, which
-  is the loop's path. Event times come from one np.add.accumulate seeded
-  with the current time, which adds in the loop's order, so the block's
-  path equals the loop's bit for bit. Where the drift is steep (small N,
-  strong selection) the passes settle few decisions each; once they
-  have cost more than the loop would have, the loop finishes the batch.
-- The lockstep kernel (_run_lockstep) advances every path of an
-  ensemble by one event per numpy step, Gillespie's direct method run
-  across trajectories. Row p of its arrays is path p for the whole
-  call: a path past the horizon stops drawing and steps on its last
-  draws until every path is done. run_ensemble picks it from
-  _LOCKSTEP_MIN_PATHS paths on.
+The step has two bodies with the same arithmetic. chain_step.c, shipped
+beside this module, is compiled on first use with
+cc -O2 -ffp-contract=off -shared -fPIC into $XDG_CACHE_HOME/moranlimits
+(else ~/.cache/moranlimits, else a private directory in the temp dir),
+under a name keyed by the SHA-256 of the source and the flags, and
+loaded with ctypes. -ffp-contract=off, and no -ffast-math, keeps a
+fused multiply-add out of t + w / rate, which would round once where
+Python rounds twice. A library is written under a temporary name and
+renamed into place, so processes that build it at once each load a
+whole one. Where no compiler is found, the compile fails or the cache
+cannot be written, _python_step runs instead: the same step as a Python
+loop, several times slower and equal bit for bit.
 
 Reproducibility contract: a path is a pure function of
 (seed, params, k0, horizon). Ensembles give path p the dedicated stream
 seeded by (master_seed, p), the generator
-np.random.default_rng([master_seed, p]) builds, and both kernels draw
-from it in the same order, so results do not depend on the kernel and
-any prefix of paths can be regenerated in isolation. The contract fixes
-each path's PCG64 state, not how it is computed: model.path_generators
-hashes every path's state in one vectorised pass. The batch schedule is
-part of that contract. The same holds for summarize_paths, which
-summarises paths already kept event by event by simulate_path.
+np.random.default_rng([master_seed, p]) builds, so any prefix of paths
+can be regenerated in isolation. The contract fixes each path's PCG64
+state, not how it is computed: model.path_generators hashes every
+path's state in one vectorised pass. The batch schedule is part of that
+contract. The same holds for summarize_paths, which summarises paths
+already kept event by event by simulate_path.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import hashlib
 import math
-from bisect import bisect_left
+import os
+import shutil
+import stat
+import tempfile
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence, Union
+from pathlib import Path
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -73,29 +77,12 @@ ArrayLike = Union[float, np.ndarray]
 # for 64 draws, long paths amortise refills at the cap.
 _BATCH_START = 64
 _BATCH_MAX = 8192
-# Batches of at least this many draws run as one block (1024, 4096 and
-# 8192 of the schedule); the 64- and 256-draw batches run event by event.
-_BLOCK_MIN = 1024
+# The step's results: the batch is spent, the next event lies past the
+# grid's end, or the chain holds a state of rate 0.
+_SPENT, _HORIZON, _ABSORBED = 0, 1, 2
 
-
-def _pass_cost(width: int) -> int:
-    """Draws of the per-event loop that cost about as much as one block pass.
-
-    A fixed-point pass over width draws takes about 30 us plus 10 ns a
-    draw, and the loop about 0.3 us a draw (direct timings on a 2-vCPU
-    VM).
-    """
-    return 96 + width // 32
-
-
-# Ensembles of at least this many paths run in lockstep, the rest path by
-# path, from direct timings of both kernels (2-vCPU VM, N = 200 to
-# 5 * 10^4, 4 to 201 grid points). Below it neither kernel wins on every
-# shape: lockstep holds two generators and two draw buffers per path, and
-# long paths run mostly in the per-path kernel's block body.
-_LOCKSTEP_MIN_PATHS = 128
-# Draws per path buffered by the lockstep kernel between refills.
-_CHUNK = 256
+_SOURCE = Path(__file__).with_name("chain_step.c")
+_CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 
 
 @dataclass(frozen=True)
@@ -120,263 +107,208 @@ class TrajectoryPath:
         return int(self.times.size)
 
 
-class _ChainTables(NamedTuple):
-    """Total event rate and up-move probability per state 0..N.
+class _Chain(ctypes.Structure):
+    """One run of the chain: chain_step.c's chain_t and the arrays it points into.
 
-    The lists serve the per-event loops: scalar indexing into lists is
-    what they spend their time on, and numpy arrays are markedly slower
-    there. The block body reads the arrays.
+    The rate tables, the time grid and the batch buffers are shared by
+    the run's paths; t, k, gi and kept are the position of the path
+    being run. Every array the step reads or writes is an attribute, so
+    its address stays valid for the life of the run. times and states,
+    one batch's events, are allocated only when the chain keeps events.
     """
 
-    rates: list
-    p_up: list
-    rate_array: np.ndarray
-    p_up_array: np.ndarray
+    _fields_ = [
+        ("rates_at", ctypes.c_void_p),
+        ("p_up_at", ctypes.c_void_p),
+        ("grid_at", ctypes.c_void_p),
+        ("waits_at", ctypes.c_void_p),
+        ("coins_at", ctypes.c_void_p),
+        ("grid_states_at", ctypes.c_void_p),
+        ("times_at", ctypes.c_void_p),
+        ("states_at", ctypes.c_void_p),
+        ("n_grid", ctypes.c_int64),
+        ("k", ctypes.c_int64),
+        ("gi", ctypes.c_int64),
+        ("kept", ctypes.c_int64),
+        ("t", ctypes.c_double),
+    ]
+
+    def __init__(self, params: ModelParams, grid: np.ndarray, keep_events: bool = False):
+        lam, mu = rate_tables(params)
+        self.rates = lam + mu
+        with np.errstate(invalid="ignore", divide="ignore"):
+            positive = self.rates > 0.0
+            self.p_up = np.where(positive, lam / np.where(positive, self.rates, 1.0), 0.0)
+        self.grid = np.ascontiguousarray(grid, dtype=float)
+        self.waits = np.empty(_BATCH_MAX)
+        self.coins = np.empty(_BATCH_MAX)
+        self.grid_states = np.empty(self.grid.size, dtype=np.int64)
+        self.times = np.empty(_BATCH_MAX) if keep_events else None
+        self.states = np.empty(_BATCH_MAX, dtype=np.int64) if keep_events else None
+        arrays = (self.rates, self.p_up, self.grid, self.waits, self.coins,
+                  self.grid_states, self.times, self.states)
+        super().__init__(*(None if a is None else a.ctypes.data for a in arrays), self.grid.size)
+
+    @functools.cached_property
+    def lists(self) -> tuple[list, list, list]:
+        """The rate and up-move tables and the grid as lists, for _python_step."""
+        return self.rates.tolist(), self.p_up.tolist(), self.grid.tolist()
 
 
-def _chain_tables(params: ModelParams) -> _ChainTables:
-    lam, mu = rate_tables(params)
-    total = lam + mu
-    with np.errstate(invalid="ignore", divide="ignore"):
-        p_up = np.where(total > 0.0, lam / np.where(total > 0.0, total, 1.0), 0.0)
-    return _ChainTables(total.tolist(), p_up.tolist(), total, p_up)
+def _python_step(chain: _Chain, n: int) -> int:
+    """chain_step.c's chain_step as a Python loop, with the same arithmetic.
 
-
-@np.errstate(over="ignore")  # a wait over a subnormal rate is past any horizon
-def _run_chain(
-    k0: int,
-    grid: np.ndarray,
-    rng: np.random.Generator,
-    tables: _ChainTables,
-    record: bool = False,
-):
-    """Drive one chain from k0 at time 0 to grid[-1], drawing from rng.
-
-    grid is a sorted array of times from 0 on; tables come from
-    _chain_tables. Returns (times, states, absorbed, grid_states): the
-    event times and the state after each event, both empty unless
-    record is set; whether the chain stopped at an absorbing state; and
-    the state at each grid time. Batches of fewer than _BLOCK_MIN draws
-    run event by event; longer ones run as one block, with the same
-    result bit for bit.
+    Python's float / + and < round as C's double ones do, so both steps
+    give the same path bit for bit.
     """
-    total_rates, p_up = tables.rates, tables.p_up
-    t_end = float(grid[-1])
-    t = 0.0
-    k = k0
-    events_t: list = []  # the per-event loop's events since the last block
-    events_k: list = []
-    chunks_t: list = []  # every event before those, as arrays in order
-    chunks_k: list = []
-    absorbed = False
-    n_grid = grid.size
-    grid_states = np.empty(n_grid, dtype=np.int64)
-    grid_list = grid.tolist()
-    gi = 0
-
-    batch = _BATCH_START
-    waits = rng.exponential(size=batch).tolist()
-    coins = rng.random(size=batch).tolist()
-    idx = 0
+    rates, p_up, grid = chain.lists  # scalar indexing into lists beats arrays
+    grid_states = chain.grid_states
+    n_grid, t_end = len(grid), grid[-1]
+    waits = chain.waits[:n].tolist()
+    coins = chain.coins[:n].tolist()
+    keep = chain.times is not None
+    times, states = [], []
+    t, k, gi, i = chain.t, chain.k, chain.gi, 0
     while True:
-        rate = total_rates[k]
+        rate = rates[k]
         if rate <= 0.0:
-            absorbed = True
+            status = _ABSORBED
             break
-        if idx == batch:
-            batch = min(batch * 4, _BATCH_MAX)
-            waits = rng.exponential(size=batch)
-            coins = rng.random(size=batch)
-            idx = 0
-            if batch < _BLOCK_MIN:
-                waits = waits.tolist()
-                coins = coins.tolist()
-            else:
-                # Block body. ks[i] is the state before event i. Guess
-                # every decision at state k, then re-test each coin at
-                # the states the guess implies, over a window that
-                # doubles each time it holds no change. Decisions before
-                # the first one that changed, and that one, are final,
-                # so each pass settles at least one more and the fixed
-                # point is the loop's path. A wrong guess may leave
-                # 0..N; the clipped lookups keep it in the table. Once
-                # the passes have cost more than the loop would have
-                # spent on the draws they settled, plus one first pass,
-                # the loop takes over the rest of the batch.
-                ups = coins < p_up[k]
-                ks = np.empty(batch + 1, dtype=np.int64)
-                ks[0] = k
-                first = 0
-                width = _BLOCK_MIN
-                spent = -_pass_cost(width)
-                while first < batch:
-                    end = min(first + width, batch)
-                    steps = ups[first:end].view(np.int8) * np.int8(2)
-                    steps -= 1
-                    np.cumsum(steps, dtype=np.int64, out=ks[first + 1 : end + 1])
-                    ks[first + 1 : end + 1] += ks[first]
-                    retest = coins[first:end] < tables.p_up_array.take(
-                        ks[first:end], mode="clip"
-                    )
-                    changed = retest != ups[first:end]
-                    c = int(changed.argmax())
-                    spent += _pass_cost(end - first)
-                    if changed[c]:
-                        ups[first + c : end] = retest[c:]
-                        first += c
-                    else:
-                        first = end
-                        width *= 2
-                    if spent > first:
-                        break
-                # The first pass settles decision 0 at least, and state k
-                # has a positive rate, so argmax 0 means no absorbing state.
-                # Only past an absorbing state can a settled path leave 0..N.
-                rates = tables.rate_array.take(ks[:first], mode="clip")
-                stop = int((rates <= 0.0).argmax()) or first
-                # Event times, added in the loop's order: t + d0, then + d1, ...
-                times = waits[:stop] / rates[:stop]
-                times[0] += t
-                np.add.accumulate(times, out=times)
-                n = int(np.searchsorted(times, t_end, side="right"))
-                if n:
-                    # a grid point reads the state after the events up to it
-                    hi = bisect_left(grid_list, times[n - 1], gi)
-                    passed = np.searchsorted(times[:n], grid[gi:hi], side="right")
-                    grid_states[gi:hi] = ks[passed]
-                    gi = hi
-                    if record:
-                        chunks_t += [np.asarray(events_t, dtype=float), times[:n]]
-                        chunks_k += [np.asarray(events_k, dtype=np.int64), ks[1 : n + 1]]
-                        events_t, events_k = [], []
-                    t = float(times[n - 1])
-                    k = int(ks[n])
-                if n < first:
-                    absorbed = n == stop
-                    break
-                idx = first
-                if first < batch:
-                    waits = waits.tolist()
-                    coins = coins.tolist()
-                continue
-        t_next = t + waits[idx] / rate
-        up = coins[idx] < p_up[k]
-        idx += 1
+        if i == n:
+            status = _SPENT
+            break
+        t_next = t + waits[i] / rate
+        up = coins[i] < p_up[k]
+        i += 1
         if t_next > t_end:
+            status = _HORIZON
             break
         # state k holds on [t, t_next); grid points there read k
-        while gi < n_grid and grid_list[gi] < t_next:
+        while gi < n_grid and grid[gi] < t_next:
             grid_states[gi] = k
             gi += 1
         t = t_next
         k = k + 1 if up else k - 1
-        if record:
-            events_t.append(t)
-            events_k.append(k)
-    grid_states[gi:] = k
-    times = np.concatenate(chunks_t + [np.asarray(events_t, dtype=float)])
-    states = np.concatenate(chunks_k + [np.asarray(events_k, dtype=np.int64)])
-    return times, states, absorbed, grid_states
+        if keep:
+            times.append(t)
+            states.append(k)
+    if keep:
+        chain.times[: len(times)] = times
+        chain.states[: len(states)] = states
+    chain.t, chain.k, chain.gi, chain.kept = t, k, gi, len(times)
+    return status
 
 
-@np.errstate(over="ignore")  # a wait over a subnormal rate is past any horizon
-def _run_lockstep(
-    k0: int,
-    grid: np.ndarray,
-    rng_seed: int,
-    n_paths: int,
-    tables: _ChainTables,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Drive n_paths chains to grid[-1] together, one event per numpy step.
+def _cache_dir() -> Path:
+    """$XDG_CACHE_HOME/moranlimits, else ~/.cache/moranlimits, else one in the temp dir.
 
-    Returns the grid states (n_paths, grid.size) and the absorbed flags,
-    equal to what _run_chain gives path p on the stream [rng_seed, p].
-    Row p of every structure is path p for the whole call: a filled row
-    stops drawing and steps on its last draws, which no output reads.
-    Every path sits at the same event index, so all of them reach a
-    boundary of _run_chain's batch schedule at the same step. Each path
-    reads its stream through two generators, both in the state of
-    default_rng([rng_seed, p]) and taken from two passes of
-    path_generators: one draws the batch's exponential waits; the other
-    skips them, then draws the batch's uniform coins. Both deliver in
-    chunks of _CHUNK, which match one batched draw bit for bit, so the
-    buffers hold (paths, _CHUNK) draws however long the batch is.
+    The temp dir is shared, so there the directory is this user's own,
+    made private, or OSError is raised: a library another user could
+    place there is never loaded.
     """
-    n_grid = grid.size
-    grid_list = grid.tolist()
-    states = np.empty((n_paths, n_grid), dtype=np.int64)
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    if os.path.isabs(base):  # an unset, empty or relative one is ignored
+        return Path(base) / "moranlimits"
+    try:
+        return Path.home() / ".cache" / "moranlimits"
+    except RuntimeError:  # no home directory
+        pass
+    private = Path(tempfile.gettempdir()) / f"moranlimits-{os.getuid()}"
+    private.mkdir(mode=0o700, exist_ok=True)
+    info = private.lstat()
+    if not stat.S_ISDIR(info.st_mode) or info.st_uid != os.getuid() or info.st_mode & 0o077:
+        raise OSError(f"{private} is not a private directory of this user")
+    return private
+
+
+def _built_library() -> Path:
+    """chain_step.c built into the cache, compiled there on first use.
+
+    Raises OSError where no compiler is found, the compile fails or the
+    cache cannot be written.
+    """
+    key = hashlib.sha256(_SOURCE.read_bytes() + " ".join(_CFLAGS).encode()).hexdigest()
+    library = _cache_dir() / f"chain_step-{key}.so"
+    if library.exists():
+        return library
+    compiler = shutil.which("cc")
+    if compiler is None:
+        raise OSError("no C compiler on PATH")
+    import subprocess  # deferred: only a first build runs the compiler
+
+    library.parent.mkdir(parents=True, exist_ok=True)
+    handle, partial = tempfile.mkstemp(suffix=".so", dir=library.parent)
+    os.close(handle)
+    try:
+        build = subprocess.run(
+            [compiler, *_CFLAGS, "-o", partial, str(_SOURCE)],
+            stdin=subprocess.DEVNULL,
+            capture_output=True,
+        )
+        if build.returncode != 0:
+            raise OSError(f"{compiler} exited with status {build.returncode}")
+        # renamed whole into place: a process that builds it at the same
+        # time, or loads it meanwhile, never sees a partial library
+        os.replace(partial, library)
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(partial)
+    return library
+
+
+@functools.cache
+def _batch_step():
+    """The compiled chain_step, or _python_step where it cannot be built or loaded.
+
+    Found on first use, not at import, and never raises or prints.
+    """
+    try:
+        step = ctypes.CDLL(str(_built_library())).chain_step
+    except OSError:
+        return _python_step
+    step.argtypes = (ctypes.POINTER(_Chain), ctypes.c_int64)
+    step.restype = ctypes.c_int
+    return step
+
+
+def _run_chain(k0: int, rng: np.random.Generator, chain: _Chain):
+    """Drive one chain from k0 at time 0 to chain.grid[-1], drawing from rng.
+
+    Leaves the state at each grid time in chain.grid_states and returns
+    (absorbed, times, states): whether the chain stopped at a state of
+    rate 0, and the event times and the state after each event, both
+    empty unless the chain keeps events. Each step call runs one batch,
+    at most _BATCH_MAX events, so signals are served between batches.
+    """
+    step = _batch_step()
+    chain.t, chain.k, chain.gi = 0.0, k0, 0
+    times, states = [np.empty(0)], [np.empty(0, dtype=np.int64)]
+    batch = _BATCH_START
+    while True:
+        # the batch's exponential waits, then as many uniform coins
+        rng.standard_exponential(out=chain.waits[:batch])
+        rng.random(out=chain.coins[:batch])
+        status = step(chain, batch)
+        if chain.times is not None:
+            times.append(chain.times[: chain.kept].copy())
+            states.append(chain.states[: chain.kept].copy())
+        if status != _SPENT:
+            break
+        batch = min(batch * 4, _BATCH_MAX)
+    chain.grid_states[chain.gi :] = chain.k
+    return status == _ABSORBED, np.concatenate(times), np.concatenate(states)
+
+
+def _run_paths(
+    k0: int, grid: np.ndarray, rng_seed: int, n_paths: int, params: ModelParams
+) -> tuple[np.ndarray, np.ndarray]:
+    """Grid states (n_paths, grid.size) and absorbed flags of paths on the streams [rng_seed, p]."""
+    chain = _Chain(params, grid)
+    states = np.empty((n_paths, grid.size), dtype=np.int64)
     absorbed = np.zeros(n_paths, dtype=bool)
-    absorbing = tables.rate_array <= 0.0
-    can_absorb = bool(absorbing.any())
-    # absorbing states never divide: their paths skip to the horizon
-    safe_rates = np.where(absorbing, 1.0, tables.rate_array)
-
-    k = np.full(n_paths, k0, dtype=np.int64)
-    t = np.zeros(n_paths)
-    gi = [0] * n_paths  # first grid point each path has not filled
-    g_t = np.full(n_paths, grid[0])  # its time; inf once the row is filled
-    # One pass of path_generators for the waits and one for the coins.
-    wait_rngs = list(path_generators(rng_seed, n_paths))
-    coin_rngs = list(path_generators(rng_seed, n_paths))
-    # Zeroed: a row filled before a wider chunk steps on columns it never
-    # drew, which must hold valid coins.
-    waits = np.zeros((n_paths, _CHUNK))
-    coins = np.zeros((n_paths, _CHUNK))
-    skipped = np.empty(_BATCH_MAX)
-    running = n_paths  # rows not yet filled
-
-    batch = batch_left = 0
-    col = width = 0
-    while running:
-        if col == width:
-            # Filled rows reuse their old draws; any coin in [0, 1) keeps a
-            # row in 0..N, as p_up is 1 at 0 and 0 at N and absorbing states hold.
-            live = np.flatnonzero(g_t < math.inf).tolist()
-            if batch_left == 0:
-                if batch:
-                    # The waits stopped where this batch's coins began;
-                    # the coins, one 64-bit word each, end where the
-                    # next batch begins.
-                    for r in live:
-                        wait_rngs[r].bit_generator.advance(batch)
-                batch = min(batch * 4, _BATCH_MAX) if batch else _BATCH_START
-                for r in live:
-                    coin_rngs[r].standard_exponential(out=skipped[:batch])
-                batch_left = batch
-            width = min(_CHUNK, batch_left)
-            batch_left -= width
-            for r in live:
-                wait_rngs[r].standard_exponential(out=waits[r, :width])
-                coin_rngs[r].random(out=coins[r, :width])
-            col = 0
-
-        t_next = waits[:, col] / safe_rates[k]
-        t_next += t
-        step = (coins[:, col] < tables.p_up_array[k]).view(np.int8) * 2 - 1
-        col += 1
-        if can_absorb:
-            # an absorbing state holds for good: no step, no event before inf
-            stuck = absorbing[k]
-            if stuck.any():
-                t_next[stuck] = np.inf
-                step[stuck] = 0
-        cross = t_next > g_t
-        if cross.any():
-            # state k holds on [t, t_next); grid points there read k
-            hit = np.flatnonzero(cross)
-            for r, t_hit, k_hit in zip(hit.tolist(), t_next[hit].tolist(), k[hit].tolist()):
-                hi = bisect_left(grid_list, t_hit)
-                states[r, gi[r] : hi] = k_hit
-                gi[r] = hi
-                if hi < n_grid:
-                    g_t[r] = grid_list[hi]
-                else:
-                    # filled: absorbed iff it holds an absorbing state, as in _run_chain
-                    g_t[r] = math.inf
-                    absorbed[r] = absorbing[k_hit]
-                    running -= 1
-        k += step
-        t = t_next
+    for p, rng in enumerate(path_generators(rng_seed, n_paths)):
+        absorbed[p] = _run_chain(k0, rng, chain)[0]
+        states[p] = chain.grid_states
     return states, absorbed
 
 
@@ -396,10 +328,8 @@ def simulate_path(
     k0 = check_int(k0, "k0", 0, params.N)
     t_end = check_real(t_end, "t_end", minimum=0.0)
     check_seed(rng_seed, sequence=True)
-    rng = np.random.default_rng(rng_seed)
-    times, states, absorbed, _ = _run_chain(
-        k0, np.array([t_end]), rng, _chain_tables(params), record=True
-    )
+    chain = _Chain(params, np.array([t_end]), keep_events=True)
+    absorbed, times, states = _run_chain(k0, np.random.default_rng(rng_seed), chain)
     return TrajectoryPath(
         params=params,
         k0=k0,
@@ -417,13 +347,14 @@ def simulate_on_grid(
 
     Consumes randomness identically to simulate_path with
     t_end = t_grid[-1], so both views of one seed agree: simulate_path
-    is this kernel run on the one-point grid [t_end], keeping its events.
+    is the same chain run on the one-point grid [t_end], keeping its events.
     """
     k0 = check_int(k0, "k0", 0, params.N)
     grid = check_grid(t_grid)
     check_seed(rng_seed, sequence=True)
-    rng = np.random.default_rng(rng_seed)
-    return _run_chain(k0, grid, rng, _chain_tables(params))[3]
+    chain = _Chain(params, grid)
+    _run_chain(k0, np.random.default_rng(rng_seed), chain)
+    return chain.grid_states
 
 
 def sample_Z_at(times: ArrayLike, path: TrajectoryPath) -> ArrayLike:
@@ -520,24 +451,14 @@ def run_ensemble(
 
     Path p is simulated on the stream [rng_seed, p], exactly as
     simulate_on_grid(k0, t_grid, [rng_seed, p], params) would simulate
-    it, so z_values[p] * N equals that call's result bit for bit. Two
-    kernels produce the same paths (module docstring): the lockstep
-    kernel for many paths and the per-path kernel for few.
+    it, so z_values[p] * N equals that call's result bit for bit.
     """
     k0 = check_int(k0, "k0", 0, params.N)
     grid = check_grid(t_grid)
     n_paths = check_int(n_paths, "n_paths", minimum=1)
     rng_seed = check_seed(rng_seed)
 
-    tables = _chain_tables(params)
-    if n_paths >= _LOCKSTEP_MIN_PATHS:
-        states, absorbed = _run_lockstep(k0, grid, rng_seed, n_paths, tables)
-    else:
-        states = np.empty((n_paths, grid.size), dtype=np.int64)
-        absorbed = np.zeros(n_paths, dtype=bool)
-        for p, rng in enumerate(path_generators(rng_seed, n_paths)):
-            _, _, absorbed[p], states[p] = _run_chain(k0, grid, rng, tables)
-
+    states, absorbed = _run_paths(k0, grid, rng_seed, n_paths, params)
     return _summary(
         k0, grid, rng_seed, params, reference, states / params.N, int(absorbed.sum())
     )

@@ -4,8 +4,9 @@ Without HYPOTHESIS_PROFILE every property test runs under Hypothesis's
 default profile and its own settings. HYPOTHESIS_PROFILE=wide loads the
 `wide` profile, a random search of 2,000 examples, which the config
 domain sweep, the scalar oracle test, the per-path stream state test
-and the reference tests of both chain kernels take in place of their
-fixed example counts:
+and the reference tests of ensembles and of single paths (each example
+on the compiled and the Python batch step) take in place of their fixed
+example counts:
 
     HYPOTHESIS_PROFILE=wide PYTHONPATH=src python -m pytest -q tests/test_config_domain.py \\
         tests/test_deterministic.py::test_scalar_oracle_matches_integrate_at \\

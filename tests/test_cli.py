@@ -412,6 +412,29 @@ class TestMainExitCodes:
         assert err.count("\n") == 1
         assert sorted(p.name for p in out.iterdir()) == ["ode_table.csv"]
 
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+    @pytest.mark.parametrize(
+        "command, artifact, overrides",
+        [
+            ("ode", "ode_table.csv", {}),
+            # 146 rows over blocks of 16 rows: several blocks, a forked worker
+            ("simulate", "ensemble_paths.csv", {"simulate.store_paths": True}),
+        ],
+        ids=["ode", "stored-paths"],
+    )
+    def test_full_disk_exits_2(self, tmp_path, capsys, monkeypatch, command, artifact, overrides):
+        # the file opens, and the write fails with ENOSPC
+        monkeypatch.setattr(mio, "_BLOCK_ROWS", 16)
+        path = make_config(tmp_path, overrides)
+        out = tmp_path / "o"
+        out.mkdir()
+        (out / artifact).symlink_to("/dev/full")
+        code = cli.main([command, "--config", str(path), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"output error: cannot write {out / artifact}: No space left on device\n"
+        assert multiprocessing.active_children() == []
+
     @pytest.mark.skipif(
         "fork" not in multiprocessing.get_all_start_methods(),
         reason="the block worker is forked only where the platform has fork",

@@ -63,3 +63,10 @@ def test_selfcheck_battery_loads_no_scipy(inline):
         run = f"import threading; {_SECOND_THREAD}; {run}"
     loaded = modules_loaded_by("moranlimits.selfcheck", then=run)
     assert sorted(name for name in loaded if name == "scipy" or name.startswith("scipy.")) == []
+
+
+def test_chain_step_is_neither_built_nor_loaded_at_import():
+    """simulate finds its batch step on first use, so no command pays for it at start."""
+    untouched = "assert moranlimits.simulate._batch_step.cache_info().currsize == 0"
+    loaded = modules_loaded_by("moranlimits.cli", then=untouched)
+    assert "subprocess" not in loaded

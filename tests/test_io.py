@@ -1,7 +1,9 @@
 """The column-wise CSV writer against the per-cell reference format, and
 dump_json's numpy encoding through json's default hook."""
 
+import errno
 import faulthandler
+import io
 import multiprocessing
 import os
 import tempfile
@@ -219,6 +221,53 @@ def test_unencodable_value_raises_and_writes_nothing(tmp_path, value):
     with pytest.raises(TypeError):
         dump_json(path, {"value": [value]})
     assert not path.exists()
+
+
+# --- a write that fails after open names its file -------------------------
+
+
+class FullDisk(io.RawIOBase):
+    """A file on a full disk: it opens, and every write raises ENOSPC."""
+
+    def writable(self):
+        return True
+
+    def write(self, data):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def open_on_full_disk(path, mode, **kwargs):
+    return io.TextIOWrapper(io.BufferedWriter(FullDisk()), **kwargs)
+
+
+@pytest.mark.parametrize(
+    "write",
+    [
+        lambda path: dump_json(path, {"a": 1}),  # short: fails as the file is closed
+        lambda path: write_csv(path, ["k"], [np.arange(10**4)]),  # fails in a write
+    ],
+    ids=["dump_json", "write_csv"],
+)
+def test_full_disk_error_names_the_file(monkeypatch, tmp_path, write):
+    monkeypatch.setattr(mio, "open", open_on_full_disk, raising=False)
+    path = tmp_path / "artifact"
+    with pytest.raises(OSError) as raised:
+        write(path)
+    assert raised.value.errno == errno.ENOSPC
+    assert raised.value.filename == str(path)
+
+
+def test_error_forming_a_text_propagates_unnamed(tmp_path):
+    # such as a fork that fails for want of processes, while write_csv
+    # forms its blocks
+    def texts():
+        yield "k\n"
+        raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    with pytest.raises(BlockingIOError) as raised:
+        mio._write_texts(tmp_path / "table.csv", texts())
+    assert raised.value.filename is None
+    assert (tmp_path / "table.csv").read_text(encoding="utf-8") == "k\n"
 
 
 # --- tables of several blocks: odd blocks in one forked worker -------------

@@ -3,12 +3,20 @@
 import hashlib
 import json
 import math
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.linalg import eigvalsh_tridiagonal
+from scipy.stats import chisquare
 
 from moranlimits import (
     DomainError,
@@ -22,6 +30,7 @@ from moranlimits import (
     simulate_on_grid,
     simulate_path,
     solve_deterministic,
+    stationary_distribution,
     summarize_paths,
 )
 from moranlimits import simulate
@@ -203,7 +212,6 @@ class TestEnsemble:
             raise AssertionError("simulated before validating the seed")
 
         monkeypatch.setattr(simulate, "_run_chain", no_simulation)
-        monkeypatch.setattr(simulate, "_run_lockstep", no_simulation)
         grid = np.linspace(0.0, 1.0, 6)
         for bad in ([1, 2], (3,), -1, 1.5, "7", True, None):
             with pytest.raises(DomainError, match="rng_seed"):
@@ -291,28 +299,35 @@ class TestCltStatistics:
 
 # A fixed number of examples by default; HYPOTHESIS_PROFILE=wide
 # (tests/conftest.py) runs the profile's random search instead.
-_LOCKSTEP_SWEEP = {} if settings.get_current_profile_name() == "wide" else {"max_examples": 40}
+_ENSEMBLE_SWEEP = {} if settings.get_current_profile_name() == "wide" else {"max_examples": 40}
 
 
 class TestLockstepKernel:
-    """The lockstep kernel equals reference_chain bit for bit, path by path."""
+    """Ensembles equal reference_chain bit for bit, path by path, on both batch steps.
+
+    These cases were written for the lockstep kernel, which ensembles of
+    128 paths or more once ran on; the class keeps its name so that the
+    cases keep their ids. Every ensemble now runs path by path.
+    """
 
     PATHS = 64
 
     @staticmethod
     def run_and_compare(k0, grid, n_paths, seed, params):
         grid = np.asarray(grid, dtype=float)
-        tables = simulate._chain_tables(params)
-        states, absorbed = simulate._run_lockstep(k0, grid, seed, n_paths, tables)
+        runs = [
+            simulate._run_paths(k0, grid, seed, n_paths, params) for _ in each_step()
+        ]
         events = []
         for p in range(n_paths):
             times, _, was_absorbed, expected = reference_chain(
                 k0, float(grid[-1]), [seed, p], params, grid
             )
-            assert np.array_equal(states[p], expected), p
-            assert absorbed[p] == was_absorbed, p
+            for states, absorbed in runs:
+                assert np.array_equal(states[p], expected), p
+                assert absorbed[p] == was_absorbed, p
             events.append(len(times))
-        return states, absorbed, events
+        return (*runs[0], events)
 
     @pytest.mark.parametrize(
         "n_paths, t_end",
@@ -320,29 +335,23 @@ class TestLockstepKernel:
         ids=["short-64", "short-100", "mid-127", "long-127", "short-128", "mid-128", "long-128"],
     )
     def test_kernel_choice_by_event_bound(self, monkeypatch, n_paths, t_end):
-        # The choice depends on the path count alone, not on the event bound:
-        # N = 1000 on the reference shape bounds each path by about 1000 t_end
-        # events, and lockstep runs from _LOCKSTEP_MIN_PATHS paths on, whatever
-        # that bound. Both kernels are faked, so nothing simulates.
-        calls = []
+        # There is no kernel choice: whatever the path count and the event
+        # bound (about 1000 t_end events a path at N = 1000 on the reference
+        # shape), run_ensemble runs path p through _run_chain on the stream
+        # [13, p], in order. The chain is faked, so nothing simulates.
+        streams = []
 
-        def fake_chain(k0, grid, rng, tables, record=False):
-            calls.append("per-path")
-            return None, None, False, np.full(grid.size, k0)
-
-        def fake_lockstep(k0, grid, rng_seed, n_paths, tables):
-            calls.append("lockstep")
-            return np.full((n_paths, grid.size), k0), np.zeros(n_paths, dtype=bool)
+        def fake_chain(k0, rng, chain):
+            streams.append(rng.bit_generator.state["state"])
+            chain.grid_states[:] = k0
+            return False, None, None
 
         monkeypatch.setattr(simulate, "_run_chain", fake_chain)
-        monkeypatch.setattr(simulate, "_run_lockstep", fake_lockstep)
         params = ModelParams(N=1000, s=1.0, u=0.5, nu0=0.5)
         reference = flow_from(100, params)
         run_ensemble(100, np.linspace(0.0, t_end, 6), n_paths, 13, params, reference)
-        if n_paths >= simulate._LOCKSTEP_MIN_PATHS:
-            assert calls == ["lockstep"]
-        else:
-            assert calls == ["per-path"] * n_paths
+        expected = [np.random.default_rng([13, p]).bit_generator.state for p in range(n_paths)]
+        assert streams == [state["state"] for state in expected]
 
     @pytest.mark.parametrize("extra", [-1, 0, 37])
     def test_reference_shape_non_uniform_grid(self, extra):
@@ -373,10 +382,11 @@ class TestLockstepKernel:
 
     def test_filled_rows_never_read_unwritten_draws(self, monkeypatch):
         # Subnormal u: a path that reaches state 0 or N waits past the
-        # horizon, so paths 1 and 2 fill within the 64-draw batch while
-        # path 0 runs 142 events, past column 64 of the 256-draw chunk
-        # that only the unfilled row wrote. Fresh float buffers hold -1,
-        # a coin that would step a row from N to N + 1.
+        # horizon, so paths 1 and 2 stop within the 64-draw batch while
+        # path 0 runs 142 events, into the 256-draw one. The run's batch
+        # buffers are allocated once, 8192 draws long; fresh float buffers
+        # hold -1 here, a coin that would step a path from N to N + 1, so
+        # a step that read past the batch drawn for it would show.
         empty = np.empty
 
         def poisoned(shape, dtype=float, **kwargs):
@@ -411,7 +421,8 @@ class TestLockstepKernel:
         ids=["lockstep", "per-path"],
     )
     def test_golden_multi_word_seed(self, n_paths, seed, digest):
-        # SHA-256 of the float64 proportions; numpy 2.4 on x86-64, as tests/test_golden.py
+        # SHA-256 of the float64 proportions; numpy 2.4 on x86-64, as tests/test_golden.py.
+        # The ids name the kernels that first ran these ensembles.
         params = ModelParams(N=1000, s=1.0, u=0.5, nu0=0.5)
         grid = np.linspace(0.0, 2.0, 11)
         summary = run_ensemble(100, grid, n_paths, seed, params, flow_from(100, params))
@@ -420,14 +431,14 @@ class TestLockstepKernel:
 
     def test_lockstep_directly_on_long_paths(self):
         # Every path runs over 13,632 events to the horizon, so all of
-        # them cross the chunk and batch refills in step.
+        # them reach the 8192-draw batches.
         params = ModelParams(N=1000, s=1.0, u=0.5, nu0=0.5)
         grid = np.linspace(0.0, 25.0, 11)
         _, absorbed, events = self.run_and_compare(100, grid, 6, 8, params)
         assert not absorbed.any()
         assert min(events) > 64 + 256 + 1024 + 4096 + 8192
 
-    @settings(deadline=None, **_LOCKSTEP_SWEEP)
+    @settings(deadline=None, **_ENSEMBLE_SWEEP)
     @given(
         n=st.one_of(st.integers(1, 60), st.sampled_from([1000, 50_000])),
         s=st.sampled_from([0.0, 0.3, 30.0]),
@@ -480,20 +491,9 @@ class TestSummarizePaths:
         assert kept.to_record() == direct.to_record()
         return kept
 
-    # run_ensemble runs 4, 64 and 100 paths path by path, and
-    # _LOCKSTEP_MIN_PATHS in lockstep.
-    @pytest.mark.parametrize("n_paths", [4, 64, 100, simulate._LOCKSTEP_MIN_PATHS])
-    def test_matches_run_ensemble(self, monkeypatch, n_paths):
-        lockstep = simulate._run_lockstep
-        calls = []
-
-        def spy(*args):
-            calls.append(args)
-            return lockstep(*args)
-
-        monkeypatch.setattr(simulate, "_run_lockstep", spy)
+    @pytest.mark.parametrize("n_paths", [4, 64, 100, 128])
+    def test_matches_run_ensemble(self, n_paths):
         self.compare(100, np.linspace(0.0, 3.0, 61), n_paths, 20260817, REF)
-        assert len(calls) == (n_paths >= simulate._LOCKSTEP_MIN_PATHS)
 
     @pytest.mark.parametrize("n_paths", [4, 64])
     def test_absorbing_paths(self, n_paths):
@@ -521,7 +521,7 @@ class TestSummarizePaths:
 def reference_chain(k0, t_end, seed, params, grid=None):
     """The chain as one plain per-event loop: (times, states, absorbed, grid states).
 
-    Written out here, apart from the kernels it checks. Draws come in
+    Written out here, apart from the batch steps it checks. Draws come in
     batches of 64, 256, 1024, 4096 and then 8192 waits followed by as
     many coins; that schedule is part of the stream contract.
     """
@@ -560,20 +560,36 @@ def reference_chain(k0, t_end, seed, params, grid=None):
     return times, states, absorbed, grid_states
 
 
+_BATCH_STEP = simulate._batch_step
+
+
+def each_step():
+    """Yield once per batch step, with the chain running on it: the compiled, then the Python one.
+
+    Without a C compiler both runs take the Python step;
+    TestBatchStepLoader::test_compiled_step_loads checks that the
+    compiled one is found where a compiler is.
+    """
+    for step in (_BATCH_STEP(), simulate._python_step):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(simulate, "_batch_step", lambda: step)
+            yield step
+
+
 def assert_chain_matches_reference(k0, t_end, seed, params, grid):
-    """simulate_path and simulate_on_grid reproduce reference_chain bit for bit."""
+    """simulate_path and simulate_on_grid reproduce reference_chain bit for bit on both steps."""
     times, states, absorbed, _ = reference_chain(k0, t_end, seed, params)
-    path = simulate_path(k0, t_end, seed, params)
-    assert path.times.tolist() == times
-    assert path.states.tolist() == states
-    assert path.absorbed == absorbed
     _, _, _, expected = reference_chain(k0, float(grid[-1]), seed, params, grid)
-    assert np.array_equal(simulate_on_grid(k0, grid, seed, params), expected)
+    for _ in each_step():
+        path = simulate_path(k0, t_end, seed, params)
+        assert path.times.tolist() == times
+        assert path.states.tolist() == states
+        assert path.absorbed == absorbed
+        assert np.array_equal(simulate_on_grid(k0, grid, seed, params), expected)
     return len(times)
 
 
-# Events that take a path through the per-event batches of 64 and 256
-# draws and the whole of the first block batch of 1024.
+# Events that take a path through the batches of 64, 256 and 1024 draws.
 BLOCK_EVENTS = 64 + 256 + 1024
 
 
@@ -583,7 +599,7 @@ _CHAIN_SWEEP = {} if settings.get_current_profile_name() == "wide" else {"max_ex
 
 
 class TestChainKernel:
-    """The chain kernel against reference_chain, bit for bit."""
+    """Single paths on both batch steps against reference_chain, bit for bit."""
 
     @settings(deadline=None, **_CHAIN_SWEEP)
     @given(
@@ -605,7 +621,7 @@ class TestChainKernel:
              events=20_000, seed=3, grid_points=11)
     @example(n=30, s=0.0, u=0.0, nu0=0.5, start="interior", draw=0.5,
              events=20_000, seed=4, grid_points=5)
-    # subnormal u: at states 0 and N a wait overflows to inf, inside a block
+    # subnormal u: at states 0 and N a wait overflows to inf
     @example(n=20, s=0.0, u=1e-309, nu0=0.5, start="interior", draw=0.5,
              events=20_000, seed=128, grid_points=21)
     def test_matches_reference(self, n, s, u, nu0, start, draw, events, seed, grid_points):
@@ -623,9 +639,9 @@ class TestChainKernel:
         [
             (50_000, 1.0, 0.5, 5000, 0.4),  # long and fast-converging
             (1000, 1.0, 0.5, 100, 25.0),  # every batch size, up to 8192
-            (1000, 30.0, 0.5, 100, 2.0),  # steep drift: the loop takes over
+            (1000, 30.0, 0.5, 100, 2.0),  # steep drift
             (100, 0.0, 0.5, 0, 60.0),
-            (3000, 0.2, 0.0, 30, 30.0),  # u = 0: absorbed inside a block
+            (3000, 0.2, 0.0, 30, 30.0),  # u = 0: absorbed inside a long batch
         ],
     )
     def test_block_batches_match_reference(self, n, s, u, k0, t_end):
@@ -635,8 +651,8 @@ class TestChainKernel:
         assert events > BLOCK_EVENTS
 
     def test_absorbed_inside_a_block(self):
-        # neutral and without mutation, p_up is 1/2 at every inner state,
-        # so the block body settles each batch in one pass, up to state 0
+        # neutral and without mutation: absorbed at state 0 inside the
+        # 8192-draw batch, with draws of that batch left unread
         params = ModelParams(N=3000, s=0.0, u=0.0, nu0=0.5)
         grid = np.linspace(0.0, 200.0, 41)
         events = assert_chain_matches_reference(30, 200.0, [77, 1], params, grid)
@@ -645,6 +661,173 @@ class TestChainKernel:
         assert 64 + 256 + 1024 + 4096 < events < 64 + 256 + 1024 + 4096 + 8192
 
     def test_zero_horizon(self):
-        path = simulate_path(50, 0.0, 3, REF)
-        assert path.n_events == 0 and not path.absorbed
-        assert simulate_on_grid(50, [0.0], 3, REF).tolist() == [50]
+        for _ in each_step():
+            path = simulate_path(50, 0.0, 3, REF)
+            assert path.n_events == 0 and not path.absorbed
+            assert simulate_on_grid(50, [0.0], 3, REF).tolist() == [50]
+
+
+class TestBatchStepLoader:
+    """The compiled step is built once into the cache; where it cannot be, the Python step runs."""
+
+    PARAMS = ModelParams(N=1000, s=1.0, u=0.5, nu0=0.5)
+    GRID = np.linspace(0.0, 2.0, 11)
+
+    @pytest.fixture
+    def cache(self, monkeypatch, tmp_path):
+        """An empty cache home, and a _batch_step that looks for its step afresh."""
+        self.found = _BATCH_STEP()  # the step found with the usual cache
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+        _BATCH_STEP.cache_clear()
+        yield tmp_path / "cache" / "moranlimits"
+        _BATCH_STEP.cache_clear()
+
+    def outputs(self):
+        states, absorbed = simulate._run_paths(100, self.GRID, 7, 16, self.PARAMS)
+        path = simulate_path(100, 2.0, [7, 0], self.PARAMS)
+        return states.tolist(), absorbed.tolist(), path.times.tolist(), path.states.tolist()
+
+    @pytest.mark.skipif(shutil.which("cc") is None, reason="needs a C compiler")
+    def test_compiled_step_loads(self, cache, capfd):
+        step = _BATCH_STEP()
+        assert step is not simulate._python_step
+        assert _BATCH_STEP() is step
+        assert [p.name for p in cache.iterdir()] == [f"chain_step-{library_key()}.so"]
+        assert capfd.readouterr() == ("", "")
+
+    @pytest.mark.parametrize("failure", ["no-compiler", "compile-fails", "unwritable-cache"])
+    def test_falls_back_with_identical_outputs(self, cache, capfd, monkeypatch, tmp_path, failure):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(simulate, "_batch_step", lambda: self.found)
+            expected = self.outputs()
+        if failure == "unwritable-cache":
+            (tmp_path / "cache").write_text("a file, not a directory")
+        else:
+            bin_dir = tmp_path / "bin"
+            bin_dir.mkdir()
+            if failure == "compile-fails":
+                (bin_dir / "cc").write_text("#!/bin/sh\necho 'cc: error' >&2\nexit 1\n")
+                (bin_dir / "cc").chmod(0o755)
+            monkeypatch.setenv("PATH", str(bin_dir))
+        assert _BATCH_STEP() is simulate._python_step
+        assert self.outputs() == expected
+        assert capfd.readouterr() == ("", "")
+        if failure == "compile-fails":
+            assert list(cache.iterdir()) == []  # no partial library left behind
+
+    @pytest.mark.skipif(shutil.which("cc") is None, reason="needs a C compiler")
+    def test_without_a_home_the_cache_is_private_in_the_temp_dir(
+        self, cache, monkeypatch, tmp_path
+    ):
+        def no_home(cls):
+            raise RuntimeError("Could not determine home directory.")
+
+        monkeypatch.delenv("XDG_CACHE_HOME")
+        monkeypatch.setattr(Path, "home", classmethod(no_home))
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        private = tmp_path / f"moranlimits-{os.getuid()}"
+        assert _BATCH_STEP() is not simulate._python_step
+        assert private.stat().st_mode & 0o777 == 0o700
+        assert [p.name for p in private.iterdir()] == [f"chain_step-{library_key()}.so"]
+        # a directory others may write to could hold anyone's library
+        private.chmod(0o777)
+        _BATCH_STEP.cache_clear()
+        assert _BATCH_STEP() is simulate._python_step
+
+    @pytest.mark.skipif(shutil.which("cc") is None, reason="needs a C compiler")
+    def test_processes_building_at_once_each_load_a_whole_library(self, cache):
+        script = (
+            "import hashlib, numpy as np\n"
+            "from moranlimits import ModelParams, simulate\n"
+            "params = ModelParams(N=1000, s=1.0, u=0.5, nu0=0.5)\n"
+            "states, _ = simulate._run_paths(100, np.linspace(0.0, 2.0, 11), 7, 16, params)\n"
+            "compiled = simulate._batch_step() is not simulate._python_step\n"
+            "print(compiled, hashlib.sha256(states.tobytes()).hexdigest())\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(simulate.__file__).parents[1]))
+        command = [sys.executable, "-c", script]
+        workers = [
+            subprocess.Popen(command, env=env, stdout=subprocess.PIPE, text=True) for _ in range(2)
+        ]
+        lines = [worker.communicate(timeout=60)[0] for worker in workers]
+        assert [worker.returncode for worker in workers] == [0, 0]
+        states, _ = simulate._run_paths(100, self.GRID, 7, 16, self.PARAMS)
+        expected = f"True {hashlib.sha256(states.tobytes()).hexdigest()}\n"
+        assert lines == [expected, expected]
+        assert [p.name for p in cache.iterdir()] == [f"chain_step-{library_key()}.so"]
+
+
+def library_key():
+    """SHA-256 of the shipped source and the compiler flags."""
+    source = simulate._SOURCE.read_bytes()
+    return hashlib.sha256(source + b"-O2 -ffp-contract=off -shared -fPIC").hexdigest()
+
+
+# (N, s, u, nu0): tiny N, s = 0, u near the require_mutation floor, nu0
+# near 0 and 1, and a steep drift, beside the reference shape.
+STATIONARY_PANEL = [
+    (1, 0.5, 0.3, 0.5),
+    (1, 0.0, 1e-4, 0.5),
+    (2, 0.0, 0.2, 0.5),
+    (2, 1.0, 1e-6, 0.5),
+    (50, 0.0, 0.5, 0.5),
+    (50, 0.3, 1.7, 0.25),
+    (50, 1.0, 0.02, 0.5),
+    (50, 0.5, 1.0, 1e-3),
+    (50, 0.5, 1.0, 0.999),
+    (200, 1.0, 0.5, 0.5),
+    (40, 30.0, 0.5, 0.5),
+    (500, 3.0, 0.2, 0.1),
+]
+# Fixed with the panel, before its first run: a family-wise level of 1e-3
+# split evenly over the points (Bonferroni), one seed per point.
+STATIONARY_P_FLOOR = 1e-3 / len(STATIONARY_PANEL)
+STATIONARY_PATHS = 2000
+
+
+def spectral_gap(params):
+    """The chain's exact relaxation rate, from its symmetrised generator.
+
+    Detailed balance makes the tridiagonal generator similar to the
+    symmetric matrix with off-diagonal sqrt(lambda_k mu_{k+1}); its
+    eigenvalues are 0 and minus the relaxation rates.
+    """
+    lam, mu = rate_tables(params)
+    coupling = np.sqrt(lam[:-1] * mu[1:])
+    return -float(eigvalsh_tridiagonal(-(lam + mu), coupling)[-2])
+
+
+def pooled_cells(expected, minimum=5.0):
+    """Edges of runs of adjacent states, each with an expected count of at least minimum."""
+    edges, total = [0], 0.0
+    for k, count in enumerate(expected):
+        total += count
+        if total >= minimum:
+            edges.append(k + 1)
+            total = 0.0
+    edges[-1] = len(expected)  # a short remainder joins the last cell
+    return edges
+
+
+@pytest.mark.parametrize(
+    "index, point", list(enumerate(STATIONARY_PANEL)), ids=[str(p) for p in STATIONARY_PANEL]
+)
+def test_ensemble_matches_the_exact_stationary_law(index, point):
+    # From the stationary mode k0, the law at T = 15 / gap differs from pi
+    # by at most e^-15 / sqrt(pi(k0)) in the L2(pi) norm of its density,
+    # below 1e-5 here: far under what 2000 paths resolve.
+    n, s, u, nu0 = point
+    params = ModelParams(N=n, s=s, u=u, nu0=nu0)
+    law = stationary_distribution(params)
+    pi = np.zeros(n + 1)
+    pi[law.states] = law.probabilities
+    k0 = int(pi.argmax())
+    grid = [0.0, 15.0 / spectral_gap(params)]
+    seed = 20261019 + index
+    summary = run_ensemble(k0, grid, STATIONARY_PATHS, seed, params, flow_from(k0, params))
+    finals = np.rint(summary.z_values[:, -1] * n).astype(np.int64)
+    edges = pooled_cells(STATIONARY_PATHS * pi)
+    observed = np.add.reduceat(np.bincount(finals, minlength=n + 1), edges[:-1])
+    expected = np.add.reduceat(STATIONARY_PATHS * pi, edges[:-1])
+    assert len(observed) >= 2
+    assert chisquare(observed, expected).pvalue > STATIONARY_P_FLOOR
