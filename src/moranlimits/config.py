@@ -37,8 +37,9 @@ _MAX_SEED = 2**64 - 1
 _RK4_STABILITY_LIMIT = 2.785
 
 # The ode command takes about t_end / min(oracle_step, grid_step) RK4
-# steps and grid rows, and simulate t_end / grid_step grid rows per path;
-# 10^7 RK4 steps run in about 10 s.
+# steps and grid rows, and simulate t_end / grid_step grid rows per path.
+# At 10^7 steps the oracle takes about 0.4 s compiled and 4 to 15 s in its
+# Python loop (10^4 to 10^7 grid rows, 2-vCPU VM).
 _MAX_STEPS = 10**7
 
 # simulate and clt build a rate table of N + 1 rows, about 100 bytes
@@ -49,15 +50,26 @@ _MAX_STEPS = 10**7
 _MAX_TABLE_ROWS = 10**7
 _MAX_EVENTS = 10**10
 
-# Their ensembles are charged 6 KB per path before any event, far above the
-# few hundred bytes a path holds (the run's paths share one set of batch
-# buffers), and 16 B per path and grid row (states, proportions).
-_PATH_BYTES = 6 * 1024
-_GRID_ROW_BYTES = 16
+# Their ensembles are charged per path, per path and grid row, and per
+# grid row, each above the peak memory measured over the import (ru_maxrss,
+# CPython 3.11, numpy 2): 192 B a path against 120 to 127 B (its stream's
+# state and hash words, its absorbed flag, its sup deviation in an array, a
+# list and the report's text; the run's paths share one set of batch
+# buffers); 32 B a path and grid row against 24.4 B (its state, its
+# proportion, and one temporary of the same size while the summary's
+# statistics are formed); and per grid row 1280 B for simulate against
+# 847 to 862 B and 3072 B for clt against 2317 B (the report's per-time
+# lists or rows, its JSON text and the CSV).
+_PATH_BYTES = 192
+_GRID_ROW_BYTES = 32
+_REPORT_ROW_BYTES = {"simulate": 1280, "clt": 3072}
 _MAX_ENSEMBLE_BYTES = 2**30
 # simulate with store_paths keeps every event twice: 16 B in its path's times
 # and states, and 24 B in the three CSV columns (38.5 B measured per event).
+# Each kept path adds 800 B, against 627 B measured (its TrajectoryPath and
+# arrays, and its t = 0 row in the CSV).
 _STORED_EVENT_BYTES = 40
+_STORED_PATH_BYTES = 800
 
 
 class ConfigError(ValueError):
@@ -354,14 +366,27 @@ def _require_chain_budget(config: ExperimentConfig, section: str) -> None:
         )
     # below the event budget n_paths converts to a float
     rows = settings.t_end / settings.grid_step + 2 if simulate else len(settings.times) + 1
-    size = float(settings.n_paths) * (_PATH_BYTES + _GRID_ROW_BYTES * rows)
-    terms = f"'{section}.n_paths' * ({_PATH_BYTES} + {_GRID_ROW_BYTES} * grid rows)"
-    values = f"{settings.n_paths} * ({_PATH_BYTES} + {_GRID_ROW_BYTES} * {rows:.6g})"
-    remedy = "lower n_paths"
+    report = _REPORT_ROW_BYTES[section]
+    size = float(settings.n_paths) * (_PATH_BYTES + _GRID_ROW_BYTES * rows) + report * rows
+    terms = (
+        f"'{section}.n_paths' * ({_PATH_BYTES} + {_GRID_ROW_BYTES} * grid rows)"
+        f" + {report} * grid rows"
+    )
+    values = (
+        f"{settings.n_paths} * ({_PATH_BYTES} + {_GRID_ROW_BYTES} * {rows:.6g})"
+        f" + {report} * {rows:.6g}"
+    )
+    remedy = "lower n_paths or the number of grid rows"
     if simulate and settings.store_paths:
-        size += _STORED_EVENT_BYTES * events
-        terms += f" + {_STORED_EVENT_BYTES} * events kept by 'simulate.store_paths'"
-        values += f" + {_STORED_EVENT_BYTES} * {events:.3g}"
+        size += _STORED_PATH_BYTES * float(settings.n_paths) + _STORED_EVENT_BYTES * events
+        terms += (
+            f" + {_STORED_PATH_BYTES} * n_paths + {_STORED_EVENT_BYTES} * events"
+            " kept by 'simulate.store_paths'"
+        )
+        values += (
+            f" + {_STORED_PATH_BYTES} * {settings.n_paths}"
+            f" + {_STORED_EVENT_BYTES} * {events:.3g}"
+        )
         remedy = "lower n_paths, the horizon or N, or set store_paths to false"
     if size > _MAX_ENSEMBLE_BYTES:
         raise ConfigError(

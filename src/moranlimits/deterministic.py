@@ -29,7 +29,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from . import rk4
+from . import native, rk4
 from .model import (
     REMAINDER_EPS,
     DomainError,
@@ -198,7 +198,8 @@ def equilibria(params: ModelParams) -> Equilibria:
 def _snap_unit_scalar(z: float) -> float:
     """z with a rounding excursion past 0 or 1 pinned back to the boundary.
 
-    _scalar_oracle_at writes these two comparisons inline.
+    _scalar_oracle_at and kernels.c's rk4_flow write these two
+    comparisons inline.
     """
     if -_UNIT_SNAP < z < 0.0:
         return 0.0
@@ -301,30 +302,40 @@ def ode_oracle_at(
 ) -> np.ndarray:
     """RK4 state at the requested times, sub-stepping at most `step`.
 
-    A float z0 takes one ModelParams and gives shape (len(times),). It
-    runs in _scalar_oracle_at's own Python float loop, which equals
-    rk4.integrate_at on the drift with the unit snap bit for bit. A
+    A float z0 takes one ModelParams and gives shape (len(times),). A
     1-d array of m starts takes a sequence of m ModelParams, one per
-    start, and gives shape (len(times), m): all rows advance in one
-    lockstep sweep of rk4.integrate_at, and column j equals
+    start, and gives shape (len(times), m), column j equal to
     ode_oracle_at(float(z0[j]), times, step, params[j]) bit for bit.
+    Either equals rk4.integrate_at on the drift with the unit snap bit
+    for bit. It runs in kernels.c's rk4_flow, on the coefficients of
+    DriftFunctions(params); where the library cannot be had, a float
+    start runs in _scalar_oracle_at's Python float loop and an array in
+    one lockstep sweep of rk4.integrate_at.
     """
     z0 = check_starts(z0, params)
-    if np.ndim(z0) == 0:
-        return _scalar_oracle_at(z0, times, step, params)
-    return rk4.integrate_at(DriftFunctions(params).drift, z0, times, step, post=_snap_unit)
-
-
-def _scalar_oracle_at(z0: float, times: ArrayLike, step: float, params: ModelParams) -> np.ndarray:
-    """rk4.integrate_at(DriftFunctions(params).drift, z0, times, step, post=_snap_unit_scalar).
-
-    The same validation, sub-step rule, stage association and snap, with
-    the drift's coefficients held as locals and the drift and the snap
-    written out: a step makes no Python call.
-    """
     ts = check_grid(times, "times")
     max_step = check_real(step, "max_step", 0.0, exclusive=True)
     drift = DriftFunctions(params)
+    swept = native.rk4_sweep(
+        "rk4_flow", (drift._a, drift._b, drift._c), z0, ts, max_step,
+        -_UNIT_SNAP, 1.0 + _UNIT_SNAP,
+    )
+    if swept is not None:
+        return swept
+    if np.ndim(z0) == 0:
+        return _scalar_oracle_at(z0, ts, max_step, drift)
+    return rk4.integrate_at(drift.drift, z0, ts, max_step, post=_snap_unit)
+
+
+def _scalar_oracle_at(
+    z0: float, ts: np.ndarray, max_step: float, drift: DriftFunctions
+) -> np.ndarray:
+    """rk4.integrate_at(drift.drift, z0, ts, max_step, post=_snap_unit_scalar).
+
+    The same sub-step rule, stage association and snap, with the drift's
+    coefficients held as locals and the drift and the snap written out:
+    a step makes no Python call.
+    """
     a, b, c = drift._a, drift._b, drift._c
     low, high = -_UNIT_SNAP, 1.0 + _UNIT_SNAP
     y = z0

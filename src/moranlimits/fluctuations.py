@@ -40,7 +40,8 @@ Everything here requires u nu0 > 0 and u nu1 > 0
 (model.require_mutation), so the noise is bounded away from zero on
 [0, 1].
 
-variance_ode steps the flow and the variance equation together by RK4,
+variance_ode steps the flow and the variance equation together by RK4
+(compiled, in kernels.c's rk4_variance, where the library can be had),
 and selfcheck criterion 4 compares it with the closed form. Its
 right-hand side evaluates only the drift, drift-slope and diffusion
 polynomials, never the closed-form flow, so an error in the closed-form
@@ -54,7 +55,7 @@ from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
-from . import rk4
+from . import native, rk4
 from .deterministic import (
     DriftFunctions,
     Equilibria,
@@ -109,7 +110,10 @@ def variance_ode(
     and returns (taus, variances) with variances[i] ~ Sigma(taus[i] / r);
     a wrong r would only rescale time. z0 and params take ode_oracle_at's
     float-or-panel form; a panel gives one column per row, equal to that
-    row's own call bit for bit.
+    row's own call bit for bit. It runs in kernels.c's rk4_variance, on
+    the coefficients of DriftFunctions(params), and equals rk4.integrate
+    on the right-hand side below bit for bit, which runs where the
+    library cannot be had.
     """
     z0 = check_starts(z0, params)
     models = params if np.ndim(z0) else [params]
@@ -118,6 +122,11 @@ def variance_ode(
     rates = [equilibria(model).relaxation_rate for model in models]
     rate = np.array(rates) if np.ndim(z0) else rates[0]
     funcs = DriftFunctions(params)
+    taus = rk4.nodes(tau_end, step)
+    coefficients = (funcs._a, funcs._b, funcs._c, funcs._ga, funcs._gb, funcs._gc, rate)
+    swept = native.rk4_sweep("rk4_variance", coefficients, z0, taus, float(step))
+    if swept is not None:
+        return taus, swept
     # one row evaluates on Python floats, which round as numpy does but cost less
     split = iter if np.ndim(z0) else np.ndarray.tolist
 

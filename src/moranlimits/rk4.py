@@ -7,11 +7,15 @@ steps and a float state stay Python floats rather than numpy scalars,
 which round the same IEEE doubles the same way but cost several times
 as much per operation in a scalar loop.
 
-The package calls it with array states: the batched flow oracle
-(deterministic.ode_oracle_at on an array of starts, criterion 1) and
-variance_ode. The single-start flow oracle runs its own copy of this
-loop with the drift written inline, and equals integrate_at on the
-drift bit for bit.
+The package's oracles run this loop compiled: kernels.c's rk4_flow and
+rk4_variance (native.py) step the flow oracle
+(deterministic.ode_oracle_at) and the variance oracle
+(fluctuations.variance_ode) with _march's sub-step rule, stage
+association and snap, and equal integrate_at and integrate on those
+systems bit for bit. Where the library cannot be had, the oracles call
+integrate_at and integrate here, on array states, and the single-start
+flow oracle runs its own copy of this loop with the drift written
+inline.
 
 The state may also be a float array of independent rows advanced in
 lockstep on one shared time grid. `f` and `post` then take and return
@@ -54,6 +58,15 @@ def _march(f: Callable, y0, ts: np.ndarray, max_step: float, post) -> np.ndarray
     return out
 
 
+def nodes(t_end: float, step: float) -> np.ndarray:
+    """integrate's nodes model.time_grid(t_end, step), with its checks of t_end and step."""
+    step = check_real(step, "step", 0.0, exclusive=True)
+    t_end = check_real(t_end, "t_end", minimum=0.0)
+    if t_end > 0.0 and step > t_end:
+        raise DomainError(f"step {step} exceeds integration horizon {t_end}")
+    return time_grid(t_end, step)
+
+
 def integrate(
     f: Callable[[float], float], y0: float, t_end: float, step: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -63,12 +76,8 @@ def integrate(
     covers any remainder when step does not divide t_end. Returns the
     nodes and the states, of shape (nodes,) + shape(y0).
     """
-    step = check_real(step, "step", 0.0, exclusive=True)
-    t_end = check_real(t_end, "t_end", minimum=0.0)
-    if t_end > 0.0 and step > t_end:
-        raise DomainError(f"step {step} exceeds integration horizon {t_end}")
-    times = time_grid(t_end, step)
-    return times, _march(f, y0, times, step, None)
+    times = nodes(t_end, step)
+    return times, _march(f, y0, times, float(step), None)
 
 
 def integrate_at(

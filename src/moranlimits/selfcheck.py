@@ -100,18 +100,34 @@ def _sweep_sets() -> list[tuple[ModelParams, float]]:
     return [(reference_params(), 0.1)] + parameter_panel()
 
 
-def check_flow_vs_oracle() -> CheckResult:
-    """Criterion 1: closed-form flow vs RK4 on [0, 10], grid 0.01, step 1e-3.
-
-    Every (params, z0) row shares the grid and the step, so the oracle
-    advances all rows in one lockstep sweep.
-    """
-    times = np.linspace(0.0, 10.0, 1001)
-    rows = [
+def _flow_rows() -> list[tuple[ModelParams, float]]:
+    """Criterion 1's (params, z0) rows: each sweep set from 0, its drawn z0 and 1."""
+    return [
         (params, z0)
         for params, z0_drawn in _sweep_sets()
         for z0 in (0.0, z0_drawn, 1.0)
     ]
+
+
+def _variance_rows() -> list[tuple[ModelParams, float]]:
+    """Criterion 4's (params, z0) rows: per sweep set, a start 0.01 or more from
+    x_stable (else x_stable / 2), then x_stable itself."""
+    rows = []
+    for params, z0 in _sweep_sets():
+        x_stable = equilibria(params).x_stable
+        z0_eff = z0 if abs(z0 - x_stable) >= 0.01 else 0.5 * x_stable
+        rows += [(params, z0_eff), (params, x_stable)]
+    return rows
+
+
+def check_flow_vs_oracle() -> CheckResult:
+    """Criterion 1: closed-form flow vs RK4 on [0, 10], grid 0.01, step 1e-3.
+
+    Every (params, z0) row shares the grid and the step, so the oracle
+    advances all rows in one sweep.
+    """
+    times = np.linspace(0.0, 10.0, 1001)
+    rows = _flow_rows()
     oracle = ode_oracle_at(
         np.array([z0 for _, z0 in rows]), times, 1e-3, [params for params, _ in rows]
     )
@@ -242,13 +258,9 @@ def check_variance_agreement() -> CheckResult:
 
     The RK4 oracle runs in relaxation time tau = rate t, on [0, 5] at
     step 1e-3 for every row, so the error term h * rate is uniform
-    across the panel and all rows advance in one lockstep sweep.
+    across the panel and all rows advance in one sweep.
     """
-    rows = []
-    for params, z0 in _sweep_sets():
-        x_stable = equilibria(params).x_stable
-        z0_eff = z0 if abs(z0 - x_stable) >= 0.01 else 0.5 * x_stable
-        rows += [(params, z0_eff), (params, x_stable)]
+    rows = _variance_rows()
     taus, oracle = variance_ode(
         np.array([z0 for _, z0 in rows]), 5.0, 1e-3, [params for params, _ in rows]
     )

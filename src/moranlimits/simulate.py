@@ -15,18 +15,11 @@ the stop at the grid's end or at a state of rate 0. Every path runs
 this way, one at a time: simulate_path, simulate_on_grid and each path
 of run_ensemble.
 
-The step has two bodies with the same arithmetic. chain_step.c, shipped
-beside this module, is compiled on first use with
-cc -O2 -ffp-contract=off -shared -fPIC into $XDG_CACHE_HOME/moranlimits
-(else ~/.cache/moranlimits, else a private directory in the temp dir),
-under a name keyed by the SHA-256 of the source and the flags, and
-loaded with ctypes. -ffp-contract=off, and no -ffast-math, keeps a
-fused multiply-add out of t + w / rate, which would round once where
-Python rounds twice. A library is written under a temporary name and
-renamed into place, so processes that build it at once each load a
-whole one. Where no compiler is found, the compile fails or the cache
-cannot be written, _python_step runs instead: the same step as a Python
-loop, several times slower and equal bit for bit.
+The step has two bodies with the same arithmetic: chain_step in
+kernels.c, which native.library() compiles on first use and loads with
+ctypes, and _python_step, the same step as a Python loop, several times
+slower and equal bit for bit, which runs where the library cannot be
+had.
 
 Reproducibility contract: a path is a pure function of
 (seed, params, k0, horizon). Ensembles give path p the dedicated stream
@@ -41,21 +34,15 @@ already kept event by event by simulate_path.
 
 from __future__ import annotations
 
-import contextlib
 import ctypes
 import functools
-import hashlib
 import math
-import os
-import shutil
-import stat
-import tempfile
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence, Union
 
 import numpy as np
 
+from . import native
 from .deterministic import DeterministicSolution
 from .fluctuations import FluctuationLaw
 from .model import (
@@ -81,9 +68,6 @@ _BATCH_MAX = 8192
 # grid's end, or the chain holds a state of rate 0.
 _SPENT, _HORIZON, _ABSORBED = 0, 1, 2
 
-_SOURCE = Path(__file__).with_name("chain_step.c")
-_CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
-
 
 @dataclass(frozen=True)
 class TrajectoryPath:
@@ -108,7 +92,7 @@ class TrajectoryPath:
 
 
 class _Chain(ctypes.Structure):
-    """One run of the chain: chain_step.c's chain_t and the arrays it points into.
+    """One run of the chain: kernels.c's chain_t and the arrays it points into.
 
     The rate tables, the time grid and the batch buffers are shared by
     the run's paths; t, k, gi and kept are the position of the path
@@ -156,7 +140,7 @@ class _Chain(ctypes.Structure):
 
 
 def _python_step(chain: _Chain, n: int) -> int:
-    """chain_step.c's chain_step as a Python loop, with the same arithmetic.
+    """kernels.c's chain_step as a Python loop, with the same arithmetic.
 
     Python's float / + and < round as C's double ones do, so both steps
     give the same path bit for bit.
@@ -199,73 +183,13 @@ def _python_step(chain: _Chain, n: int) -> int:
     return status
 
 
-def _cache_dir() -> Path:
-    """$XDG_CACHE_HOME/moranlimits, else ~/.cache/moranlimits, else one in the temp dir.
-
-    The temp dir is shared, so there the directory is this user's own,
-    made private, or OSError is raised: a library another user could
-    place there is never loaded.
-    """
-    base = os.environ.get("XDG_CACHE_HOME", "")
-    if os.path.isabs(base):  # an unset, empty or relative one is ignored
-        return Path(base) / "moranlimits"
-    try:
-        return Path.home() / ".cache" / "moranlimits"
-    except RuntimeError:  # no home directory
-        pass
-    private = Path(tempfile.gettempdir()) / f"moranlimits-{os.getuid()}"
-    private.mkdir(mode=0o700, exist_ok=True)
-    info = private.lstat()
-    if not stat.S_ISDIR(info.st_mode) or info.st_uid != os.getuid() or info.st_mode & 0o077:
-        raise OSError(f"{private} is not a private directory of this user")
-    return private
-
-
-def _built_library() -> Path:
-    """chain_step.c built into the cache, compiled there on first use.
-
-    Raises OSError where no compiler is found, the compile fails or the
-    cache cannot be written.
-    """
-    key = hashlib.sha256(_SOURCE.read_bytes() + " ".join(_CFLAGS).encode()).hexdigest()
-    library = _cache_dir() / f"chain_step-{key}.so"
-    if library.exists():
-        return library
-    compiler = shutil.which("cc")
-    if compiler is None:
-        raise OSError("no C compiler on PATH")
-    import subprocess  # deferred: only a first build runs the compiler
-
-    library.parent.mkdir(parents=True, exist_ok=True)
-    handle, partial = tempfile.mkstemp(suffix=".so", dir=library.parent)
-    os.close(handle)
-    try:
-        build = subprocess.run(
-            [compiler, *_CFLAGS, "-o", partial, str(_SOURCE)],
-            stdin=subprocess.DEVNULL,
-            capture_output=True,
-        )
-        if build.returncode != 0:
-            raise OSError(f"{compiler} exited with status {build.returncode}")
-        # renamed whole into place: a process that builds it at the same
-        # time, or loads it meanwhile, never sees a partial library
-        os.replace(partial, library)
-    finally:
-        with contextlib.suppress(FileNotFoundError):
-            os.unlink(partial)
-    return library
-
-
 @functools.cache
 def _batch_step():
-    """The compiled chain_step, or _python_step where it cannot be built or loaded.
-
-    Found on first use, not at import, and never raises or prints.
-    """
-    try:
-        step = ctypes.CDLL(str(_built_library())).chain_step
-    except OSError:
+    """The compiled chain_step, or _python_step where the library cannot be had."""
+    kernels = native.library()
+    if kernels is None:
         return _python_step
+    step = kernels.chain_step
     step.argtypes = (ctypes.POINTER(_Chain), ctypes.c_int64)
     step.restype = ctypes.c_int
     return step

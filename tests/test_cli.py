@@ -4,11 +4,16 @@ import csv
 import json
 import math
 import multiprocessing
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import moranlimits
 from moranlimits import cli, simulate
+from moranlimits import config as config_module
 from moranlimits import io as mio
 from moranlimits.config import ConfigError, load_config, parse_config, validate_for_command
 from moranlimits.model import MAX_RATE
@@ -199,15 +204,17 @@ class TestCommandValidation:
                 validate_for_command(config, "ode")
 
     def test_simulate_grid_budget(self, tmp_path):
-        # t_end / grid_step may reach 10^7, and no more
+        # t_end / grid_step may reach 10^7, and no more; the report's 1280 B
+        # a grid row refuse that many rows as well, on the memory budget
         at_budget = {"simulate.t_end": 1e7, "simulate.grid_step": 1.0}
-        validate_for_command(load_config(make_config(tmp_path, at_budget)), "simulate")
+        with pytest.raises(ConfigError, match="bytes exceeds the memory budget"):
+            validate_for_command(load_config(make_config(tmp_path, at_budget)), "simulate")
         for key, value in [
             ("simulate.t_end", math.nextafter(1e7, math.inf)),
             ("simulate.grid_step", math.nextafter(1.0, 0.0)),
         ]:
             config = load_config(make_config(tmp_path, {**at_budget, key: value}))
-            with pytest.raises(ConfigError, match="exceeds the budget"):
+            with pytest.raises(ConfigError, match="steps exceeds the budget of 1e\\+07"):
                 validate_for_command(config, "simulate")
 
     @pytest.mark.parametrize("command", ["simulate", "clt", "stationary"])
@@ -244,37 +251,41 @@ class TestCommandValidation:
 
     @pytest.mark.parametrize("command", ["simulate", "clt"])
     def test_chain_memory_budget(self, tmp_path, command):
-        # 128 grid rows make 6144 + 16 * 128 = 8192 bytes a path, so 2^17
-        # paths fill the 2^30-byte budget exactly
-        rows = {
-            "simulate": {"simulate.t_end": 63.0, "simulate.grid_step": 0.5},  # 126 + 2
-            "clt": {"clt.times": [0.01 * (i + 1) for i in range(127)]},  # 0 and 127 times
+        # 10 grid rows make 192 + 32 * 10 = 512 bytes a path, and the rows
+        # 1280 * 10 bytes for simulate or 3072 * 10 for clt, so 2,097,127
+        # or 2,097,092 paths fill the 2^30-byte budget exactly
+        rows, n_paths = {
+            "simulate": ({"simulate.t_end": 4.0, "simulate.grid_step": 0.5}, 2_097_127),  # 8 + 2
+            "clt": ({"clt.times": [0.01 * (i + 1) for i in range(9)]}, 2_097_092),  # 0 and 9 times
         }[command]
-        at_budget = {**rows, f"{command}.n_paths": 2**17}
+        at_budget = {**rows, f"{command}.n_paths": n_paths}
         validate_for_command(load_config(make_config(tmp_path, at_budget)), command)
-        config = load_config(make_config(tmp_path, {**at_budget, f"{command}.n_paths": 2**17 + 1}))
+        over = {**at_budget, f"{command}.n_paths": n_paths + 1}
+        config = load_config(make_config(tmp_path, over))
         with pytest.raises(ConfigError, match="bytes exceeds the memory budget of 1073741824"):
             validate_for_command(config, command)
 
     def test_stored_paths_memory_budget(self, tmp_path):
-        # s = u = 0 gives max_jump_rate 1/2: 2^17 paths of N = 100 to t = 1 on
-        # 3 grid rows bound 6,553,600 events, and 2^17 * (6144 + 16 * 3) bytes
-        # of paths plus 40 B per kept event fill the 2^30-byte budget exactly
+        # s = u = 0 gives max_jump_rate 1/2: 762,598 paths of N = 16 to t = 1
+        # on 3 grid rows bound 6,100,784 events, and 762,598 * (192 + 32 * 3
+        # + 800) bytes of kept paths, 1280 * 3 bytes of rows and 40 B per
+        # kept event fill the 2^30-byte budget exactly
+        n_paths = 762_598
         at_budget = {
-            "model.N": 100, "model.s": 0.0, "model.u": 0.0, "simulate.t_end": 1.0,
-            "simulate.grid_step": 1.0, "simulate.n_paths": 2**17, "simulate.store_paths": True,
+            "model.N": 16, "model.s": 0.0, "model.u": 0.0, "simulate.t_end": 1.0,
+            "simulate.grid_step": 1.0, "simulate.n_paths": n_paths, "simulate.store_paths": True,
         }
         validate_for_command(load_config(make_config(tmp_path, at_budget)), "simulate")
         for key, value in [
-            ("simulate.n_paths", 2**17 + 1),
-            ("model.N", 101),
+            ("simulate.n_paths", n_paths + 1),
+            ("model.N", 17),
             ("model.s", 1e-9),
         ]:
             config = load_config(make_config(tmp_path, {**at_budget, key: value}))
             with pytest.raises(ConfigError, match="events kept by 'simulate.store_paths'"):
                 validate_for_command(config, "simulate")
         # the kept events are what does not fit
-        unstored = {**at_budget, "simulate.n_paths": 2**17 + 1, "simulate.store_paths": False}
+        unstored = {**at_budget, "simulate.n_paths": n_paths + 1, "simulate.store_paths": False}
         validate_for_command(load_config(make_config(tmp_path, unstored)), "simulate")
         # the reference model stores its 100 paths (bound 3 * 10^5 events)
         reference = {"model.N": 1000, "simulate.t_end": 3.0, "simulate.n_paths": 100,
@@ -509,7 +520,7 @@ class TestMainExitCodes:
                 "simulate",
                 {"simulate.n_paths": 10**8, "simulate.t_end": 1e-8, "simulate.grid_step": 1e-8},
             ),
-            ("clt", {"clt.n_paths": 10**6}),
+            ("clt", {"clt.n_paths": 10**8, "clt.times": [1e-8]}),
         ],
     )
     def test_over_memory_budget_exits_2(self, tmp_path, capsys, command, overrides):
@@ -790,6 +801,43 @@ class TestSimulateCommand:
         levels = report["results"]["frac_sup_above"]
         assert set(levels) == {"0.01", "0.02", "0.05", "0.1"}
         assert not (out / "ensemble_paths.csv").exists()
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            # refused while each path was charged 6 KB (1.24e9 bytes)
+            {"simulate.n_paths": 200_000, "simulate.t_end": 1e-6, "simulate.grid_step": 1e-6},
+            {"model.N": 20, "simulate.n_paths": 200, "simulate.t_end": 20.0,
+             "simulate.grid_step": 1e-3},
+        ],
+        ids=["many-paths", "many-rows"],
+    )
+    def test_peak_memory_is_within_the_charge(self, tmp_path, overrides):
+        """In a fresh interpreter, the run's peak RSS above the import stays
+        within the memory config charges it."""
+        path = make_config(tmp_path, overrides)
+        settings = load_config(path).sections["simulate"]
+        rows = settings.t_end / settings.grid_step + 2
+        charge = settings.n_paths * (
+            config_module._PATH_BYTES + config_module._GRID_ROW_BYTES * rows
+        ) + config_module._REPORT_ROW_BYTES["simulate"] * rows
+        probe = (
+            "import resource, sys; from moranlimits import cli;"
+            " base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss;"
+            " code = cli.main(sys.argv[1:]);"
+            " print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - base)"
+        )
+        command = ["simulate", "--config", str(path), "--out", str(tmp_path / "out")]
+        result = subprocess.run(
+            [sys.executable, "-c", probe, *command],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": str(Path(moranlimits.__file__).parents[1])},
+        )
+        code, rise_kib = result.stdout.split()[-2:]  # after the command's summary line
+        assert code == "0"
+        assert int(rise_kib) * 1024 <= charge  # ru_maxrss counts KiB on Linux
 
     def test_store_paths(self, tmp_path):
         path = make_config(tmp_path, {"simulate.store_paths": True})

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import each_rk4_body
 from moranlimits import (
     DomainError,
     rk4,
@@ -358,10 +359,11 @@ class TestBatchedOracle:
     @staticmethod
     def assert_rows_match(rows, times, step=1e-3):
         z0s = np.array([z0 for _, z0 in rows])
-        batch = ode_oracle_at(z0s, times, step, [params for params, _ in rows])
-        assert batch.shape == (len(times), len(rows))
-        for j, (params, z0) in enumerate(rows):
-            assert_bitwise_equal(batch[:, j], ode_oracle_at(z0, times, step, params))
+        for _ in each_rk4_body():
+            batch = ode_oracle_at(z0s, times, step, [params for params, _ in rows])
+            assert batch.shape == (len(times), len(rows))
+            for j, (params, z0) in enumerate(rows):
+                assert_bitwise_equal(batch[:, j], ode_oracle_at(z0, times, step, params))
 
     def test_criterion_one_panel(self):
         rows = [
@@ -476,12 +478,14 @@ _ORACLE_SWEEP = {} if settings.get_current_profile_name() == "wide" else {"max_e
 @example(case=(REF, 0.1, np.linspace(0.0, 2.0, 21), 0.1))
 @example(case=(ModelParams(N=5, s=0.0, u=0.0, nu0=0.5), 0.4, [0.5, 1.5], 0.3))  # frozen
 def test_scalar_oracle_matches_integrate_at(case):
-    """The inline scalar loop equals rk4.integrate_at on the drift with the snap, bit for bit."""
+    """The compiled sweep and the inline scalar loop each equal rk4.integrate_at on
+    the drift with the snap, bit for bit."""
     params, z0, times, step = case
     expected = rk4.integrate_at(
         DriftFunctions(params).drift, z0, times, step, post=_snap_unit_scalar
     )
-    assert_bitwise_equal(ode_oracle_at(z0, times, step, params), expected)
+    for _ in each_rk4_body():
+        assert_bitwise_equal(ode_oracle_at(z0, times, step, params), expected)
 
 
 @pytest.mark.parametrize("target", [-5e-14, -1e-12, 1.0 + 5e-14, 1.0 + 1e-12])
@@ -498,7 +502,9 @@ def test_scalar_oracle_snaps_as_integrate_at(monkeypatch, target):
     expected = rk4.integrate_at(
         Relaxation(REF).drift, 0.5, times, 1e-2, post=_snap_unit_scalar
     )
-    assert_bitwise_equal(ode_oracle_at(0.5, times, 1e-2, REF), expected)
+    # both bodies read the stand-in's coefficients
+    for _ in each_rk4_body():
+        assert_bitwise_equal(ode_oracle_at(0.5, times, 1e-2, REF), expected)
     assert expected[-1] == round(target)  # each step's excursion is snapped back
 
 
@@ -522,9 +528,10 @@ def test_scalar_oracle_snaps_as_integrate_at(monkeypatch, target):
 def test_scalar_oracle_rejects_as_integrate_at(times, step):
     with pytest.raises(DomainError) as expected:
         rk4.integrate_at(DriftFunctions(REF).drift, 0.1, times, step, post=_snap_unit_scalar)
-    with pytest.raises(DomainError) as raised:
-        ode_oracle_at(0.1, times, step, REF)
-    assert str(raised.value) == str(expected.value)
+    for _ in each_rk4_body():
+        with pytest.raises(DomainError) as raised:
+            ode_oracle_at(0.1, times, step, REF)
+        assert str(raised.value) == str(expected.value)
 
 
 def test_integrate_at_scalar_state_stays_python_float():

@@ -66,7 +66,12 @@ def test_selfcheck_battery_loads_no_scipy(inline):
 
 
 def test_chain_step_is_neither_built_nor_loaded_at_import():
-    """simulate finds its batch step on first use, so no command pays for it at start."""
-    untouched = "assert moranlimits.simulate._batch_step.cache_info().currsize == 0"
+    """The compiled kernels are found on first use, by the chain's batch step or
+    an RK4 oracle, so no command pays for them at start."""
+    untouched = (
+        "import moranlimits.deterministic, moranlimits.fluctuations;"
+        " assert moranlimits.simulate._batch_step.cache_info().currsize == 0;"
+        " assert moranlimits.native.library.cache_info().currsize == 0"
+    )
     loaded = modules_loaded_by("moranlimits.cli", then=untouched)
     assert "subprocess" not in loaded

@@ -1,4 +1,5 @@
-"""Selfcheck criterion 2's quadrature against exact references.
+"""Selfcheck criterion 2's quadrature against exact references, and the
+compiled RK4 oracles of criteria 1 and 4 against rk4.
 
 The G7/K15 pair is checked on monomials, where both rules are exact up
 to their degree, and on criterion 2's own 420 integrals against a
@@ -6,12 +7,17 @@ to their degree, and on criterion 2's own 420 integrals against a
 mpmath from (s, u, nu0). The bounds were fixed before the first run.
 """
 
+import shutil
+
 import mpmath
 import numpy as np
 import pytest
 
-from moranlimits.deterministic import solve_deterministic
-from moranlimits.selfcheck import _sweep_sets, cumulative_integrals
+from conftest import each_rk4_body
+from moranlimits import native, rk4
+from moranlimits.deterministic import DriftFunctions, _snap_unit, ode_oracle_at, solve_deterministic
+from moranlimits.fluctuations import variance_ode
+from moranlimits.selfcheck import _flow_rows, _sweep_sets, _variance_rows, cumulative_integrals
 
 FEW_ULPS = 8 * np.finfo(float).eps  # a few ulps of the integrals on [-1, 1], at most 2
 CRITERION_2_TIMES = np.linspace(0.0, 5.0, 21)
@@ -81,3 +87,32 @@ def test_criterion_2_integrals_match_mpmath():
     assert compared == 420
     assert worst_rel < 1e-15
     assert worst_estimate < 1e-13
+
+
+def bitwise_equal(actual, expected) -> bool:
+    return np.array_equal(actual, expected, equal_nan=True) and np.array_equal(
+        np.signbit(actual), np.signbit(expected)
+    )
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="needs a C compiler")
+def test_compiled_sweeps_equal_rk4_on_criteria_1_and_4():
+    """Criterion 1's 63 rows to t = 10 and criterion 4's 42 rows to tau = 5, at
+    step 1e-3 as the criteria run them: the compiled flow sweep equals
+    rk4.integrate_at, and the compiled variance sweep variance_ode's Python
+    body, rk4.integrate on its right-hand side."""
+    assert native.library() is not None
+
+    rows = _flow_rows()
+    z0s, models = np.array([z0 for _, z0 in rows]), [params for params, _ in rows]
+    times = np.linspace(0.0, 10.0, 1001)
+    expected = rk4.integrate_at(DriftFunctions(models).drift, z0s, times, 1e-3, post=_snap_unit)
+    assert bitwise_equal(ode_oracle_at(z0s, times, 1e-3, models), expected)
+
+    rows = _variance_rows()
+    z0s, models = np.array([z0 for _, z0 in rows]), [params for params, _ in rows]
+    (taus, compiled), (python_taus, python) = [
+        variance_ode(z0s, 5.0, 1e-3, models) for _ in each_rk4_body()
+    ]
+    assert compiled.shape == (5001, 42)
+    assert bitwise_equal(taus, python_taus) and bitwise_equal(compiled, python)

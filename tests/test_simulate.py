@@ -25,6 +25,7 @@ from moranlimits import (
     TrajectoryPath,
     UnsupportedModelError,
     clt_statistics,
+    ode_oracle_at,
     run_ensemble,
     sample_Z_at,
     simulate_on_grid,
@@ -32,8 +33,9 @@ from moranlimits import (
     solve_deterministic,
     stationary_distribution,
     summarize_paths,
+    variance_ode,
 )
-from moranlimits import simulate
+from moranlimits import native, simulate
 from moranlimits.io import dump_json
 from moranlimits.model import rate_tables
 from moranlimits.selfcheck import reference_params
@@ -561,6 +563,7 @@ def reference_chain(k0, t_end, seed, params, grid=None):
 
 
 _BATCH_STEP = simulate._batch_step
+_LIBRARY = native.library
 
 
 def each_step():
@@ -668,37 +671,50 @@ class TestChainKernel:
 
 
 class TestBatchStepLoader:
-    """The compiled step is built once into the cache; where it cannot be, the Python step runs."""
+    """The kernels are built once into the cache; where they cannot be, the
+    Python batch step and RK4 loops run."""
 
     PARAMS = ModelParams(N=1000, s=1.0, u=0.5, nu0=0.5)
     GRID = np.linspace(0.0, 2.0, 11)
 
     @pytest.fixture
     def cache(self, monkeypatch, tmp_path):
-        """An empty cache home, and a _batch_step that looks for its step afresh."""
-        self.found = _BATCH_STEP()  # the step found with the usual cache
+        """An empty cache home, and a native.library and _batch_step that look
+        for the library afresh."""
+        self.found = _BATCH_STEP()  # the step and the kernels found with the usual cache
+        self.kernels = _LIBRARY()
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+        _LIBRARY.cache_clear()
         _BATCH_STEP.cache_clear()
         yield tmp_path / "cache" / "moranlimits"
+        _LIBRARY.cache_clear()
         _BATCH_STEP.cache_clear()
 
     def outputs(self):
         states, absorbed = simulate._run_paths(100, self.GRID, 7, 16, self.PARAMS)
         path = simulate_path(100, 2.0, [7, 0], self.PARAMS)
-        return states.tolist(), absorbed.tolist(), path.times.tolist(), path.states.tolist()
+        starts, models = np.array([0.1, 0.9]), [self.PARAMS, REF]
+        return (
+            states.tolist(), absorbed.tolist(), path.times.tolist(), path.states.tolist(),
+            ode_oracle_at(0.1, self.GRID, 1e-3, self.PARAMS).tolist(),
+            ode_oracle_at(starts, self.GRID, 1e-3, models).tolist(),
+            variance_ode(starts, 2.0, 1e-3, models)[1].tolist(),
+        )
 
     @pytest.mark.skipif(shutil.which("cc") is None, reason="needs a C compiler")
     def test_compiled_step_loads(self, cache, capfd):
         step = _BATCH_STEP()
         assert step is not simulate._python_step
         assert _BATCH_STEP() is step
-        assert [p.name for p in cache.iterdir()] == [f"chain_step-{library_key()}.so"]
+        assert _LIBRARY() is not None and _LIBRARY() is _LIBRARY()
+        assert [p.name for p in cache.iterdir()] == [f"kernels-{library_key()}.so"]
         assert capfd.readouterr() == ("", "")
 
     @pytest.mark.parametrize("failure", ["no-compiler", "compile-fails", "unwritable-cache"])
     def test_falls_back_with_identical_outputs(self, cache, capfd, monkeypatch, tmp_path, failure):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(simulate, "_batch_step", lambda: self.found)
+            patch.setattr(native, "library", lambda: self.kernels)
             expected = self.outputs()
         if failure == "unwritable-cache":
             (tmp_path / "cache").write_text("a file, not a directory")
@@ -710,6 +726,7 @@ class TestBatchStepLoader:
                 (bin_dir / "cc").chmod(0o755)
             monkeypatch.setenv("PATH", str(bin_dir))
         assert _BATCH_STEP() is simulate._python_step
+        assert _LIBRARY() is None  # so the RK4 oracles run their Python loops
         assert self.outputs() == expected
         assert capfd.readouterr() == ("", "")
         if failure == "compile-fails":
@@ -728,9 +745,10 @@ class TestBatchStepLoader:
         private = tmp_path / f"moranlimits-{os.getuid()}"
         assert _BATCH_STEP() is not simulate._python_step
         assert private.stat().st_mode & 0o777 == 0o700
-        assert [p.name for p in private.iterdir()] == [f"chain_step-{library_key()}.so"]
+        assert [p.name for p in private.iterdir()] == [f"kernels-{library_key()}.so"]
         # a directory others may write to could hold anyone's library
         private.chmod(0o777)
+        _LIBRARY.cache_clear()
         _BATCH_STEP.cache_clear()
         assert _BATCH_STEP() is simulate._python_step
 
@@ -754,12 +772,12 @@ class TestBatchStepLoader:
         states, _ = simulate._run_paths(100, self.GRID, 7, 16, self.PARAMS)
         expected = f"True {hashlib.sha256(states.tobytes()).hexdigest()}\n"
         assert lines == [expected, expected]
-        assert [p.name for p in cache.iterdir()] == [f"chain_step-{library_key()}.so"]
+        assert [p.name for p in cache.iterdir()] == [f"kernels-{library_key()}.so"]
 
 
 def library_key():
     """SHA-256 of the shipped source and the compiler flags."""
-    source = simulate._SOURCE.read_bytes()
+    source = native._SOURCE.read_bytes()
     return hashlib.sha256(source + b"-O2 -ffp-contract=off -shared -fPIC").hexdigest()
 
 
