@@ -45,7 +45,8 @@ _MAX_STEPS = 10**7
 # simulate and clt build a rate table of N + 1 rows, about 100 bytes
 # each, and stationary writes a pmf CSV of N + 1 rows. simulate and clt
 # run at most n_paths * t_end * N * max_jump_rate events, at 25 to 55
-# million events per second on a 2-vCPU VM (about 2.5 million without a C
+# million events per second per core on a 2-vCPU VM, on as many cores as
+# the process may use (about 2.5 million on one core without a C
 # compiler).
 _MAX_TABLE_ROWS = 10**7
 _MAX_EVENTS = 10**10
@@ -54,12 +55,12 @@ _MAX_EVENTS = 10**10
 # grid row, each above the peak memory measured over the import (ru_maxrss,
 # CPython 3.11, numpy 2): 192 B a path against 120 to 127 B (its stream's
 # state and hash words, its absorbed flag, its sup deviation in an array, a
-# list and the report's text; the run's paths share one set of batch
-# buffers); 32 B a path and grid row against 24.4 B (its state, its
-# proportion, and one temporary of the same size while the summary's
-# statistics are formed); and per grid row 1280 B for simulate against
-# 847 to 862 B and 3072 B for clt against 2317 B (the report's per-time
-# lists or rows, its JSON text and the CSV).
+# list and the report's text; each of the run's threads has one set of
+# batch buffers, which the paths it runs share); 32 B a path and grid row
+# against 24.4 to 25.2 B (its state, its proportion, and one temporary of
+# the same size while the summary's statistics are formed); and per grid
+# row 1280 B for simulate against 847 to 862 B and 3072 B for clt against
+# 2317 B (the report's per-time lists or rows, its JSON text and the CSV).
 _PATH_BYTES = 192
 _GRID_ROW_BYTES = 32
 _REPORT_ROW_BYTES = {"simulate": 1280, "clt": 3072}

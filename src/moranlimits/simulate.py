@@ -12,8 +12,17 @@ coins. _run_chain draws each batch with numpy and hands it to one batch
 step, which runs the path's events on it: the wait t + w / rate, the
 coin test coin < p_up[k], the grid fill, the optional event record, and
 the stop at the grid's end or at a state of rate 0. Every path runs
-this way, one at a time: simulate_path, simulate_on_grid and each path
-of run_ensemble.
+this way: simulate_path, simulate_on_grid and each path of run_ensemble.
+
+An ensemble's paths run on min(n_paths, usable CPUs) threads, the
+calling thread and helpers, each with its own chain: the compiled step
+and numpy's fills of the batch buffers release the GIL, so nearly all of
+a path's time runs in parallel. The usable CPUs are those the process
+may run on; with the Python step, which holds the GIL, one thread runs
+them all. Paths are handed out one at a time, and path p still runs on
+its own stream and writes row p, so the result does not depend on the
+thread that ran it. Every helper has ended before run_ensemble returns
+or raises.
 
 The step has two bodies with the same arithmetic: chain_step in
 kernels.c, which native.library() compiles on first use and loads with
@@ -37,6 +46,8 @@ from __future__ import annotations
 import ctypes
 import functools
 import math
+import os
+import threading
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -91,14 +102,26 @@ class TrajectoryPath:
         return int(self.times.size)
 
 
+def _step_tables(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """Every state's total event rate and the probability that its event goes up."""
+    lam, mu = rate_tables(params)
+    rates = lam + mu
+    with np.errstate(invalid="ignore", divide="ignore"):
+        positive = rates > 0.0
+        p_up = np.where(positive, lam / np.where(positive, rates, 1.0), 0.0)
+    return rates, p_up
+
+
 class _Chain(ctypes.Structure):
     """One run of the chain: kernels.c's chain_t and the arrays it points into.
 
-    The rate tables, the time grid and the batch buffers are shared by
-    the run's paths; t, k, gi and kept are the position of the path
-    being run. Every array the step reads or writes is an attribute, so
-    its address stays valid for the life of the run. times and states,
-    one batch's events, are allocated only when the chain keeps events.
+    The batch buffers and grid_states are the chain's own and serve the
+    paths it runs one after another; the step tables and the time grid
+    are only read, so chains may share them. t, k, gi and kept are the
+    position of the path being run. Every array the step reads or writes
+    is an attribute, so its address stays valid for the life of the run.
+    times and states, one batch's events, are allocated only when the
+    chain keeps events.
     """
 
     _fields_ = [
@@ -117,12 +140,8 @@ class _Chain(ctypes.Structure):
         ("t", ctypes.c_double),
     ]
 
-    def __init__(self, params: ModelParams, grid: np.ndarray, keep_events: bool = False):
-        lam, mu = rate_tables(params)
-        self.rates = lam + mu
-        with np.errstate(invalid="ignore", divide="ignore"):
-            positive = self.rates > 0.0
-            self.p_up = np.where(positive, lam / np.where(positive, self.rates, 1.0), 0.0)
+    def __init__(self, tables: tuple, grid: np.ndarray, keep_events: bool = False):
+        self.rates, self.p_up = tables  # _step_tables' result
         self.grid = np.ascontiguousarray(grid, dtype=float)
         self.waits = np.empty(_BATCH_MAX)
         self.coins = np.empty(_BATCH_MAX)
@@ -223,16 +242,64 @@ def _run_chain(k0: int, rng: np.random.Generator, chain: _Chain):
     return status == _ABSORBED, np.concatenate(times), np.concatenate(states)
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the platform has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _run_paths(
     k0: int, grid: np.ndarray, rng_seed: int, n_paths: int, params: ModelParams
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Grid states (n_paths, grid.size) and absorbed flags of paths on the streams [rng_seed, p]."""
-    chain = _Chain(params, grid)
+    """Grid states (n_paths, grid.size) and absorbed flags of paths on the streams [rng_seed, p].
+
+    The paths run on min(n_paths, _usable_cpus()) threads, one with the
+    Python step: this one and helpers, each driving its own chain. A
+    thread takes the next path from one locked source (a generator may
+    not be advanced by two threads at once) and writes its row. The first
+    exception in a helper stops every thread at its next path and is
+    raised here, and one here stops the helpers too; every helper has
+    been joined before this returns or raises, so io.fork_pool may fork
+    afterwards.
+    """
+    threads = 1 if _batch_step() is _python_step else min(n_paths, _usable_cpus())
+    tables = _step_tables(params)
+    chains = [_Chain(tables, grid) for _ in range(threads)]
     states = np.empty((n_paths, grid.size), dtype=np.int64)
     absorbed = np.zeros(n_paths, dtype=bool)
-    for p, rng in enumerate(path_generators(rng_seed, n_paths)):
-        absorbed[p] = _run_chain(k0, rng, chain)[0]
-        states[p] = chain.grid_states
+    source = enumerate(path_generators(rng_seed, n_paths))
+    lock, stop, errors = threading.Lock(), threading.Event(), []
+
+    def run(chain: _Chain) -> None:
+        while not stop.is_set():
+            with lock:
+                p, rng = next(source, (None, None))
+            if rng is None:
+                return
+            absorbed[p] = _run_chain(k0, rng, chain)[0]
+            states[p] = chain.grid_states
+
+    def helper(chain: _Chain) -> None:
+        try:
+            run(chain)
+        except BaseException as err:  # raised again in the calling thread
+            errors.append(err)
+            stop.set()
+
+    helpers = []
+    try:
+        for chain in chains[1:]:
+            thread = threading.Thread(target=helper, args=(chain,))
+            thread.start()
+            helpers.append(thread)
+        run(chains[0])
+    finally:
+        stop.set()
+        for thread in helpers:
+            thread.join()
+    if errors:
+        raise errors[0]
     return states, absorbed
 
 
@@ -252,7 +319,7 @@ def simulate_path(
     k0 = check_int(k0, "k0", 0, params.N)
     t_end = check_real(t_end, "t_end", minimum=0.0)
     check_seed(rng_seed, sequence=True)
-    chain = _Chain(params, np.array([t_end]), keep_events=True)
+    chain = _Chain(_step_tables(params), np.array([t_end]), keep_events=True)
     absorbed, times, states = _run_chain(k0, np.random.default_rng(rng_seed), chain)
     return TrajectoryPath(
         params=params,
@@ -276,7 +343,7 @@ def simulate_on_grid(
     k0 = check_int(k0, "k0", 0, params.N)
     grid = check_grid(t_grid)
     check_seed(rng_seed, sequence=True)
-    chain = _Chain(params, grid)
+    chain = _Chain(_step_tables(params), grid)
     _run_chain(k0, np.random.default_rng(rng_seed), chain)
     return chain.grid_states
 
@@ -307,7 +374,9 @@ class EnsembleSummary:
 
     z_values[p, j] is path p's proportion at t_grid[j], and z_ref[j] the
     reference curve's value there; the deviation views below compare
-    against it.
+    against it. Each per-path or per-time statistic is formed on its
+    first read and kept; the (n_paths, rows) scaled_deviations is formed
+    afresh on each read, and kept by none.
     """
 
     params: ModelParams
@@ -319,15 +388,15 @@ class EnsembleSummary:
     z_ref: np.ndarray
     absorbed_count: int
 
-    @property
+    @functools.cached_property
     def mean_z(self) -> np.ndarray:
         return self.z_values.mean(axis=0)
 
-    @property
+    @functools.cached_property
     def var_z(self) -> np.ndarray:
         return _grid_variance(self.z_values)
 
-    @property
+    @functools.cached_property
     def sup_deviation(self) -> np.ndarray:
         """Per-path sup over the grid of |Z^N_t - reference(t)|."""
         return np.abs(self.z_values - self.z_ref).max(axis=1)
@@ -337,15 +406,21 @@ class EnsembleSummary:
         """Per-path, per-time sqrt(N) (Z^N_t - reference(t))."""
         return math.sqrt(self.params.N) * (self.z_values - self.z_ref)
 
+    @functools.cached_property
+    def _scaled_moments(self) -> tuple[np.ndarray, np.ndarray]:
+        """scaled_dev_mean and scaled_dev_var, from one scaled_deviations."""
+        scaled = self.scaled_deviations
+        return scaled.mean(axis=0), _grid_variance(scaled)
+
     @property
     def scaled_dev_mean(self) -> np.ndarray:
         """Per-time mean over paths of the scaled deviation."""
-        return self.scaled_deviations.mean(axis=0)
+        return self._scaled_moments[0]
 
     @property
     def scaled_dev_var(self) -> np.ndarray:
         """Per-time sample variance over paths of the scaled deviation."""
-        return _grid_variance(self.scaled_deviations)
+        return self._scaled_moments[1]
 
     def to_record(self) -> dict:
         return {

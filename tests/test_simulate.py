@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +37,7 @@ from moranlimits import (
     variance_ode,
 )
 from moranlimits import native, simulate
-from moranlimits.io import dump_json
+from moranlimits.io import dump_json, fork_pool
 from moranlimits.model import rate_tables
 from moranlimits.selfcheck import reference_params
 
@@ -340,20 +341,28 @@ class TestLockstepKernel:
         # There is no kernel choice: whatever the path count and the event
         # bound (about 1000 t_end events a path at N = 1000 on the reference
         # shape), run_ensemble runs path p through _run_chain on the stream
-        # [13, p], in order. The chain is faked, so nothing simulates.
-        streams = []
+        # [13, p] and writes row p, whichever of three threads takes it.
+        # The chain is faked, so nothing simulates: it fills the row with a
+        # mark of the stream it was given.
+        marks = []
+
+        def mark(state):  # exact as a float, and so after the division by N
+            return state["state"]["state"] % 2**50
 
         def fake_chain(k0, rng, chain):
-            streams.append(rng.bit_generator.state["state"])
-            chain.grid_states[:] = k0
+            marks.append(mark(rng.bit_generator.state))
+            chain.grid_states[:] = marks[-1]
             return False, None, None
 
         monkeypatch.setattr(simulate, "_run_chain", fake_chain)
+        monkeypatch.setattr(simulate, "_usable_cpus", lambda: 3)
         params = ModelParams(N=1000, s=1.0, u=0.5, nu0=0.5)
         reference = flow_from(100, params)
-        run_ensemble(100, np.linspace(0.0, t_end, 6), n_paths, 13, params, reference)
-        expected = [np.random.default_rng([13, p]).bit_generator.state for p in range(n_paths)]
-        assert streams == [state["state"] for state in expected]
+        summary = run_ensemble(100, np.linspace(0.0, t_end, 6), n_paths, 13, params, reference)
+        expected = [mark(np.random.default_rng([13, p]).bit_generator.state) for p in range(n_paths)]
+        assert sorted(marks) == sorted(expected)  # each stream run exactly once
+        rows = np.array(expected, dtype=np.int64)[:, None] / params.N
+        assert np.array_equal(summary.z_values, np.broadcast_to(rows, (n_paths, 6)))
 
     @pytest.mark.parametrize("extra", [-1, 0, 37])
     def test_reference_shape_non_uniform_grid(self, extra):
@@ -476,6 +485,145 @@ class TestLockstepKernel:
         grid = np.unique(np.linspace(0.0, t_end, grid_points) * spread)
         grid = np.append(grid[grid < t_end], t_end)
         self.run_and_compare(k0, grid, n_paths, seed, params)
+
+
+class TestThreadedPaths:
+    """An ensemble's paths on helper threads, each with its own chain.
+
+    The thread count, min(n_paths, usable CPUs) with the compiled step,
+    is forced through simulate._usable_cpus; three threads are more than
+    the cores of a two-CPU host.
+    """
+
+    PARAMS = ModelParams(N=1000, s=1.0, u=0.5, nu0=0.5)
+    GRID = np.linspace(0.0, 2.0, 11)
+
+    @pytest.fixture
+    def cpus(self, monkeypatch):
+        """Sets the usable CPUs; skips where the compiled step cannot be had."""
+        if simulate._batch_step() is simulate._python_step:
+            pytest.skip("needs the compiled batch step")
+        return lambda n: monkeypatch.setattr(simulate, "_usable_cpus", lambda: n)
+
+    @pytest.fixture
+    def helpers(self, monkeypatch):
+        """The threads started while the test runs."""
+        started, start = [], threading.Thread.start
+
+        def spy(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", spy)
+        return started
+
+    @pytest.mark.parametrize(
+        "n, s, u, k0, t_end, n_paths",
+        [
+            (1000, 1.0, 0.5, 100, 2.0, 40),
+            (1000, 1.0, 0.5, 100, 2.0, 2),
+            (60, 0.3, 0.0, 30, 40.0, 24),
+            (13, 0.0, 1e-309, 6, 50.0, 16),
+        ],
+        ids=["reference-shape", "fewer-paths-than-threads", "absorbing", "subnormal-u"],
+    )
+    def test_identical_at_any_thread_count(self, cpus, n, s, u, k0, t_end, n_paths):
+        params = ModelParams(N=n, s=s, u=u, nu0=0.5)
+        grid = np.linspace(0.0, t_end, 9)
+        reference = flow_from(k0, params)
+        runs = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # threads trade the GIL as often as they can
+        try:
+            for threads in (1, 2, 3):
+                cpus(threads)
+                summary = run_ensemble(k0, grid, n_paths, 9, params, reference)
+                clt = clt_statistics(k0 / n, grid[1:], n_paths, 9, params) if u else None
+                runs.append((summary.z_values.tobytes(), summary.to_record(), clt))
+        finally:
+            sys.setswitchinterval(interval)
+        assert runs[0] == runs[1] == runs[2]
+        if u == 0.0:
+            assert runs[0][1]["absorbed_count"] > 0
+
+    def test_hand_out_under_contention(self, cpus, monkeypatch):
+        # Paths that do no work, so the threads contend for the path source
+        # alone: each writes the first draw of the stream it was given.
+        def fake_chain(k0, rng, chain):
+            chain.grid_states[:] = rng.integers(2**62)
+            return False, None, None
+
+        monkeypatch.setattr(simulate, "_run_chain", fake_chain)
+        runs = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for threads in (1, 3):
+                cpus(threads)
+                runs.append(simulate._run_paths(0, np.zeros(1), 13, 4000, self.PARAMS)[0])
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(runs[0], runs[1])
+
+    @pytest.mark.parametrize("cpu_count, n_paths, threads", [(1, 8, 1), (3, 8, 3), (3, 2, 2)])
+    def test_thread_count(self, cpus, helpers, cpu_count, n_paths, threads):
+        cpus(cpu_count)
+        run_ensemble(100, self.GRID, n_paths, 5, self.PARAMS, flow_from(100, self.PARAMS))
+        assert len(helpers) == threads - 1
+        assert not any(thread.is_alive() for thread in helpers)
+        assert threading.active_count() == 1
+
+    def test_python_step_runs_no_helper(self, monkeypatch, helpers):
+        # Without the library, _batch_step finds the Python step, which
+        # holds the GIL: this thread runs every path.
+        monkeypatch.setattr(simulate, "_usable_cpus", lambda: 3)
+        reference = flow_from(100, self.PARAMS)
+        expected = run_ensemble(100, self.GRID, 6, 5, self.PARAMS, reference).z_values
+        helpers.clear()
+        _BATCH_STEP.cache_clear()
+        try:
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(native, "library", lambda: None)
+                assert simulate._batch_step() is simulate._python_step
+                summary = run_ensemble(100, self.GRID, 6, 5, self.PARAMS, reference)
+        finally:
+            _BATCH_STEP.cache_clear()
+        assert helpers == []
+        assert np.array_equal(summary.z_values, expected)
+
+    @pytest.mark.skipif(
+        sys.platform == "win32" or not hasattr(os, "fork"), reason="fork_pool needs fork"
+    )
+    def test_a_helper_error_reaches_the_caller_and_no_thread_outlives_it(
+        self, cpus, monkeypatch
+    ):
+        cpus(2)
+        run_chain, failed = simulate._run_chain, threading.Event()
+
+        def fail_in_helper(k0, rng, chain):
+            if threading.current_thread() is not threading.main_thread():
+                failed.set()
+                raise RuntimeError("a path failed")
+            assert failed.wait(timeout=30)  # this thread's path outlasts the helper's
+            return run_chain(k0, rng, chain)
+
+        monkeypatch.setattr(simulate, "_run_chain", fail_in_helper)
+        reference = flow_from(100, self.PARAMS)
+        with pytest.raises(RuntimeError, match="a path failed"):
+            run_ensemble(100, self.GRID, 8, 5, self.PARAMS, reference)
+        assert threading.active_count() == 1
+        monkeypatch.setattr(simulate, "_run_chain", run_chain)
+        run_ensemble(100, self.GRID, 8, 5, self.PARAMS, reference)
+        assert threading.active_count() == 1
+        pool = fork_pool()  # a worker may be forked right after an ensemble
+        assert pool is not None
+        pool.shutdown()
+
+    def test_usable_cpus_reads_the_affinity_mask(self, monkeypatch):
+        if hasattr(os, "sched_getaffinity"):
+            assert simulate._usable_cpus() == len(os.sched_getaffinity(0))
+            monkeypatch.delattr(os, "sched_getaffinity")
+        assert simulate._usable_cpus() == (os.cpu_count() or 1)
 
 
 class TestSummarizePaths:
