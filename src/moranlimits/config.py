@@ -25,7 +25,14 @@ from functools import partial
 from pathlib import Path
 from typing import Optional
 
-from .model import DomainError, ModelParams, check_int, check_real, max_jump_rate
+from .model import (
+    MEMORY_BUDGET,
+    DomainError,
+    ModelParams,
+    check_int,
+    check_real,
+    max_jump_rate,
+)
 
 CURRENT_SCHEMA = "1"
 
@@ -64,7 +71,6 @@ _MAX_EVENTS = 10**10
 _PATH_BYTES = 192
 _GRID_ROW_BYTES = 32
 _REPORT_ROW_BYTES = {"simulate": 1280, "clt": 3072}
-_MAX_ENSEMBLE_BYTES = 2**30
 # simulate with store_paths keeps every event twice: 16 B in its path's times
 # and states, and 24 B in the three CSV columns (38.5 B measured per event).
 # Each kept path adds 800 B, against 627 B measured (its TrajectoryPath and
@@ -389,8 +395,8 @@ def _require_chain_budget(config: ExperimentConfig, section: str) -> None:
             f" + {_STORED_EVENT_BYTES} * {events:.3g}"
         )
         remedy = "lower n_paths, the horizon or N, or set store_paths to false"
-    if size > _MAX_ENSEMBLE_BYTES:
+    if size > MEMORY_BUDGET:
         raise ConfigError(
             f"{terms} = {values} = {size:.3g} bytes exceeds the memory budget of"
-            f" {_MAX_ENSEMBLE_BYTES} (1 GiB); {remedy}"
+            f" {MEMORY_BUDGET} (1 GiB); {remedy}"
         )

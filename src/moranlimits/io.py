@@ -18,19 +18,15 @@ cells up in that table. The bytes are those of format_cell applied to
 every cell of the zipped rows; rows are joined and written in blocks of
 _BLOCK_ROWS, so the formatted text held at once stays bounded.
 
-A table of more than one block is formatted on two cores when fork_pool
-gives a worker: the platform has the fork start method and this process
-runs no thread but its main one (a forked child would hold a copy of any
-lock another thread holds). selfcheck.run_all asks fork_pool too, and
-neither falls back to another start method. One forked worker formats
-the odd blocks, this process formats the even ones and writes every
-block in order, so the bytes are those of the serial loop. One worker
-block is in flight at a time: block i + 1 is submitted before block i
-is formatted, and its text is written right after block i. The worker
-is forked before the file is opened. If it dies, this process formats
-its block and every later one itself, and the worker has exited before
-write_csv returns. Any other table is formatted block by block in this
-process.
+Each block whose columns are all float64 or int64 arrays is formatted
+by the compiled library (native.format_rows), which writes the same
+bytes; any other block, or every block where the library cannot be had,
+is formatted here in Python.
+
+fork_pool gives selfcheck.run_all its one worker process, forked only
+where the platform has the fork start method and this process runs no
+thread but its main one (a forked child would hold a copy of any lock
+another thread holds); there is no fallback to another start method.
 """
 
 from __future__ import annotations
@@ -41,6 +37,8 @@ import threading
 from pathlib import Path
 
 import numpy as np
+
+from . import native
 
 # Rows formatted and written per block.
 _BLOCK_ROWS = 65536
@@ -108,19 +106,7 @@ def write_csv(path: Path, header: list, columns: list) -> None:
     if len(lengths) > 1:
         raise ValueError(f"columns differ in length: {sorted(lengths)}")
     n_rows = lengths.pop() if lengths else 0
-    starts = range(0, n_rows, _BLOCK_ROWS)
-    pool = fork_pool(_hold_columns, (columns,)) if len(starts) > 1 else None
-    if pool is None:
-        _write_blocks(path, header, (_format_block(columns, start) for start in starts))
-        return
-    with pool:
-        # The first submit forks the worker, before the file is opened, so
-        # the worker inherits no buffer of it.
-        first = pool.submit(_format_held_block, starts[1])
-        _write_blocks(path, header, _alternating_blocks(pool, first, columns, starts))
-
-
-def _write_blocks(path: Path, header: list, texts) -> None:
+    texts = (_format_block(columns, start) for start in range(0, n_rows, _BLOCK_ROWS))
     _write_texts(path, itertools.chain([",".join(header) + "\n"], texts))
 
 
@@ -128,8 +114,8 @@ def _write_texts(path: Path, texts) -> None:
     """Write each of texts to path in order.
 
     An OSError of the file itself, such as a full disk, is raised naming
-    path, so the CLI reports it; one raised while texts forms a text,
-    such as a failed fork, propagates as it is.
+    path, so the CLI reports it; one raised while texts forms a text is
+    not the file's, and propagates as it is.
     """
     handle = open(path, "w", encoding="utf-8", newline="\n")
     try:
@@ -148,14 +134,17 @@ def _write_texts(path: Path, texts) -> None:
 
 def _format_block(columns: list, start: int) -> str:
     """The rows from start on, at most _BLOCK_ROWS of them, each ending in a newline."""
-    block = slice(start, start + _BLOCK_ROWS)
-    cells = [_format_column(column[block]) for column in columns]
-    return "\n".join(map(",".join, zip(*cells))) + "\n"
+    block = [column[start : start + _BLOCK_ROWS] for column in columns]
+    text = native.format_rows(block)
+    if text is None:
+        cells = [_format_column(column) for column in block]
+        text = "\n".join(map(",".join, zip(*cells))) + "\n"
+    return text
 
 
-def fork_pool(initializer=None, initargs=()):
+def fork_pool():
     """A one-worker ProcessPoolExecutor in the fork context, or None where this
-    process may not fork (module docstring); initializer(*initargs) runs first."""
+    process may not fork (module docstring)."""
     if threading.active_count() != 1:
         return None
     import multiprocessing  # deferred: only a worker needs these modules
@@ -164,47 +153,4 @@ def fork_pool(initializer=None, initargs=()):
         return None
     from concurrent.futures import ProcessPoolExecutor
 
-    context = multiprocessing.get_context("fork")
-    return ProcessPoolExecutor(
-        max_workers=1, mp_context=context, initializer=initializer, initargs=initargs
-    )
-
-
-# The columns of the table being written, set only in a forked worker: a
-# submit sends the worker a block's start, not its rows.
-_held_columns: list = []
-
-
-def _hold_columns(columns: list) -> None:
-    global _held_columns
-    _held_columns = columns
-
-
-def _format_held_block(start: int) -> str:
-    return _format_block(_held_columns, start)
-
-
-def _alternating_blocks(pool, first, columns: list, starts: range):
-    """Every block's text in order: odd blocks from the worker, even ones from here.
-
-    first is the worker's future for block 1. Block i + 1 is submitted
-    before block i is formatted, so one worker block is in flight at a
-    time. Once the worker has died, every block not yet yielded is
-    formatted here.
-    """
-    from concurrent.futures.process import BrokenProcessPool
-
-    future, done = first, 0
-    try:
-        for even in range(0, len(starts), 2):
-            odd = even + 1
-            if even and odd < len(starts):
-                future = pool.submit(_format_held_block, starts[odd])
-            yield _format_block(columns, starts[even])
-            done += 1
-            if odd < len(starts):
-                yield future.result()
-                done += 1
-    except BrokenProcessPool:
-        for start in starts[done:]:
-            yield _format_block(columns, start)
+    return ProcessPoolExecutor(max_workers=1, mp_context=multiprocessing.get_context("fork"))

@@ -30,6 +30,11 @@ ArrayLike = Union[float, np.ndarray]
 # built from s and u, finite.
 MAX_RATE = 1e150
 
+# Bytes a command may hold at once (1 GiB): config refuses an ensemble
+# predicted over it before any work, and stationary closes each window
+# of the law within it.
+MEMORY_BUDGET = 2**30
+
 
 class DomainError(ValueError):
     """An argument lies outside the domain the operation is defined on."""

@@ -1,11 +1,21 @@
 """The package's compiled kernels: kernels.c, built on first use and loaded with ctypes.
 
-kernels.c, shipped beside this module, holds three kernels: the chain's
-batch step (simulate), and the RK4 sweeps of the flow oracle
+kernels.c, shipped beside this module, holds four kernels: the chain's
+batch step (simulate), the RK4 sweeps of the flow oracle
 (deterministic.ode_oracle_at) and of the variance oracle
-(fluctuations.variance_ode). Each has a Python body with the same
-arithmetic, which runs where the library cannot be had, and each equals
-it bit for bit.
+(fluctuations.variance_ode), and the CSV formatter of float64 and int64
+columns (format_rows, for io.write_csv). Each has a Python body that
+runs where the library cannot be had, and each equals it bit for bit,
+or byte for byte.
+
+The formatter writes each float's shortest round-trip digits, as repr
+does, exactly on 128-bit integers within a window of magnitudes; every
+other float (nan, inf, a subnormal, one outside the window, or any
+float where the compiler has no 128-bit type) it hands to CPython's own
+PyOS_double_to_string, the call of float.__repr__, and frees the text
+with PyMem_Free. Both allocate through CPython, which needs the GIL, so
+format_table is bound with ctypes.PYFUNCTYPE, whose calls hold the GIL;
+the other kernels release it.
 
 library() compiles the source on first use, not at import, with
 cc -O2 -ffp-contract=off -shared -fPIC into $XDG_CACHE_HOME/moranlimits
@@ -47,6 +57,11 @@ _SWEEP_ARGS = (ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64,
 # The coefficients each sweep reads per row: a, b, c of the drift, and for
 # the variance system also ga, gb, gc of the diffusion and the rate r.
 _SWEEP_COEFFICIENTS = {"rk4_flow": 3, "rk4_variance": 7}
+_TABLE_DTYPES = (np.dtype(np.float64), np.dtype(np.int64))
+# Output bytes a cell: no repr of a float is longer than 24 characters
+# (-2.2250738585072014e-308) nor str of an int64 than 20, and a comma or
+# newline follows each cell.
+_CELL_BYTES = 25
 
 
 def _cache_dir() -> Path:
@@ -111,8 +126,8 @@ def library() -> Optional[ctypes.CDLL]:
     """The compiled kernels, or None where they cannot be built or loaded.
 
     Found on first use, not at import, and never raises or prints. The
-    RK4 sweeps' prototypes are set here; simulate sets chain_step's,
-    whose argument is its own chain structure.
+    RK4 sweeps' and format_table's prototypes are set here; simulate sets
+    chain_step's, whose argument is its own chain structure.
     """
     try:
         kernels = ctypes.CDLL(str(_built_library()))
@@ -121,6 +136,13 @@ def library() -> Optional[ctypes.CDLL]:
     kernels.rk4_flow.argtypes = _SWEEP_ARGS + (ctypes.c_double, ctypes.c_double, ctypes.c_void_p)
     kernels.rk4_variance.argtypes = _SWEEP_ARGS + (ctypes.c_void_p,)
     kernels.rk4_flow.restype = kernels.rk4_variance.restype = ctypes.c_int
+    # format_table(columns, float flags, data pointers, rows, output,
+    # CPython's repr, its free) holds the GIL while it runs (module
+    # docstring), and raises the exception a failed repr sets
+    kernels.format_table = ctypes.PYFUNCTYPE(
+        ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64,
+        ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
+    )(("format_table", kernels))
     return kernels
 
 
@@ -153,3 +175,33 @@ def rk4_sweep(
     if status != 0:
         return None
     return out if np.ndim(y0) else out[:, 0]
+
+
+def format_rows(columns: Sequence) -> Optional[str]:
+    """The CSV rows of equal-length columns, each row ending in a newline,
+    with the bytes io.format_cell gives each cell.
+
+    Returns None where a column is not a 1-d float64 or int64 array or
+    the library cannot be had: the caller then formats the rows in Python.
+    """
+    if not columns or not all(
+        isinstance(column, np.ndarray) and column.ndim == 1 and column.dtype in _TABLE_DTYPES
+        for column in columns
+    ):
+        return None
+    n_rows = len(columns[0])
+    if any(len(column) != n_rows for column in columns):
+        raise ValueError("columns differ in length")
+    kernels = library()
+    if kernels is None:
+        return None
+    arrays = [np.ascontiguousarray(column) for column in columns]
+    floats = np.array([array.dtype.kind == "f" for array in arrays], dtype=np.int8)
+    pointers = np.array([array.ctypes.data for array in arrays], dtype=np.uintp)
+    out = np.empty(_CELL_BYTES * n_rows * len(arrays), dtype=np.uint8)
+    size = kernels.format_table(
+        len(arrays), floats.ctypes.data, pointers.ctypes.data, n_rows, out.ctypes.data,
+        ctypes.cast(ctypes.pythonapi.PyOS_double_to_string, ctypes.c_void_p),
+        ctypes.cast(ctypes.pythonapi.PyMem_Free, ctypes.c_void_p),
+    )
+    return out[:size].tobytes().decode("ascii")

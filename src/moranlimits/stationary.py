@@ -54,6 +54,7 @@ import numpy as np
 from .deterministic import equilibria
 from .fluctuations import limit_variance
 from .model import (
+    MEMORY_BUDGET,
     DomainError,
     ModelParams,
     UnsupportedModelError,
@@ -66,10 +67,13 @@ from .model import (
 )
 
 _UNDERFLOW_LOG = -745.0
-# A window closes within this many states on each side of the mode, the
-# bound config puts on pmf rows; the closing state is found by summing
-# at most this many log-ratios, so nothing longer is allocated.
-_MAX_SIDE_STATES = 10**7
+# A window closes within _MAX_SIDE_STATES states on each side of the mode,
+# so that its law, at its peak about _WINDOW_STATE_BYTES a state
+# (gaussian_limit_check measured 1,025 MB over 14.0 M states), stays within
+# the memory budget with both sides full; the closing state is found by
+# summing at most that many log-ratios, so nothing longer is allocated.
+_WINDOW_STATE_BYTES = 75
+_MAX_SIDE_STATES = MEMORY_BUDGET // (2 * _WINDOW_STATE_BYTES)
 
 # Cephes ndtr.c: 1/sqrt(2), log(DBL_MAX), and the coefficients of erfc
 # on [1, 8) (P / Q), on [8, inf) (R / S) and of erf on [0, 1] (T / U).
@@ -208,7 +212,7 @@ def _outward(mode: int, end: int, floor: float, params: ModelParams) -> np.ndarr
         if room == 0:
             raise DomainError(
                 f"the stationary law at N = {params.N} stays above the cut for"
-                f" {_MAX_SIDE_STATES:.0e} states on one side of its mode, the"
+                f" {_MAX_SIDE_STATES:.3g} states on one side of its mode, the"
                 " budget of its window; lower N"
             )
         size = min(size, room)

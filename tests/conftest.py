@@ -1,4 +1,5 @@
-"""Hypothesis profiles, and each_rk4_body for the RK4 oracle tests.
+"""Hypothesis profiles, WIDE, and each_kernel_body for the tests of the
+RK4 oracles and of the CSV formatter.
 
 Without HYPOTHESIS_PROFILE every property test runs under Hypothesis's
 default profile and its own settings. HYPOTHESIS_PROFILE=wide loads the
@@ -7,13 +8,15 @@ domain sweep, the scalar oracle test, the per-path stream state test
 and the reference tests of ensembles and of single paths (each example
 on the compiled and the Python batch step; each scalar oracle example
 on the compiled RK4 sweep and the Python loop) take in place of their
-fixed example counts:
+fixed example counts; the formatter's corpus test then draws 4·10^6
+random bit patterns in place of 10^5:
 
     HYPOTHESIS_PROFILE=wide PYTHONPATH=src python -m pytest -q tests/test_config_domain.py \\
         tests/test_deterministic.py::test_scalar_oracle_matches_integrate_at \\
         tests/test_model.py::TestPathGenerators::test_states_equal_seed_sequence_anywhere \\
         tests/test_simulate.py::TestLockstepKernel::test_matches_reference \\
-        tests/test_simulate.py::TestChainKernel::test_matches_reference
+        tests/test_simulate.py::TestChainKernel::test_matches_reference \\
+        tests/test_io.py::test_compiled_floats_match_repr
 """
 
 import os
@@ -24,18 +27,20 @@ from hypothesis import settings
 from moranlimits import native
 
 settings.register_profile("wide", max_examples=2000, deadline=None, print_blob=True)
-if os.environ.get("HYPOTHESIS_PROFILE") == "wide":
+WIDE = os.environ.get("HYPOTHESIS_PROFILE") == "wide"
+if WIDE:
     settings.load_profile("wide")
 
 
-def each_rk4_body():
-    """Yield once per RK4 oracle body, with the oracles running on it: the
-    compiled sweeps, then the Python loops.
+def each_kernel_body():
+    """Yield once per body of the compiled kernels, with the code running on
+    it: the compiled library (the RK4 sweeps, the CSV formatter), then
+    native.library patched to None (the Python loops, io's formatter).
 
-    A test body iterates it (`for _ in each_rk4_body(): ...`), so one test
-    id covers both. Without a C compiler both runs take the Python loops;
+    A test body iterates it (`for _ in each_kernel_body(): ...`), so one test
+    id covers both. Without a C compiler both runs take the Python bodies;
     tests/test_simulate.py::TestBatchStepLoader checks that the compiled
-    sweeps load where a compiler is.
+    kernels load where a compiler is.
     """
     for kernels in (native.library(), None):
         with pytest.MonkeyPatch.context() as patch:

@@ -428,7 +428,7 @@ class TestMainExitCodes:
         "command, artifact, overrides",
         [
             ("ode", "ode_table.csv", {}),
-            # 146 rows over blocks of 16 rows: several blocks, a forked worker
+            # 146 rows over blocks of 16 rows: several blocks
             ("simulate", "ensemble_paths.csv", {"simulate.store_paths": True}),
         ],
         ids=["ode", "stored-paths"],
@@ -446,24 +446,9 @@ class TestMainExitCodes:
         assert err == f"output error: cannot write {out / artifact}: No space left on device\n"
         assert multiprocessing.active_children() == []
 
-    @pytest.mark.skipif(
-        "fork" not in multiprocessing.get_all_start_methods(),
-        reason="the block worker is forked only where the platform has fork",
-    )
-    def test_unwritable_multi_block_paths_exit_2_and_stop_the_worker(
-        self, tmp_path, capsys, monkeypatch
-    ):
-        # 146 rows of 5 paths over blocks of 16 rows: the worker
-        # is forked before the file fails to open
-        pools = []
-        fork_pool = mio.fork_pool
-
-        def pool_spy(*args):
-            pools.append(fork_pool(*args))
-            return pools[-1]
-
+    def test_unwritable_multi_block_paths_exit_2(self, tmp_path, capsys, monkeypatch):
+        # 146 rows of 5 paths over blocks of 16 rows
         monkeypatch.setattr(mio, "_BLOCK_ROWS", 16)
-        monkeypatch.setattr(mio, "fork_pool", pool_spy)
         path = make_config(tmp_path, {"simulate.store_paths": True})
         out = tmp_path / "o"
         (out / "ensemble_paths.csv").mkdir(parents=True)
@@ -472,8 +457,6 @@ class TestMainExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"output error: cannot write {out / 'ensemble_paths.csv'}: ")
         assert err.count("\n") == 1
-        assert len(pools) == 1 and pools[0] is not None
-        assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("below", ["", "sub"], ids=["existing-file", "under-a-file"])
     def test_unusable_out_exits_2(self, tmp_path, capsys, below):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import each_rk4_body
+from conftest import each_kernel_body
 from moranlimits import (
     DomainError,
     rk4,
@@ -359,7 +359,7 @@ class TestBatchedOracle:
     @staticmethod
     def assert_rows_match(rows, times, step=1e-3):
         z0s = np.array([z0 for _, z0 in rows])
-        for _ in each_rk4_body():
+        for _ in each_kernel_body():
             batch = ode_oracle_at(z0s, times, step, [params for params, _ in rows])
             assert batch.shape == (len(times), len(rows))
             for j, (params, z0) in enumerate(rows):
@@ -484,7 +484,7 @@ def test_scalar_oracle_matches_integrate_at(case):
     expected = rk4.integrate_at(
         DriftFunctions(params).drift, z0, times, step, post=_snap_unit_scalar
     )
-    for _ in each_rk4_body():
+    for _ in each_kernel_body():
         assert_bitwise_equal(ode_oracle_at(z0, times, step, params), expected)
 
 
@@ -503,7 +503,7 @@ def test_scalar_oracle_snaps_as_integrate_at(monkeypatch, target):
         Relaxation(REF).drift, 0.5, times, 1e-2, post=_snap_unit_scalar
     )
     # both bodies read the stand-in's coefficients
-    for _ in each_rk4_body():
+    for _ in each_kernel_body():
         assert_bitwise_equal(ode_oracle_at(0.5, times, 1e-2, REF), expected)
     assert expected[-1] == round(target)  # each step's excursion is snapped back
 
@@ -528,7 +528,7 @@ def test_scalar_oracle_snaps_as_integrate_at(monkeypatch, target):
 def test_scalar_oracle_rejects_as_integrate_at(times, step):
     with pytest.raises(DomainError) as expected:
         rk4.integrate_at(DriftFunctions(REF).drift, 0.1, times, step, post=_snap_unit_scalar)
-    for _ in each_rk4_body():
+    for _ in each_kernel_body():
         with pytest.raises(DomainError) as raised:
             ode_oracle_at(0.1, times, step, REF)
         assert str(raised.value) == str(expected.value)

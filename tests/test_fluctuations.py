@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from conftest import each_rk4_body
+from conftest import each_kernel_body
 from moranlimits import (
     DeterministicSolution,
     DomainError,
@@ -145,7 +145,7 @@ class TestVarianceOde:
         rows = [(REF, 0.1), (REF, 1.0), (REF, REF_EQ.x_stable)]
         rows += [(ModelParams(N=5, s=0.0, u=0.7, nu0=0.2), 0.9)]  # mutation only
         rows += parameter_panel(3)
-        for _ in each_rk4_body():
+        for _ in each_kernel_body():
             taus, panel = variance_ode(
                 np.array([z0 for _, z0 in rows]), 2.0, 1e-2, [params for params, _ in rows]
             )

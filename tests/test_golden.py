@@ -17,11 +17,11 @@ import contextlib
 import hashlib
 import io
 import json
-import multiprocessing
 from pathlib import Path
 
 import pytest
 
+from conftest import each_kernel_body
 from moranlimits import cli
 from moranlimits import io as mio
 
@@ -138,29 +138,28 @@ def test_artifacts_match_golden_digests(tmp_path, command, config):
     assert artifact_digests(out_dir) == GOLDEN[(command, config)]
 
 
-@pytest.mark.skipif(
-    "fork" not in multiprocessing.get_all_start_methods(),
-    reason="the block worker is forked only where the platform has fork",
-)
-def test_long_paths_through_the_block_worker(tmp_path, monkeypatch):
+def test_long_paths_in_blocks_through_both_formatters(tmp_path, monkeypatch):
     """The long-paths case again, its ~31.5k stored rows cut into 8 blocks
-    of 4096, so a forked worker formats every other one."""
+    of 4096, written by the compiled formatter and by the Python one."""
     blocks = []
-    alternating = mio._alternating_blocks
+    format_block = mio._format_block
 
-    def spy(pool, first, columns, starts):
-        blocks.append(len(starts))
-        return alternating(pool, first, columns, starts)
+    def spy(columns, start):
+        blocks.append((len(columns), start))
+        return format_block(columns, start)
 
     monkeypatch.setattr(mio, "_BLOCK_ROWS", 4096)
-    monkeypatch.setattr(mio, "_alternating_blocks", spy)
+    monkeypatch.setattr(mio, "_format_block", spy)
     config_path = write_config(tmp_path, "reference+long_paths")
-    out_dir = tmp_path / "out"
-    with contextlib.redirect_stdout(io.StringIO()):
-        code = cli.main(["simulate", "--config", str(config_path), "--out", str(out_dir)])
-    assert code == 0
-    assert blocks == [8]
-    assert artifact_digests(out_dir) == GOLDEN[("simulate", "reference+long_paths")]
+    for body, _ in enumerate(each_kernel_body()):
+        blocks.clear()
+        out_dir = tmp_path / f"out{body}"
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["simulate", "--config", str(config_path), "--out", str(out_dir)])
+        assert code == 0
+        # the path, t, k table
+        assert [start for n, start in blocks if n == 3] == list(range(0, 8 * 4096, 4096))
+        assert artifact_digests(out_dir) == GOLDEN[("simulate", "reference+long_paths")]
 
 
 def test_long_paths_reach_the_capped_batches(tmp_path):

@@ -9,9 +9,9 @@ code path imports scipy; the tests keep it as a reference. numpy 2
 defers numpy.random to its first use; moranlimits.model, which every
 module that draws random numbers imports, loads it at import, so that
 cost stays out of a command's run.
-The fork workers of write_csv and selfcheck.run_all import
-multiprocessing and concurrent.futures only when they may start one,
-which keeps about 25 ms out of every command's start. Each case runs in
+selfcheck.run_all, the one caller that forks, imports multiprocessing
+and concurrent.futures only when it may start its worker, which keeps
+about 25 ms out of every command's start. Each case runs in
 a fresh interpreter and checks module names, not timings.
 """
 
@@ -66,8 +66,8 @@ def test_selfcheck_battery_loads_no_scipy(inline):
 
 
 def test_chain_step_is_neither_built_nor_loaded_at_import():
-    """The compiled kernels are found on first use, by the chain's batch step or
-    an RK4 oracle, so no command pays for them at start."""
+    """The compiled kernels are found on first use, by the chain's batch step,
+    an RK4 oracle or the CSV formatter, so no command pays for them at start."""
     untouched = (
         "import moranlimits.deterministic, moranlimits.fluctuations;"
         " assert moranlimits.simulate._batch_step.cache_info().currsize == 0;"

@@ -1,13 +1,11 @@
-"""The column-wise CSV writer against the per-cell reference format, and
-dump_json's numpy encoding through json's default hook."""
+"""The column-wise CSV writer against the per-cell reference format, on the
+compiled and the Python formatter; the compiled formatter against repr;
+and dump_json's numpy encoding through json's default hook."""
 
 import errno
-import faulthandler
 import io
-import multiprocessing
 import os
 import tempfile
-import threading
 from pathlib import Path
 from unittest import mock
 
@@ -17,7 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from conftest import WIDE, each_kernel_body
 from moranlimits import io as mio
+from moranlimits import native
 from moranlimits.io import dump_json, format_cell, write_csv
 
 # Floats where repr changes form or rounding is delicate: repr switches to
@@ -89,7 +89,8 @@ def tables(draw):
 @given(columns=tables(), block_rows=st.integers(1, 8))
 def test_columns_write_the_per_cell_bytes(columns, block_rows):
     header = [f"c{i}" for i in range(len(columns))]
-    assert written_bytes(header, columns, block_rows) == reference_bytes(header, columns)
+    for _ in each_kernel_body():
+        assert written_bytes(header, columns, block_rows) == reference_bytes(header, columns)
 
 
 def test_cell_forms():
@@ -152,7 +153,8 @@ def narrow_integer_columns(draw):
 @given(column=narrow_integer_columns(), block_rows=st.integers(1, 200))
 def test_narrow_integer_columns_write_the_per_cell_bytes(column, block_rows):
     columns = [column, np.arange(column.size) * 0.5]
-    assert written_bytes(["k", "t"], columns, block_rows) == reference_bytes(["k", "t"], columns)
+    for _ in each_kernel_body():
+        assert written_bytes(["k", "t"], columns, block_rows) == reference_bytes(["k", "t"], columns)
 
 
 def test_narrow_integer_column_goes_through_the_table():
@@ -170,7 +172,8 @@ def test_table_offsets_do_not_wrap(dtype):
     lo = {"int8": -128, "uint8": 0, "int64": -(2**63), "uint64": 2**64 - 256}[dtype]
     column = np.tile(np.array([lo + i for i in range(256)], dtype=dtype), 5)
     columns = [column]
-    assert written_bytes(["k"], columns) == reference_bytes(["k"], columns)
+    for _ in each_kernel_body():
+        assert written_bytes(["k"], columns) == reference_bytes(["k"], columns)
 
 
 # --- dump_json: json's default hook encodes numpy values --------------------
@@ -258,8 +261,8 @@ def test_full_disk_error_names_the_file(monkeypatch, tmp_path, write):
 
 
 def test_error_forming_a_text_propagates_unnamed(tmp_path):
-    # such as a fork that fails for want of processes, while write_csv
-    # forms its blocks
+    # an OSError of something other than the file, raised while a text is
+    # formed
     def texts():
         yield "k\n"
         raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
@@ -270,102 +273,56 @@ def test_error_forming_a_text_propagates_unnamed(tmp_path):
     assert (tmp_path / "table.csv").read_text(encoding="utf-8") == "k\n"
 
 
-# --- tables of several blocks: odd blocks in one forked worker -------------
-
-needs_fork = pytest.mark.skipif(
-    "fork" not in multiprocessing.get_all_start_methods(),
-    reason="the block worker is forked only where the platform has fork",
-)
-
-BLOCK_ROWS = 7
-MIXED_HEADER = ["f", "i", "b", "m"]
+# --- the compiled formatter against repr and str ---------------------------
 
 
-@pytest.fixture
-def bounded():
-    """A write that hangs ends the test run with a traceback after 60 s."""
-    faulthandler.dump_traceback_later(60, exit=True)
-    yield
-    faulthandler.cancel_dump_traceback_later()
+def corpus_floats() -> np.ndarray:
+    """Floats where shortest digits or their layout are delicate, each with
+    its negation and its neighbours one ulp away."""
+    powers = np.ldexp(1.0, np.arange(-1074, 1024))
+    decimals = np.array([float(f"{a}e{b}") for a in range(1, 3000) for b in range(-20, 25)])
+    layout = np.array([1e16, 9999999999999998.0, 1e-4, 9.999999999999999e-05, 1e-5])
+    # the edges of the exact window, 2^-46 and 2^127
+    edges = np.ldexp(1.0, np.array([-47, -46, -45, 126, 127, 128]))
+    base = np.concatenate([powers, decimals, layout, edges])
+    near = np.concatenate(
+        [base, np.nextafter(base, -np.inf), np.nextafter(base, np.inf), [0.0, np.nan, np.inf]]
+    )
+    return np.concatenate([near, -near])
 
 
-def mixed_columns(n: int) -> list:
-    """Float, int, bool and list columns of n rows."""
-    rng = np.random.default_rng(n)
-    return [
-        rng.standard_normal(n) * 10.0 ** rng.integers(-20, 20, n),
-        rng.integers(-(2**62), 2**62, n),
-        rng.random(n) < 0.5,
-        [None if i % 3 == 0 else (i * 0.1 if i % 3 == 1 else i) for i in range(n)],
-    ]
+def random_floats(rng, n: int) -> np.ndarray:
+    return rng.integers(0, 2**64, n, dtype=np.uint64).view(np.float64)
 
 
-def logged_blocks(monkeypatch, tmp_path, die_in_worker=False):
-    """Patch _format_block to log each block's (pid, start) to a file; a
-    forked worker inherits the patch. With die_in_worker the worker exits
-    at its first block. Returns a reader of the log."""
-    log = tmp_path / "blocks.log"
-    log.touch()
-    parent = os.getpid()
-    original = mio._format_block
-
-    def format_block(columns, start):
-        if die_in_worker and os.getpid() != parent:
-            os._exit(3)
-        with open(log, "a", encoding="utf-8") as handle:
-            handle.write(f"{os.getpid()} {start}\n")
-        return original(columns, start)
-
-    monkeypatch.setattr(mio, "_format_block", format_block)
-
-    def read():
-        pairs = [line.split() for line in log.read_text(encoding="utf-8").splitlines()]
-        return [(int(pid), int(start)) for pid, start in pairs]
-
-    return read
+def test_compiled_floats_match_repr():
+    if native.library() is None:
+        pytest.skip("no C compiler: every block takes io's Python formatter")
+    rng = np.random.default_rng(2018)
+    chunks = [corpus_floats()]
+    chunks += [random_floats(rng, 10**5) for _ in range(40 if WIDE else 1)]
+    for floats in chunks:
+        expected = "".join(repr(value) + "\n" for value in floats.tolist())
+        assert native.format_rows([floats]) == expected
+    integers = np.array([-(2**63), 2**63 - 1, -1, 0, 1, 10**18], dtype=np.int64)
+    expected = "".join(f"{value},{float(value)!r}\n" for value in integers.tolist())
+    assert native.format_rows([integers, integers.astype(float)]) == expected
 
 
-@needs_fork
-@pytest.mark.usefixtures("bounded")
-def test_worker_formats_the_odd_blocks(monkeypatch, tmp_path):
-    n = 8 * BLOCK_ROWS + 3  # nine blocks, the last one short
-    columns = mixed_columns(n)
-    read = logged_blocks(monkeypatch, tmp_path)
-    assert written_bytes(MIXED_HEADER, columns, BLOCK_ROWS) == reference_bytes(MIXED_HEADER, columns)
-    assert multiprocessing.active_children() == []
-    blocks = read()
-    here = sorted(start for pid, start in blocks if pid == os.getpid())
-    there = sorted(start for pid, start in blocks if pid != os.getpid())
-    assert here == list(range(0, n, 2 * BLOCK_ROWS))
-    assert there == list(range(BLOCK_ROWS, n, 2 * BLOCK_ROWS))
-    assert len({pid for pid, _ in blocks}) == 2
+def test_longest_cells_fill_the_buffer_bound():
+    # every cell in its longest form: repr of a float is at most 24
+    # characters and str of an int64 at most 20
+    n = 1000
+    columns = [np.full(n, -2.2250738585072014e-308), np.full(n, -(2**63), dtype=np.int64)]
+    for kernels in each_kernel_body():
+        assert written_bytes(["f", "i"], columns, 7) == reference_bytes(["f", "i"], columns)
+        if kernels is not None:
+            assert len(native.format_rows(columns[:1])) == native._CELL_BYTES * n
 
 
-@needs_fork
-@pytest.mark.usefixtures("bounded")
-def test_dead_worker_leaves_its_blocks_to_this_process(monkeypatch, tmp_path):
-    n = 5 * BLOCK_ROWS
-    columns = mixed_columns(n)
-    read = logged_blocks(monkeypatch, tmp_path, die_in_worker=True)
-    assert written_bytes(MIXED_HEADER, columns, BLOCK_ROWS) == reference_bytes(MIXED_HEADER, columns)
-    assert multiprocessing.active_children() == []
-    assert read() == [(os.getpid(), start) for start in range(0, n, BLOCK_ROWS)]
-
-
-@needs_fork
-@pytest.mark.usefixtures("bounded")
-def test_a_second_thread_keeps_the_write_inline(monkeypatch, tmp_path):
-    n = 4 * BLOCK_ROWS
-    columns = mixed_columns(n)
-    read = logged_blocks(monkeypatch, tmp_path)
-    release = threading.Event()
-    thread = threading.Thread(target=release.wait)
-    thread.start()
-    try:
-        data = written_bytes(MIXED_HEADER, columns, BLOCK_ROWS)
-    finally:
-        release.set()
-        thread.join(timeout=10)
-    assert not thread.is_alive()
-    assert data == reference_bytes(MIXED_HEADER, columns)
-    assert read() == [(os.getpid(), start) for start in range(0, n, BLOCK_ROWS)]
+def test_other_columns_are_left_to_python():
+    floats = np.arange(3.0)
+    for column in [np.arange(3, dtype=np.int32), floats > 1.0, floats.tolist(), floats[:, None]]:
+        assert native.format_rows([floats, column]) is None
+    with mock.patch.object(native, "library", lambda: None):
+        assert native.format_rows([floats]) is None

@@ -13,7 +13,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from conftest import each_rk4_body
+from conftest import each_kernel_body
 from moranlimits import native, rk4
 from moranlimits.deterministic import DriftFunctions, _snap_unit, ode_oracle_at, solve_deterministic
 from moranlimits.fluctuations import variance_ode
@@ -112,7 +112,7 @@ def test_compiled_sweeps_equal_rk4_on_criteria_1_and_4():
     rows = _variance_rows()
     z0s, models = np.array([z0 for _, z0 in rows]), [params for params, _ in rows]
     (taus, compiled), (python_taus, python) = [
-        variance_ode(z0s, 5.0, 1e-3, models) for _ in each_rk4_body()
+        variance_ode(z0s, 5.0, 1e-3, models) for _ in each_kernel_body()
     ]
     assert compiled.shape == (5001, 42)
     assert bitwise_equal(taus, python_taus) and bitwise_equal(compiled, python)
