@@ -303,7 +303,7 @@ def main(argv=None) -> int:
         try:
             return _COMMANDS[args.command](config, out_dir)
         except OSError as err:
-            if err.filename is None:  # not a file's error, such as a failed fork
+            if err.filename is None:  # not a file's error
                 raise
             reason = err.strerror or err
             print(f"output error: cannot write {err.filename}: {reason}", file=sys.stderr)

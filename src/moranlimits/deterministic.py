@@ -31,7 +31,6 @@ import numpy as np
 
 from . import native, rk4
 from .model import (
-    REMAINDER_EPS,
     DomainError,
     ModelParams,
     UnsupportedModelError,
@@ -198,8 +197,7 @@ def equilibria(params: ModelParams) -> Equilibria:
 def _snap_unit_scalar(z: float) -> float:
     """z with a rounding excursion past 0 or 1 pinned back to the boundary.
 
-    _scalar_oracle_at and kernels.c's rk4_flow write these two
-    comparisons inline.
+    kernels.c's rk4_flow writes these two comparisons inline.
     """
     if -_UNIT_SNAP < z < 0.0:
         return 0.0
@@ -308,9 +306,9 @@ def ode_oracle_at(
     ode_oracle_at(float(z0[j]), times, step, params[j]) bit for bit.
     Either equals rk4.integrate_at on the drift with the unit snap bit
     for bit. It runs in kernels.c's rk4_flow, on the coefficients of
-    DriftFunctions(params); where the library cannot be had, a float
-    start runs in _scalar_oracle_at's Python float loop and an array in
-    one lockstep sweep of rk4.integrate_at.
+    DriftFunctions(params), and in rk4.integrate_at itself where the
+    library cannot be had: on Python floats for a float start, and in
+    one lockstep sweep for an array.
     """
     z0 = check_starts(z0, params)
     ts = check_grid(times, "times")
@@ -322,48 +320,8 @@ def ode_oracle_at(
     )
     if swept is not None:
         return swept
-    if np.ndim(z0) == 0:
-        return _scalar_oracle_at(z0, ts, max_step, drift)
-    return rk4.integrate_at(drift.drift, z0, ts, max_step, post=_snap_unit)
-
-
-def _scalar_oracle_at(
-    z0: float, ts: np.ndarray, max_step: float, drift: DriftFunctions
-) -> np.ndarray:
-    """rk4.integrate_at(drift.drift, z0, ts, max_step, post=_snap_unit_scalar).
-
-    The same sub-step rule, stage association and snap, with the drift's
-    coefficients held as locals and the drift and the snap written out:
-    a step makes no Python call.
-    """
-    a, b, c = drift._a, drift._b, drift._c
-    low, high = -_UNIT_SNAP, 1.0 + _UNIT_SNAP
-    y = z0
-    t_prev = 0.0
-    values = []
-    for t_next in ts.tolist():
-        span = t_next - t_prev
-        if span > 0.0:
-            n_sub = max(1, math.ceil(span / max_step - REMAINDER_EPS))
-            h = span / n_sub
-            half, sixth = 0.5 * h, h / 6.0
-            for _ in range(n_sub):
-                k1 = (a * y + b) * y + c
-                x = y + half * k1
-                k2 = (a * x + b) * x + c
-                x = y + half * k2
-                k3 = (a * x + b) * x + c
-                x = y + h * k3
-                k4 = (a * x + b) * x + c
-                y = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                if y < 0.0:
-                    if y > low:
-                        y = 0.0
-                elif 1.0 < y < high:
-                    y = 1.0
-        values.append(y)
-        t_prev = t_next
-    return np.array(values)
+    post = _snap_unit if np.ndim(z0) else _snap_unit_scalar
+    return rk4.integrate_at(drift.drift, z0, ts, max_step, post=post)
 
 
 class LinearModelSolution:

@@ -127,11 +127,9 @@ def variance_ode(
     swept = native.rk4_sweep("rk4_variance", coefficients, z0, taus, float(step))
     if swept is not None:
         return taus, swept
-    # one row evaluates on Python floats, which round as numpy does but cost less
-    split = iter if np.ndim(z0) else np.ndarray.tolist
 
     def rhs(y: np.ndarray) -> np.ndarray:
-        z, sigma2 = split(y)
+        z, sigma2 = y
         slope, noise = funcs.drift_slope(z), funcs.diffusion(z)
         return np.array([funcs.drift(z) / rate, (2.0 * slope * sigma2 + noise) / rate])
 

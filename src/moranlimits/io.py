@@ -11,12 +11,9 @@ CSV contract: write_csv takes the header and a sequence of equal-length
 columns, not rows. Each column is formatted once by its type: a float
 array through repr, a (non-bool) integer array through str, and any
 other sequence, such as a list holding None or an array of bools, cell
-by cell through format_cell. An integer array whose values span less
-than 1 / _SPAN_RATIO of its length, as the path and state columns of
-stored paths do, formats each value of the span once and looks its
-cells up in that table. The bytes are those of format_cell applied to
-every cell of the zipped rows; rows are joined and written in blocks of
-_BLOCK_ROWS, so the formatted text held at once stays bounded.
+by cell through format_cell. The bytes are those of format_cell applied
+to every cell of the zipped rows; rows are joined and written in blocks
+of _BLOCK_ROWS, so the formatted text held at once stays bounded.
 
 Each block whose columns are all float64 or int64 arrays is formatted
 by the compiled library (native.format_rows), which writes the same
@@ -42,9 +39,6 @@ from . import native
 
 # Rows formatted and written per block.
 _BLOCK_ROWS = 65536
-# An integer block whose values span less than 1 / _SPAN_RATIO of its
-# rows is formatted through a table of the span.
-_SPAN_RATIO = 2
 
 
 def _json_default(value):
@@ -76,28 +70,9 @@ def format_cell(value) -> str:
 
 def _format_column(column):
     """Cells of one column as strings, exactly as format_cell writes them."""
-    if isinstance(column, np.ndarray):
-        if column.dtype.kind == "f":
-            return map(repr, column.tolist())
-        if column.dtype.kind in "iu":
-            return _format_integers(column)
+    if isinstance(column, np.ndarray) and column.dtype.kind in "fiu":
+        return map(repr if column.dtype.kind == "f" else str, column.tolist())
     return map(format_cell, column)
-
-
-def _format_integers(column: np.ndarray):
-    """str of every cell, formatting each value once when the span is narrow."""
-    if column.size:
-        lo, hi = int(column.min()), int(column.max())
-        if (hi - lo) * _SPAN_RATIO < column.size:
-            table = np.array([str(value) for value in range(lo, hi + 1)], dtype=object)
-            # Unsigned offsets cannot wrap; signed values widen first, as
-            # int8 -128..127 has offsets up to 255.
-            if column.dtype.kind == "u":
-                offsets = column - lo
-            else:
-                offsets = np.subtract(column, lo, dtype=np.int64)
-            return table[offsets].tolist()
-    return map(str, column.tolist())
 
 
 def write_csv(path: Path, header: list, columns: list) -> None:

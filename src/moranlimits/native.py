@@ -4,9 +4,10 @@ kernels.c, shipped beside this module, holds four kernels: the chain's
 batch step (simulate), the RK4 sweeps of the flow oracle
 (deterministic.ode_oracle_at) and of the variance oracle
 (fluctuations.variance_ode), and the CSV formatter of float64 and int64
-columns (format_rows, for io.write_csv). Each has a Python body that
-runs where the library cannot be had, and each equals it bit for bit,
-or byte for byte.
+columns (format_rows, for io.write_csv). Each has one Python body,
+which runs where the library cannot be had and which it equals bit for
+bit, or byte for byte: simulate._python_step, rk4.integrate_at,
+rk4.integrate and io's column formatter.
 
 The formatter writes each float's shortest round-trip digits, as repr
 does, exactly on 128-bit integers within a window of magnitudes; every

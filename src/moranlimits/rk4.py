@@ -13,9 +13,7 @@ rk4_variance (native.py) step the flow oracle
 (fluctuations.variance_ode) with _march's sub-step rule, stage
 association and snap, and equal integrate_at and integrate on those
 systems bit for bit. Where the library cannot be had, the oracles call
-integrate_at and integrate here, on array states, and the single-start
-flow oracle runs its own copy of this loop with the drift written
-inline.
+integrate_at and integrate here: this loop is their one Python body.
 
 The state may also be a float array of independent rows advanced in
 lockstep on one shared time grid. `f` and `post` then take and return

@@ -482,15 +482,22 @@ def run_all() -> list[CheckResult]:
     platform has fork and no other thread runs (the executor forks before
     it starts its own manager thread). It shares this process's imported
     modules (and any patches to them) and receives only the criterion's
-    index. Without it all nine run here; no other start method is tried.
-    A worker that dies, or whose result cannot be collected, gives a
-    failed criterion 6. The worker has exited before this returns.
+    index. Without it, or where the fork fails (pool.submit forks, and
+    raises OSError such as EAGAIN), all nine run here; no other start
+    method is tried. A worker that dies, or whose result cannot be
+    collected, gives a failed criterion 6. The worker has exited before
+    this returns.
     """
     pool = fork_pool()
-    if pool is None:
+    future = None
+    if pool is not None:
+        try:
+            future = pool.submit(_run_check, _WORKER_INDEX)
+        except OSError:  # the worker could not be forked
+            pool.shutdown()
+    if future is None:
         return [_run_check(index) for index in range(len(_CHECKS))]
     with pool:
-        future = pool.submit(_run_check, _WORKER_INDEX)
         results = [
             _run_check(index) for index in range(len(_CHECKS)) if index != _WORKER_INDEX
         ]

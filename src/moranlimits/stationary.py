@@ -68,12 +68,17 @@ from .model import (
 
 _UNDERFLOW_LOG = -745.0
 # A window closes within _MAX_SIDE_STATES states on each side of the mode,
-# so that its law, at its peak about _WINDOW_STATE_BYTES a state
-# (gaussian_limit_check measured 1,025 MB over 14.0 M states), stays within
-# the memory budget with both sides full; the closing state is found by
-# summing at most that many log-ratios, so nothing longer is allocated.
+# so that its law, at its peak about _WINDOW_STATE_BYTES a state, and the
+# rest of the process, _PROCESS_BASE_BYTES, stay within the memory budget
+# with both sides full; the closing state is found by summing at most that
+# many log-ratios, so nothing longer is allocated. `moranlimits stationary`
+# peaked at 349 and 1,026 MiB of ru_maxrss over windows of 4.43 and 14.0 M
+# states (74 B a state above 35 MiB), and at 36 MiB with a 10^3-state one:
+# the interpreter, numpy and the package, with room kept for the
+# command's other arrays.
 _WINDOW_STATE_BYTES = 75
-_MAX_SIDE_STATES = MEMORY_BUDGET // (2 * _WINDOW_STATE_BYTES)
+_PROCESS_BASE_BYTES = 50 * 2**20
+_MAX_SIDE_STATES = (MEMORY_BUDGET - _PROCESS_BASE_BYTES) // (2 * _WINDOW_STATE_BYTES)
 
 # Cephes ndtr.c: 1/sqrt(2), log(DBL_MAX), and the coefficients of erfc
 # on [1, 8) (P / Q), on [8, inf) (R / S) and of erf on [0, 1] (T / U).

@@ -7,7 +7,7 @@ default profile and its own settings. HYPOTHESIS_PROFILE=wide loads the
 domain sweep, the scalar oracle test, the per-path stream state test
 and the reference tests of ensembles and of single paths (each example
 on the compiled and the Python batch step; each scalar oracle example
-on the compiled RK4 sweep and the Python loop) take in place of their
+on the compiled RK4 sweep and on rk4.integrate_at) take in place of their
 fixed example counts; the formatter's corpus test then draws 4·10^6
 random bit patterns in place of 10^5:
 
@@ -35,7 +35,7 @@ if WIDE:
 def each_kernel_body():
     """Yield once per body of the compiled kernels, with the code running on
     it: the compiled library (the RK4 sweeps, the CSV formatter), then
-    native.library patched to None (the Python loops, io's formatter).
+    native.library patched to None (rk4's loop, io's formatter).
 
     A test body iterates it (`for _ in each_kernel_body(): ...`), so one test
     id covers both. Without a C compiler both runs take the Python bodies;

@@ -6,9 +6,11 @@ criterion so a regression shows up as exactly one red line. Run with
 `pytest tests/test_acceptance.py -v -s` to see the verdicts live.
 """
 
+import errno
 import hashlib
 import io
 import json
+import os
 from contextlib import redirect_stdout
 
 import pytest
@@ -41,8 +43,14 @@ _CONFIG = {
 
 
 @pytest.fixture(scope="module")
-def selfcheck_run(tmp_path_factory):
-    root = tmp_path_factory.mktemp("selfcheck")
+def selfcheck_root(tmp_path_factory):
+    """The battery's directory: its config.json, and its artifacts under out."""
+    return tmp_path_factory.mktemp("selfcheck")
+
+
+@pytest.fixture(scope="module")
+def selfcheck_run(selfcheck_root):
+    root = selfcheck_root
     config_path = root / "config.json"
     config_path.write_text(json.dumps(_CONFIG), encoding="utf-8")
     out_dir = root / "out"
@@ -98,3 +106,26 @@ def test_metrics_are_builtin_types(selfcheck_run):
     for result in results:
         for key, value in result.metrics.items():
             assert _is_builtin(value), f"{result.name}: {key} is {type(value).__name__}"
+
+
+def test_failed_fork_runs_every_criterion_inline(
+    selfcheck_run, selfcheck_root, tmp_path, monkeypatch
+):
+    """A criterion-6 worker that cannot be forked leaves all nine criteria to
+    this process, which writes the report of the forked run byte for byte."""
+    forks = []
+
+    def fork():
+        forks.append(1)
+        raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    monkeypatch.setattr(os, "fork", fork)
+    out_dir = tmp_path / "out"
+    with redirect_stdout(io.StringIO()):
+        exit_code = cli.main(
+            ["selfcheck", "--config", str(selfcheck_root / "config.json"), "--out", str(out_dir)]
+        )
+    assert exit_code == 0
+    assert forks == [1]
+    report = (out_dir / "selfcheck_report.json").read_bytes()
+    assert report == (selfcheck_root / "out" / "selfcheck_report.json").read_bytes()

@@ -478,7 +478,7 @@ _ORACLE_SWEEP = {} if settings.get_current_profile_name() == "wide" else {"max_e
 @example(case=(REF, 0.1, np.linspace(0.0, 2.0, 21), 0.1))
 @example(case=(ModelParams(N=5, s=0.0, u=0.0, nu0=0.5), 0.4, [0.5, 1.5], 0.3))  # frozen
 def test_scalar_oracle_matches_integrate_at(case):
-    """The compiled sweep and the inline scalar loop each equal rk4.integrate_at on
+    """The compiled sweep, and its Python body, each equal rk4.integrate_at on
     the drift with the snap, bit for bit."""
     params, z0, times, step = case
     expected = rk4.integrate_at(

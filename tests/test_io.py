@@ -138,12 +138,12 @@ def test_unequal_columns_rejected():
 
 @st.composite
 def narrow_integer_columns(draw):
-    """Integer columns of any width whose values span less than a quarter of
-    the rows, so the writer formats them through a table of the span."""
+    """Integer columns of any width whose values span less than half the rows,
+    as the path and state columns of stored paths do."""
     dtype = np.dtype(draw(st.sampled_from(["int8", "int16", "int64", "uint8", "uint64"])))
     info = np.iinfo(dtype)
     n = draw(st.integers(1, 120))
-    span = draw(st.integers(0, max(0, (n - 1) // mio._SPAN_RATIO)))
+    span = draw(st.integers(0, max(0, (n - 1) // 2)))
     lo = draw(st.integers(int(info.min), int(info.max) - span))
     offsets = draw(st.lists(st.integers(0, span), min_size=n, max_size=n))
     return np.array([lo + offset for offset in offsets], dtype=dtype)
@@ -157,18 +157,9 @@ def test_narrow_integer_columns_write_the_per_cell_bytes(column, block_rows):
         assert written_bytes(["k", "t"], columns, block_rows) == reference_bytes(["k", "t"], columns)
 
 
-def test_narrow_integer_column_goes_through_the_table():
-    column = np.repeat(np.arange(-2, 3), 40)
-    cells = mio._format_integers(column)
-    assert isinstance(cells, list)
-    assert cells == [str(value) for value in column.tolist()]
-    # equal values share one string from the table
-    assert cells[0] is cells[1]
-
-
 @pytest.mark.parametrize("dtype", ["int8", "uint8", "int64", "uint64"])
 def test_table_offsets_do_not_wrap(dtype):
-    # the whole range of the narrow types, over enough rows to use the table
+    # the whole range of the narrow types, each value five times
     lo = {"int8": -128, "uint8": 0, "int64": -(2**63), "uint64": 2**64 - 256}[dtype]
     column = np.tile(np.array([lo + i for i in range(256)], dtype=dtype), 5)
     columns = [column]
