@@ -72,6 +72,7 @@ from .model import (
     check_int,
     check_real,
     check_seed,
+    _path_states,
     path_generators,
     require_mutation,
 )
@@ -341,14 +342,24 @@ def sample_fluctuation_paths(
     grid are exact in distribution, not Euler approximations. Path p
     draws from the stream seeded by (rng_seed, p), the generator
     default_rng([rng_seed, p]) builds, so any prefix of paths is
-    reproducible independently of n_paths. model.path_generators hashes
-    all the paths' PCG64 states in one vectorised pass, so building the
-    generators costs about 3 us a path, not 18 (2-vCPU VM).
+    reproducible independently of n_paths. model._path_states hashes
+    all the paths' PCG64 states in one vectorised pass.
+
+    The rows are filled by kernels.c's fluctuation_rows
+    (native.fluctuation_rows), which seeds numpy's PCG64 from each
+    state, draws with numpy's own normal and runs the recurrence while
+    the row is in cache, in contiguous blocks of rows on
+    min(n_paths, usable CPUs) threads; row p reads only its stream, so
+    the bytes do not depend on the thread count. The benchmark's 4000
+    paths of 401 points take about 21 ms on one thread and 12 ms on
+    two, against 54 ms in the Python body below (2-vCPU VM, medians of
+    9), which runs on this thread where the kernel cannot: numpy's
+    generators, then the recurrence column by column.
 
     Returns an (n_paths, len(t_grid)) matrix; column 0 is identically 0.
     It is the only matrix the sampler allocates: each path's normals are
-    drawn into its row and the recurrence overwrites them column by
-    column, so the peak memory is about the output's size.
+    drawn into its row and the recurrence overwrites them, so the peak
+    memory is about the output's size.
     """
     n_paths = check_int(n_paths, "n_paths", minimum=1)
     rng_seed = check_seed(rng_seed)
@@ -365,6 +376,8 @@ def sample_fluctuation_paths(
     propagate = law.propagators(ts)
     # roundoff can push the shock variance a hair below zero
     shock_sd = np.sqrt(np.maximum(sigma2[1:] - propagate * (propagate * sigma2[:-1]), 0.0))
+    if native.fluctuation_rows(_path_states(rng_seed, n_paths), propagate, shock_sd, paths):
+        return paths
     # column i + 1 holds the normal of step i until the recurrence reaches it
     for row, rng in zip(paths, path_generators(rng_seed, n_paths)):
         rng.standard_normal(out=row[1:])

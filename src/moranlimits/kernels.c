@@ -1,10 +1,12 @@
 /* The package's compiled kernels (native.py): one path of the Moran chain
    through one batch of draws (simulate.py), the RK4 sweeps of the flow
    oracle (deterministic.py) and of the variance oracle (fluctuations.py),
-   and the CSV rows of float64 and int64 columns (io.py).
+   a block of rows of the Gaussian path sampler (fluctuations.py), and the
+   CSV rows of float64 and int64 columns (io.py).
    Built with -ffp-contract=off: a fused multiply-add would round once
    where Python and numpy round twice, so each kernel equals its Python
-   body bit for bit. */
+   body bit for bit. The sampler draws with numpy's own normal from
+   libnpyrandom.a, which native.py links where numpy ships it. */
 #include <math.h>
 #include <stdint.h>
 #include <string.h>
@@ -377,4 +379,99 @@ int64_t format_table(int64_t n_cols, const int8_t *is_float, const void *const *
         }
     }
     return p - out;
+}
+
+/* numpy's bit generator (numpy/random/bitgen.h), and its normal draw from
+   libnpyrandom.a. native.py links the archive where numpy ships it; the
+   reference is weak, so the other kernels build without it, and the
+   function is NULL there. */
+typedef struct {
+    void *state;
+    uint64_t (*next_uint64)(void *st);
+    uint32_t (*next_uint32)(void *st);
+    double (*next_double)(void *st);
+    uint64_t (*next_raw)(void *st);
+} bitgen_t;
+
+extern double random_standard_normal(bitgen_t *bitgen) __attribute__((weak));
+
+#ifdef __SIZEOF_INT128__
+/* numpy's PCG64 (XSL-RR output on a 128-bit LCG), as pcg64.h writes it. */
+typedef struct {
+    u128 state, inc;
+    int has_uint32;
+    uint32_t uinteger;
+} pcg64_t;
+
+#define PCG64_MULTIPLIER (((u128)0x2360ED051FC65DA4ULL << 64) | 0x4385DF649FCCF645ULL)
+
+static uint64_t pcg64_next64(void *st)
+{
+    pcg64_t *g = st;
+    g->state = g->state * PCG64_MULTIPLIER + g->inc;
+    uint64_t x = (uint64_t)(g->state >> 64) ^ (uint64_t)g->state;
+    unsigned rot = (unsigned)(g->state >> 122);
+    return (x >> rot) | (x << ((-rot) & 63));
+}
+
+static uint32_t pcg64_next32(void *st)
+{
+    pcg64_t *g = st;
+    if (g->has_uint32) {
+        g->has_uint32 = 0;
+        return g->uinteger;
+    }
+    uint64_t next = pcg64_next64(st);
+    g->has_uint32 = 1;
+    g->uinteger = (uint32_t)(next >> 32);
+    return (uint32_t)next;
+}
+
+static double pcg64_next_double(void *st)
+{
+    return (double)(pcg64_next64(st) >> 11) * (1.0 / 9007199254740992.0);
+}
+
+/* pcg64_set_seed: the state from words 0-1 of a path's seed-sequence
+   output and the increment from words 2-3, high word first. */
+static void pcg64_seed(pcg64_t *g, const uint64_t *words)
+{
+    u128 seed = ((u128)words[0] << 64) | words[1];
+    u128 inc = ((u128)words[2] << 64) | words[3];
+    g->state = 0;
+    g->inc = (inc << 1) | 1;
+    g->state = g->state * PCG64_MULTIPLIER + g->inc;
+    g->state += seed;
+    g->state = g->state * PCG64_MULTIPLIER + g->inc;
+    g->has_uint32 = 0;
+    g->uinteger = 0;
+}
+#endif
+
+/* Rows first..last of the Gaussian path sampler
+   (fluctuations.sample_fluctuation_paths). Row p of out, n_cols wide,
+   starts at 0 and draws its n_cols - 1 normals, in order, from the PCG64
+   seeded by states[4 p .. 4 p + 4); each normal e_i is used as it is
+   drawn, in row[i + 1] = prop[i] row[i] + sd[i] e_i, the same products
+   and sum as the Python body's column loop. Returns 1, writing nothing,
+   where numpy's normal is not linked or the compiler has no 128-bit
+   type, and 0 otherwise. */
+int fluctuation_rows(int64_t first, int64_t last, int64_t n_cols, const uint64_t *states,
+                     const double *prop, const double *sd, double *out)
+{
+#ifdef __SIZEOF_INT128__
+    if (!random_standard_normal) return 1;
+    pcg64_t g;
+    bitgen_t bitgen = {&g, pcg64_next64, pcg64_next32, pcg64_next_double, pcg64_next64};
+    for (int64_t p = first; p < last; p++) {
+        double *row = out + p * n_cols;
+        pcg64_seed(&g, states + 4 * p);
+        row[0] = 0.0;
+        for (int64_t i = 0; i + 1 < n_cols; i++)
+            row[i + 1] = prop[i] * row[i] + sd[i] * random_standard_normal(&bitgen);
+    }
+    return 0;
+#else
+    return 1;
+#endif
 }

@@ -127,8 +127,12 @@ def _path_states(rng_seed: int, n_paths: int) -> np.ndarray:
     The hash runs on uint32 arrays over all paths at once. Its constants
     do not depend on the data, so they advance as Python ints. The
     entropy of path p is the uint32 words of rng_seed (least significant
-    first; 0 is one word) followed by p, one word below 2^32.
+    first; 0 is one word) followed by p, one word below 2^32. Beyond
+    2^32 paths a path index takes two uint32 words, which the hash here
+    does not cover.
     """
+    if n_paths > 2**32:
+        raise DomainError(f"n_paths must be <= 2**32 to draw per-path streams, got {n_paths}")
     seed_words = []
     while True:
         seed_words.append(rng_seed & _MASK32)
@@ -182,12 +186,8 @@ def path_generators(rng_seed: int, n_paths: int) -> Iterator[np.random.Generator
 
     rng_seed is an integer >= 0 (check_seed). Every path's PCG64 state
     is hashed up front in one vectorised pass; each generator is built
-    from its state by numpy's own PCG64 as it is taken. Beyond 2^32
-    paths a path index takes two uint32 words, which the hash here
-    does not cover.
+    from its state by numpy's own PCG64 as it is taken.
     """
-    if n_paths > 2**32:
-        raise DomainError(f"n_paths must be <= 2**32 to draw per-path streams, got {n_paths}")
     states = _path_states(rng_seed, n_paths)
     return (np.random.Generator(np.random.PCG64(_PathState(row))) for row in states)
 

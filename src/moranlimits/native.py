@@ -1,13 +1,24 @@
 """The package's compiled kernels: kernels.c, built on first use and loaded with ctypes.
 
-kernels.c, shipped beside this module, holds four kernels: the chain's
+kernels.c, shipped beside this module, holds five kernels: the chain's
 batch step (simulate), the RK4 sweeps of the flow oracle
 (deterministic.ode_oracle_at) and of the variance oracle
-(fluctuations.variance_ode), and the CSV formatter of float64 and int64
-columns (format_rows, for io.write_csv). Each has one Python body,
-which runs where the library cannot be had and which it equals bit for
-bit, or byte for byte: simulate._python_step, rk4.integrate_at,
-rk4.integrate and io's column formatter.
+(fluctuations.variance_ode), the Gaussian path sampler
+(fluctuations.sample_fluctuation_paths, through fluctuation_rows here)
+and the CSV formatter of float64 and int64 columns (format_rows, for
+io.write_csv). Each has one Python body, which runs where the library
+cannot be had and which it equals bit for bit, or byte for byte:
+simulate._python_step, rk4.integrate_at, rk4.integrate, the sampler's
+generators and column loop, and io's column formatter.
+
+The sampler seeds numpy's PCG64 from each path's state and draws with
+numpy's own random_standard_normal, which the library links from
+numpy's numpy/random/lib/libnpyrandom.a where numpy ships it; kernels.c
+declares it weak, so the other kernels build without the archive, and
+there the sampler reports that it cannot run. Its rows are split into
+contiguous blocks over min(rows, usable_cpus()) threads, each block one
+call, and row p reads only its own stream, so the bytes do not depend
+on the thread count.
 
 The formatter writes each float's shortest round-trip digits, as repr
 does, exactly on 128-bit integers within a window of magnitudes; every
@@ -16,18 +27,20 @@ float where the compiler has no 128-bit type) it hands to CPython's own
 PyOS_double_to_string, the call of float.__repr__, and frees the text
 with PyMem_Free. Both allocate through CPython, which needs the GIL, so
 format_table is bound with ctypes.PYFUNCTYPE, whose calls hold the GIL;
-the other kernels release it.
+the other four kernels are plain CDLL functions, whose calls release it.
 
 library() compiles the source on first use, not at import, with
 cc -O2 -ffp-contract=off -shared -fPIC into $XDG_CACHE_HOME/moranlimits
 (else ~/.cache/moranlimits, else a private directory in the temp dir),
-under a name keyed by the SHA-256 of the source and the flags, and loads
-it with ctypes. -ffp-contract=off, and no -ffast-math, keeps fused
-multiply-adds out, which would round once where Python and numpy round
-twice. A library is written under a temporary name and renamed into
-place, so processes that build it at once each load a whole one. Where
-no compiler is found, the compile fails or the cache cannot be written,
-library() returns None, and nothing is raised or printed.
+linking libnpyrandom.a (and libm) where it exists, under a name keyed
+by the SHA-256 of the source, the flags and the archive's bytes, so a
+numpy upgrade builds anew; and loads it with ctypes. -ffp-contract=off,
+and no -ffast-math, keeps fused multiply-adds out, which would round
+once where Python and numpy round twice. A library is written under a
+temporary name and renamed into place, so processes that build it at
+once each load a whole one. Where no compiler is found, the compile
+fails or the cache cannot be written, library() returns None, and
+nothing is raised or printed.
 """
 
 from __future__ import annotations
@@ -40,8 +53,9 @@ import os
 import shutil
 import stat
 import tempfile
+import threading
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -49,6 +63,12 @@ from .model import REMAINDER_EPS
 
 _SOURCE = Path(__file__).with_name("kernels.c")
 _CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+# numpy's own distributions, linked where numpy ships them: -u pulls the
+# normal draw's member out of the archive (kernels.c's weak reference
+# alone would not, and leave the function NULL), and -lm, after it, the
+# libm it calls.
+_NUMPY_RANDOM = Path(np.__file__).parent / "random" / "lib" / "libnpyrandom.a"
+_LINK_NORMAL = ("-Wl,-u,random_standard_normal",)
 
 # rk4_flow's and rk4_variance's leading arguments: rows, coefficients,
 # starts, times and their count, the step bound and the remainder
@@ -93,7 +113,11 @@ def _built_library() -> Path:
     Raises OSError where no compiler is found, the compile fails or the
     cache cannot be written.
     """
-    key = hashlib.sha256(_SOURCE.read_bytes() + " ".join(_CFLAGS).encode()).hexdigest()
+    flags, inputs, archive = _CFLAGS, [str(_SOURCE)], b""
+    if _NUMPY_RANDOM.is_file():
+        flags, archive = _CFLAGS + _LINK_NORMAL, _NUMPY_RANDOM.read_bytes()
+        inputs += [str(_NUMPY_RANDOM), "-lm"]
+    key = hashlib.sha256(_SOURCE.read_bytes() + " ".join(flags).encode() + archive).hexdigest()
     library = _cache_dir() / f"kernels-{key}.so"
     if library.exists():
         return library
@@ -107,7 +131,7 @@ def _built_library() -> Path:
     os.close(handle)
     try:
         build = subprocess.run(
-            [compiler, *_CFLAGS, "-o", partial, str(_SOURCE)],
+            [compiler, *flags, "-o", partial, *inputs],
             stdin=subprocess.DEVNULL,
             capture_output=True,
         )
@@ -137,6 +161,10 @@ def library() -> Optional[ctypes.CDLL]:
     kernels.rk4_flow.argtypes = _SWEEP_ARGS + (ctypes.c_double, ctypes.c_double, ctypes.c_void_p)
     kernels.rk4_variance.argtypes = _SWEEP_ARGS + (ctypes.c_void_p,)
     kernels.rk4_flow.restype = kernels.rk4_variance.restype = ctypes.c_int
+    # fluctuation_rows(first, last, columns, states, propagators, shock
+    # sds, output)
+    kernels.fluctuation_rows.argtypes = (ctypes.c_int64,) * 3 + (ctypes.c_void_p,) * 4
+    kernels.fluctuation_rows.restype = ctypes.c_int
     # format_table(columns, float flags, data pointers, rows, output,
     # CPython's repr, its free) holds the GIL while it runs (module
     # docstring), and raises the exception a failed repr sets
@@ -176,6 +204,82 @@ def rk4_sweep(
     if status != 0:
         return None
     return out if np.ndim(y0) else out[:, 0]
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the platform has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def run_threads(tasks: Sequence[Callable[[], None]], stop: threading.Event) -> None:
+    """Run tasks[0] on this thread and each other task on a helper thread.
+
+    The first exception in a helper sets stop and is raised here, and
+    one raised here sets stop too; a task that can end early reads it.
+    Every helper has been joined before this returns or raises, so
+    io.fork_pool may fork afterwards.
+    """
+    errors = []
+
+    def helper(task: Callable[[], None]) -> None:
+        try:
+            task()
+        except BaseException as err:  # raised again in the calling thread
+            errors.append(err)
+            stop.set()
+
+    helpers = []
+    try:
+        for task in tasks[1:]:
+            thread = threading.Thread(target=helper, args=(task,))
+            thread.start()
+            helpers.append(thread)
+        tasks[0]()
+    finally:
+        stop.set()
+        for thread in helpers:
+            thread.join()
+    if errors:
+        raise errors[0]
+
+
+def fluctuation_rows(
+    states: np.ndarray, propagate: np.ndarray, shock_sd: np.ndarray, out: np.ndarray
+) -> bool:
+    """Fill out, an (n_paths, n_steps + 1) float64 matrix, with the compiled sampler.
+
+    Row p draws from the PCG64 state states[p] (model._path_states); the
+    rows are split into contiguous blocks over min(n_paths, usable_cpus())
+    threads, this one and helpers, each block one GIL-free call, so the
+    bytes do not depend on the thread count. Returns False, writing
+    nothing and starting no thread, where the library cannot be had or
+    lacks numpy's normal draw: the caller then runs its Python body.
+    """
+    kernels = library()
+    n_paths, n_cols = out.shape
+    # a call on no rows reports whether numpy's normal was linked
+    if kernels is None or kernels.fluctuation_rows(0, 0, n_cols, None, None, None, None) != 0:
+        return False
+    states = np.ascontiguousarray(states, dtype=np.uint64)
+    propagate = np.ascontiguousarray(propagate, dtype=float)
+    shock_sd = np.ascontiguousarray(shock_sd, dtype=float)
+    if states.shape != (n_paths, 4) or not propagate.shape == shock_sd.shape == (n_cols - 1,):
+        raise ValueError("states, propagators or shock sds do not fit the output")
+    if out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise ValueError("out must be a C-contiguous float64 matrix")
+    threads = min(n_paths, usable_cpus())
+    bounds = [n_paths * i // threads for i in range(threads + 1)]
+
+    def block(first: int, last: int) -> Callable[[], None]:
+        return lambda: kernels.fluctuation_rows(
+            first, last, n_cols, states.ctypes.data, propagate.ctypes.data,
+            shock_sd.ctypes.data, out.ctypes.data,
+        )
+
+    run_threads([block(*span) for span in zip(bounds[:-1], bounds[1:])], threading.Event())
+    return True
 
 
 def format_rows(columns: Sequence) -> Optional[str]:

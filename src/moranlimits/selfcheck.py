@@ -32,7 +32,7 @@ from .deterministic import (
     solve_deterministic,
 )
 from .fluctuations import FluctuationLaw, limit_variance, variance_ode
-from .io import fork_pool
+from .io import fork_pool, submit_forked
 from .model import ModelParams
 from .simulate import clt_statistics, run_ensemble
 from .stationary import (
@@ -482,19 +482,14 @@ def run_all() -> list[CheckResult]:
     platform has fork and no other thread runs (the executor forks before
     it starts its own manager thread). It shares this process's imported
     modules (and any patches to them) and receives only the criterion's
-    index. Without it, or where the fork fails (pool.submit forks, and
-    raises OSError such as EAGAIN), all nine run here; no other start
+    index. Without it, or where the fork fails (io.submit_forked, which
+    leaves no descriptor open), all nine run here; no other start
     method is tried. A worker that dies, or whose result cannot be
     collected, gives a failed criterion 6. The worker has exited before
     this returns.
     """
     pool = fork_pool()
-    future = None
-    if pool is not None:
-        try:
-            future = pool.submit(_run_check, _WORKER_INDEX)
-        except OSError:  # the worker could not be forked
-            pool.shutdown()
+    future = None if pool is None else submit_forked(pool, _run_check, _WORKER_INDEX)
     if future is None:
         return [_run_check(index) for index in range(len(_CHECKS))]
     with pool:

@@ -46,7 +46,6 @@ from __future__ import annotations
 import ctypes
 import functools
 import math
-import os
 import threading
 from dataclasses import dataclass
 from typing import Sequence, Union
@@ -242,34 +241,25 @@ def _run_chain(k0: int, rng: np.random.Generator, chain: _Chain):
     return status == _ABSORBED, np.concatenate(times), np.concatenate(states)
 
 
-def _usable_cpus() -> int:
-    """The CPUs this process may run on: its affinity mask where the platform has one."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _run_paths(
     k0: int, grid: np.ndarray, rng_seed: int, n_paths: int, params: ModelParams
 ) -> tuple[np.ndarray, np.ndarray]:
     """Grid states (n_paths, grid.size) and absorbed flags of paths on the streams [rng_seed, p].
 
-    The paths run on min(n_paths, _usable_cpus()) threads, one with the
-    Python step: this one and helpers, each driving its own chain. A
-    thread takes the next path from one locked source (a generator may
-    not be advanced by two threads at once) and writes its row. The first
-    exception in a helper stops every thread at its next path and is
-    raised here, and one here stops the helpers too; every helper has
-    been joined before this returns or raises, so io.fork_pool may fork
-    afterwards.
+    The paths run on min(n_paths, native.usable_cpus()) threads, one with
+    the Python step: this one and helpers (native.run_threads), each
+    driving its own chain. A thread takes the next path from one locked
+    source (a generator may not be advanced by two threads at once) and
+    writes its row. The first exception in a helper stops every thread at
+    its next path and is raised here, and one here stops the helpers too;
+    every helper has been joined before this returns or raises.
     """
-    threads = 1 if _batch_step() is _python_step else min(n_paths, _usable_cpus())
+    threads = 1 if _batch_step() is _python_step else min(n_paths, native.usable_cpus())
     tables = _step_tables(params)
-    chains = [_Chain(tables, grid) for _ in range(threads)]
     states = np.empty((n_paths, grid.size), dtype=np.int64)
     absorbed = np.zeros(n_paths, dtype=bool)
     source = enumerate(path_generators(rng_seed, n_paths))
-    lock, stop, errors = threading.Lock(), threading.Event(), []
+    lock, stop = threading.Lock(), threading.Event()
 
     def run(chain: _Chain) -> None:
         while not stop.is_set():
@@ -280,26 +270,8 @@ def _run_paths(
             absorbed[p] = _run_chain(k0, rng, chain)[0]
             states[p] = chain.grid_states
 
-    def helper(chain: _Chain) -> None:
-        try:
-            run(chain)
-        except BaseException as err:  # raised again in the calling thread
-            errors.append(err)
-            stop.set()
-
-    helpers = []
-    try:
-        for chain in chains[1:]:
-            thread = threading.Thread(target=helper, args=(chain,))
-            thread.start()
-            helpers.append(thread)
-        run(chains[0])
-    finally:
-        stop.set()
-        for thread in helpers:
-            thread.join()
-    if errors:
-        raise errors[0]
+    chains = [_Chain(tables, grid) for _ in range(threads)]
+    native.run_threads([functools.partial(run, chain) for chain in chains], stop)
     return states, absorbed
 
 

@@ -7,6 +7,7 @@ criterion so a regression shows up as exactly one red line. Run with
 """
 
 import errno
+import gc
 import hashlib
 import io
 import json
@@ -112,8 +113,14 @@ def test_failed_fork_runs_every_criterion_inline(
     selfcheck_run, selfcheck_root, tmp_path, monkeypatch
 ):
     """A criterion-6 worker that cannot be forked leaves all nine criteria to
-    this process, which writes the report of the forked run byte for byte."""
+    this process, which writes the report of the forked run byte for byte,
+    and no descriptor open: not the pipes multiprocessing opened for the
+    worker before the fork failed."""
     forks = []
+
+    def open_descriptors():
+        gc.collect()  # the pool's own queues close as they are collected
+        return len(os.listdir("/proc/self/fd"))
 
     def fork():
         forks.append(1)
@@ -121,10 +128,12 @@ def test_failed_fork_runs_every_criterion_inline(
 
     monkeypatch.setattr(os, "fork", fork)
     out_dir = tmp_path / "out"
+    descriptors = open_descriptors()
     with redirect_stdout(io.StringIO()):
         exit_code = cli.main(
             ["selfcheck", "--config", str(selfcheck_root / "config.json"), "--out", str(out_dir)]
         )
+    assert open_descriptors() == descriptors
     assert exit_code == 0
     assert forks == [1]
     report = (out_dir / "selfcheck_report.json").read_bytes()

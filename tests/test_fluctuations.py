@@ -2,12 +2,14 @@
 
 import hashlib
 import math
+import os
+import threading
 import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -26,7 +28,8 @@ from moranlimits import (
     variance_closed_form,
     variance_ode,
 )
-from moranlimits import fluctuations
+from moranlimits import fluctuations, native
+from moranlimits.io import fork_pool
 from moranlimits.model import MAX_RATE
 from moranlimits.selfcheck import parameter_panel, reference_params
 
@@ -404,10 +407,12 @@ class TestSampler:
         ],
     )
     def test_golden_paths(self, params, z0, grid, n_paths, seed, digest):
-        # SHA-256 of the float64 bytes; numpy 2.4 on x86-64, as tests/test_golden.py
-        paths = sample_fluctuation_paths(z0, grid, n_paths, seed, params)
-        assert paths.shape == (n_paths, grid.size) and paths.dtype == np.float64
-        assert hashlib.sha256(paths.tobytes()).hexdigest() == digest
+        # SHA-256 of the float64 bytes; numpy 2.4 on x86-64, as tests/test_golden.py;
+        # on the compiled sampler, then on the Python body
+        for _ in each_kernel_body():
+            paths = sample_fluctuation_paths(z0, grid, n_paths, seed, params)
+            assert paths.shape == (n_paths, grid.size) and paths.dtype == np.float64
+            assert hashlib.sha256(paths.tobytes()).hexdigest() == digest
 
     def test_peak_memory_is_the_output(self):
         # The normals are drawn into the output matrix itself: no second
@@ -470,3 +475,120 @@ class TestSampler:
         a = math.exp(log_a)
         assert cov / var1 == pytest.approx(a, rel=0.05)
         assert a * a * var1_target < var2_target  # shocks add strictly positive mass
+
+
+# A fixed number of examples by default; HYPOTHESIS_PROFILE=wide
+# (tests/conftest.py) takes 2,000.
+_SAMPLER_SWEEP = {} if settings.get_current_profile_name() == "wide" else {"max_examples": 60}
+
+
+def seeds_of_words(words: int):
+    """Seeds of exactly `words` uint32 words (0 is one word)."""
+    return st.integers(0 if words == 1 else 2 ** (32 * (words - 1)), 2 ** (32 * words) - 1)
+
+
+class TestSamplerBodies:
+    """The compiled sampler (kernels.c's fluctuation_rows, on contiguous
+    blocks of rows over min(n_paths, usable CPUs) threads) against the
+    Python body, byte for byte."""
+
+    @settings(deadline=None, **_SAMPLER_SWEEP)
+    @given(
+        s=st.just(0.0) | st.floats(0.01, 5.0),
+        u=st.floats(0.05, 3.0),
+        nu0=st.floats(0.05, 0.95),
+        z0=st.floats(0.0, 1.0),
+        t_end=st.floats(0.01, 20.0),
+        n_steps=st.integers(1, 60),
+        n_paths=st.integers(1, 9),
+        seed=st.integers(1, 4).flatmap(seeds_of_words),
+    )
+    @example(s=1.3, u=0.7, nu0=0.45, z0=0.62, t_end=10.0, n_steps=1, n_paths=1, seed=7)
+    @example(s=1.3, u=0.7, nu0=0.45, z0=0.62, t_end=10.0, n_steps=40, n_paths=2, seed=2**100 + 3)
+    def test_compiled_equals_python(self, s, u, nu0, z0, t_end, n_steps, n_paths, seed):
+        params = ModelParams(N=1000, s=s, u=u, nu0=nu0)
+        self.compare(z0, np.linspace(0.0, t_end, n_steps + 1), n_paths, seed, params)
+
+    def test_frozen_start(self):
+        # at the unstable point every path is 0 on either body, and no draw is made
+        params = ModelParams(N=10, s=4.0, u=1e-200, nu0=5e-124)
+        paths = self.compare(0.0, np.linspace(0.0, 3.0, 11), 5, 1, params)
+        assert not paths.any()
+
+    @staticmethod
+    def compare(z0, grid, n_paths, seed, params):
+        """The paths on 1, 2 and 3 threads and on the Python body, all equal byte for byte."""
+        runs = []
+        with pytest.MonkeyPatch.context() as patch:
+            for threads in (1, 2, 3):
+                patch.setattr(native, "usable_cpus", lambda: threads)
+                runs.append(sample_fluctuation_paths(z0, grid, n_paths, seed, params))
+            patch.setattr(native, "library", lambda: None)
+            runs.append(sample_fluctuation_paths(z0, grid, n_paths, seed, params))
+        assert len({paths.tobytes() for paths in runs}) == 1
+        return runs[0]
+
+
+class TestSamplerThreads:
+    """The compiled sampler's helper threads: none outlives a call, an error
+    in one reaches the caller, and the Python body starts none."""
+
+    PARAMS = ModelParams(N=1000, s=1.3, u=0.7, nu0=0.45)
+    GRID = np.linspace(0.0, 10.0, 41)
+
+    @pytest.fixture
+    def helpers(self, monkeypatch):
+        """The threads started while the test runs, on three usable CPUs."""
+        started, start = [], threading.Thread.start
+
+        def spy(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", spy)
+        monkeypatch.setattr(native, "usable_cpus", lambda: 3)
+        return started
+
+    @pytest.fixture
+    def compiled(self, helpers):
+        """Skips where the compiled sampler cannot run."""
+        kernels = native.library()
+        if kernels is None or kernels.fluctuation_rows(0, 0, 1, None, None, None, None) != 0:
+            pytest.skip("needs the compiled sampler")
+        return kernels
+
+    @pytest.mark.parametrize("n_paths, threads", [(8, 3), (2, 2), (1, 1)])
+    def test_no_helper_outlives_the_call(self, compiled, helpers, n_paths, threads):
+        sample_fluctuation_paths(0.62, self.GRID, n_paths, 7, self.PARAMS)
+        assert len(helpers) == threads - 1
+        assert not any(thread.is_alive() for thread in helpers)
+        assert threading.active_count() == 1
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="fork_pool needs fork")
+    def test_a_worker_may_be_forked_after_the_call(self, compiled, helpers):
+        sample_fluctuation_paths(0.62, self.GRID, 8, 7, self.PARAMS)
+        assert helpers
+        pool = fork_pool()
+        assert pool is not None
+        pool.shutdown()
+
+    def test_a_helper_error_reaches_the_caller(self, compiled, helpers, monkeypatch):
+        class FailingInHelpers:
+            def fluctuation_rows(self, *args):
+                if threading.current_thread() is not threading.main_thread():
+                    raise RuntimeError("a block failed")
+                return compiled.fluctuation_rows(*args)
+
+        monkeypatch.setattr(native, "library", lambda: FailingInHelpers())
+        with pytest.raises(RuntimeError, match="a block failed"):
+            sample_fluctuation_paths(0.62, self.GRID, 8, 7, self.PARAMS)
+        assert len(helpers) == 2
+        assert threading.active_count() == 1
+
+    def test_python_body_starts_no_helper(self, helpers, monkeypatch):
+        expected = sample_fluctuation_paths(0.62, self.GRID, 8, 7, self.PARAMS)
+        helpers.clear()
+        monkeypatch.setattr(native, "library", lambda: None)
+        paths = sample_fluctuation_paths(0.62, self.GRID, 8, 7, self.PARAMS)
+        assert helpers == []
+        assert paths.tobytes() == expected.tobytes()

@@ -29,6 +29,7 @@ from moranlimits import (
     ode_oracle_at,
     run_ensemble,
     sample_Z_at,
+    sample_fluctuation_paths,
     simulate_on_grid,
     simulate_path,
     solve_deterministic,
@@ -355,7 +356,7 @@ class TestLockstepKernel:
             return False, None, None
 
         monkeypatch.setattr(simulate, "_run_chain", fake_chain)
-        monkeypatch.setattr(simulate, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(native, "usable_cpus", lambda: 3)
         params = ModelParams(N=1000, s=1.0, u=0.5, nu0=0.5)
         reference = flow_from(100, params)
         summary = run_ensemble(100, np.linspace(0.0, t_end, 6), n_paths, 13, params, reference)
@@ -491,7 +492,7 @@ class TestThreadedPaths:
     """An ensemble's paths on helper threads, each with its own chain.
 
     The thread count, min(n_paths, usable CPUs) with the compiled step,
-    is forced through simulate._usable_cpus; three threads are more than
+    is forced through native.usable_cpus; three threads are more than
     the cores of a two-CPU host.
     """
 
@@ -503,7 +504,7 @@ class TestThreadedPaths:
         """Sets the usable CPUs; skips where the compiled step cannot be had."""
         if simulate._batch_step() is simulate._python_step:
             pytest.skip("needs the compiled batch step")
-        return lambda n: monkeypatch.setattr(simulate, "_usable_cpus", lambda: n)
+        return lambda n: monkeypatch.setattr(native, "usable_cpus", lambda: n)
 
     @pytest.fixture
     def helpers(self, monkeypatch):
@@ -576,7 +577,7 @@ class TestThreadedPaths:
     def test_python_step_runs_no_helper(self, monkeypatch, helpers):
         # Without the library, _batch_step finds the Python step, which
         # holds the GIL: this thread runs every path.
-        monkeypatch.setattr(simulate, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(native, "usable_cpus", lambda: 3)
         reference = flow_from(100, self.PARAMS)
         expected = run_ensemble(100, self.GRID, 6, 5, self.PARAMS, reference).z_values
         helpers.clear()
@@ -621,9 +622,9 @@ class TestThreadedPaths:
 
     def test_usable_cpus_reads_the_affinity_mask(self, monkeypatch):
         if hasattr(os, "sched_getaffinity"):
-            assert simulate._usable_cpus() == len(os.sched_getaffinity(0))
+            assert native.usable_cpus() == len(os.sched_getaffinity(0))
             monkeypatch.delattr(os, "sched_getaffinity")
-        assert simulate._usable_cpus() == (os.cpu_count() or 1)
+        assert native.usable_cpus() == (os.cpu_count() or 1)
 
 
 class TestSummarizePaths:
@@ -712,6 +713,7 @@ def reference_chain(k0, t_end, seed, params, grid=None):
 
 _BATCH_STEP = simulate._batch_step
 _LIBRARY = native.library
+NUMPY_RANDOM = Path(np.__file__).parent / "random" / "lib" / "libnpyrandom.a"
 
 
 def each_step():
@@ -847,7 +849,14 @@ class TestBatchStepLoader:
             ode_oracle_at(0.1, self.GRID, 1e-3, self.PARAMS).tolist(),
             ode_oracle_at(starts, self.GRID, 1e-3, models).tolist(),
             variance_ode(starts, 2.0, 1e-3, models)[1].tolist(),
+            sample_fluctuation_paths(0.1, self.GRID, 5, 7, self.PARAMS).tolist(),
         )
+
+    @staticmethod
+    def sampler_linked(kernels):
+        """Whether the library's sampler found numpy's normal draw: a call on
+        no rows returns 1 where it did not."""
+        return kernels.fluctuation_rows(0, 0, 1, None, None, None, None) == 0
 
     @pytest.mark.skipif(shutil.which("cc") is None, reason="needs a C compiler")
     def test_compiled_step_loads(self, cache, capfd):
@@ -857,6 +866,37 @@ class TestBatchStepLoader:
         assert _LIBRARY() is not None and _LIBRARY() is _LIBRARY()
         assert [p.name for p in cache.iterdir()] == [f"kernels-{library_key()}.so"]
         assert capfd.readouterr() == ("", "")
+
+    @pytest.mark.skipif(
+        shutil.which("cc") is None or not NUMPY_RANDOM.is_file(),
+        reason="needs a C compiler and numpy's libnpyrandom.a",
+    )
+    def test_sampler_links_numpys_normal(self, cache):
+        # kernels.c declares random_standard_normal weak; only the linker's
+        # -u pulls it from the archive, else it is NULL and the sampler
+        # silently runs its Python body
+        assert self.sampler_linked(_LIBRARY())
+
+    @pytest.mark.skipif(shutil.which("cc") is None, reason="needs a C compiler")
+    def test_without_numpys_archive_the_sampler_runs_python(self, cache, monkeypatch, tmp_path):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(simulate, "_batch_step", lambda: self.found)
+            patch.setattr(native, "library", lambda: self.kernels)
+            expected = self.outputs()
+        monkeypatch.setattr(native, "_NUMPY_RANDOM", tmp_path / "missing" / "libnpyrandom.a")
+        kernels = _LIBRARY()
+        assert kernels is not None and not self.sampler_linked(kernels)
+        assert self.outputs() == expected
+        started, start = [], threading.Thread.start
+
+        def spy(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", spy)
+        monkeypatch.setattr(native, "usable_cpus", lambda: 3)
+        sample_fluctuation_paths(0.1, self.GRID, 5, 7, self.PARAMS)
+        assert started == []
 
     @pytest.mark.parametrize("failure", ["no-compiler", "compile-fails", "unwritable-cache"])
     def test_falls_back_with_identical_outputs(self, cache, capfd, monkeypatch, tmp_path, failure):
@@ -924,9 +964,13 @@ class TestBatchStepLoader:
 
 
 def library_key():
-    """SHA-256 of the shipped source and the compiler flags."""
-    source = native._SOURCE.read_bytes()
-    return hashlib.sha256(source + b"-O2 -ffp-contract=off -shared -fPIC").hexdigest()
+    """SHA-256 of the shipped source and the compiler flags, and of numpy's
+    libnpyrandom.a and the flag that links its normal draw where numpy
+    ships the archive."""
+    key = native._SOURCE.read_bytes() + b"-O2 -ffp-contract=off -shared -fPIC"
+    if NUMPY_RANDOM.is_file():
+        key += b" -Wl,-u,random_standard_normal" + NUMPY_RANDOM.read_bytes()
+    return hashlib.sha256(key).hexdigest()
 
 
 # (N, s, u, nu0): tiny N, s = 0, u near the require_mutation floor, nu0
