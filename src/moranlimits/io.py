@@ -19,22 +19,12 @@ Each block whose columns are all float64 or int64 arrays is formatted
 by the compiled library (native.format_rows), which writes the same
 bytes; any other block, or every block where the library cannot be had,
 is formatted here in Python.
-
-fork_pool gives selfcheck.run_all its one worker process, forked only
-where the platform has the fork start method and this process runs no
-thread but its main one (a forked child would hold a copy of any lock
-another thread holds); there is no fallback to another start method.
-submit_forked hands the pool its task, and where the fork fails it
-shuts the pool down and closes the pipes multiprocessing opened for the
-worker, which it leaves open.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-import os
-import threading
 from pathlib import Path
 
 import numpy as np
@@ -120,51 +110,3 @@ def _format_block(columns: list, start: int) -> str:
         text = "\n".join(map(",".join, zip(*cells))) + "\n"
     return text
 
-
-def fork_pool():
-    """A one-worker ProcessPoolExecutor in the fork context, or None where this
-    process may not fork (module docstring)."""
-    if threading.active_count() != 1:
-        return None
-    import multiprocessing  # deferred: only a worker needs these modules
-
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return None
-    from concurrent.futures import ProcessPoolExecutor
-
-    return ProcessPoolExecutor(max_workers=1, mp_context=multiprocessing.get_context("fork"))
-
-
-def _open_descriptors() -> set:
-    """The file descriptors open in this process, or none where /dev/fd cannot be listed."""
-    try:
-        names = os.listdir("/dev/fd")
-    except OSError:
-        return set()
-    descriptors = set()
-    for fd in map(int, names):
-        try:
-            os.fstat(fd)
-        except OSError:  # the listing's own descriptor, closed since
-            continue
-        descriptors.add(fd)
-    return descriptors
-
-
-def submit_forked(pool, fn, *args):
-    """pool.submit(fn, *args) on a fork_pool, or None where the worker cannot
-    be forked (os.fork raises OSError, such as EAGAIN).
-
-    The pool is then shut down, and the descriptors opened meanwhile are
-    closed: the two pipes multiprocessing's Popen opens before os.fork,
-    which nothing owns once the fork has failed. fork_pool ran no other
-    thread, and the failed submit starts none, so none opened another.
-    """
-    before = _open_descriptors()
-    try:
-        return pool.submit(fn, *args)
-    except OSError:
-        pool.shutdown()
-        for fd in _open_descriptors() - before:
-            os.close(fd)
-        return None

@@ -216,10 +216,12 @@ def usable_cpus() -> int:
 def run_threads(tasks: Sequence[Callable[[], None]], stop: threading.Event) -> None:
     """Run tasks[0] on this thread and each other task on a helper thread.
 
-    The first exception in a helper sets stop and is raised here, and
-    one raised here sets stop too; a task that can end early reads it.
-    Every helper has been joined before this returns or raises, so
-    io.fork_pool may fork afterwards.
+    A task whose thread cannot be started (RuntimeError, such as at a
+    thread limit) runs on this thread after tasks[0]. The first exception
+    in a helper sets stop and is raised here, and one raised here sets
+    stop too; a task that can end early reads it. Every helper has been
+    joined before this returns or raises, so selfcheck.run_all may fork
+    afterwards.
     """
     errors = []
 
@@ -230,13 +232,18 @@ def run_threads(tasks: Sequence[Callable[[], None]], stop: threading.Event) -> N
             errors.append(err)
             stop.set()
 
-    helpers = []
+    helpers, unstarted = [], []
     try:
         for task in tasks[1:]:
             thread = threading.Thread(target=helper, args=(task,))
-            thread.start()
-            helpers.append(thread)
+            try:
+                thread.start()
+                helpers.append(thread)
+            except RuntimeError:  # "can't start new thread"
+                unstarted.append(task)
         tasks[0]()
+        for task in unstarted:
+            task()
     finally:
         stop.set()
         for thread in helpers:

@@ -19,7 +19,11 @@ import filecmp
 import io
 import json
 import math
+import os
+import pickle
+import sys
 import tempfile
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -32,7 +36,6 @@ from .deterministic import (
     solve_deterministic,
 )
 from .fluctuations import FluctuationLaw, limit_variance, variance_ode
-from .io import fork_pool, submit_forked
 from .model import ModelParams
 from .simulate import clt_statistics, run_ensemble
 from .stationary import (
@@ -475,30 +478,59 @@ def _run_check(index: int) -> CheckResult:
         return _failed(check, err)
 
 
-def run_all() -> list[CheckResult]:
-    """Run every criterion, criterion 6 in a worker process; results in criterion order.
-
-    The worker comes from io.fork_pool, so it is forked only where the
-    platform has fork and no other thread runs (the executor forks before
-    it starts its own manager thread). It shares this process's imported
-    modules (and any patches to them) and receives only the criterion's
-    index. Without it, or where the fork fails (io.submit_forked, which
-    leaves no descriptor open), all nine run here; no other start
-    method is tried. A worker that dies, or whose result cannot be
-    collected, gives a failed criterion 6. The worker has exited before
-    this returns.
-    """
-    pool = fork_pool()
-    future = None if pool is None else submit_forked(pool, _run_check, _WORKER_INDEX)
-    if future is None:
-        return [_run_check(index) for index in range(len(_CHECKS))]
-    with pool:
-        results = [
-            _run_check(index) for index in range(len(_CHECKS)) if index != _WORKER_INDEX
-        ]
+def _fork_worker():
+    """(pid, pipe) of a forked child that pickles criterion 6's result into
+    pipe, or None where the fork fails or this process may not fork: a child
+    would hold a copy of any lock that another thread holds."""
+    if not hasattr(os, "fork") or threading.active_count() != 1:
+        return None
+    sys.stdout.flush()  # else the child would hold buffered output to write twice
+    sys.stderr.flush()
+    reader, writer = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:  # such as EAGAIN at a process limit
+        os.close(reader)
+        os.close(writer)
+        return None
+    if pid == 0:
+        code = 1
         try:
-            worker_result = future.result()
-        except Exception as err:  # noqa: BLE001 - a dead worker is a failed criterion
-            worker_result = _failed(_CHECKS[_WORKER_INDEX], err)
-    results.insert(_WORKER_INDEX, worker_result)
+            with open(writer, "wb") as pipe:
+                pickle.dump(_run_check(_WORKER_INDEX), pipe)
+            sys.stdout.flush()
+            sys.stderr.flush()
+            code = 0
+        finally:
+            os._exit(code)  # never returns into the caller's code
+    os.close(writer)
+    return pid, open(reader, "rb")
+
+
+def run_all() -> list[CheckResult]:
+    """Run every criterion, criterion 6 in a forked child; results in criterion order.
+
+    The child (_fork_worker) shares this process's imported modules, and
+    any patches to them, while this process runs the other eight. Where
+    it is not forked, all nine run here; no other start method is tried.
+    A child that sends no result gives a failed criterion 6 naming its
+    exit status or signal. The child has been reaped before this returns
+    or raises.
+    """
+    worker = _fork_worker()
+    if worker is None:
+        return [_run_check(index) for index in range(len(_CHECKS))]
+    pid, pipe = worker
+    try:
+        with pipe:
+            results = [_run_check(i) for i in range(len(_CHECKS)) if i != _WORKER_INDEX]
+            payload = pipe.read()
+    finally:
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if code == 0 and payload:
+        results.insert(_WORKER_INDEX, pickle.loads(payload))
+    else:
+        ended = f"exit status {code}" if code >= 0 else f"signal {-code}"
+        error = ChildProcessError(f"the worker sent no result ({ended})")
+        results.insert(_WORKER_INDEX, _failed(_CHECKS[_WORKER_INDEX], error))
     return results

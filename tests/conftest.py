@@ -1,5 +1,7 @@
 """Hypothesis profiles, WIDE, and each_kernel_body for the tests of the
-RK4 oracles, the Gaussian path sampler and the CSV formatter.
+RK4 oracles, the Gaussian path sampler and the CSV formatter; and
+criterion_6_pid, for the tests that selfcheck's worker may still be
+forked after an ensemble or a sampler call.
 
 Without HYPOTHESIS_PROFILE every property test runs under Hypothesis's
 default profile and its own settings. HYPOTHESIS_PROFILE=wide loads the
@@ -27,7 +29,7 @@ import os
 import pytest
 from hypothesis import settings
 
-from moranlimits import native
+from moranlimits import native, selfcheck
 
 settings.register_profile("wide", max_examples=2000, deadline=None, print_blob=True)
 WIDE = os.environ.get("HYPOTHESIS_PROFILE") == "wide"
@@ -50,3 +52,17 @@ def each_kernel_body():
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(native, "library", lambda: kernels)
             yield kernels
+
+
+def criterion_6_pid() -> int:
+    """The pid criterion 6 ran in when selfcheck.run_all ran nine fake
+    criteria, each reporting its own pid: another process's where run_all
+    forked its worker, this one's where it ran every criterion inline."""
+
+    def fake():
+        return selfcheck.CheckResult(name="fake", passed=True, detail=str(os.getpid()))
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(selfcheck, "_CHECKS", (fake,) * 9)
+        results = selfcheck.run_all()
+    return int(results[selfcheck._WORKER_INDEX].detail)

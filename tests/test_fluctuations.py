@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from conftest import each_kernel_body
+from conftest import criterion_6_pid, each_kernel_body
 from moranlimits import (
     DeterministicSolution,
     DomainError,
@@ -29,7 +29,6 @@ from moranlimits import (
     variance_ode,
 )
 from moranlimits import fluctuations, native
-from moranlimits.io import fork_pool
 from moranlimits.model import MAX_RATE
 from moranlimits.selfcheck import parameter_panel, reference_params
 
@@ -564,13 +563,11 @@ class TestSamplerThreads:
         assert not any(thread.is_alive() for thread in helpers)
         assert threading.active_count() == 1
 
-    @pytest.mark.skipif(not hasattr(os, "fork"), reason="fork_pool needs fork")
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="the worker needs fork")
     def test_a_worker_may_be_forked_after_the_call(self, compiled, helpers):
         sample_fluctuation_paths(0.62, self.GRID, 8, 7, self.PARAMS)
         assert helpers
-        pool = fork_pool()
-        assert pool is not None
-        pool.shutdown()
+        assert criterion_6_pid() != os.getpid()
 
     def test_a_helper_error_reaches_the_caller(self, compiled, helpers, monkeypatch):
         class FailingInHelpers:

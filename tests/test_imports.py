@@ -9,10 +9,10 @@ code path imports scipy; the tests keep it as a reference. numpy 2
 defers numpy.random to its first use; moranlimits.model, which every
 module that draws random numbers imports, loads it at import, so that
 cost stays out of a command's run.
-selfcheck.run_all, the one caller that forks, imports multiprocessing
-and concurrent.futures only when it may start its worker, which keeps
-about 25 ms out of every command's start. Each case runs in
-a fresh interpreter and checks module names, not timings.
+selfcheck.run_all, the one caller that forks, forks its worker with
+os.fork and a pipe, so not even a whole selfcheck run loads
+multiprocessing or concurrent.futures. Each case runs in a fresh
+interpreter and checks module names, not timings.
 """
 
 import os
@@ -75,3 +75,12 @@ def test_chain_step_is_neither_built_nor_loaded_at_import():
     )
     loaded = modules_loaded_by("moranlimits.cli", then=untouched)
     assert "subprocess" not in loaded
+
+
+def test_selfcheck_battery_forks_without_a_process_pool():
+    """All nine criteria pass, criterion 6 in the forked worker, and no
+    multiprocessing or concurrent.futures module is loaded."""
+    run = "assert all(r.passed for r in moranlimits.selfcheck.run_all())"
+    loaded = modules_loaded_by("moranlimits.selfcheck", then=run)
+    workers = ("multiprocessing", "concurrent.futures")
+    assert sorted(name for name in loaded if name.startswith(workers)) == []

@@ -2,17 +2,19 @@
 or all nine inline while another thread runs.
 
 Fast fake criteria stand in for the real ones, so these cases check the
-plumbing only: order, failure reporting, a dying worker, and that no
-output is written twice. test_acceptance.py runs the real battery.
+plumbing only: order, failure reporting, a worker that exits or is
+killed, that no child is left, and that no output is written twice.
+test_acceptance.py runs the real battery.
 """
 
 import faulthandler
 import json
-import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -24,7 +26,7 @@ from moranlimits.selfcheck import CheckResult, run_all
 SRC = str(Path(moranlimits.__file__).resolve().parents[1])
 
 pytestmark = pytest.mark.skipif(
-    "fork" not in multiprocessing.get_all_start_methods(),
+    not hasattr(os, "fork"),
     reason="fake criteria reach the worker only through a forked copy of the module",
 )
 
@@ -57,6 +59,25 @@ def _dies():
     os._exit(7)
 
 
+def _killed():
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def _interrupted():
+    raise KeyboardInterrupt
+
+
+def _sleeps():
+    time.sleep(0.5)
+    return _fake(6)()
+
+
+def _assert_no_child_left():
+    """This process has no child, running or exited and not yet reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_results_in_criterion_order(monkeypatch):
     monkeypatch.setattr(selfcheck, "_CHECKS", _fakes())
     results = run_all()
@@ -64,7 +85,7 @@ def test_results_in_criterion_order(monkeypatch):
     pids = [int(r.detail) for r in results]
     assert pids[5] != os.getpid()
     assert pids[:5] + pids[6:] == [os.getpid()] * 8
-    assert multiprocessing.active_children() == []
+    _assert_no_child_left()
 
 
 def test_worker_exception_reads_like_an_inline_one(monkeypatch):
@@ -76,15 +97,33 @@ def test_worker_exception_reads_like_an_inline_one(monkeypatch):
     assert all(r.passed for i, r in enumerate(results) if i not in (1, 5))
 
 
+def _assert_worker_failed(results, name: str, ended: str):
+    assert len(results) == 9
+    assert results[5] == CheckResult(
+        name=name,
+        passed=False,
+        detail=f"raised ChildProcessError: the worker sent no result ({ended})",
+    )
+    assert all(r.passed for i, r in enumerate(results) if i != 5)
+    _assert_no_child_left()
+
+
 def test_dead_worker_is_a_failed_criterion(monkeypatch):
     monkeypatch.setattr(selfcheck, "_CHECKS", _fakes(c6=_dies))
-    results = run_all()
-    assert len(results) == 9
-    dead = results[5]
-    assert dead.name == "_dies" and not dead.passed
-    assert dead.detail.startswith("raised BrokenProcessPool: ")
-    assert all(r.passed for i, r in enumerate(results) if i != 5)
-    assert multiprocessing.active_children() == []
+    _assert_worker_failed(run_all(), "_dies", "exit status 7")
+
+
+def test_killed_worker_is_a_failed_criterion(monkeypatch):
+    monkeypatch.setattr(selfcheck, "_CHECKS", _fakes(c6=_killed))
+    _assert_worker_failed(run_all(), "_killed", f"signal {int(signal.SIGKILL)}")
+
+
+def test_worker_is_reaped_when_this_process_raises(monkeypatch):
+    # an interrupt escapes run_all while the worker still runs
+    monkeypatch.setattr(selfcheck, "_CHECKS", _fakes(c1=_interrupted, c6=_sleeps))
+    with pytest.raises(KeyboardInterrupt):
+        run_all()
+    _assert_no_child_left()
 
 
 def test_a_second_thread_keeps_every_criterion_inline(monkeypatch):
@@ -94,7 +133,7 @@ def test_a_second_thread_keeps_every_criterion_inline(monkeypatch):
     thread.start()
     try:
         results = run_all()
-        assert multiprocessing.active_children() == []
+        _assert_no_child_left()
     finally:
         release.set()
         thread.join(timeout=10)

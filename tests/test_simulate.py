@@ -19,6 +19,7 @@ from scipy.integrate import quad
 from scipy.linalg import eigvalsh_tridiagonal
 from scipy.stats import chisquare
 
+from conftest import criterion_6_pid
 from moranlimits import (
     DomainError,
     DriftFunctions,
@@ -37,8 +38,8 @@ from moranlimits import (
     summarize_paths,
     variance_ode,
 )
-from moranlimits import native, simulate
-from moranlimits.io import dump_json, fork_pool
+from moranlimits import cli, native, simulate
+from moranlimits.io import dump_json
 from moranlimits.model import rate_tables
 from moranlimits.selfcheck import reference_params
 
@@ -248,6 +249,26 @@ class TestEnsemble:
         grid = np.linspace(0.0, 200.0, 5)
         summary = run_ensemble(5, grid, 12, 3, params, flow_from(5, params))
         assert summary.absorbed_count == 12
+
+    # u = 0: every path absorbs, at N with Moran's probability
+    # (1 - (1+s)^-k0) / (1 - (1+s)^-N) (Moran 1958), which is k0 / N at s = 0.
+    # The panel, seeds and bound (4 binomial standard errors over 4000
+    # paths) were fixed before the first run.
+    @pytest.mark.parametrize(
+        "n, s, k0, seed",
+        [(50, 0.0, 10, 10001), (50, 0.5, 5, 10002), (200, 0.1, 10, 10003)],
+        ids=["neutral", "N50-s0.5", "N200-s0.1"],
+    )
+    def test_fixation_matches_moran(self, n, s, k0, seed):
+        params = ModelParams(N=n, s=s, u=0.0, nu0=0.5)
+        n_paths = 4000
+        summary = run_ensemble(k0, [0.0, 2000.0], n_paths, seed, params, flow_from(k0, params))
+        final = summary.z_values[:, -1]
+        assert summary.absorbed_count == n_paths
+        assert np.all((final == 0.0) | (final == 1.0))
+        exact = k0 / n if s == 0.0 else (1 - (1 + s) ** -k0) / (1 - (1 + s) ** -n)
+        fixed = float(np.mean(final == 1.0))
+        assert abs(fixed - exact) <= 4 * math.sqrt(exact * (1 - exact) / n_paths)
 
     def test_record_is_json_ready(self, tmp_path):
         grid = np.linspace(0.0, 1.0, 4)
@@ -592,8 +613,36 @@ class TestThreadedPaths:
         assert helpers == []
         assert np.array_equal(summary.z_values, expected)
 
+    def test_helpers_that_cannot_start_run_on_this_thread(self, cpus, monkeypatch, tmp_path):
+        # as at a thread or process limit: every helper's start raises, so
+        # this thread runs each task after its own, to the same bytes
+        cpus(3)
+        reference = flow_from(100, self.PARAMS)
+        sampler = (0.62, self.GRID, 8, 7, self.PARAMS)
+        expected = (
+            run_ensemble(100, self.GRID, 8, 5, self.PARAMS, reference).z_values,
+            sample_fluctuation_paths(*sampler).tobytes(),
+        )
+        config = str(Path(__file__).resolve().parents[1] / "configs" / "reference.json")
+        assert cli.main(["simulate", "--config", config, "--out", str(tmp_path / "threads")]) == 0
+
+        def cannot_start(thread):
+            raise RuntimeError("can't start new thread")
+
+        monkeypatch.setattr(threading.Thread, "start", cannot_start)
+        assert np.array_equal(
+            run_ensemble(100, self.GRID, 8, 5, self.PARAMS, reference).z_values, expected[0]
+        )
+        assert sample_fluctuation_paths(*sampler).tobytes() == expected[1]
+        assert cli.main(["simulate", "--config", config, "--out", str(tmp_path / "inline")]) == 0
+        artifacts = sorted(path.name for path in (tmp_path / "threads").iterdir())
+        assert artifacts == sorted(path.name for path in (tmp_path / "inline").iterdir())
+        for name in artifacts:
+            inline = (tmp_path / "inline" / name).read_bytes()
+            assert inline == (tmp_path / "threads" / name).read_bytes()
+
     @pytest.mark.skipif(
-        sys.platform == "win32" or not hasattr(os, "fork"), reason="fork_pool needs fork"
+        sys.platform == "win32" or not hasattr(os, "fork"), reason="the worker needs fork"
     )
     def test_a_helper_error_reaches_the_caller_and_no_thread_outlives_it(
         self, cpus, monkeypatch
@@ -616,9 +665,7 @@ class TestThreadedPaths:
         monkeypatch.setattr(simulate, "_run_chain", run_chain)
         run_ensemble(100, self.GRID, 8, 5, self.PARAMS, reference)
         assert threading.active_count() == 1
-        pool = fork_pool()  # a worker may be forked right after an ensemble
-        assert pool is not None
-        pool.shutdown()
+        assert criterion_6_pid() != os.getpid()  # forked right after an ensemble
 
     def test_usable_cpus_reads_the_affinity_mask(self, monkeypatch):
         if hasattr(os, "sched_getaffinity"):
