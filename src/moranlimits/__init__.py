@@ -38,10 +38,10 @@ from .simulate import (
     TrajectoryPath,
     clt_statistics,
     run_ensemble,
+    run_stored_ensemble,
     sample_Z_at,
     simulate_on_grid,
     simulate_path,
-    summarize_paths,
 )
 from .stationary import (
     GaussianLimitReport,
@@ -83,10 +83,10 @@ __all__ = [
     "TrajectoryPath",
     "clt_statistics",
     "run_ensemble",
+    "run_stored_ensemble",
     "sample_Z_at",
     "simulate_on_grid",
     "simulate_path",
-    "summarize_paths",
     "GaussianLimitReport",
     "StationaryDistribution",
     "brute_force_stationary",

@@ -29,7 +29,7 @@ from .config import ConfigError, ExperimentConfig, load_config, validate_for_com
 from .deterministic import classify_regime, equilibria, ode_oracle_at, solve_deterministic
 from .io import dump_json, write_csv
 from .model import DomainError, ModelParams, UnsupportedModelError, time_grid
-from .simulate import clt_statistics, run_ensemble, simulate_path, summarize_paths
+from .simulate import clt_statistics, run_ensemble, run_stored_ensemble
 from .stationary import gaussian_limit_check, stationary_distribution
 
 EXIT_OK = 0
@@ -108,11 +108,9 @@ def cmd_simulate(config: ExperimentConfig, out_dir: Path) -> int:
     artifacts = {"table": "ensemble_table.csv"}
     if settings.store_paths:
         # One pass: the kept paths also give the grid values.
-        paths = [
-            simulate_path(k0, settings.t_end, [config.seed, p], params)
-            for p in range(settings.n_paths)
-        ]
-        summary = summarize_paths(paths, grid, config.seed, reference=reference)
+        summary, paths = run_stored_ensemble(
+            k0, grid, settings.n_paths, config.seed, params, reference=reference
+        )
         write_csv(out_dir / "ensemble_paths.csv", ["path", "t", "k"], _path_columns(paths))
         artifacts["paths"] = "ensemble_paths.csv"
     else:

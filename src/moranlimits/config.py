@@ -5,11 +5,11 @@ missing required keys are reported by their dotted path, and every
 value is checked for its type and range. Beyond that this module checks
 only the rules that name a config key the library never sees: a
 command's section must be present, the ode oracle step must keep RK4
-stable, the ode table and the simulate time grid must fit one fixed
-work budget of 10^7 steps, the chain that simulate and clt run must
-fit budgets of 10^7 rate-table rows, 10^10 events and 1 GiB of path
-state (with simulate.store_paths, of kept events too), and the pmf that
-stationary writes must fit 10^7 rows. The
+stable, the ode table must fit a work budget of 10^7 steps, the chain
+that simulate and clt run must fit budgets of 10^7 rate-table rows,
+10^10 events and 1 GiB of path state and grid rows (with
+simulate.store_paths, of kept events too), and the pmf that stationary
+writes must fit 10^7 rows. The
 model's own preconditions (the rate cap, u nu0 > 0 and u nu1 > 0 for
 the fluctuation and stationary laws, owned by model.require_mutation, a resolvable
 discriminant) are raised by the library module that needs them, when
@@ -44,9 +44,8 @@ _MAX_SEED = 2**64 - 1
 _RK4_STABILITY_LIMIT = 2.785
 
 # The ode command takes about t_end / min(oracle_step, grid_step) RK4
-# steps and grid rows, and simulate t_end / grid_step grid rows per path.
-# At 10^7 steps the oracle takes about 0.4 s compiled and 7 to 13 s in
-# rk4.integrate_at (10^4 to 10^7 grid rows, 2-vCPU VM).
+# steps and grid rows. At 10^7 steps the oracle takes about 0.4 s compiled
+# and 7 to 13 s in rk4.integrate_at (10^4 to 10^7 grid rows, 2-vCPU VM).
 _MAX_STEPS = 10**7
 
 # simulate and clt build a rate table of N + 1 rows, about 100 bytes
@@ -296,10 +295,8 @@ def validate_for_command(config: ExperimentConfig, command: str) -> None:
         config.require(command)
     if command == "ode":
         _require_stable_oracle_step(config)
-        _require_step_budget(config, "ode", ("oracle_step", "grid_step"))
-    elif command == "simulate":
-        _require_step_budget(config, "simulate", ("grid_step",))
-    if command in ("simulate", "clt"):
+        _require_step_budget(config)
+    elif command in ("simulate", "clt"):
         _require_chain_budget(config, command)
     elif command == "stationary":
         _require_table_rows(config, "stationary", "pmf rows")
@@ -319,16 +316,15 @@ def _require_stable_oracle_step(config: ExperimentConfig) -> None:
         )
 
 
-def _require_step_budget(config: ExperimentConfig, section: str, step_keys: tuple) -> None:
-    """Raise ConfigError if t_end / min(step_keys) in the section exceeds the budget."""
-    settings = config.sections[section]
-    step = min(getattr(settings, key) for key in step_keys)
+def _require_step_budget(config: ExperimentConfig) -> None:
+    """Raise ConfigError if ode's t_end / min(oracle_step, grid_step) exceeds the budget."""
+    settings = config.sections["ode"]
+    step = min(settings.oracle_step, settings.grid_step)
     steps = settings.t_end / step
     if steps > _MAX_STEPS:
-        keys = ", ".join(f"'{section}.{key}'" for key in step_keys)
-        divisor = f"min({keys})" if len(step_keys) > 1 else keys
         raise ConfigError(
-            f"'{section}.t_end' / {divisor} = {settings.t_end!r} / {step!r} ="
+            "'ode.t_end' / min('ode.oracle_step', 'ode.grid_step') ="
+            f" {settings.t_end!r} / {step!r} ="
             f" {steps:.3g} steps exceeds the budget of {_MAX_STEPS:.0e};"
             " shorten t_end or lengthen the steps"
         )
@@ -373,11 +369,12 @@ def _require_chain_budget(config: ExperimentConfig, section: str) -> None:
         )
     # below the event budget n_paths converts to a float
     rows = settings.t_end / settings.grid_step + 2 if simulate else len(settings.times) + 1
+    rows_key = "('simulate.t_end' / 'simulate.grid_step' + 2)" if simulate else "(len('clt.times') + 1)"
     report = _REPORT_ROW_BYTES[section]
     size = float(settings.n_paths) * (_PATH_BYTES + _GRID_ROW_BYTES * rows) + report * rows
     terms = (
-        f"'{section}.n_paths' * ({_PATH_BYTES} + {_GRID_ROW_BYTES} * grid rows)"
-        f" + {report} * grid rows"
+        f"'{section}.n_paths' * ({_PATH_BYTES} + {_GRID_ROW_BYTES} * {rows_key})"
+        f" + {report} * {rows_key}"
     )
     values = (
         f"{settings.n_paths} * ({_PATH_BYTES} + {_GRID_ROW_BYTES} * {rows:.6g})"

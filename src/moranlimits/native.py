@@ -9,7 +9,8 @@ and the CSV formatter of float64 and int64 columns (format_rows, for
 io.write_csv). Each has one Python body, which runs where the library
 cannot be had and which it equals bit for bit, or byte for byte:
 simulate._python_step, rk4.integrate_at, rk4.integrate, the sampler's
-generators and column loop, and io's column formatter.
+generators and column loop, and io's column formatter. library() binds
+all five, so it is the one switch: where it returns None, each runs that body.
 
 The sampler seeds numpy's PCG64 from each path's state and draws with
 numpy's own random_standard_normal, which the library links from
@@ -150,17 +151,20 @@ def _built_library() -> Path:
 def library() -> Optional[ctypes.CDLL]:
     """The compiled kernels, or None where they cannot be built or loaded.
 
-    Found on first use, not at import, and never raises or prints. The
-    RK4 sweeps' and format_table's prototypes are set here; simulate sets
-    chain_step's, whose argument is its own chain structure.
+    Found on first use, not at import, and never raises or prints. Every
+    kernel's prototype is set here, so this is the one switch between the
+    compiled bodies and the Python ones.
     """
     try:
         kernels = ctypes.CDLL(str(_built_library()))
     except OSError:
         return None
+    # chain_step(a simulate._Chain by reference, the batch's events)
+    kernels.chain_step.argtypes = (ctypes.c_void_p, ctypes.c_int64)
     kernels.rk4_flow.argtypes = _SWEEP_ARGS + (ctypes.c_double, ctypes.c_double, ctypes.c_void_p)
     kernels.rk4_variance.argtypes = _SWEEP_ARGS + (ctypes.c_void_p,)
-    kernels.rk4_flow.restype = kernels.rk4_variance.restype = ctypes.c_int
+    for kernel in (kernels.chain_step, kernels.rk4_flow, kernels.rk4_variance):
+        kernel.restype = ctypes.c_int
     # fluctuation_rows(first, last, columns, states, propagators, shock
     # sds, output)
     kernels.fluctuation_rows.argtypes = (ctypes.c_int64,) * 3 + (ctypes.c_void_p,) * 4

@@ -25,10 +25,10 @@ thread that ran it. Every helper has ended before run_ensemble returns
 or raises.
 
 The step has two bodies with the same arithmetic: chain_step in
-kernels.c, which native.library() compiles on first use and loads with
-ctypes, and _python_step, the same step as a Python loop, several times
-slower and equal bit for bit, which runs where the library cannot be
-had.
+kernels.c, which native.library() compiles on first use, loads with
+ctypes and binds with the other kernels, and _python_step, the same step
+as a Python loop, several times slower and equal bit for bit, which runs
+where native.library() returns None.
 
 Reproducibility contract: a path is a pure function of
 (seed, params, k0, horizon). Ensembles give path p the dedicated stream
@@ -37,8 +37,8 @@ np.random.default_rng([master_seed, p]) builds, so any prefix of paths
 can be regenerated in isolation. The contract fixes each path's PCG64
 state, not how it is computed: model.path_generators hashes every
 path's state in one vectorised pass. The batch schedule is part of that
-contract. The same holds for summarize_paths, which summarises paths
-already kept event by event by simulate_path.
+contract. The same holds for run_stored_ensemble, which keeps each
+path event by event with simulate_path and summarises the kept paths.
 """
 
 from __future__ import annotations
@@ -201,18 +201,6 @@ def _python_step(chain: _Chain, n: int) -> int:
     return status
 
 
-@functools.cache
-def _batch_step():
-    """The compiled chain_step, or _python_step where the library cannot be had."""
-    kernels = native.library()
-    if kernels is None:
-        return _python_step
-    step = kernels.chain_step
-    step.argtypes = (ctypes.POINTER(_Chain), ctypes.c_int64)
-    step.restype = ctypes.c_int
-    return step
-
-
 def _run_chain(k0: int, rng: np.random.Generator, chain: _Chain):
     """Drive one chain from k0 at time 0 to chain.grid[-1], drawing from rng.
 
@@ -222,7 +210,11 @@ def _run_chain(k0: int, rng: np.random.Generator, chain: _Chain):
     empty unless the chain keeps events. Each step call runs one batch,
     at most _BATCH_MAX events, so signals are served between batches.
     """
-    step = _batch_step()
+    kernels = native.library()
+    if kernels is None:
+        step = functools.partial(_python_step, chain)
+    else:
+        step = functools.partial(kernels.chain_step, ctypes.byref(chain))
     chain.t, chain.k, chain.gi = 0.0, k0, 0
     times, states = [np.empty(0)], [np.empty(0, dtype=np.int64)]
     batch = _BATCH_START
@@ -230,7 +222,7 @@ def _run_chain(k0: int, rng: np.random.Generator, chain: _Chain):
         # the batch's exponential waits, then as many uniform coins
         rng.standard_exponential(out=chain.waits[:batch])
         rng.random(out=chain.coins[:batch])
-        status = step(chain, batch)
+        status = step(batch)
         if chain.times is not None:
             times.append(chain.times[: chain.kept].copy())
             states.append(chain.states[: chain.kept].copy())
@@ -254,7 +246,7 @@ def _run_paths(
     its next path and is raised here, and one here stops the helpers too;
     every helper has been joined before this returns or raises.
     """
-    threads = 1 if _batch_step() is _python_step else min(n_paths, native.usable_cpus())
+    threads = 1 if native.library() is None else min(n_paths, native.usable_cpus())
     tables = _step_tables(params)
     states = np.empty((n_paths, grid.size), dtype=np.int64)
     absorbed = np.zeros(n_paths, dtype=bool)
@@ -435,33 +427,31 @@ def run_ensemble(
     )
 
 
-def summarize_paths(
-    paths: Sequence[TrajectoryPath],
+def run_stored_ensemble(
+    k0: int,
     t_grid: Sequence[float],
+    n_paths: int,
     rng_seed: int,
+    params: ModelParams,
     reference: DeterministicSolution,
-) -> EnsembleSummary:
-    """Grid statistics of an ensemble whose paths were kept event by event.
+) -> tuple[EnsembleSummary, list[TrajectoryPath]]:
+    """Simulate n_paths paths keeping every event, and summarise them on t_grid.
 
-    paths[p] is simulate_path(k0, t_grid[-1], [rng_seed, p], params).
-    Its grid values are read with sample_Z_at, which divides the same
-    integer states by N, so the summary equals run_ensemble(k0, t_grid,
-    len(paths), rng_seed, params, reference) bit for bit without
-    simulating any path again.
+    Path p is simulate_path(k0, t_grid[-1], [rng_seed, p], params), run in
+    order of p. Its grid values are read with sample_Z_at, which divides
+    the same integer states by N, so the summary equals run_ensemble(k0,
+    t_grid, n_paths, rng_seed, params, reference) bit for bit. Returns the
+    summary and the kept paths.
     """
+    k0 = check_int(k0, "k0", 0, params.N)
     grid = check_grid(t_grid)
+    n_paths = check_int(n_paths, "n_paths", minimum=1)
     rng_seed = check_seed(rng_seed)
-    if not paths:
-        raise DomainError("paths must hold at least one path")
-    first = paths[0]
-    for path in paths:
-        if (path.k0, path.params, path.final_time) != (first.k0, first.params, grid[-1]):
-            raise DomainError("paths must share k0 and params and end at t_grid[-1]")
+
+    paths = [simulate_path(k0, grid[-1], [rng_seed, p], params) for p in range(n_paths)]
     z_values = np.array([sample_Z_at(grid, path) for path in paths])
     absorbed_count = sum(path.absorbed for path in paths)
-    return _summary(
-        first.k0, grid, rng_seed, first.params, reference, z_values, absorbed_count
-    )
+    return _summary(k0, grid, rng_seed, params, reference, z_values, absorbed_count), paths
 
 
 def _summary(

@@ -424,10 +424,15 @@ def ks_sample_to_gaussian(sample, sigma: float) -> float:
     point, so the supremum is i / n - G there or G - (i - 1) / n just
     before it. The same formula as
     scipy.stats.kstest(sample, "norm", args=(0, sigma)).statistic, and
-    equal to it bit for bit.
+    equal to it bit for bit, NaN included.
     """
     check_real(sigma, "sigma", 0.0, exclusive=True)
-    x = np.sort(sample)
+    try:
+        x = np.sort(np.asarray(sample, dtype=float))
+    except (TypeError, ValueError):  # ragged nesting, strings
+        x = None
+    if x is None or x.ndim != 1 or x.size == 0:
+        raise DomainError(f"sample must be a non-empty 1-d array of reals, got {sample!r}")
     n = x.size
     return _sup_distance(x / sigma, np.arange(1.0, n + 1) / n, np.arange(0.0, n) / n)
 

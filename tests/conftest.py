@@ -1,6 +1,6 @@
 """Hypothesis profiles, WIDE, and each_kernel_body for the tests of the
-RK4 oracles, the Gaussian path sampler and the CSV formatter; and
-criterion_6_pid, for the tests that selfcheck's worker may still be
+chain's batch step, the RK4 oracles, the Gaussian path sampler and the
+CSV formatter; and criterion_6_pid, for the tests that selfcheck's worker may still be
 forked after an ensemble or a sampler call.
 
 Without HYPOTHESIS_PROFILE every property test runs under Hypothesis's
@@ -39,9 +39,10 @@ if WIDE:
 
 def each_kernel_body():
     """Yield once per body of the compiled kernels, with the code running on
-    it: the compiled library (the RK4 sweeps, the Gaussian path sampler,
-    the CSV formatter), then native.library patched to None (rk4's loop,
-    the sampler's Python body, io's formatter).
+    it: the compiled library (the chain step, the RK4 sweeps, the Gaussian
+    path sampler, the CSV formatter), then native.library patched to None
+    (simulate._python_step, rk4's loop, the sampler's Python body, io's
+    formatter), the one switch of all five.
 
     A test body iterates it (`for _ in each_kernel_body(): ...`), so one test
     id covers both. Without a C compiler both runs take the Python bodies;

@@ -22,7 +22,7 @@ from pathlib import Path
 import pytest
 
 from conftest import each_kernel_body
-from moranlimits import cli, simulate
+from moranlimits import cli
 from moranlimits import io as mio
 
 REFERENCE_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "reference.json"
@@ -129,12 +129,10 @@ def write_config(tmp_path: Path, config: str) -> Path:
 
 
 @pytest.mark.parametrize("command, config", sorted(GOLDEN))
-def test_artifacts_match_golden_digests(tmp_path, monkeypatch, command, config):
+def test_artifacts_match_golden_digests(tmp_path, command, config):
     """Each case on the compiled kernels, then on their Python bodies."""
     config_path = write_config(tmp_path, config)
-    for body, kernels in enumerate(each_kernel_body()):
-        if kernels is None:  # _batch_step is cached, so it is patched too
-            monkeypatch.setattr(simulate, "_batch_step", lambda: simulate._python_step)
+    for body, _ in enumerate(each_kernel_body()):
         out_dir = tmp_path / f"out{body}"
         with contextlib.redirect_stdout(io.StringIO()):
             code = cli.main([command, "--config", str(config_path), "--out", str(out_dir)])

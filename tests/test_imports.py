@@ -70,7 +70,6 @@ def test_chain_step_is_neither_built_nor_loaded_at_import():
     an RK4 oracle or the CSV formatter, so no command pays for them at start."""
     untouched = (
         "import moranlimits.deterministic, moranlimits.fluctuations;"
-        " assert moranlimits.simulate._batch_step.cache_info().currsize == 0;"
         " assert moranlimits.native.library.cache_info().currsize == 0"
     )
     loaded = modules_loaded_by("moranlimits.cli", then=untouched)

@@ -192,13 +192,13 @@ def _call(name, **override):
         clt_statistics,
         rk4,
         run_ensemble,
+        run_stored_ensemble,
         sample_fluctuation_paths,
         simulate_on_grid,
         simulate_path,
         solve_deterministic,
         stationary_distribution,
         stationary_sampler,
-        summarize_paths,
     )
 
     args = {"k0": 2, "n_paths": 2, "rng_seed": 1, "t_grid": GRID, "times": GRID, "n": 3, "N": 20}
@@ -218,8 +218,8 @@ def _call(name, **override):
         "simulate_on_grid": lambda: simulate_on_grid(
             args["k0"], args["t_grid"], args["rng_seed"], SMALL
         ),
-        "summarize_paths": lambda: summarize_paths(
-            [simulate_path(2, 0.5, [1, 0], SMALL)], args["t_grid"], args["rng_seed"], flow
+        "run_stored_ensemble": lambda: run_stored_ensemble(
+            args["k0"], args["t_grid"], args["n_paths"], args["rng_seed"], SMALL, flow
         ),
         "stationary_sampler": lambda: stationary_sampler(
             stationary_distribution(SMALL), args["n"], args["rng_seed"]
@@ -245,7 +245,11 @@ CHECKED_ARGUMENTS = {
     },
     "simulate_path": {"count": ("k0",), "seed": ("rng_seed",)},
     "simulate_on_grid": {"count": ("k0",), "seed": ("rng_seed",), "grid": ("t_grid",)},
-    "summarize_paths": {"seed": ("rng_seed",), "grid": ("t_grid",)},
+    "run_stored_ensemble": {
+        "count": ("k0", "n_paths"),
+        "seed": ("rng_seed",),
+        "grid": ("t_grid",),
+    },
     "stationary_sampler": {"count": ("n",), "seed": ("rng_seed",)},
     "rk4.integrate_at": {"grid": ("times",)},
     "FluctuationLaw.variance_on_grid": {"grid": ("times",)},

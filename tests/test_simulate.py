@@ -1,5 +1,6 @@
 """Event-driven chain simulation, grid sampling, and ensemble statistics."""
 
+import ctypes
 import hashlib
 import json
 import math
@@ -19,7 +20,7 @@ from scipy.integrate import quad
 from scipy.linalg import eigvalsh_tridiagonal
 from scipy.stats import chisquare
 
-from conftest import criterion_6_pid
+from conftest import criterion_6_pid, each_kernel_body
 from moranlimits import (
     DomainError,
     DriftFunctions,
@@ -34,8 +35,8 @@ from moranlimits import (
     simulate_on_grid,
     simulate_path,
     solve_deterministic,
+    run_stored_ensemble,
     stationary_distribution,
-    summarize_paths,
     variance_ode,
 )
 from moranlimits import cli, native, simulate
@@ -270,6 +271,32 @@ class TestEnsemble:
         fixed = float(np.mean(final == 1.0))
         assert abs(fixed - exact) <= 4 * math.sqrt(exact * (1 - exact) / n_paths)
 
+    # u = 0: the mean time to absorption from k solves the first-step
+    # equations r_k T_k - lambda_k T_{k+1} - mu_k T_{k-1} = 1 with
+    # T_0 = T_N = 0 and r_k = lambda_k + mu_k. The panel, seeds and bound
+    # (4 standard errors of the mean over 4000 paths) were fixed before
+    # the first run.
+    @pytest.mark.parametrize(
+        "n, s, k0, seed",
+        [(50, 0.0, 10, 10011), (50, 0.5, 5, 10012), (200, 0.1, 10, 10013)],
+        ids=["neutral", "N50-s0.5", "N200-s0.1"],
+    )
+    def test_absorption_time_matches_first_step_analysis(self, n, s, k0, seed):
+        params = ModelParams(N=n, s=s, u=0.0, nu0=0.5)
+        lam, mu = rate_tables(params)
+        inner = slice(1, n)
+        system = (
+            np.diag(lam[inner] + mu[inner])
+            - np.diag(lam[1 : n - 1], 1)
+            - np.diag(mu[2:n], -1)
+        )
+        exact = np.linalg.solve(system, np.ones(n - 1))[k0 - 1]
+        n_paths = 4000
+        paths = [simulate_path(k0, 1e6, [seed, p], params) for p in range(n_paths)]
+        assert all(path.absorbed for path in paths)
+        times = np.array([path.times[-1] for path in paths])
+        assert abs(times.mean() - exact) <= 4 * times.std(ddof=1) / math.sqrt(n_paths)
+
     def test_record_is_json_ready(self, tmp_path):
         grid = np.linspace(0.0, 1.0, 4)
         summary = run_ensemble(50, grid, 3, 99, REF, FLOW)
@@ -341,7 +368,7 @@ class TestLockstepKernel:
     def run_and_compare(k0, grid, n_paths, seed, params):
         grid = np.asarray(grid, dtype=float)
         runs = [
-            simulate._run_paths(k0, grid, seed, n_paths, params) for _ in each_step()
+            simulate._run_paths(k0, grid, seed, n_paths, params) for _ in each_kernel_body()
         ]
         events = []
         for p in range(n_paths):
@@ -523,7 +550,7 @@ class TestThreadedPaths:
     @pytest.fixture
     def cpus(self, monkeypatch):
         """Sets the usable CPUs; skips where the compiled step cannot be had."""
-        if simulate._batch_step() is simulate._python_step:
+        if native.library() is None:
             pytest.skip("needs the compiled batch step")
         return lambda n: monkeypatch.setattr(native, "usable_cpus", lambda: n)
 
@@ -596,22 +623,34 @@ class TestThreadedPaths:
         assert threading.active_count() == 1
 
     def test_python_step_runs_no_helper(self, monkeypatch, helpers):
-        # Without the library, _batch_step finds the Python step, which
-        # holds the GIL: this thread runs every path.
+        # Without the library the Python step runs, which holds the GIL:
+        # this thread runs every path.
         monkeypatch.setattr(native, "usable_cpus", lambda: 3)
         reference = flow_from(100, self.PARAMS)
         expected = run_ensemble(100, self.GRID, 6, 5, self.PARAMS, reference).z_values
         helpers.clear()
-        _BATCH_STEP.cache_clear()
-        try:
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(native, "library", lambda: None)
-                assert simulate._batch_step() is simulate._python_step
-                summary = run_ensemble(100, self.GRID, 6, 5, self.PARAMS, reference)
-        finally:
-            _BATCH_STEP.cache_clear()
+        monkeypatch.setattr(native, "library", lambda: None)
+        summary = run_ensemble(100, self.GRID, 6, 5, self.PARAMS, reference)
         assert helpers == []
         assert np.array_equal(summary.z_values, expected)
+
+    def test_one_switch_sets_the_step_after_a_compiled_ensemble(self, monkeypatch):
+        # native.library, patched alone, also switches the chain's step:
+        # an ensemble run after a compiled one runs every batch in
+        # _python_step, to the same bytes
+        reference = flow_from(100, self.PARAMS)
+        expected = run_ensemble(100, self.GRID, 6, 5, self.PARAMS, reference).z_values
+        calls, python_step = [], simulate._python_step
+
+        def spy(chain, n):
+            calls.append(n)
+            return python_step(chain, n)
+
+        monkeypatch.setattr(simulate, "_python_step", spy)
+        monkeypatch.setattr(native, "library", lambda: None)
+        summary = run_ensemble(100, self.GRID, 6, 5, self.PARAMS, reference)
+        assert len(calls) >= 6  # at least one batch a path
+        assert summary.z_values.tobytes() == expected.tobytes()
 
     def test_helpers_that_cannot_start_run_on_this_thread(self, cpus, monkeypatch, tmp_path):
         # as at a thread or process limit: every helper's start raises, so
@@ -675,14 +714,20 @@ class TestThreadedPaths:
 
 
 class TestSummarizePaths:
-    """Summaries of kept paths equal run_ensemble's, bit for bit."""
+    """run_stored_ensemble keeps simulate_path's paths, and its summary
+    equals run_ensemble's, bit for bit."""
 
     @staticmethod
     def compare(k0, grid, n_paths, seed, params):
         t_end = float(np.asarray(grid)[-1])
-        paths = [simulate_path(k0, t_end, [seed, p], params) for p in range(n_paths)]
         reference = flow_from(k0, params)
-        kept = summarize_paths(paths, grid, seed, reference)
+        kept, paths = run_stored_ensemble(k0, grid, n_paths, seed, params, reference)
+        assert len(paths) == n_paths
+        for p, path in enumerate(paths):
+            alone = simulate_path(k0, t_end, [seed, p], params)
+            assert np.array_equal(path.times, alone.times)
+            assert np.array_equal(path.states, alone.states)
+            assert (path.final_time, path.absorbed) == (t_end, alone.absorbed)
         direct = run_ensemble(k0, grid, n_paths, seed, params, reference)
         assert np.array_equal(kept.z_values, direct.z_values)
         assert kept.absorbed_count == direct.absorbed_count
@@ -702,18 +747,6 @@ class TestSummarizePaths:
     def test_single_point_grid(self):
         summary = self.compare(30, [0.0], 4, 3, REF)
         assert np.all(summary.z_values == 30 / REF.N)
-
-    def test_rejects_paths_of_another_shape(self):
-        grid = np.linspace(0.0, 1.0, 5)
-        paths = [simulate_path(50, 1.0, [7, p], REF) for p in range(2)]
-        with pytest.raises(DomainError, match="at least one path"):
-            summarize_paths([], grid, 7, FLOW)
-        with pytest.raises(DomainError, match="end at t_grid"):
-            summarize_paths(paths, grid[:-1], 7, FLOW)
-        with pytest.raises(DomainError, match="share k0"):
-            summarize_paths(paths + [simulate_path(51, 1.0, [7, 2], REF)], grid, 7, FLOW)
-        with pytest.raises(DomainError, match="rng_seed"):
-            summarize_paths(paths, grid, [7, 0], FLOW)
 
 
 def reference_chain(k0, t_end, seed, params, grid=None):
@@ -758,29 +791,15 @@ def reference_chain(k0, t_end, seed, params, grid=None):
     return times, states, absorbed, grid_states
 
 
-_BATCH_STEP = simulate._batch_step
 _LIBRARY = native.library
 NUMPY_RANDOM = Path(np.__file__).parent / "random" / "lib" / "libnpyrandom.a"
-
-
-def each_step():
-    """Yield once per batch step, with the chain running on it: the compiled, then the Python one.
-
-    Without a C compiler both runs take the Python step;
-    TestBatchStepLoader::test_compiled_step_loads checks that the
-    compiled one is found where a compiler is.
-    """
-    for step in (_BATCH_STEP(), simulate._python_step):
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(simulate, "_batch_step", lambda: step)
-            yield step
 
 
 def assert_chain_matches_reference(k0, t_end, seed, params, grid):
     """simulate_path and simulate_on_grid reproduce reference_chain bit for bit on both steps."""
     times, states, absorbed, _ = reference_chain(k0, t_end, seed, params)
     _, _, _, expected = reference_chain(k0, float(grid[-1]), seed, params, grid)
-    for _ in each_step():
+    for _ in each_kernel_body():
         path = simulate_path(k0, t_end, seed, params)
         assert path.times.tolist() == times
         assert path.states.tolist() == states
@@ -861,7 +880,7 @@ class TestChainKernel:
         assert 64 + 256 + 1024 + 4096 < events < 64 + 256 + 1024 + 4096 + 8192
 
     def test_zero_horizon(self):
-        for _ in each_step():
+        for _ in each_kernel_body():
             path = simulate_path(50, 0.0, 3, REF)
             assert path.n_events == 0 and not path.absorbed
             assert simulate_on_grid(50, [0.0], 3, REF).tolist() == [50]
@@ -876,16 +895,13 @@ class TestBatchStepLoader:
 
     @pytest.fixture
     def cache(self, monkeypatch, tmp_path):
-        """An empty cache home, and a native.library and _batch_step that look
-        for the library afresh."""
-        self.found = _BATCH_STEP()  # the step and the kernels found with the usual cache
-        self.kernels = _LIBRARY()
+        """An empty cache home, and a native.library that looks for the
+        library afresh."""
+        self.kernels = _LIBRARY()  # the kernels found with the usual cache
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
         _LIBRARY.cache_clear()
-        _BATCH_STEP.cache_clear()
         yield tmp_path / "cache" / "moranlimits"
         _LIBRARY.cache_clear()
-        _BATCH_STEP.cache_clear()
 
     def outputs(self):
         states, absorbed = simulate._run_paths(100, self.GRID, 7, 16, self.PARAMS)
@@ -907,10 +923,9 @@ class TestBatchStepLoader:
 
     @pytest.mark.skipif(shutil.which("cc") is None, reason="needs a C compiler")
     def test_compiled_step_loads(self, cache, capfd):
-        step = _BATCH_STEP()
-        assert step is not simulate._python_step
-        assert _BATCH_STEP() is step
-        assert _LIBRARY() is not None and _LIBRARY() is _LIBRARY()
+        kernels = _LIBRARY()
+        assert kernels is not None and _LIBRARY() is kernels
+        assert kernels.chain_step.argtypes == (ctypes.c_void_p, ctypes.c_int64)
         assert [p.name for p in cache.iterdir()] == [f"kernels-{library_key()}.so"]
         assert capfd.readouterr() == ("", "")
 
@@ -927,7 +942,6 @@ class TestBatchStepLoader:
     @pytest.mark.skipif(shutil.which("cc") is None, reason="needs a C compiler")
     def test_without_numpys_archive_the_sampler_runs_python(self, cache, monkeypatch, tmp_path):
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(simulate, "_batch_step", lambda: self.found)
             patch.setattr(native, "library", lambda: self.kernels)
             expected = self.outputs()
         monkeypatch.setattr(native, "_NUMPY_RANDOM", tmp_path / "missing" / "libnpyrandom.a")
@@ -948,7 +962,6 @@ class TestBatchStepLoader:
     @pytest.mark.parametrize("failure", ["no-compiler", "compile-fails", "unwritable-cache"])
     def test_falls_back_with_identical_outputs(self, cache, capfd, monkeypatch, tmp_path, failure):
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(simulate, "_batch_step", lambda: self.found)
             patch.setattr(native, "library", lambda: self.kernels)
             expected = self.outputs()
         if failure == "unwritable-cache":
@@ -960,8 +973,7 @@ class TestBatchStepLoader:
                 (bin_dir / "cc").write_text("#!/bin/sh\necho 'cc: error' >&2\nexit 1\n")
                 (bin_dir / "cc").chmod(0o755)
             monkeypatch.setenv("PATH", str(bin_dir))
-        assert _BATCH_STEP() is simulate._python_step
-        assert _LIBRARY() is None  # so the RK4 oracles run their Python loops
+        assert _LIBRARY() is None  # so every kernel runs its Python body
         assert self.outputs() == expected
         assert capfd.readouterr() == ("", "")
         if failure == "compile-fails":
@@ -978,23 +990,22 @@ class TestBatchStepLoader:
         monkeypatch.setattr(Path, "home", classmethod(no_home))
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
         private = tmp_path / f"moranlimits-{os.getuid()}"
-        assert _BATCH_STEP() is not simulate._python_step
+        assert _LIBRARY() is not None
         assert private.stat().st_mode & 0o777 == 0o700
         assert [p.name for p in private.iterdir()] == [f"kernels-{library_key()}.so"]
         # a directory others may write to could hold anyone's library
         private.chmod(0o777)
         _LIBRARY.cache_clear()
-        _BATCH_STEP.cache_clear()
-        assert _BATCH_STEP() is simulate._python_step
+        assert _LIBRARY() is None
 
     @pytest.mark.skipif(shutil.which("cc") is None, reason="needs a C compiler")
     def test_processes_building_at_once_each_load_a_whole_library(self, cache):
         script = (
             "import hashlib, numpy as np\n"
-            "from moranlimits import ModelParams, simulate\n"
+            "from moranlimits import ModelParams, native, simulate\n"
             "params = ModelParams(N=1000, s=1.0, u=0.5, nu0=0.5)\n"
             "states, _ = simulate._run_paths(100, np.linspace(0.0, 2.0, 11), 7, 16, params)\n"
-            "compiled = simulate._batch_step() is not simulate._python_step\n"
+            "compiled = native.library() is not None\n"
             "print(compiled, hashlib.sha256(states.tobytes()).hexdigest())\n"
         )
         env = dict(os.environ, PYTHONPATH=str(Path(simulate.__file__).parents[1]))

@@ -215,6 +215,15 @@ class TestKsSample:
             with pytest.raises(DomainError):
                 ks_sample_to_gaussian(np.zeros(3), bad)
 
+    @pytest.mark.parametrize(
+        "sample",
+        [np.zeros(0), [], np.zeros((2, 3)), 0.5, [[0.1], [0.2, 0.3]], ["a", "b"]],
+        ids=["empty", "empty-list", "2-d", "scalar", "ragged", "strings"],
+    )
+    def test_sample_validation(self, sample):
+        with pytest.raises(DomainError, match="sample"):
+            ks_sample_to_gaussian(sample, 1.0)
+
 
 class TestGaussianLimitCheck:
     def test_report_fields(self):
