@@ -65,6 +65,7 @@ from .deterministic import (
     solve_deterministic,
 )
 from .model import (
+    MAX_PATHS,
     DomainError,
     ModelParams,
     UnsupportedModelError,
@@ -361,7 +362,7 @@ def sample_fluctuation_paths(
     drawn into its row and the recurrence overwrites them, so the peak
     memory is about the output's size.
     """
-    n_paths = check_int(n_paths, "n_paths", minimum=1)
+    n_paths = check_int(n_paths, "n_paths", minimum=1, maximum=MAX_PATHS)
     rng_seed = check_seed(rng_seed)
     ts = check_grid(t_grid)
     if ts[0] != 0.0:

@@ -35,6 +35,10 @@ MAX_RATE = 1e150
 # of the law within it.
 MEMORY_BUDGET = 2**30
 
+# Most paths an ensemble may draw on the streams [seed, p]: _path_states
+# hashes each path index as one uint32 word.
+MAX_PATHS = 2**32
+
 
 class DomainError(ValueError):
     """An argument lies outside the domain the operation is defined on."""
@@ -131,7 +135,7 @@ def _path_states(rng_seed: int, n_paths: int) -> np.ndarray:
     2^32 paths a path index takes two uint32 words, which the hash here
     does not cover.
     """
-    if n_paths > 2**32:
+    if n_paths > MAX_PATHS:
         raise DomainError(f"n_paths must be <= 2**32 to draw per-path streams, got {n_paths}")
     seed_words = []
     while True:

@@ -56,6 +56,7 @@ from . import native
 from .deterministic import DeterministicSolution
 from .fluctuations import FluctuationLaw
 from .model import (
+    MAX_PATHS,
     DomainError,
     ModelParams,
     check_grid,
@@ -332,25 +333,35 @@ def _grid_variance(values: np.ndarray) -> np.ndarray:
     return values.var(axis=0, ddof=1)
 
 
+# EnsembleSummary.to_record's keys, in the record's order.
+_RECORD_KEYS = (
+    "n_paths", "k0", "rng_seed", "absorbed_count", "t_grid", "mean_z", "var_z", "z_ref",
+    "sup_deviation", "scaled_dev_mean", "scaled_dev_var",
+)
+
+
 @dataclass(frozen=True)
 class EnsembleSummary:
     """Grid values of an i.i.d. path ensemble plus deviation statistics.
 
-    z_values[p, j] is path p's proportion at t_grid[j], and z_ref[j] the
-    reference curve's value there; the deviation views below compare
-    against it. Each per-path or per-time statistic is formed on its
-    first read and kept; the (n_paths, rows) scaled_deviations is formed
-    afresh on each read, and kept by none.
+    z_values[p, j] is path p's proportion at t_grid[j], one row per path
+    (n_paths), and z_ref[j] the reference curve's value there. Each
+    per-path or per-time statistic is formed on its first read and kept;
+    the (n_paths, rows) scaled_deviations is formed afresh on each read,
+    and kept by none.
     """
 
     params: ModelParams
     k0: int
     rng_seed: int
-    n_paths: int
     t_grid: np.ndarray
     z_values: np.ndarray
     z_ref: np.ndarray
     absorbed_count: int
+
+    @property
+    def n_paths(self) -> int:
+        return len(self.z_values)
 
     @functools.cached_property
     def mean_z(self) -> np.ndarray:
@@ -387,19 +398,8 @@ class EnsembleSummary:
         return self._scaled_moments[1]
 
     def to_record(self) -> dict:
-        return {
-            "n_paths": self.n_paths,
-            "k0": self.k0,
-            "rng_seed": self.rng_seed,
-            "absorbed_count": self.absorbed_count,
-            "t_grid": self.t_grid.tolist(),
-            "mean_z": self.mean_z.tolist(),
-            "var_z": self.var_z.tolist(),
-            "z_ref": self.z_ref.tolist(),
-            "sup_deviation": self.sup_deviation.tolist(),
-            "scaled_dev_mean": self.scaled_dev_mean.tolist(),
-            "scaled_dev_var": self.scaled_dev_var.tolist(),
-        }
+        values = ((key, getattr(self, key)) for key in _RECORD_KEYS)
+        return {key: v.tolist() if isinstance(v, np.ndarray) else v for key, v in values}
 
 
 def run_ensemble(
@@ -418,12 +418,12 @@ def run_ensemble(
     """
     k0 = check_int(k0, "k0", 0, params.N)
     grid = check_grid(t_grid)
-    n_paths = check_int(n_paths, "n_paths", minimum=1)
+    n_paths = check_int(n_paths, "n_paths", minimum=1, maximum=MAX_PATHS)
     rng_seed = check_seed(rng_seed)
 
     states, absorbed = _run_paths(k0, grid, rng_seed, n_paths, params)
-    return _summary(
-        k0, grid, rng_seed, params, reference, states / params.N, int(absorbed.sum())
+    return EnsembleSummary(
+        params, k0, rng_seed, grid, states / params.N, reference(grid), int(absorbed.sum())
     )
 
 
@@ -450,29 +450,8 @@ def run_stored_ensemble(
 
     paths = [simulate_path(k0, grid[-1], [rng_seed, p], params) for p in range(n_paths)]
     z_values = np.array([sample_Z_at(grid, path) for path in paths])
-    absorbed_count = sum(path.absorbed for path in paths)
-    return _summary(k0, grid, rng_seed, params, reference, z_values, absorbed_count), paths
-
-
-def _summary(
-    k0: int,
-    grid: np.ndarray,
-    rng_seed: int,
-    params: ModelParams,
-    reference: DeterministicSolution,
-    z_values: np.ndarray,
-    absorbed_count: int,
-) -> EnsembleSummary:
-    return EnsembleSummary(
-        params=params,
-        k0=k0,
-        rng_seed=rng_seed,
-        n_paths=len(z_values),
-        t_grid=grid,
-        z_values=z_values,
-        z_ref=reference(grid),
-        absorbed_count=absorbed_count,
-    )
+    n_absorbed = sum(path.absorbed for path in paths)
+    return EnsembleSummary(params, k0, rng_seed, grid, z_values, reference(grid), n_absorbed), paths
 
 
 def clt_statistics(
@@ -512,21 +491,18 @@ def clt_statistics(
 
     rows = []
     for j, t in enumerate(grid):
-        variance = float(variances[j])
+        variance, sigma2_t = float(variances[j]), float(sigma2[j])
         row = {
             "t": float(t),
             "scaled_mean": float(means[j]),
             "scaled_var": variance,
-            "sigma2": float(sigma2[j]),
+            "sigma2": sigma2_t,
+            "var_ratio": None,
+            "ks_statistic": None,
         }
-        if sigma2[j] > 0.0:
-            row["var_ratio"] = variance / float(sigma2[j])
-            row["ks_statistic"] = ks_sample_to_gaussian(
-                scaled[:, j], math.sqrt(float(sigma2[j]))
-            )
-        else:
-            row["var_ratio"] = None
-            row["ks_statistic"] = None
+        if sigma2_t > 0.0:
+            row["var_ratio"] = variance / sigma2_t
+            row["ks_statistic"] = ks_sample_to_gaussian(scaled[:, j], math.sqrt(sigma2_t))
         rows.append(row)
 
     return {"k0": k0, "rows": rows, "rounding_offset": float(scaled[0, 0])}

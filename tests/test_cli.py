@@ -150,6 +150,29 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="not found"):
             load_config(tmp_path / "nope.json")
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda raw: [], "top level of the config must be a JSON object"),
+            (lambda raw: {**raw, "schema_version": 1}, "'schema_version' must be a string, got 1"),
+            (lambda raw: {**raw, "model": []}, "'model' must be an object with keys N, s, u, nu0"),
+            (lambda raw: {**raw, "ode": []}, "'ode' must be an object"),
+            (
+                lambda raw: {**raw, "simulate": {**raw["simulate"], "store_paths": 1}},
+                "'simulate.store_paths' must be true or false, got 1",
+            ),
+            (
+                lambda raw: {**raw, "clt": {**raw["clt"], "times": 1.0}},
+                "'clt.times' must be a non-empty list of times",
+            ),
+        ],
+        ids=["top-level", "schema-version", "model", "section", "store-paths", "times"],
+    )
+    def test_value_of_the_wrong_type(self, edit, message):
+        with pytest.raises(ConfigError) as err:
+            parse_config(edit(BASE))
+        assert str(err.value) == message
+
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json", encoding="utf-8")
@@ -383,8 +406,12 @@ class TestMainExitCodes:
 
     @pytest.mark.parametrize(
         "content, fragment",
-        [(b"\xff\xfe{", "not UTF-8"), (b"[" * 100_000, "nested too deeply")],
-        ids=["not-utf8", "nested-too-deep"],
+        [
+            (b"\xff\xfe{", "not UTF-8"),
+            (b"[" * 100_000, "nested too deeply"),
+            (b"[]", "top level of the config must be a JSON object"),
+        ],
+        ids=["not-utf8", "nested-too-deep", "top-level-list"],
     )
     def test_malformed_config_file_exits_2(self, tmp_path, capsys, content, fragment):
         path = tmp_path / "config.json"

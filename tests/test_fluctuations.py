@@ -315,6 +315,19 @@ class TestClosedForm:
         ]
         np.testing.assert_allclose(law.propagators(grid), expected, rtol=1e-12, atol=0.0)
 
+    def test_propagator_at_frozen_start(self):
+        # at the unstable point drift_slope is +sqrt(D) all along, so each
+        # step grows by exp(sqrt(D) h); the last step's exponent reaches the
+        # _X_CAP cap, past exp's overflow, and reads inf without a warning
+        law = FluctuationLaw(0.0, ModelParams(N=10, s=4.0, u=1e-200, nu0=5e-124))
+        rate = law.relaxation_rate
+        grid = np.array([0.0, 0.3, 1.0, 1.0 + 700.0 / rate, 1.0 + 3.0 * fluctuations._X_CAP / rate])
+        with np.errstate(over="ignore"):
+            expected = np.exp(rate * np.diff(grid))
+        propagators = law.propagators(grid)
+        assert np.array_equal(propagators, expected)
+        assert np.isfinite(propagators[:3]).all() and propagators[3] == math.inf
+
 
 class TestFluctuationLaw:
     def test_exposes_model_quantities(self):

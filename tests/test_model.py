@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from moranlimits import DomainError, ModelParams, kernel_q, rate_tables
 from moranlimits.model import (
+    MAX_PATHS,
     MAX_RATE,
     _path_states,
     check_int,
@@ -283,6 +284,18 @@ class TestSharedCheckers:
     def test_bad_argument_rejected(self, name, argument, bad):
         with pytest.raises(DomainError, match=argument):
             _call(name, **{argument: bad})
+
+    @pytest.mark.parametrize("name", ["run_ensemble", "clt_statistics", "sample_fluctuation_paths"])
+    def test_too_many_paths_refused_before_allocating(self, name):
+        # the (n_paths, 3) matrix of 2**32 + 1 paths would take 96 GiB
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match="n_paths"):
+                _call(name, n_paths=MAX_PATHS + 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16
 
     @pytest.mark.parametrize("value", [10**400, -(10**400)])
     def test_integer_beyond_float_range_rejected(self, value):
