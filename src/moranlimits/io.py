@@ -19,6 +19,11 @@ Each block whose columns are all float64 or int64 arrays is formatted
 by the compiled library (native.format_rows), which writes the same
 bytes; any other block, or every block where the library cannot be had,
 is formatted here in Python.
+
+Artifacts are written as bytes, in binary mode: the JSON text, the CSV
+header and each block the Python formatter joins are encoded once as
+UTF-8, and a compiled block's ASCII bytes are written as they are, with
+no decode or encode.
 """
 
 from __future__ import annotations
@@ -47,7 +52,7 @@ def _json_default(value):
 def dump_json(path: Path, payload: dict) -> None:
     """Sorted, indented JSON; NaN or an unknown type raises before the file is opened."""
     text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False, default=_json_default)
-    _write_texts(path, [text + "\n"])
+    _write_texts(path, [(text + "\n").encode("utf-8")])
 
 
 def format_cell(value) -> str:
@@ -70,23 +75,29 @@ def _format_column(column):
 
 
 def write_csv(path: Path, header: list, columns: list) -> None:
-    """Write equal-length columns under header, one CSV row per index."""
+    """Write equal-length columns under header, one CSV row per index.
+
+    ValueError is raised, before the file is opened, where the header
+    does not name one column each or the columns differ in length.
+    """
+    if len(header) != len(columns):
+        raise ValueError(f"header names {len(header)} columns, but {len(columns)} are given")
     lengths = {len(column) for column in columns}
     if len(lengths) > 1:
         raise ValueError(f"columns differ in length: {sorted(lengths)}")
     n_rows = lengths.pop() if lengths else 0
     texts = (_format_block(columns, start) for start in range(0, n_rows, _BLOCK_ROWS))
-    _write_texts(path, itertools.chain([",".join(header) + "\n"], texts))
+    _write_texts(path, itertools.chain([(",".join(header) + "\n").encode("utf-8")], texts))
 
 
 def _write_texts(path: Path, texts) -> None:
-    """Write each of texts to path in order.
+    """Write each of texts, each bytes-like, to path in order, in binary mode.
 
     An OSError of the file itself, such as a full disk, is raised naming
     path, so the CLI reports it; one raised while texts forms a text is
     not the file's, and propagates as it is.
     """
-    handle = open(path, "w", encoding="utf-8", newline="\n")
+    handle = open(path, "wb")
     try:
         for text in texts:
             try:
@@ -101,12 +112,13 @@ def _write_texts(path: Path, texts) -> None:
             raise OSError(err.errno, err.strerror, str(path)) from err
 
 
-def _format_block(columns: list, start: int) -> str:
-    """The rows from start on, at most _BLOCK_ROWS of them, each ending in a newline."""
+def _format_block(columns: list, start: int) -> bytes | memoryview:
+    """The UTF-8 bytes of the rows from start on, at most _BLOCK_ROWS of
+    them, each ending in a newline."""
     block = [column[start : start + _BLOCK_ROWS] for column in columns]
     text = native.format_rows(block)
     if text is None:
         cells = [_format_column(column) for column in block]
-        text = "\n".join(map(",".join, zip(*cells))) + "\n"
+        text = ("\n".join(map(",".join, zip(*cells))) + "\n").encode("utf-8")
     return text
 

@@ -163,10 +163,49 @@ int rk4_variance(int64_t m, const double *coef, const double *y0, int64_t n_time
    outside the window) is written by CPython's own
    PyOS_double_to_string(x, 'r', 0, Py_DTSF_ADD_DOT_0, NULL), the call of
    float.__repr__, and its text freed with PyMem_Free. Both allocate
-   through CPython, so the caller holds the GIL. */
+   through CPython, so the caller holds the GIL.
+
+   Digits are written two at a time from the pairs "00".."99". An int's
+   go straight into its cell. A float's 17 go to a scratch array, from
+   two independent 8-digit halves, and are copied into the cell in fixed
+   lengths, not in the text's own; such a copy may run up to 9 bytes
+   past the cell's room (see format_table), bytes the next cell, or the
+   caller's tail pad, takes. */
 typedef char *(*repr_t)(double, char, int, int, int *);
 typedef void (*release_t)(void *);
 #define PY_DTSF_ADD_DOT_0 2
+
+static const char digit_pairs[201] =
+    "00010203040506070809101112131415161718192021222324252627282930313233343536373839"
+    "40414243444546474849505152535455565758596061626364656667686970717273747576777879"
+    "8081828384858687888990919293949596979899";
+
+static const uint64_t powers10[20] = {
+    UINT64_C(1), UINT64_C(10), UINT64_C(100), UINT64_C(1000), UINT64_C(10000),
+    UINT64_C(100000), UINT64_C(1000000), UINT64_C(10000000), UINT64_C(100000000),
+    UINT64_C(1000000000), UINT64_C(10000000000), UINT64_C(100000000000),
+    UINT64_C(1000000000000), UINT64_C(10000000000000), UINT64_C(100000000000000),
+    UINT64_C(1000000000000000), UINT64_C(10000000000000000),
+    UINT64_C(100000000000000000), UINT64_C(1000000000000000000),
+    UINT64_C(10000000000000000000),
+};
+
+/* The digits of v >= 1. */
+static int digit_count(uint64_t v)
+{
+    const int guess = (64 - __builtin_clzll(v)) * 1233 >> 12; /* log10 2 ~ 1233 / 2^12 */
+    return guess + (v >= powers10[guess]);
+}
+
+/* Writes the 8 digits of v < 10^8, leading zeros included. */
+static void write_8_digits(char *p, uint32_t v)
+{
+    const uint32_t high = v / 10000, low = v % 10000;
+    memcpy(p, digit_pairs + 2 * (high / 100), 2);
+    memcpy(p + 2, digit_pairs + 2 * (high % 100), 2);
+    memcpy(p + 4, digit_pairs + 2 * (low / 100), 2);
+    memcpy(p + 6, digit_pairs + 2 * (low % 100), 2);
+}
 
 #ifdef __SIZEOF_INT128__
 typedef unsigned __int128 u128;
@@ -207,22 +246,23 @@ static void make_scales(scales_t *s)
     }
 }
 
-/* M 2^e2 10^d rounded down; *exact tells whether nothing was cut off. */
-static uint64_t scale(uint64_t M, int e2, int d, const scales_t *s, int *exact)
+/* n 2^shift rounded down; *exact tells whether nothing was cut off. */
+static uint64_t shift_bound(u128 n, int shift, int *exact)
 {
-    if (d < 0) {
-        u128 n = (u128)M << e2, q = n / s->pow10[-d];
-        *exact = q * s->pow10[-d] == n;
-        return (uint64_t)q;
-    }
-    u128 n = M * s->pow5[d];
-    int shift = e2 + d;
     if (shift >= 0) {
         *exact = 1;
         return (uint64_t)(n << shift);
     }
     *exact = (n & (((u128)1 << -shift) - 1)) == 0;
     return (uint64_t)(n >> -shift);
+}
+
+/* M 2^e2 10^d, d < 0, rounded down; *exact as above. */
+static uint64_t divide_bound(uint64_t M, int e2, int d, const scales_t *s, int *exact)
+{
+    u128 n = (u128)M << e2, q = n / s->pow10[-d];
+    *exact = q * s->pow10[-d] == n;
+    return (uint64_t)q;
 }
 
 /* Writes repr(x) where x is 0 or lies in the window and returns the end
@@ -247,12 +287,21 @@ static char *shortest(char *p, double x, const scales_t *s)
     const int e2 = biased - 1077;
     if (biased == 0 || e2 < E2_LOW || e2 > E2_HIGH) return NULL;
     const uint64_t m = fraction | (UINT64_C(1) << 52);
-    const int even = (m & 1) == 0, d = s->decimals[e2 - E2_LOW];
-    int vr_exact, vp_exact, vm_exact;
-    uint64_t vr = scale(4 * m, e2, d, s, &vr_exact);
-    uint64_t vp = scale(4 * m + 2, e2, d, s, &vp_exact);
     /* below a power of two the next double is half as far */
-    uint64_t vm = scale(4 * m - 1 - (fraction != 0), e2, d, s, &vm_exact);
+    const int even = (m & 1) == 0, d = s->decimals[e2 - E2_LOW], below = 1 + (fraction != 0);
+    int vr_exact, vp_exact, vm_exact;
+    uint64_t vr, vp, vm;
+    if (d >= 0) {
+        /* the bounds are linear in M: one product, and the others from it */
+        const u128 unit = s->pow5[d], r = (u128)(4 * m) * unit;
+        vr = shift_bound(r, e2 + d, &vr_exact);
+        vp = shift_bound(r + 2 * unit, e2 + d, &vp_exact);
+        vm = shift_bound(r - below * unit, e2 + d, &vm_exact);
+    } else {
+        vr = divide_bound(4 * m, e2, d, s, &vr_exact);
+        vp = divide_bound(4 * m + 2, e2, d, s, &vp_exact);
+        vm = divide_bound(4 * m - below, e2, d, s, &vm_exact);
+    }
 
     /* vm_zeros: vm's removed digits are all 0 and the lower end may be
        written (m even); vr_zeros: those of vr below the last removed one
@@ -286,67 +335,77 @@ static char *shortest(char *p, double x, const scales_t *s)
         exp10++;
     }
 
-    char digits[20];
-    int first = 20;
-    for (; output; output /= 10) digits[--first] = (char)('0' + output % 10);
-    const int n = 20 - first, decpt = n + exp10; /* |x| = 0.DIGITS 10^decpt */
-    const char *text = digits + first;
-    if (negative) *p++ = '-';
+    /* output has n <= 17 digits: scaled to 17, they take fixed places in
+       digits, with '0' after the last, which the copies below read */
+    const int n = digit_count(output), decpt = n + exp10; /* |x| = 0.DIGITS 10^decpt */
+    const uint64_t scaled = output * powers10[17 - n], rest = scaled % powers10[16];
+    char digits[32];
+    digits[0] = (char)('0' + scaled / powers10[16]);
+    write_8_digits(digits + 1, (uint32_t)(rest / powers10[8]));
+    write_8_digits(digits + 9, (uint32_t)(rest % powers10[8]));
+    memset(digits + 17, '0', 15);
+
+    *p = '-';
+    p += negative;
     if (decpt <= -4 || decpt > 16) {
-        *p++ = text[0];
-        if (n > 1) {
-            *p++ = '.';
-            memcpy(p, text + 1, n - 1);
-            p += n - 1;
-        }
-        int e = decpt - 1; /* -14..38 in the window */
-        *p++ = 'e';
-        *p++ = e < 0 ? '-' : '+';
-        if (e < 0) e = -e;
-        *p++ = (char)('0' + e / 10);
-        *p++ = (char)('0' + e % 10);
-    } else if (decpt <= 0) {
-        memcpy(p, "0.", 2);
-        memset(p + 2, '0', -decpt);
-        p += 2 - decpt;
-        memcpy(p, text, n);
-        p += n;
-    } else if (decpt < n) {
-        memcpy(p, text, decpt);
-        p[decpt] = '.';
-        memcpy(p + decpt + 1, text + decpt, n - decpt);
-        p += n + 1;
-    } else {
-        memcpy(p, text, n);
-        memset(p + n, '0', decpt - n);
-        p += decpt;
-        memcpy(p, ".0", 2);
-        p += 2;
+        p[0] = digits[0];
+        p[1] = '.';
+        memcpy(p + 2, digits + 1, 16);
+        p += n > 1 ? n + 1 : 1;
+        const int e = decpt - 1; /* -14..38 in the window */
+        p[0] = 'e';
+        p[1] = e < 0 ? '-' : '+';
+        memcpy(p + 2, digit_pairs + 2 * (e < 0 ? -e : e), 2);
+        return p + 4;
     }
-    return p;
+    if (decpt <= 0) {
+        memcpy(p, "0.000", 5);
+        memcpy(p + 2 - decpt, digits, 17);
+        return p + 2 - decpt + n;
+    }
+    memcpy(p, digits, 16);
+    if (decpt < n) {
+        p[decpt] = '.';
+        memcpy(p + decpt + 1, digits + decpt, 16);
+        return p + n + 1;
+    }
+    /* integral: digits holds '0' up to the point */
+    memcpy(p + decpt, ".0", 2);
+    return p + decpt + 2;
 }
 #endif
 
+/* str(value), its digits written from the last one back. */
 static char *write_int(char *p, int64_t value)
 {
     uint64_t rest = value < 0 ? 0 - (uint64_t)value : (uint64_t)value;
-    char digits[20];
-    int first = 20;
-    do {
-        digits[--first] = (char)('0' + rest % 10);
-        rest /= 10;
-    } while (rest);
-    if (value < 0) *p++ = '-';
-    memcpy(p, digits + first, 20 - first);
-    return p + 20 - first;
+    *p = '-';
+    p += value < 0;
+    if (rest < 10) {
+        *p = (char)('0' + rest);
+        return p + 1;
+    }
+    char *const end = p + digit_count(rest);
+    for (p = end; rest >= 100; rest /= 100) {
+        p -= 2;
+        memcpy(p, digit_pairs + 2 * (rest % 100), 2);
+    }
+    if (rest >= 10) {
+        memcpy(p - 2, digit_pairs + 2 * rest, 2);
+    } else {
+        p[-1] = (char)('0' + rest);
+    }
+    return end;
 }
 
 /* Writes n_rows rows of n_cols columns to out: columns[j] is an int64
    array, or a float64 one where is_float[j], each cell is followed by ','
-   or, at the row's end, '\n'. out holds 25 bytes a cell: no repr of a
+   or, at the row's end, '\n'. A cell's room is 25 bytes: no repr of a
    float is longer than 24 (-2.2250738585072014e-308), nor str of an int64
-   than 20. Returns the bytes written, or -1 where repr fails, with its
-   exception set. */
+   than 20. A float's fixed-length copies reach at most 34 bytes past its
+   cell's start (-1234567890123456.8), 9 past its room, so out holds 25
+   bytes a cell and a tail pad of 16 more (native._TAIL_PAD). Returns the
+   bytes written, or -1 where repr fails, with its exception set. */
 int64_t format_table(int64_t n_cols, const int8_t *is_float, const void *const *columns,
                      int64_t n_rows, char *out, repr_t repr, release_t release)
 {

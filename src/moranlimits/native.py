@@ -29,6 +29,11 @@ PyOS_double_to_string, the call of float.__repr__, and frees the text
 with PyMem_Free. Both allocate through CPython, which needs the GIL, so
 format_table is bound with ctypes.PYFUNCTYPE, whose calls hold the GIL;
 the other four kernels are plain CDLL functions, whose calls release it.
+It writes digits two at a time from a table of pairs, a float's from
+two 8-digit halves, and copies a float's digits into its cell in fixed
+lengths, which may run past the cell's room: format_rows allocates
+_CELL_BYTES a cell and a _TAIL_PAD after them, and returns the bytes
+written as a memoryview of that buffer, which io writes as it is.
 
 library() compiles the source on first use, not at import, with
 cc -O2 -ffp-contract=off -shared -fPIC into $XDG_CACHE_HOME/moranlimits
@@ -84,6 +89,9 @@ _TABLE_DTYPES = (np.dtype(np.float64), np.dtype(np.int64))
 # (-2.2250738585072014e-308) nor str of an int64 than 20, and a comma or
 # newline follows each cell.
 _CELL_BYTES = 25
+# Bytes after the cells' room: format_table copies a float's digits in
+# fixed lengths, which may run up to 9 bytes past the last cell's room.
+_TAIL_PAD = 16
 
 
 def _cache_dir() -> Path:
@@ -293,9 +301,9 @@ def fluctuation_rows(
     return True
 
 
-def format_rows(columns: Sequence) -> Optional[str]:
+def format_rows(columns: Sequence) -> Optional[memoryview]:
     """The CSV rows of equal-length columns, each row ending in a newline,
-    with the bytes io.format_cell gives each cell.
+    as a memoryview of the ASCII bytes io.format_cell gives each cell.
 
     Returns None where a column is not a 1-d float64 or int64 array or
     the library cannot be had: the caller then formats the rows in Python.
@@ -314,10 +322,10 @@ def format_rows(columns: Sequence) -> Optional[str]:
     arrays = [np.ascontiguousarray(column) for column in columns]
     floats = np.array([array.dtype.kind == "f" for array in arrays], dtype=np.int8)
     pointers = np.array([array.ctypes.data for array in arrays], dtype=np.uintp)
-    out = np.empty(_CELL_BYTES * n_rows * len(arrays), dtype=np.uint8)
+    out = np.empty(_CELL_BYTES * n_rows * len(arrays) + _TAIL_PAD, dtype=np.uint8)
     size = kernels.format_table(
         len(arrays), floats.ctypes.data, pointers.ctypes.data, n_rows, out.ctypes.data,
         ctypes.cast(ctypes.pythonapi.PyOS_double_to_string, ctypes.c_void_p),
         ctypes.cast(ctypes.pythonapi.PyMem_Free, ctypes.c_void_p),
     )
-    return out[:size].tobytes().decode("ascii")
+    return out[:size].data

@@ -2,10 +2,12 @@
 compiled and the Python formatter; the compiled formatter against repr;
 and dump_json's numpy encoding through json's default hook."""
 
+import ctypes
 import errno
 import io
 import os
 import tempfile
+from decimal import Decimal
 from pathlib import Path
 from unittest import mock
 
@@ -136,6 +138,15 @@ def test_unequal_columns_rejected():
         written_bytes(["a", "b"], [np.zeros(3), np.zeros(2)])
 
 
+@pytest.mark.parametrize("header", [["a", "b"], []])
+def test_header_of_another_width_rejected(tmp_path, header):
+    path = tmp_path / "table.csv"
+    message = f"header names {len(header)} columns, but 1 are given"
+    with pytest.raises(ValueError, match=message):
+        write_csv(path, header, [np.array([1.0, 2.0])])
+    assert not path.exists()
+
+
 @st.composite
 def narrow_integer_columns(draw):
     """Integer columns of any width whose values span less than half the rows,
@@ -230,8 +241,9 @@ class FullDisk(io.RawIOBase):
         raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
 
-def open_on_full_disk(path, mode, **kwargs):
-    return io.TextIOWrapper(io.BufferedWriter(FullDisk()), **kwargs)
+def open_on_full_disk(path, mode):
+    assert mode == "wb"
+    return io.BufferedWriter(FullDisk())
 
 
 @pytest.mark.parametrize(
@@ -255,16 +267,48 @@ def test_error_forming_a_text_propagates_unnamed(tmp_path):
     # an OSError of something other than the file, raised while a text is
     # formed
     def texts():
-        yield "k\n"
+        yield b"k\n"
         raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
 
     with pytest.raises(BlockingIOError) as raised:
         mio._write_texts(tmp_path / "table.csv", texts())
     assert raised.value.filename is None
-    assert (tmp_path / "table.csv").read_text(encoding="utf-8") == "k\n"
+    assert (tmp_path / "table.csv").read_bytes() == b"k\n"
 
 
 # --- the compiled formatter against repr and str ---------------------------
+
+
+# Each significant-digit count at each decimal exponent: the layout
+# switches at 1e-05/0.0001 and 1e+16/1e15, and the digit writer's
+# 8/9- and 16/17-digit boundaries between its halves.
+DIGIT_COUNTS = range(1, 18)
+DECIMAL_EXPONENTS = range(-5, 19)
+
+
+def significant_digits(value: float) -> tuple:
+    """The significant digits of repr(value) and its decimal exponent:
+    (3, -5) for 1.25e-05."""
+    number = Decimal(repr(value)).normalize()
+    return len(number.as_tuple().digits), number.adjusted()
+
+
+def digit_grid() -> np.ndarray:
+    """For each digit count and decimal exponent, a float whose repr has
+    that many significant digits there."""
+    rng = np.random.default_rng(17)
+    found = []
+    for exponent in DECIMAL_EXPONENTS:
+        for count in DIGIT_COUNTS:
+            # a 17-digit repr needs an interval that holds no 16-digit
+            # decimal, which a random draw finds within a few tries
+            for _ in range(100):
+                value = float(f"{rng.integers(10 ** (count - 1), 10**count)}e{exponent - count + 1}")
+                if significant_digits(value) == (count, exponent):
+                    found.append(value)
+                    break
+    assert len(found) == len(DIGIT_COUNTS) * len(DECIMAL_EXPONENTS)
+    return np.array(found)
 
 
 def corpus_floats() -> np.ndarray:
@@ -275,7 +319,7 @@ def corpus_floats() -> np.ndarray:
     layout = np.array([1e16, 9999999999999998.0, 1e-4, 9.999999999999999e-05, 1e-5])
     # the edges of the exact window, 2^-46 and 2^127
     edges = np.ldexp(1.0, np.array([-47, -46, -45, 126, 127, 128]))
-    base = np.concatenate([powers, decimals, layout, edges])
+    base = np.concatenate([powers, decimals, layout, edges, digit_grid()])
     near = np.concatenate(
         [base, np.nextafter(base, -np.inf), np.nextafter(base, np.inf), [0.0, np.nan, np.inf]]
     )
@@ -294,10 +338,13 @@ def test_compiled_floats_match_repr():
     chunks += [random_floats(rng, 10**5) for _ in range(40 if WIDE else 1)]
     for floats in chunks:
         expected = "".join(repr(value) + "\n" for value in floats.tolist())
-        assert native.format_rows([floats]) == expected
-    integers = np.array([-(2**63), 2**63 - 1, -1, 0, 1, 10**18], dtype=np.int64)
+        assert bytes(native.format_rows([floats])) == expected.encode("ascii")
+    # the int64 extremes, and each digit count's first and last values
+    powers = [10**k for k in range(19)]
+    listed = [-(2**63), 2**63 - 1, -1, 0, 1] + powers + [-p for p in powers] + [p - 1 for p in powers]
+    integers = np.array(listed, dtype=np.int64)
     expected = "".join(f"{value},{float(value)!r}\n" for value in integers.tolist())
-    assert native.format_rows([integers, integers.astype(float)]) == expected
+    assert bytes(native.format_rows([integers, integers.astype(float)])) == expected.encode("ascii")
 
 
 def test_longest_cells_fill_the_buffer_bound():
@@ -309,6 +356,43 @@ def test_longest_cells_fill_the_buffer_bound():
         assert written_bytes(["f", "i"], columns, 7) == reference_bytes(["f", "i"], columns)
         if kernels is not None:
             assert len(native.format_rows(columns[:1])) == native._CELL_BYTES * n
+
+
+# (-1234567890123456.8 runs furthest past its cell's room; after a cell
+# that fills its own room, it starts where the bound allows no slack)
+@pytest.mark.parametrize(
+    "cells",
+    [
+        [-2.2250738585072014e-308],
+        [-(2**63)],
+        [-1234567890123456.8],
+        [-2.2250738585072014e-308, -1234567890123456.8],
+        [-1.2345678901234567e-10, -(2**63), -1234567890123456.8, 0.00012345678901234567],
+    ],
+    ids=["subnormal-edge", "int64-min", "furthest", "full-then-furthest", "mixed"],
+)
+@pytest.mark.parametrize("n_rows", [1, 3])
+def test_fixed_length_copies_stay_in_the_tail_pad(cells, n_rows):
+    kernels = native.library()
+    if kernels is None:
+        pytest.skip("no C compiler: no compiled formatter")
+    columns = [
+        np.full(n_rows, cell, dtype=np.int64 if isinstance(cell, int) else np.float64)
+        for cell in cells
+    ]
+    floats = np.array([column.dtype.kind == "f" for column in columns], dtype=np.int8)
+    pointers = np.array([column.ctypes.data for column in columns], dtype=np.uintp)
+    room = native._CELL_BYTES * n_rows * len(columns) + native._TAIL_PAD
+    guard = 64
+    out = np.full(room + guard, 0xA5, dtype=np.uint8)
+    size = kernels.format_table(
+        len(columns), floats.ctypes.data, pointers.ctypes.data, n_rows, out.ctypes.data,
+        ctypes.cast(ctypes.pythonapi.PyOS_double_to_string, ctypes.c_void_p),
+        ctypes.cast(ctypes.pythonapi.PyMem_Free, ctypes.c_void_p),
+    )
+    row = ",".join(format_cell(cell) for cell in cells) + "\n"
+    assert out[:size].tobytes() == (row * n_rows).encode("ascii")
+    assert (out[room:] == 0xA5).all()
 
 
 def test_other_columns_are_left_to_python():
