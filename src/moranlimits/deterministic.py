@@ -138,7 +138,7 @@ def _drift_roots(params: ModelParams, root: float) -> tuple[float, float]:
     s, u, nu0 = params.s, params.u, params.nu0
     if s - u >= 0.0:
         x_plus = (s - u + root) / (2.0 * s)
-        x_minus = -(u * nu0) / (s * x_plus) if x_plus != 0.0 else 0.0
+        x_minus = -(u * nu0) / (s * x_plus)
     else:
         x_minus = (s - u - root) / (2.0 * s)
         x_plus = -(u * nu0) / (s * x_minus)

@@ -211,37 +211,29 @@ static void write_8_digits(char *p, uint32_t v)
 typedef unsigned __int128 u128;
 
 /* The window: x = m 2^(e2 + 2), m in [2^52, 2^53), e2 in [E2_LOW, E2_HIGH],
-   that is 2^-46 (about 1.4e-14) <= |x| < 2^127 (about 1.7e38). Each bound
+   that is 2^-46 (about 1.4e-14) <= |x| < 2^60 (about 1.2e18). Each bound
    of x's rounding interval is M 2^e2 with M < 2^55 (4m - 2 or 4m - 1
    below, 4m + 2 above, and x itself 4m), and is scaled by 10^d, d the
-   least integer with 10^d 2^e2 >= 4. The scaled interval then spans at
-   least 12 units, so one digit at least is removed below, and each scaled
-   value is under 40 M < 2^61. For d >= 0 the product M 5^d < 2^55 5^31
-   fits 128 bits (d <= 31 holds from e2 = -100 on); for d < 0, M 2^e2 <
-   2^127 does. */
+   least integer >= 0 with 10^d 2^e2 >= 4. The scaled interval then spans
+   at least 12 units, so one digit at least is removed below, and each
+   scaled value is under 40 M < 2^61. The product M 5^d < 2^55 5^31 fits
+   128 bits (d <= 31 holds from e2 = -100 on). Past e2 = 5 that bound
+   would take d < 0, a division, and such floats go to repr. */
 #define E2_LOW (-100)
-#define E2_HIGH 72
+#define E2_HIGH 5
 
 typedef struct {
-    u128 pow5[32], pow10[32];
+    u128 pow5[32];
     int8_t decimals[E2_HIGH - E2_LOW + 1]; /* d of each e2 */
 } scales_t;
 
 static void make_scales(scales_t *s)
 {
-    s->pow5[0] = s->pow10[0] = 1;
-    for (int i = 1; i < 32; i++) {
-        s->pow5[i] = 5 * s->pow5[i - 1];
-        s->pow10[i] = 10 * s->pow10[i - 1];
-    }
+    s->pow5[0] = 1;
+    for (int i = 1; i < 32; i++) s->pow5[i] = 5 * s->pow5[i - 1];
     for (int e2 = E2_LOW; e2 <= E2_HIGH; e2++) {
         int d = 0;
-        if (e2 <= 2) {
-            while (s->pow10[d] < (u128)1 << (2 - e2)) d++;
-        } else {
-            while (4 * s->pow10[d + 1] <= (u128)1 << e2) d++;
-            d = -d;
-        }
+        for (u128 pow10 = 1; e2 < 2 && pow10 < (u128)1 << (2 - e2); pow10 *= 10) d++;
         s->decimals[e2 - E2_LOW] = (int8_t)d;
     }
 }
@@ -255,14 +247,6 @@ static uint64_t shift_bound(u128 n, int shift, int *exact)
     }
     *exact = (n & (((u128)1 << -shift) - 1)) == 0;
     return (uint64_t)(n >> -shift);
-}
-
-/* M 2^e2 10^d, d < 0, rounded down; *exact as above. */
-static uint64_t divide_bound(uint64_t M, int e2, int d, const scales_t *s, int *exact)
-{
-    u128 n = (u128)M << e2, q = n / s->pow10[-d];
-    *exact = q * s->pow10[-d] == n;
-    return (uint64_t)q;
 }
 
 /* Writes repr(x) where x is 0 or lies in the window and returns the end
@@ -285,23 +269,16 @@ static char *shortest(char *p, double x, const scales_t *s)
         return p + 3;
     }
     const int e2 = biased - 1077;
-    if (biased == 0 || e2 < E2_LOW || e2 > E2_HIGH) return NULL;
+    if (e2 < E2_LOW || e2 > E2_HIGH) return NULL; /* a subnormal's e2 is -1077 */
     const uint64_t m = fraction | (UINT64_C(1) << 52);
     /* below a power of two the next double is half as far */
     const int even = (m & 1) == 0, d = s->decimals[e2 - E2_LOW], below = 1 + (fraction != 0);
+    /* the bounds are linear in M: one product, and the others from it */
+    const u128 unit = s->pow5[d], r = (u128)(4 * m) * unit;
     int vr_exact, vp_exact, vm_exact;
-    uint64_t vr, vp, vm;
-    if (d >= 0) {
-        /* the bounds are linear in M: one product, and the others from it */
-        const u128 unit = s->pow5[d], r = (u128)(4 * m) * unit;
-        vr = shift_bound(r, e2 + d, &vr_exact);
-        vp = shift_bound(r + 2 * unit, e2 + d, &vp_exact);
-        vm = shift_bound(r - below * unit, e2 + d, &vm_exact);
-    } else {
-        vr = divide_bound(4 * m, e2, d, s, &vr_exact);
-        vp = divide_bound(4 * m + 2, e2, d, s, &vp_exact);
-        vm = divide_bound(4 * m - below, e2, d, s, &vm_exact);
-    }
+    uint64_t vr = shift_bound(r, e2 + d, &vr_exact);
+    uint64_t vp = shift_bound(r + 2 * unit, e2 + d, &vp_exact);
+    uint64_t vm = shift_bound(r - below * unit, e2 + d, &vm_exact);
 
     /* vm_zeros: vm's removed digits are all 0 and the lower end may be
        written (m even); vr_zeros: those of vr below the last removed one
@@ -352,7 +329,7 @@ static char *shortest(char *p, double x, const scales_t *s)
         p[1] = '.';
         memcpy(p + 2, digits + 1, 16);
         p += n > 1 ? n + 1 : 1;
-        const int e = decpt - 1; /* -14..38 in the window */
+        const int e = decpt - 1; /* -14..18 in the window */
         p[0] = 'e';
         p[1] = e < 0 ? '-' : '+';
         memcpy(p + 2, digit_pairs + 2 * (e < 0 ? -e : e), 2);

@@ -301,8 +301,11 @@ def kernel_q(p: ArrayLike, params: ModelParams) -> tuple[ArrayLike, ArrayLike]:
     arr = np.asarray(p, dtype=float)
     if arr.size and not (arr.min() >= 0.0 and arr.max() <= 1.0):  # NaN fails too
         raise DomainError(f"p must lie in [0, 1], got {p!r}")
-    up = (1.0 + params.s) * p * (1.0 - p) + params.u * params.nu0 * (1.0 - p)
-    down = p * (1.0 - p) + params.u * params.nu1 * p
+    # sums completed in place: the peak does not rest on numpy's elision
+    up = (1.0 + params.s) * p * (1.0 - p)
+    up += params.u * params.nu0 * (1.0 - p)
+    down = p * (1.0 - p)
+    down += params.u * params.nu1 * p
     return up, down
 
 

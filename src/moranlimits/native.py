@@ -22,8 +22,8 @@ call, and row p reads only its own stream, so the bytes do not depend
 on the thread count.
 
 The formatter writes each float's shortest round-trip digits, as repr
-does, exactly on 128-bit integers within a window of magnitudes; every
-other float (nan, inf, a subnormal, one outside the window, or any
+does, exactly on 128-bit integers for magnitudes in [2^-46, 2^60); every
+other float (nan, inf, a subnormal, one outside that window, or any
 float where the compiler has no 128-bit type) it hands to CPython's own
 PyOS_double_to_string, the call of float.__repr__, and frees the text
 with PyMem_Free. Both allocate through CPython, which needs the GIL, so

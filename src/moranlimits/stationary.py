@@ -158,7 +158,10 @@ class StationaryDistribution:
 def _log_ratios(start: int, stop: int, params: ModelParams) -> np.ndarray:
     """log(lambda_k / mu_{k+1}) for k = start, ..., stop - 1."""
     up, down = kernel_q(np.arange(start, stop + 1) / params.N, params)
-    return np.log(up[:-1]) - np.log(down[1:])  # the factor N of both rates cancels
+    # the difference in place, so the peak does not rest on numpy's elision
+    ratios = np.log(up[:-1])
+    ratios -= np.log(down[1:])
+    return ratios  # the factor N of both rates cancels
 
 
 def _rises(k: int, params: ModelParams) -> bool:

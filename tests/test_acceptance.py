@@ -114,12 +114,12 @@ def test_failed_fork_runs_every_criterion_inline(
 ):
     """A criterion-6 worker that cannot be forked leaves all nine criteria to
     this process, which writes the report of the forked run byte for byte,
-    and no descriptor open: not the pipes multiprocessing opened for the
-    worker before the fork failed."""
+    and no descriptor open: not the pipe opened for the worker before the
+    fork failed."""
     forks = []
 
     def open_descriptors():
-        gc.collect()  # the pool's own queues close as they are collected
+        gc.collect()  # a file object left unreferenced closes as it is collected
         return len(os.listdir("/proc/self/fd"))
 
     def fork():

@@ -317,8 +317,8 @@ def corpus_floats() -> np.ndarray:
     powers = np.ldexp(1.0, np.arange(-1074, 1024))
     decimals = np.array([float(f"{a}e{b}") for a in range(1, 3000) for b in range(-20, 25)])
     layout = np.array([1e16, 9999999999999998.0, 1e-4, 9.999999999999999e-05, 1e-5])
-    # the edges of the exact window, 2^-46 and 2^127
-    edges = np.ldexp(1.0, np.array([-47, -46, -45, 126, 127, 128]))
+    # the edges of the exact window, 2^-46 and 2^60, and 2^127
+    edges = np.ldexp(1.0, np.array([-47, -46, -45, 59, 60, 61, 126, 127, 128]))
     base = np.concatenate([powers, decimals, layout, edges, digit_grid()])
     near = np.concatenate(
         [base, np.nextafter(base, -np.inf), np.nextafter(base, np.inf), [0.0, np.nan, np.inf]]
