@@ -1,11 +1,7 @@
 """Command-line front end.
 
-Subcommands:
-    ode         closed-form flow vs RK4 oracle on a fixed grid
-    simulate    exact path ensemble against the deterministic curve
-    clt         scaled-deviation marginals against the Gaussian law
-    stationary  stationary law and Gaussian concentration sweep
-    selfcheck   run the acceptance criteria and report pass/fail
+Each subcommand, with its function and help line, is an entry of
+_COMMANDS; `moranlimits --help` lists them.
 
 Exit codes: 0 success, 2 configuration error (including a model
 precondition the library raises, a config file that cannot be read, an
@@ -90,15 +86,6 @@ def cmd_ode(config: ExperimentConfig, out_dir: Path) -> int:
     return EXIT_OK
 
 
-def _path_columns(paths: list) -> list:
-    """Columns path, t, k: a t = 0 row at k0, then one row per jump, per path."""
-    return [
-        np.repeat(np.arange(len(paths)), [path.n_events + 1 for path in paths]),
-        np.concatenate([part for path in paths for part in ([0.0], path.times)]),
-        np.concatenate([part for path in paths for part in ([path.k0], path.states)]),
-    ]
-
-
 def cmd_simulate(config: ExperimentConfig, out_dir: Path) -> int:
     settings = config.sections["simulate"]
     params = config.model
@@ -111,7 +98,16 @@ def cmd_simulate(config: ExperimentConfig, out_dir: Path) -> int:
         summary, paths = run_stored_ensemble(
             k0, grid, settings.n_paths, config.seed, params, reference=reference
         )
-        write_csv(out_dir / "ensemble_paths.csv", ["path", "t", "k"], _path_columns(paths))
+        # per path its t = 0 row, then its events as they are; all held at once, so kept small
+        longest = max(path.n_events for path in paths)
+        index = np.broadcast_to(np.arange(len(paths))[:, None], (len(paths), longest))
+        zero, at_k0 = (0.0,), (k0,)
+        tables = []
+        for p, path in enumerate(paths):
+            tables.append(((p,), zero, at_k0))
+            if path.n_events:
+                tables.append((index[p, : path.n_events], path.times, path.states))
+        write_csv(out_dir / "ensemble_paths.csv", ["path", "t", "k"], *tables)
         artifacts["paths"] = "ensemble_paths.csv"
     else:
         summary = run_ensemble(
@@ -194,18 +190,11 @@ def cmd_stationary(config: ExperimentConfig, out_dir: Path) -> int:
         ["k", "probability"],
         [np.arange(params.N + 1), dist.full_probabilities()],
     )
+    header = ["N", "empirical_var_scaled", "target", "var_ratio", "ks_statistic", "mass_outside", "mean_z"]
     write_csv(
         out_dir / "stationary_sweep.csv",
-        ["N", "empirical_var_scaled", "target", "var_ratio", "ks_statistic", "mass_outside", "mean_z"],
-        [
-            [rep.N for rep in reports],
-            [rep.empirical_var_scaled for rep in reports],
-            [rep.target for rep in reports],
-            [rep.empirical_var_scaled / rep.target for rep in reports],
-            [rep.ks_statistic for rep in reports],
-            [rep.mass_outside for rep in reports],
-            [rep.mean_z for rep in reports],
-        ],
+        header,
+        [[getattr(rep, key) for rep in reports] for key in header],
     )
     results = {
         "sweep": [rep.to_record() for rep in reports],
@@ -242,11 +231,11 @@ def cmd_selfcheck(config: ExperimentConfig, out_dir: Path) -> int:
 
 
 _COMMANDS = {
-    "ode": cmd_ode,
-    "simulate": cmd_simulate,
-    "clt": cmd_clt,
-    "stationary": cmd_stationary,
-    "selfcheck": cmd_selfcheck,
+    "ode": (cmd_ode, "tabulate the closed-form flow against the RK4 oracle"),
+    "simulate": (cmd_simulate, "run an exact path ensemble against the deterministic curve"),
+    "clt": (cmd_clt, "compare scaled-deviation marginals with the Gaussian law"),
+    "stationary": (cmd_stationary, "stationary law and Gaussian concentration over an N sweep"),
+    "selfcheck": (cmd_selfcheck, "run the acceptance criteria and report pass/fail per criterion"),
 }
 
 
@@ -256,14 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Finite-N two-type Moran model: simulation, limits, fluctuations",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-    help_lines = {
-        "ode": "tabulate the closed-form flow against the RK4 oracle",
-        "simulate": "run an exact path ensemble against the deterministic curve",
-        "clt": "compare scaled-deviation marginals with the Gaussian law",
-        "stationary": "stationary law and Gaussian concentration over an N sweep",
-        "selfcheck": "run the acceptance criteria and report pass/fail per criterion",
-    }
-    for name, text in help_lines.items():
+    for name, (_, text) in _COMMANDS.items():
         sp = sub.add_parser(name, help=text)
         sp.add_argument("--config", required=True, help="path to the JSON config file")
         sp.add_argument(
@@ -299,7 +281,7 @@ def main(argv=None) -> int:
             print(f"output error: cannot create directory {out_dir}: {reason}", file=sys.stderr)
             return EXIT_CONFIG
         try:
-            return _COMMANDS[args.command](config, out_dir)
+            return _COMMANDS[args.command][0](config, out_dir)
         except OSError as err:
             if err.filename is None:  # not a file's error
                 raise

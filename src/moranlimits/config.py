@@ -70,10 +70,10 @@ _MAX_EVENTS = 10**10
 _PATH_BYTES = 192
 _GRID_ROW_BYTES = 32
 _REPORT_ROW_BYTES = {"simulate": 1280, "clt": 3072}
-# simulate with store_paths keeps every event twice: 16 B in its path's times
-# and states, and 24 B in the three CSV columns (38.5 B measured per event).
-# Each kept path adds 800 B, against 627 B measured (its TrajectoryPath and
-# arrays, and its t = 0 row in the CSV).
+# store_paths keeps each event once, 16 B in its path's times and states, read
+# as they are by the CSV writer: 16.3 B measured (VmHWM), below the 40 B charged,
+# which is kept so that the same configs run. A kept path adds 800 B, against 700
+# to 755 B measured: its TrajectoryPath and arrays, and its two CSV tables.
 _STORED_EVENT_BYTES = 40
 _STORED_PATH_BYTES = 800
 
@@ -372,28 +372,22 @@ def _require_chain_budget(config: ExperimentConfig, section: str) -> None:
     rows_key = "('simulate.t_end' / 'simulate.grid_step' + 2)" if simulate else "(len('clt.times') + 1)"
     report = _REPORT_ROW_BYTES[section]
     size = float(settings.n_paths) * (_PATH_BYTES + _GRID_ROW_BYTES * rows) + report * rows
-    terms = (
-        f"'{section}.n_paths' * ({_PATH_BYTES} + {_GRID_ROW_BYTES} * {rows_key})"
-        f" + {report} * {rows_key}"
-    )
-    values = (
-        f"{settings.n_paths} * ({_PATH_BYTES} + {_GRID_ROW_BYTES} * {rows:.6g})"
-        f" + {report} * {rows:.6g}"
-    )
+    # the one formula, filled in with the config keys and then with their values
+    formula = f"{{n}} * ({_PATH_BYTES} + {_GRID_ROW_BYTES} * {{rows}}) + {report} * {{rows}}"
     remedy = "lower n_paths or the number of grid rows"
     if simulate and settings.store_paths:
         size += _STORED_PATH_BYTES * float(settings.n_paths) + _STORED_EVENT_BYTES * events
-        terms += (
-            f" + {_STORED_PATH_BYTES} * n_paths + {_STORED_EVENT_BYTES} * events"
-            " kept by 'simulate.store_paths'"
-        )
-        values += (
-            f" + {_STORED_PATH_BYTES} * {settings.n_paths}"
-            f" + {_STORED_EVENT_BYTES} * {events:.3g}"
-        )
+        formula += f" + {_STORED_PATH_BYTES} * {{paths}} + {_STORED_EVENT_BYTES} * {{events}}"
         remedy = "lower n_paths, the horizon or N, or set store_paths to false"
     if size > MEMORY_BUDGET:
+        keys = formula.format(
+            n=f"'{section}.n_paths'", rows=rows_key, paths="n_paths",
+            events="events kept by 'simulate.store_paths'",
+        )
+        values = formula.format(
+            n=settings.n_paths, rows=f"{rows:.6g}", paths=settings.n_paths, events=f"{events:.3g}"
+        )
         raise ConfigError(
-            f"{terms} = {values} = {size:.3g} bytes exceeds the memory budget of"
+            f"{keys} = {values} = {size:.3g} bytes exceeds the memory budget of"
             f" {MEMORY_BUDGET} (1 GiB); {remedy}"
         )

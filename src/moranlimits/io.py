@@ -7,13 +7,14 @@ is ever written. dump_json lets json's default hook turn numpy arrays
 and scalars into Python values; NaN or any other type raises before the
 file is opened.
 
-CSV contract: write_csv takes the header and a sequence of equal-length
-columns, not rows. Each column is formatted once by its type: a float
-array through repr, a (non-bool) integer array through str, and any
-other sequence, such as a list holding None or an array of bools, cell
-by cell through format_cell. The bytes are those of format_cell applied
-to every cell of the zipped rows; rows are joined and written in blocks
-of _BLOCK_ROWS, so the formatted text held at once stays bounded.
+CSV contract: write_csv takes the header and one or more tables, each a
+sequence of equal-length columns, not rows, written in order. Each
+column is formatted once by its type: a float array through repr, a
+(non-bool) integer array through str, and any other sequence, such as a
+list holding None or an array of bools, cell by cell through
+format_cell. The bytes are those of format_cell applied to every cell of
+each table's zipped rows; a table's rows are joined and written in
+blocks of _BLOCK_ROWS, so the formatted text held at once stays bounded.
 
 Each block whose columns are all float64 or int64 arrays is formatted
 by the compiled library (native.format_rows), which writes the same
@@ -74,19 +75,24 @@ def _format_column(column):
     return map(format_cell, column)
 
 
-def write_csv(path: Path, header: list, columns: list) -> None:
-    """Write equal-length columns under header, one CSV row per index.
+def write_csv(path: Path, header: list, *tables) -> None:
+    """Write tables of equal-length columns under header, one CSV row per
+    index, table after table.
 
     ValueError is raised, before the file is opened, where the header
-    does not name one column each or the columns differ in length.
+    does not name one column each or a table's columns differ in length.
     """
-    if len(header) != len(columns):
-        raise ValueError(f"header names {len(header)} columns, but {len(columns)} are given")
-    lengths = {len(column) for column in columns}
-    if len(lengths) > 1:
-        raise ValueError(f"columns differ in length: {sorted(lengths)}")
-    n_rows = lengths.pop() if lengths else 0
-    texts = (_format_block(columns, start) for start in range(0, n_rows, _BLOCK_ROWS))
+    for columns in tables:
+        if len(header) != len(columns):
+            raise ValueError(f"header names {len(header)} columns, but {len(columns)} are given")
+        lengths = {len(column) for column in columns}
+        if len(lengths) > 1:
+            raise ValueError(f"columns differ in length: {sorted(lengths)}")
+    texts = (
+        _format_block(columns, start)
+        for columns in tables
+        for start in range(0, len(columns[0]) if columns else 0, _BLOCK_ROWS)
+    )
     _write_texts(path, itertools.chain([(",".join(header) + "\n").encode("utf-8")], texts))
 
 

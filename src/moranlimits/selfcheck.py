@@ -377,7 +377,7 @@ def check_gaussian_limit() -> CheckResult:
         for n in (500, 2000, 5000)
     ]
     final = reports[-1]
-    var_gap = abs(final.empirical_var_scaled / final.target - 1.0)
+    var_gap = abs(final.var_ratio - 1.0)
     passed = var_gap <= LIMIT_VAR_REL_TOL and final.mass_outside < LIMIT_MASS_TOL
     return CheckResult(
         name="8-stationary-gaussian-limit",

@@ -457,6 +457,11 @@ class GaussianLimitReport:
     mass_outside: float
     window_states: int
 
+    @property
+    def var_ratio(self) -> float:
+        """N * Var(Z) over the limit variance; not a field, so not in the record."""
+        return self.empirical_var_scaled / self.target
+
     def to_record(self) -> dict:
         return asdict(self)
 

@@ -15,7 +15,11 @@ from moranlimits import cli, simulate
 from moranlimits import config as config_module
 from moranlimits import io as mio
 from moranlimits.config import ConfigError, load_config, parse_config, validate_for_command
-from moranlimits.model import MAX_RATE
+from moranlimits.model import MAX_RATE, max_jump_rate
+
+REFERENCE = json.loads(
+    (Path(__file__).resolve().parents[1] / "configs" / "reference.json").read_text(encoding="utf-8")
+)
 
 BASE = {
     "schema_version": "1",
@@ -313,6 +317,88 @@ class TestCommandValidation:
         reference = {"model.N": 1000, "simulate.t_end": 3.0, "simulate.n_paths": 100,
                      "simulate.store_paths": True}
         validate_for_command(load_config(make_config(tmp_path, reference)), "simulate")
+
+    @pytest.mark.parametrize(
+        "command, overrides, message",
+        [
+            (
+                "ode",
+                {"ode.t_end": 1e12, "ode.grid_step": 1.0},
+                "'ode.t_end' / min('ode.oracle_step', 'ode.grid_step') = 1000000000000.0 / 0.001"
+                " = 1e+15 steps exceeds the budget of 1e+07; shorten t_end or lengthen the steps",
+            ),
+            (
+                "stationary",
+                {"model.N": 10**7},
+                "'model.N' + 1 = 10000001 pmf rows exceeds the budget of 1e+07 for stationary;"
+                " lower N",
+            ),
+            (
+                "simulate",
+                {"model.N": 10**7},
+                "'model.N' + 1 = 10000001 rate-table rows exceeds the budget of 1e+07 for"
+                " simulate; lower N",
+            ),
+            (
+                "clt",
+                {"model.N": 10**7},
+                "'model.N' + 1 = 10000001 rate-table rows exceeds the budget of 1e+07 for clt;"
+                " lower N",
+            ),
+            (
+                "simulate",
+                {"simulate.n_paths": 10**10},
+                "'simulate.n_paths' * 'simulate.t_end' * 'model.N' * max_jump_rate ="
+                " 10000000000 * 0.5 * 100 * 1 = 5e+11 events exceeds the budget of 1e+10"
+                " (max_jump_rate, the largest jump rate per individual, is set by 'model.s',"
+                " 'model.u' and 'model.nu0'); lower n_paths, the horizon or N",
+            ),
+            (
+                "clt",
+                {"clt.n_paths": 10**10},
+                "'clt.n_paths' * max('clt.times') * 'model.N' * max_jump_rate ="
+                " 10000000000 * 0.5 * 100 * 1 = 5e+11 events exceeds the budget of 1e+10"
+                " (max_jump_rate, the largest jump rate per individual, is set by 'model.s',"
+                " 'model.u' and 'model.nu0'); lower n_paths, the horizon or N",
+            ),
+            (
+                "simulate",
+                {"simulate.n_paths": 10**8, "simulate.t_end": 1e-8, "simulate.grid_step": 1e-8},
+                "'simulate.n_paths' * (192 + 32 * ('simulate.t_end' / 'simulate.grid_step' + 2))"
+                " + 1280 * ('simulate.t_end' / 'simulate.grid_step' + 2) = 100000000 * (192 + 32"
+                " * 3) + 1280 * 3 = 2.88e+10 bytes exceeds the memory budget of 1073741824"
+                " (1 GiB); lower n_paths or the number of grid rows",
+            ),
+            (
+                "clt",
+                {"clt.n_paths": 10**8, "clt.times": [1e-8]},
+                "'clt.n_paths' * (192 + 32 * (len('clt.times') + 1)) + 3072 * (len('clt.times')"
+                " + 1) = 100000000 * (192 + 32 * 2) + 3072 * 2 = 2.56e+10 bytes exceeds the"
+                " memory budget of 1073741824 (1 GiB); lower n_paths or the number of grid rows",
+            ),
+            (
+                "simulate",
+                {
+                    "model.N": 10**6, "simulate.n_paths": 1, "simulate.t_end": 1000.0,
+                    "simulate.grid_step": 1.0, "simulate.store_paths": True,
+                },
+                "'simulate.n_paths' * (192 + 32 * ('simulate.t_end' / 'simulate.grid_step' + 2))"
+                " + 1280 * ('simulate.t_end' / 'simulate.grid_step' + 2) + 800 * n_paths + 40 *"
+                " events kept by 'simulate.store_paths' = 1 * (192 + 32 * 1002) + 1280 * 1002 +"
+                " 800 * 1 + 40 * 1e+09 = 4e+10 bytes exceeds the memory budget of 1073741824"
+                " (1 GiB); lower n_paths, the horizon or N, or set store_paths to false",
+            ),
+        ],
+        ids=[
+            "ode-steps", "pmf-rows", "simulate-table", "clt-table", "simulate-events",
+            "clt-events", "simulate-memory", "clt-memory", "stored-memory",
+        ],
+    )
+    def test_budget_refusal_texts(self, tmp_path, command, overrides, message):
+        config = load_config(make_config(tmp_path, overrides))
+        with pytest.raises(ConfigError) as raised:
+            validate_for_command(config, command)
+        assert str(raised.value) == message
 
     def test_rate_cap_is_accepted(self, tmp_path):
         overrides = {"model.s": MAX_RATE, "model.u": MAX_RATE}
@@ -819,23 +905,47 @@ class TestSimulateCommand:
             {"simulate.n_paths": 200_000, "simulate.t_end": 1e-6, "simulate.grid_step": 1e-6},
             {"model.N": 20, "simulate.n_paths": 200, "simulate.t_end": 20.0,
              "simulate.grid_step": 1e-3},
+            # configs/reference.json with store_paths
+            {"model": REFERENCE["model"], "seed": REFERENCE["seed"],
+             "simulate": {**REFERENCE["simulate"], "store_paths": True}},
+            # the store-paths benchmark's shape: 4 paths of N = 5 * 10^4 to t = 3
+            {"model.N": 50_000, "simulate": {"z0": 0.1, "t_end": 3.0, "n_paths": 4,
+                                             "grid_step": 0.01, "store_paths": True}},
+            # many short stored paths, most without an event: the per-path charge binds
+            {"model.N": 16, "simulate.n_paths": 10_000, "simulate.t_end": 0.01,
+             "simulate.grid_step": 0.01, "simulate.store_paths": True},
         ],
-        ids=["many-paths", "many-rows"],
+        ids=[
+            "many-paths", "many-rows", "stored-reference", "stored-long-paths", "stored-many-paths"
+        ],
     )
     def test_peak_memory_is_within_the_charge(self, tmp_path, overrides):
-        """In a fresh interpreter, the run's peak RSS above the import stays
-        within the memory config charges it."""
+        """In a fresh interpreter, the run's peak memory above the import
+        stays within the memory config charges it.
+
+        Both readings are the process's own high-water mark, VmHWM: a
+        child's ru_maxrss starts at its parent's peak, so under pytest it
+        would read the suite's peak, not the run's.
+        """
+        if not Path("/proc/self/status").exists():
+            pytest.skip("no /proc/self/status to read VmHWM from")
         path = make_config(tmp_path, overrides)
-        settings = load_config(path).sections["simulate"]
+        config = load_config(path)
+        settings = config.sections["simulate"]
         rows = settings.t_end / settings.grid_step + 2
         charge = settings.n_paths * (
             config_module._PATH_BYTES + config_module._GRID_ROW_BYTES * rows
         ) + config_module._REPORT_ROW_BYTES["simulate"] * rows
+        if settings.store_paths:
+            rate = max_jump_rate(config.model)
+            events = settings.n_paths * settings.t_end * config.model.N * rate
+            charge += settings.n_paths * config_module._STORED_PATH_BYTES
+            charge += events * config_module._STORED_EVENT_BYTES
         probe = (
-            "import resource, sys; from moranlimits import cli;"
-            " base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss;"
-            " code = cli.main(sys.argv[1:]);"
-            " print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - base)"
+            "import sys; from moranlimits import cli;"
+            " hwm = lambda: next(int(line.split()[1]) for line in open('/proc/self/status')"
+            " if line.startswith('VmHWM:'));"
+            " base = hwm(); code = cli.main(sys.argv[1:]); print(code, hwm() - base)"
         )
         command = ["simulate", "--config", str(path), "--out", str(tmp_path / "out")]
         result = subprocess.run(
@@ -847,7 +957,7 @@ class TestSimulateCommand:
         )
         code, rise_kib = result.stdout.split()[-2:]  # after the command's summary line
         assert code == "0"
-        assert int(rise_kib) * 1024 <= charge  # ru_maxrss counts KiB on Linux
+        assert int(rise_kib) * 1024 <= charge  # VmHWM counts KiB
 
     def test_store_paths(self, tmp_path):
         path = make_config(tmp_path, {"simulate.store_paths": True})

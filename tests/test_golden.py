@@ -141,8 +141,9 @@ def test_artifacts_match_golden_digests(tmp_path, command, config):
 
 
 def test_long_paths_in_blocks_through_both_formatters(tmp_path, monkeypatch):
-    """The long-paths case again, its ~31.5k stored rows cut into 8 blocks
-    of 4096, written by the compiled formatter and by the Python one."""
+    """The long-paths case again, each path's t = 0 row and then its
+    15.6k or 15.9k events cut into blocks of 4096, written by the compiled
+    formatter and by the Python one."""
     blocks = []
     format_block = mio._format_block
 
@@ -159,8 +160,8 @@ def test_long_paths_in_blocks_through_both_formatters(tmp_path, monkeypatch):
         with contextlib.redirect_stdout(io.StringIO()):
             code = cli.main(["simulate", "--config", str(config_path), "--out", str(out_dir)])
         assert code == 0
-        # the path, t, k table
-        assert [start for n, start in blocks if n == 3] == list(range(0, 8 * 4096, 4096))
+        # the path, t, k tables: per path a one-row table, then 4 blocks of events
+        assert [start for n, start in blocks if n == 3] == [0, 0, 4096, 8192, 12288] * 2
         assert artifact_digests(out_dir) == GOLDEN[("simulate", "reference+long_paths")]
 
 

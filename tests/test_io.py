@@ -53,14 +53,14 @@ def reference_bytes(header, columns) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-def written_bytes(header, columns, block_rows=None) -> bytes:
+def written_bytes(header, *tables, block_rows=None) -> bytes:
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "table.csv"
         if block_rows is None:
-            write_csv(path, header, columns)
+            write_csv(path, header, *tables)
         else:
             with mock.patch.object(mio, "_BLOCK_ROWS", block_rows):
-                write_csv(path, header, columns)
+                write_csv(path, header, *tables)
         return path.read_bytes()
 
 
@@ -92,7 +92,66 @@ def tables(draw):
 def test_columns_write_the_per_cell_bytes(columns, block_rows):
     header = [f"c{i}" for i in range(len(columns))]
     for _ in each_kernel_body():
-        assert written_bytes(header, columns, block_rows) == reference_bytes(header, columns)
+        data = written_bytes(header, columns, block_rows=block_rows)
+        assert data == reference_bytes(header, columns)
+
+
+@st.composite
+def split_tables(draw):
+    """Tables of float64 and int64 columns under one header, each an empty
+    table, a one-row table of list or tuple columns, a table of arrays, or a
+    table of stride-0 views (np.broadcast_to, or a row of a 2-d one sliced,
+    as simulate's path column is)."""
+    dtypes = draw(st.lists(st.sampled_from([np.float64, np.int64]), min_size=1, max_size=4))
+    cells = {np.float64: float_cells, np.int64: st.integers(-(2**63), 2**63 - 1)}
+    forms = st.sampled_from(["empty", "list-row", "tuple-row", "arrays", "broadcast", "row-view"])
+    tables = []
+    for form in draw(st.lists(forms, max_size=6)):
+        n = draw(st.integers(0, 20))
+        if form == "empty":
+            tables.append([np.empty(0, dtype) for dtype in dtypes])
+        elif form in ("list-row", "tuple-row"):
+            kind = list if form == "list-row" else tuple
+            tables.append(kind(kind([draw(cells[dtype])]) for dtype in dtypes))
+        elif form == "arrays":
+            tables.append([draw(hnp.arrays(dtype, n, elements=cells[dtype])) for dtype in dtypes])
+        else:
+            values = [np.array(draw(cells[dtype]), dtype) for dtype in dtypes]
+            if form == "broadcast":
+                tables.append([np.broadcast_to(value, n) for value in values])
+            else:
+                tables.append([np.broadcast_to(value, (2, n + 3))[1, :n] for value in values])
+    return dtypes, tables
+
+
+@settings(deadline=None)
+@given(split=split_tables(), block_rows=st.integers(1, 8))
+def test_tables_write_the_bytes_of_their_concatenation(split, block_rows):
+    dtypes, tables = split
+    header = [f"c{i}" for i in range(len(dtypes))]
+    joined = [
+        np.concatenate([np.asarray(table[i], dtype) for table in tables] or [np.empty(0, dtype)])
+        for i, dtype in enumerate(dtypes)
+    ]
+    for _ in each_kernel_body():
+        data = written_bytes(header, *tables, block_rows=block_rows)
+        assert data == written_bytes(header, joined, block_rows=block_rows)
+        assert data == reference_bytes(header, joined)
+
+
+@pytest.mark.parametrize(
+    "later, message",
+    [
+        ([np.zeros(2)], "header names 2 columns, but 1 are given"),
+        ([np.zeros(3), np.zeros(2)], "differ in length"),
+    ],
+    ids=["width", "lengths"],
+)
+def test_later_table_that_does_not_fit_rejected(tmp_path, later, message):
+    path = tmp_path / "table.csv"
+    with pytest.raises(ValueError, match=message):
+        write_csv(path, ["a", "b"], [[1.0], [2]], [np.zeros(2), np.arange(2)], later)
+    assert not path.exists()
 
 
 def test_cell_forms():
@@ -165,7 +224,8 @@ def narrow_integer_columns(draw):
 def test_narrow_integer_columns_write_the_per_cell_bytes(column, block_rows):
     columns = [column, np.arange(column.size) * 0.5]
     for _ in each_kernel_body():
-        assert written_bytes(["k", "t"], columns, block_rows) == reference_bytes(["k", "t"], columns)
+        data = written_bytes(["k", "t"], columns, block_rows=block_rows)
+        assert data == reference_bytes(["k", "t"], columns)
 
 
 @pytest.mark.parametrize("dtype", ["int8", "uint8", "int64", "uint64"])
@@ -353,7 +413,8 @@ def test_longest_cells_fill_the_buffer_bound():
     n = 1000
     columns = [np.full(n, -2.2250738585072014e-308), np.full(n, -(2**63), dtype=np.int64)]
     for kernels in each_kernel_body():
-        assert written_bytes(["f", "i"], columns, 7) == reference_bytes(["f", "i"], columns)
+        data = written_bytes(["f", "i"], columns, block_rows=7)
+        assert data == reference_bytes(["f", "i"], columns)
         if kernels is not None:
             assert len(native.format_rows(columns[:1])) == native._CELL_BYTES * n
 
@@ -391,6 +452,8 @@ def test_fixed_length_copies_stay_in_the_tail_pad(cells, n_rows):
         ctypes.cast(ctypes.pythonapi.PyMem_Free, ctypes.c_void_p),
     )
     row = ",".join(format_cell(cell) for cell in cells) + "\n"
+    # format_rows's own buffer ends at room, where AddressSanitizer sees an overrun
+    assert native.format_rows(columns).tobytes() == (row * n_rows).encode("ascii")
     assert out[:size].tobytes() == (row * n_rows).encode("ascii")
     assert (out[room:] == 0xA5).all()
 
